@@ -40,11 +40,5 @@ let answer_regular p c =
     (Regular_pattern.eval p (Compressed.graph c))
 
 let answer_rpq r c =
-  let on_gr = Rpq.matches r (Compressed.graph c) in
-  let out = ref [] in
-  Bitset.iter
-    (fun h -> Array.iter (fun v -> out := v :: !out) (Compressed.members c h))
-    on_gr;
-  let a = Array.of_list !out in
-  Array.sort Mono.icompare a;
-  a
+  Compressed.expand_nodes c
+    (Bitset.to_array (Rpq.matches r (Compressed.graph c)))

@@ -8,8 +8,8 @@
 
     The query rewriting function [F] is the identity: any pattern query
     runs on [Gr] as is.  The post-processing function [P] replaces each
-    matched hypernode by its members ({!Compressed.expand_result}), linear
-    in the answer size; Boolean pattern queries skip [P]. *)
+    matched hypernode by its members ({!Compressed.expand_result}),
+    O(|V|/63 + |output|) per row; Boolean pattern queries skip [P]. *)
 
 (** [compress ?pool g] computes [Gr = R(G)] in O(|E| log |V|) via
     Paige–Tarjan on the flat refinement engine; [pool] parallelises the

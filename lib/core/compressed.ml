@@ -38,19 +38,25 @@ let ratio t ~original =
   let g = Digraph.size original in
   if g = 0 then 1.0 else float_of_int (size t) /. float_of_int g
 
+(* P marks the members of a row's hypernodes in one bitset over V and
+   reads the bits back in order: O(|V|/63 + |output|) per row, no sort.
+   Hypernodes are disjoint, so no dedup is needed; a hypernode listed
+   twice only marks the same bits again.  [mark] is empty on entry and
+   on exit. *)
+let expand_row t mark hypernodes =
+  Array.iter (fun h -> Array.iter (Bitset.add mark) t.members.(h)) hypernodes;
+  let out = Bitset.to_array mark in
+  Bitset.clear mark;
+  out
+
+let expand_nodes t hypernodes =
+  expand_row t (Bitset.create (original_n t)) hypernodes
+
 let expand_result t = function
   | None -> None
-  | Some per_node ->
-      Some
-        (Array.map
-           (fun hypernodes ->
-             let out =
-               Array.to_list hypernodes
-               |> List.concat_map (fun h -> Array.to_list t.members.(h))
-               |> List.sort_uniq Mono.icompare
-             in
-             Array.of_list out)
-           per_node)
+  | Some rows ->
+      let mark = Bitset.create (original_n t) in
+      Some (Array.map (expand_row t mark) rows)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>compressed |Vr|=%d |Er|=%d of |V|=%d@,%a@]"

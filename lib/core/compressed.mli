@@ -34,9 +34,15 @@ val size : t -> int
 (** [ratio t ~original] is the paper's compression ratio [|Gr| / |G|]. *)
 val ratio : t -> original:Digraph.t -> float
 
+(** [expand_nodes t hs] is the sorted union of the members of the
+    hypernodes [hs]: one bitset over [V] is marked and read back in
+    order, O(|V|/63 + |output|). *)
+val expand_nodes : t -> int array -> int array
+
 (** [expand_result t result] is the post-processing function [P] for pattern
-    answers: replaces each hypernode by its members (sorted), linear in the
-    output size. *)
+    answers: {!expand_nodes} on every row, through one bitset over [V]
+    reused across rows.  Each row costs O(|V|/63 + |output|); [None] stays
+    [None]. *)
 val expand_result : t -> Pattern.result -> Pattern.result
 
 val pp : Format.formatter -> t -> unit

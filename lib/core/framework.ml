@@ -54,19 +54,8 @@ module Path_queries = struct
 
   let name = "path-queries"
 
-  let evaluate g r =
-    let a = Array.of_list (Bitset.to_list (Rpq.matches r g)) in
-    a
-
+  let evaluate g r = Bitset.to_array (Rpq.matches r g)
   let compress g = Compress_bisim.compress g
   let rewrite _ r = r
-
-  let post_process c hypernodes =
-    let out = ref [] in
-    Array.iter
-      (fun h -> Array.iter (fun v -> out := v :: !out) (Compressed.members c h))
-      hypernodes;
-    let a = Array.of_list !out in
-    Array.sort Mono.icompare a;
-    a
+  let post_process c hypernodes = Compressed.expand_nodes c hypernodes
 end

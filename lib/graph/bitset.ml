@@ -133,6 +133,15 @@ let fold f s init =
 
 let to_list s = List.rev (fold (fun i acc -> i :: acc) s [])
 
+let to_array s =
+  let out = Array.make (cardinal s) 0 and k = ref 0 in
+  iter
+    (fun i ->
+      out.(!k) <- i;
+      incr k)
+    s;
+  out
+
 let of_list size xs =
   let s = create size in
   List.iter (add s) xs;

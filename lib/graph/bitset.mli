@@ -67,6 +67,11 @@ val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 (** [to_list s] is the members in increasing order. *)
 val to_list : t -> int list
 
+(** [to_array s] is the members in increasing order, in an array of
+    exactly [cardinal s] cells: O(capacity/63 + cardinal) with no
+    intermediate list. *)
+val to_array : t -> int array
+
 (** [of_list capacity xs] is the set containing exactly [xs]. *)
 val of_list : int -> int list -> t
 

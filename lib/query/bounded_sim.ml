@@ -26,6 +26,11 @@ let check_cache g = function
       c
   | None -> make_cache g
 
+(* Some slot of [adj] in [i, stop) is a member of [set]: stops at the
+   first hit. *)
+let rec slice_meets set adj i stop =
+  i < stop && (Bitset.mem set adj.(i) || slice_meets set adj (i + 1) stop)
+
 let refine ?cache p g ~cand =
   let cache = check_cache g cache in
   let np = Pattern.node_count p in
@@ -37,9 +42,8 @@ let refine ?cache p g ~cand =
     let witness v b u' =
       match b with
       | Pattern.Bounded 1 ->
-          Digraph.fold_succ g v
-            (fun acc w -> acc || Bitset.mem cand.(u') w)
-            false
+          let adj, start, len = Digraph.succ_slice g v in
+          slice_meets cand.(u') adj start (start + len)
       | Pattern.Bounded k ->
           not (Bitset.disjoint (descendants_for cache k).(v) cand.(u'))
       | Pattern.Unbounded ->
@@ -65,7 +69,7 @@ let refine ?cache p g ~cand =
       done
     done;
     if Array.exists Bitset.is_empty cand then None
-    else Some (Array.map (fun s -> Array.of_list (Bitset.to_list s)) cand)
+    else Some (Array.map Bitset.to_array cand)
   end
 
 let label_candidates p g =
@@ -138,7 +142,7 @@ let eval_matrix p g =
       done
     done;
     if Array.exists Bitset.is_empty cand then None
-    else Some (Array.map (fun s -> Array.of_list (Bitset.to_list s)) cand)
+    else Some (Array.map Bitset.to_array cand)
   end
 
 let eval_boolean ?cache p g =

@@ -25,7 +25,7 @@ let graph t = t.graph
 
 let result_of_cand cand =
   if Array.length cand > 0 && Array.exists Bitset.is_empty cand then None
-  else Some (Array.map (fun s -> Array.of_list (Bitset.to_list s)) cand)
+  else Some (Array.map Bitset.to_array cand)
 
 let result t = result_of_cand t.cand
 

@@ -61,5 +61,5 @@ let eval p g =
         in_idx.(u')
     done;
     if Array.exists Bitset.is_empty cand then None
-    else Some (Array.map (fun s -> Array.of_list (Bitset.to_list s)) cand)
+    else Some (Array.map Bitset.to_array cand)
   end

@@ -18,6 +18,7 @@ let m_malformed = Obs.counter "server.malformed"
 let m_queries = Obs.counter "server.queries"
 let m_batches = Obs.counter "server.batches"
 let m_scrapes = Obs.counter "server.scrapes"
+let m_rejected = Obs.counter "server.rejected"
 let h_batch = Obs.histogram "server.batch_size"
 let h_queue = Obs.histogram "server.queue_depth"
 
@@ -158,6 +159,7 @@ type listener = Unix_socket of string | Tcp of { host : string; port : int }
 
 type totals = {
   accepted : int;
+  rejected : int;
   frames : int;
   malformed : int;
   queries : int;
@@ -192,6 +194,10 @@ type state = {
   mutable ready : bool;  (* listeners bound, engine resident *)
   mutable draining : bool;
   mutable accepted : int;
+  mutable rejected : int;
+  mutable accept_retry_ns : int;
+      (* accept back-off: listeners sit out of select until this clock
+         reading; 0 when no accept has failed since a backlog drained *)
   mutable scrapes : int;
   mutable frames : int;
   mutable malformed : int;
@@ -219,7 +225,8 @@ let stats_text st =
   line "engine: %s" st.engine.describe;
   line "route: %s" st.engine.route;
   line "domains: %d" (Pool.domains (Pool.default ()));
-  line "connections: %d open, %d accepted" (List.length st.conns) st.accepted;
+  line "connections: %d open, %d accepted, %d rejected" (List.length st.conns)
+    st.accepted st.rejected;
   line "frames: %d ok, %d malformed" st.frames st.malformed;
   line "queries: %d" st.queries;
   line "batches: %d" st.batches;
@@ -521,29 +528,83 @@ let open_listener st ~proto l =
       note "tcp" (Printf.sprintf "%s:%d" host port);
       fd
 
+(* [Unix.select] raises EINVAL on a descriptor at or above FD_SETSIZE
+   (1024), which would take the whole daemon down.  Protocol and scrape
+   connections together stay under this cap, which leaves room below
+   FD_SETSIZE for stdio, the listeners and the snapshot files. *)
+let max_connections = 1000
+
+(* How long the listeners sit out of [select] after an accept ran out
+   of descriptors, unless a connection closes first. *)
+let accept_backoff_s = 0.25
+
+(* An over-cap connection gets one best-effort reply — an 'E' frame, or
+   a 503 on the scrape plane — and is closed before it ever reaches
+   [select]. *)
+let reject st fd ~http =
+  let reply =
+    let msg =
+      Printf.sprintf "connection limit reached (%d open)" max_connections
+    in
+    if http then Server_http.response ~status:503 (msg ^ "\n")
+    else begin
+      let b = Buffer.create 64 in
+      SP.add_response b (SP.Error msg);
+      Buffer.contents b
+    end
+  in
+  (try ignore (Unix.write_substring fd reply 0 (String.length reply) : int)
+   with Unix.Unix_error _ -> ());
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  st.rejected <- st.rejected + 1;
+  Obs.incr m_rejected;
+  Obs.Log.warn "connection rejected"
+    ~fields:
+      [
+        ("proto", Obs.Log.Str (if http then "http" else "qpgc"));
+        ("limit", Obs.Log.Int max_connections);
+        ("rejected", Obs.Log.Int st.rejected);
+      ]
+
 let rec accept_all st lfd ~http =
   match Unix.accept ~cloexec:true lfd with
   | fd, _addr ->
       Unix.set_nonblock fd;
-      let c =
-        {
-          fd;
-          inbuf = Buffer.create 4096;
-          out = Buffer.create 4096;
-          out_ofs = 0;
-          closing = false;
-        }
-      in
-      if http then st.hconns <- c :: st.hconns
+      if List.length st.conns + List.length st.hconns >= max_connections then
+        reject st fd ~http
       else begin
-        st.accepted <- st.accepted + 1;
-        Obs.incr m_connections;
-        st.conns <- c :: st.conns
+        let c =
+          {
+            fd;
+            inbuf = Buffer.create 4096;
+            out = Buffer.create 4096;
+            out_ofs = 0;
+            closing = false;
+          }
+        in
+        if http then st.hconns <- c :: st.hconns
+        else begin
+          st.accepted <- st.accepted + 1;
+          Obs.incr m_connections;
+          st.conns <- c :: st.conns
+        end
       end;
       accept_all st lfd ~http
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
+  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      st.accept_retry_ns <- 0
   | exception Unix.Unix_error ((Unix.EINTR | Unix.ECONNABORTED), _, _) ->
       accept_all st lfd ~http
+  | exception Unix.Unix_error (((Unix.EMFILE | Unix.ENFILE) as e), _, _) ->
+      (* Out of descriptors below the cap.  The connection stays in the
+         backlog, so a listener left in the select set would wake the
+         loop at once and fail again: pause the listeners until a
+         connection closes or [accept_backoff_s] passes.  One log line
+         per episode, which ends once the backlog is drained. *)
+      if st.accept_retry_ns = 0 then
+        Obs.Log.error "accept failed"
+          ~fields:[ ("error", Obs.Log.Str (Unix.error_message e)) ];
+      st.accept_retry_ns <-
+        Obs.Clock.now_ns () + int_of_float (accept_backoff_s *. 1e9)
 
 (* One-shot HTTP handling for the scrape plane: parse once the header
    terminator is in, answer, close.  Routed entirely off the request
@@ -629,6 +690,8 @@ let sweep st =
     List.iter
       (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
       closed;
+    (* A freed descriptor ends an accept back-off early. *)
+    if closed <> [] && st.accept_retry_ns > 0 then st.accept_retry_ns <- 1;
     live
   in
   st.conns <- close_done st.conns;
@@ -677,9 +740,12 @@ let serve_loop st stop usr1 =
             else None)
           conns
       in
+      let listening =
+        st.accept_retry_ns = 0 || Obs.Clock.now_ns () >= st.accept_retry_ns
+      in
       let rfds =
-        st.lfds @ st.http_lfds @ readable_conns st.conns
-        @ readable_conns st.hconns
+        (if listening then st.lfds @ st.http_lfds else [])
+        @ readable_conns st.conns @ readable_conns st.hconns
       in
       let wfds =
         List.filter_map
@@ -762,6 +828,8 @@ let run ?(max_frame = SP.default_max_frame) ?(queue_max = 64)
       ready = false;
       draining = false;
       accepted = 0;
+      rejected = 0;
+      accept_retry_ns = 0;
       scrapes = 0;
       frames = 0;
       malformed = 0;
@@ -809,6 +877,7 @@ let run ?(max_frame = SP.default_max_frame) ?(queue_max = 64)
           [ ("frames", Obs.Log.Int st.frames); ("queries", Obs.Log.Int st.queries) ];
       {
         accepted = st.accepted;
+        rejected = st.rejected;
         frames = st.frames;
         malformed = st.malformed;
         queries = st.queries;

@@ -85,9 +85,16 @@ type listener =
   | Unix_socket of string  (** path; a stale socket file is replaced *)
   | Tcp of { host : string; port : int }
 
+(** Cap on open protocol and scrape connections together (1000).
+    [Unix.select] fails on a descriptor at or above FD_SETSIZE (1024), so
+    the cap leaves room below it for stdio, the listeners and snapshot
+    files. *)
+val max_connections : int
+
 (** What the daemon did, returned after the drain completes. *)
 type totals = {
   accepted : int;  (** connections accepted *)
+  rejected : int;  (** connections refused over the cap, scrapes included *)
   frames : int;  (** well-formed request frames *)
   malformed : int;  (** rejected frames (clean error replies) *)
   queries : int;  (** reachability queries answered *)
@@ -100,6 +107,15 @@ type totals = {
     per connection per cycle; [batch_max] (default 8192) caps the pairs
     per [eval_batch] dispatch; [max_frame] caps the accepted frame
     payload.
+
+    At most {!max_connections} connections are open at once, protocol
+    and scrape together.  An accept over the cap is answered with an
+    ['E'] frame (a 503 on a scrape listener) and closed at once; it is
+    counted in [server.rejected] and logged at warn level, and the
+    daemon keeps serving.  An accept that runs out of descriptors below
+    the cap leaves the connection in the backlog and pauses the
+    listeners until a connection closes or a quarter second passes,
+    logging once per episode.
 
     [http_listeners] (default none) adds scrape endpoints on the same
     loop: [GET /metrics], [/healthz], [/readyz] — ready once the

@@ -61,47 +61,59 @@ let add_u32 buf x =
     invalid_arg "Server_protocol: u32 field out of range";
   Buffer.add_int32_le buf (Int32.of_int x)
 
-(* Serialise the body into a scratch buffer first so the length prefix is
-   known; frames are small relative to the cap, the copy is cheap. *)
-let with_frame buf tag body =
-  let b = Buffer.create 64 in
-  Buffer.add_uint8 b version;
-  Buffer.add_char b tag;
-  body b;
-  let len = Buffer.length b in
+(* Every encoder knows its body length before writing a byte, so the
+   frame goes straight into [buf] in one pass: [len] counts the body
+   after the version and tag bytes.  The frame cap is checked first; a
+   field that fails its u32 check midway cuts [buf] back to where the
+   frame began, so a failed encode appends nothing. *)
+let with_frame buf tag len body =
+  let len = len + 2 in
   if len > default_max_frame then
     invalid_arg "Server_protocol: frame body exceeds the frame cap";
-  add_u32 buf len;
-  Buffer.add_buffer buf b
+  let start = Buffer.length buf in
+  try
+    add_u32 buf len;
+    Buffer.add_uint8 buf version;
+    Buffer.add_char buf tag;
+    body buf
+  with e ->
+    Buffer.truncate buf start;
+    raise e
+
+let add_string_body buf tag s =
+  with_frame buf tag (4 + String.length s) (fun b ->
+      add_u32 b (String.length s);
+      Buffer.add_string b s)
 
 let add_request buf r =
   match r with
   | Reach pairs ->
-      with_frame buf 'R' (fun b ->
+      with_frame buf 'R' (4 + (8 * Array.length pairs)) (fun b ->
           add_u32 b (Array.length pairs);
           Array.iter
             (fun (u, v) ->
               add_u32 b u;
               add_u32 b v)
             pairs)
-  | Match p ->
-      with_frame buf 'P' (fun b ->
-          let text = Pattern_io.to_string p in
-          add_u32 b (String.length text);
-          Buffer.add_string b text)
-  | Stats -> with_frame buf 'S' ignore
-  | Metrics -> with_frame buf 'M' ignore
-  | Dump -> with_frame buf 'D' ignore
-  | Shutdown -> with_frame buf 'X' ignore
+  | Match p -> add_string_body buf 'P' (Pattern_io.to_string p)
+  | Stats -> with_frame buf 'S' 0 ignore
+  | Metrics -> with_frame buf 'M' 0 ignore
+  | Dump -> with_frame buf 'D' 0 ignore
+  | Shutdown -> with_frame buf 'X' 0 ignore
+
+let matches_body_length = function
+  | None -> 1
+  | Some rows ->
+      Array.fold_left (fun acc row -> acc + 4 + (4 * Array.length row)) 5 rows
 
 let add_response buf r =
   match r with
   | Answers answers ->
-      with_frame buf 'A' (fun b ->
+      with_frame buf 'A' (4 + Array.length answers) (fun b ->
           add_u32 b (Array.length answers);
           Array.iter (fun a -> Buffer.add_uint8 b (if a then 1 else 0)) answers)
   | Matches m ->
-      with_frame buf 'H' (fun b ->
+      with_frame buf 'H' (matches_body_length m) (fun b ->
           match m with
           | None -> Buffer.add_uint8 b 0
           | Some rows ->
@@ -110,16 +122,12 @@ let add_response buf r =
               Array.iter
                 (fun row ->
                   add_u32 b (Array.length row);
-                  Array.iter (add_u32 b) row)
+                  for i = 0 to Array.length row - 1 do
+                    add_u32 b row.(i)
+                  done)
                 rows)
-  | Text s ->
-      with_frame buf 'T' (fun b ->
-          add_u32 b (String.length s);
-          Buffer.add_string b s)
-  | Error s ->
-      with_frame buf 'E' (fun b ->
-          add_u32 b (String.length s);
-          Buffer.add_string b s)
+  | Text s -> add_string_body buf 'T' s
+  | Error s -> add_string_body buf 'E' s
 
 (* ------------------------------------------------------------------ *)
 (* Decoding *)

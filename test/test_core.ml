@@ -346,6 +346,63 @@ let expand_result_unit () =
   Alcotest.(check bool) "none stays none" true
     (Compressed.expand_result c None = None)
 
+(* The list-based P that the bitset expansion replaced, kept as its
+   reference: concatenate the members of each row's hypernodes, sort,
+   dedup. *)
+let expand_reference c = function
+  | None -> None
+  | Some rows ->
+      Some
+        (Array.map
+           (fun hs ->
+             Array.to_list hs
+             |> List.concat_map (fun h -> Array.to_list (Compressed.members c h))
+             |> List.sort_uniq compare |> Array.of_list)
+           rows)
+
+(* A random compression (every hypernode owns at least one member) and a
+   random result over its hypernodes: rows in any order, repeats
+   allowed, empty rows and [None] included. *)
+let compressed_rows_gen =
+  let open QCheck2.Gen in
+  let* n = int_range 1 300 in
+  let* k = int_range 1 n in
+  let* extra = array_size (pure (n - k)) (int_range 0 (k - 1)) in
+  let* node_map = shuffle_a (Array.append (Array.init k Fun.id) extra) in
+  let* rows =
+    option ~ratio:0.9
+      (array_size (int_range 0 6)
+         (array_size (int_range 0 (min k 20)) (int_range 0 (k - 1))))
+  in
+  pure (Compressed.v ~graph:(Digraph.make ~n:k []) ~node_map, rows)
+
+let compressed_rows_print (c, rows) =
+  let ints a = String.concat " " (Array.to_list (Array.map string_of_int a)) in
+  Printf.sprintf "node_map: %s\nrows: %s"
+    (ints (Array.init (Compressed.original_n c) (Compressed.hypernode c)))
+    (match rows with
+    | None -> "None"
+    | Some rows ->
+        String.concat " | " (Array.to_list (Array.map ints rows)))
+
+let strictly_ascending a =
+  let ok = ref true in
+  for i = 1 to Array.length a - 1 do
+    if a.(i - 1) >= a.(i) then ok := false
+  done;
+  !ok
+
+let expand_result_props =
+  [
+    Testutil.qtest ~count:500 "P equals the list-based reference"
+      (compressed_rows_gen, compressed_rows_print) (fun (c, rows) ->
+        let got = Compressed.expand_result c rows in
+        (match got with
+        | None -> rows = None
+        | Some out -> Array.for_all strictly_ascending out)
+        && got = expand_reference c rows);
+  ]
+
 (* ------------------------------------------------------------------ *)
 (* Compressed graph serialisation *)
 
@@ -510,7 +567,8 @@ let () =
           Alcotest.test_case "expand_result" `Quick expand_result_unit;
           Alcotest.test_case "empty graph" `Quick empty_graph_unit;
           Alcotest.test_case "single node" `Quick single_node_unit;
-        ] );
+        ]
+        @ expand_result_props );
       ( "compressed_io",
         [
           Alcotest.test_case "roundtrip" `Quick compressed_io_roundtrip;

@@ -266,12 +266,39 @@ let sim_props =
       Testutil.graph_pattern_print )
   in
   let arb_gp = Testutil.arbitrary_graph_pattern () in
+  (* Out-degrees of 4..16 on up to 40 nodes, so the bound-1 witness scan
+     meets long successor lists, both ways: an early hit and a miss that
+     runs to the end of the slice. *)
+  let dense_bound1 =
+    ( (let open QCheck2.Gen in
+       let* n = int_range 2 40 in
+       let* label_count = int_range 1 3 in
+       let* labels = array_size (pure n) (int_range 0 (label_count - 1)) in
+       let* degree = int_range 4 16 in
+       let* edges =
+         list_size (pure (n * degree))
+           (pair (int_range 0 (n - 1)) (int_range 0 (n - 1)))
+       in
+       let g = Digraph.make ~n ~labels edges in
+       let* seed = int_range 0 10000 in
+       let* nodes = int_range 1 4 in
+       let* pedges = int_range 1 6 in
+       let p =
+         Pattern_gen.random (Random.State.make [| seed |]) g ~nodes
+           ~edges:pedges ~max_bound:1 ~unbounded_prob:0.0
+       in
+       pure (g, Pattern.with_all_bounds p (Pattern.Bounded 1))),
+      Testutil.graph_pattern_print )
+  in
   [
     qtest ~count:300 "simulation = bounded sim at bound 1" arb_gp_ones
       (fun (g, p) ->
         Pattern.result_equal (Simulation.eval p g) (Bounded_sim.eval p g));
     qtest ~count:300 "bitset and matrix evaluators agree" arb_gp
       (fun (g, p) ->
+        Pattern.result_equal (Bounded_sim.eval p g) (Bounded_sim.eval_matrix p g));
+    qtest ~count:300 "bound-1 witnesses at high out-degree"
+      dense_bound1 (fun (g, p) ->
         Pattern.result_equal (Bounded_sim.eval p g) (Bounded_sim.eval_matrix p g));
     qtest "cache does not change results" arb_gp (fun (g, p) ->
         let cache = Bounded_sim.make_cache g in

@@ -133,6 +133,45 @@ let test_u32_bounds () =
     (Invalid_argument "Server_protocol: u32 field out of range") (fun () ->
       ignore (encode_request (SP.Reach [| (0x1_0000_0000, 0) |])))
 
+(* Matches frames are written in one pass at a length computed up front:
+   the bytes must decode back, the prefix must equal the bytes that
+   follow it, and a frame that fails a check must leave the buffer as it
+   found it. *)
+let test_matches_codec () =
+  let cases =
+    [
+      None;
+      Some [||];
+      Some [| [||] |];
+      Some [| [||]; [| 0 |]; [||] |];
+      Some [| [| 1; 5; 9 |]; [| 0xFFFF_FFFF |] |];
+      Some (Array.init 7 (fun r -> Array.init (r * 50) (fun i -> (r * 1000) + i)));
+    ]
+  in
+  List.iter
+    (fun m ->
+      let r = SP.Matches m in
+      let s = encode_response r in
+      Testutil.check_bool (response_print r) true (roundtrip_response r);
+      Testutil.check_int
+        (response_print r ^ ": length prefix")
+        (String.length s - 4)
+        (Int32.to_int (String.get_int32_le s 0)))
+    cases;
+  let b = Buffer.create 16 in
+  Buffer.add_string b "kept";
+  (* 65 rows sharing one 64Ki-entry array: 16 MiB of entries, past the
+     cap, from 512 KiB of heap. *)
+  let row = Array.make 65536 0 in
+  Alcotest.check_raises "body over the frame cap"
+    (Invalid_argument "Server_protocol: frame body exceeds the frame cap")
+    (fun () -> SP.add_response b (SP.Matches (Some (Array.make 65 row))));
+  Alcotest.check_raises "entry out of u32 range"
+    (Invalid_argument "Server_protocol: u32 field out of range") (fun () ->
+      SP.add_response b (SP.Matches (Some [| [| 1; 2 |]; [| -1 |] |])));
+  Alcotest.(check string) "failed encodes append nothing" "kept"
+    (Buffer.contents b)
+
 (* ------------------------------------------------------------------ *)
 (* Codec: corruption (unit) *)
 
@@ -334,8 +373,8 @@ let with_server ?max_frame ?queue_max ?http_listeners ?slow_us ?sample_every
   let ready = Atomic.make false in
   let d =
     Domain.spawn (fun () ->
-        Server.run ?max_frame ?queue_max ?http_listeners ?slow_us
-          ?sample_every ?frame_hook
+        Server.run ?max_frame ?queue_max ?http_listeners ?slow_us ?sample_every
+          ?frame_hook
           ~on_ready:(fun () -> Atomic.set ready true)
           ~listeners:[ Server.Unix_socket sock ] engine)
   in
@@ -639,6 +678,8 @@ let () =
           Alcotest.test_case "variant round-trips" `Quick
             test_roundtrip_variants;
           Alcotest.test_case "u32 encode bounds" `Quick test_u32_bounds;
+          Alcotest.test_case "matches one-pass encoding" `Quick
+            test_matches_codec;
           Alcotest.test_case "corruption verdicts" `Quick test_corruption_cases;
           Alcotest.test_case "frame_ready" `Quick test_frame_ready;
           Alcotest.test_case "multi-frame stream" `Quick test_stream_decode;
