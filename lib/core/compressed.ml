@@ -1,36 +1,46 @@
 type t = {
   graph : Digraph.t;
   node_map : int array;
-  members : int array array;
+  member_off : int array;
+  member_ids : int array;
 }
 
 let v ~graph ~node_map =
   let nr = Digraph.n graph in
-  let counts = Array.make nr 0 in
+  let off = Array.make (nr + 1) 0 in
   Array.iter
     (fun h ->
       if h < 0 || h >= nr then
         invalid_arg "Compressed.v: hypernode out of range";
-      counts.(h) <- counts.(h) + 1)
+      off.(h + 1) <- off.(h + 1) + 1)
     node_map;
-  Array.iteri
-    (fun h c ->
-      if c = 0 then
-        invalid_arg (Printf.sprintf "Compressed.v: hypernode %d has no member" h))
-    counts;
-  let members = Array.init nr (fun h -> Array.make counts.(h) 0) in
-  let fill = Array.make nr 0 in
+  for h = 0 to nr - 1 do
+    if off.(h + 1) = 0 then
+      invalid_arg (Printf.sprintf "Compressed.v: hypernode %d has no member" h);
+    off.(h + 1) <- off.(h + 1) + off.(h)
+  done;
+  let ids = Array.make (Array.length node_map) 0 in
+  let fill = Array.sub off 0 nr in
   Array.iteri
     (fun u h ->
-      members.(h).(fill.(h)) <- u;
+      ids.(fill.(h)) <- u;
       fill.(h) <- fill.(h) + 1)
     node_map;
-  (* node ids ascend, so each members.(h) is already sorted. *)
-  { graph; node_map = Array.copy node_map; members }
+  (* node ids ascend, so each hypernode's slice is already sorted. *)
+  { graph; node_map = Array.copy node_map; member_off = off; member_ids = ids }
 
 let graph t = t.graph
 let hypernode t u = t.node_map.(u)
-let members t h = t.members.(h)
+
+let member_slice t h =
+  let start = t.member_off.(h) in
+  (t.member_ids, start, t.member_off.(h + 1) - start)
+
+let iter_members t h f =
+  for i = t.member_off.(h) to t.member_off.(h + 1) - 1 do
+    f t.member_ids.(i)
+  done
+
 let original_n t = Array.length t.node_map
 let size t = Digraph.size t.graph
 
@@ -44,7 +54,11 @@ let ratio t ~original =
    twice only marks the same bits again.  [mark] is empty on entry and
    on exit. *)
 let expand_row t mark hypernodes =
-  Array.iter (fun h -> Array.iter (Bitset.add mark) t.members.(h)) hypernodes;
+  let off = t.member_off and ids = t.member_ids in
+  for i = 0 to Array.length hypernodes - 1 do
+    let h = hypernodes.(i) in
+    Bitset.add_slice mark ids off.(h) (off.(h + 1) - off.(h))
+  done;
   let out = Bitset.to_array mark in
   Bitset.clear mark;
   out

@@ -6,10 +6,14 @@
     The paper's promise is that [Gr] is an ordinary graph: every evaluator in
     [qpgc_query] runs on {!graph} unchanged. *)
 
+(** The inverse of [R] is one flat CSR: the members of hypernode [h] are
+    [member_ids.(member_off.(h)) .. member_ids.(member_off.(h + 1) - 1)],
+    in ascending order. *)
 type t = private {
   graph : Digraph.t;  (** the compressed graph [Gr] *)
   node_map : int array;  (** [R]: original node → hypernode *)
-  members : int array array;  (** inverse of [R]: hypernode → sorted originals *)
+  member_off : int array;  (** [|Vr| + 1] offsets into [member_ids] *)
+  member_ids : int array;  (** original nodes grouped by hypernode *)
 }
 
 (** [v ~graph ~node_map] packs a compressed graph, deriving the inverse
@@ -22,8 +26,14 @@ val graph : t -> Digraph.t
 (** [hypernode t u] is [R(u)], constant time. *)
 val hypernode : t -> int -> int
 
-(** [members t h] is the sorted list of original nodes in hypernode [h]. *)
-val members : t -> int -> int array
+(** [member_slice t h] is the view [(base, start, len)] of the original
+    nodes in hypernode [h]: [base.(start) .. base.(start + len - 1)], in
+    ascending order.  Do not mutate [base]. *)
+val member_slice : t -> int -> int array * int * int
+
+(** [iter_members t h f] applies [f] to the members of [h] in ascending
+    order. *)
+val iter_members : t -> int -> (int -> unit) -> unit
 
 (** [original_n t] is [|V|] of the original graph. *)
 val original_n : t -> int

@@ -36,9 +36,7 @@ let build ~new_graph ~old ~affected ~use_labels () =
   let a_members = ref [] in
   for c = k - 1 downto 0 do
     if Bitset.mem affected c then
-      Array.iter
-        (fun v -> a_members := v :: !a_members)
-        (Compressed.members old c)
+      Compressed.iter_members old c (fun v -> a_members := v :: !a_members)
   done;
   let a_members = Array.of_list !a_members in
   let n_aff = Array.length a_members in
@@ -121,7 +119,8 @@ let build_endpoints ~new_graph ~old ~endpoints =
   let class_to_h = Array.make k (-1) in
   let reps = ref 0 in
   for c = 0 to k - 1 do
-    if Array.length (Compressed.members old c) > eps_in_class.(c) then begin
+    let _, _, size = Compressed.member_slice old c in
+    if size > eps_in_class.(c) then begin
       class_to_h.(c) <- !reps;
       incr reps
     end

@@ -72,16 +72,14 @@ let well_formed c ~original =
   let seen = Bitset.create n in
   let ok = ref true in
   for h = 0 to Digraph.n gr - 1 do
-    let ms = Compressed.members c h in
-    if Array.length ms = 0 then ok := false;
-    Array.iter
-      (fun v ->
+    let _, _, size = Compressed.member_slice c h in
+    if size = 0 then ok := false;
+    Compressed.iter_members c h (fun v ->
         if v < 0 || v >= n || Bitset.mem seen v then ok := false
         else begin
           Bitset.add seen v;
           if Compressed.hypernode c v <> h then ok := false
         end)
-      ms
   done;
   !ok
   && Bitset.cardinal seen = n
@@ -93,17 +91,16 @@ let well_formed c ~original =
   Digraph.iter_edges gr (fun x y ->
       if !justified then begin
         let found = ref false in
-        Array.iter
-          (fun u ->
+        Compressed.iter_members c x (fun u ->
             if not !found then
               Digraph.iter_succ original u (fun w ->
                   if (not !found) && Compressed.hypernode c w = y then
-                    found := true))
-          (Compressed.members c x);
+                    found := true));
         if not !found then
           if x = y then begin
             (* Accept a self-loop when the class is genuinely cyclic. *)
-            let m0 = (Compressed.members c x).(0) in
+            let ids, start, _ = Compressed.member_slice c x in
+            let m0 = ids.(start) in
             if not (Traversal.bfs_reaches_nonempty original m0 m0) then
               justified := false
           end

@@ -12,25 +12,39 @@ let create size =
 
 let universe_size s = s.size
 
-let check s i =
-  if i < 0 || i >= s.size then
-    invalid_arg
-      (Printf.sprintf "Bitset: index %d out of range [0,%d)" i s.size)
+let out_of_range s i =
+  invalid_arg
+    (Printf.sprintf "Bitset: index %d out of range [0,%d)" i s.size)
 
+(* The range test is inline and the raise out of line, which keeps these
+   small enough for ocamlopt to inline at call sites.  In range, [i / 63]
+   indexes [words], so the word accesses need no second bounds check. *)
 let add s i =
-  check s i;
-  let w = i / bits_per_word and b = i mod bits_per_word in
-  s.words.(w) <- s.words.(w) lor (1 lsl b)
+  if i < 0 || i >= s.size then out_of_range s i;
+  let w = i / bits_per_word in
+  Array.unsafe_set s.words w
+    (Array.unsafe_get s.words w lor (1 lsl (i - (w * bits_per_word))))
+
+let add_slice s a start len =
+  let words = s.words and size = s.size in
+  for j = start to start + len - 1 do
+    let i = a.(j) in
+    if i < 0 || i >= size then out_of_range s i;
+    let w = i / bits_per_word in
+    Array.unsafe_set words w
+      (Array.unsafe_get words w lor (1 lsl (i - (w * bits_per_word))))
+  done
 
 let remove s i =
-  check s i;
-  let w = i / bits_per_word and b = i mod bits_per_word in
-  s.words.(w) <- s.words.(w) land lnot (1 lsl b)
+  if i < 0 || i >= s.size then out_of_range s i;
+  let w = i / bits_per_word in
+  Array.unsafe_set s.words w
+    (Array.unsafe_get s.words w land lnot (1 lsl (i - (w * bits_per_word))))
 
 let mem s i =
-  check s i;
-  let w = i / bits_per_word and b = i mod bits_per_word in
-  s.words.(w) land (1 lsl b) <> 0
+  if i < 0 || i >= s.size then out_of_range s i;
+  let w = i / bits_per_word in
+  Array.unsafe_get s.words w land (1 lsl (i - (w * bits_per_word))) <> 0
 
 (* Branch-free SWAR popcount.  The 64-bit masks truncate to OCaml's 63-bit
    ints, which is exactly the classic algorithm run on a zero-extended
@@ -42,10 +56,19 @@ let popcount x =
   let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
   (x * 0x0101010101010101) lsr 56
 
-(* Count trailing zeros of a nonzero word: isolate the lowest set bit, turn
-   the bits below it into ones, count them.  Branch-free, reuses the SWAR
-   popcount. *)
-let ctz x = popcount ((x land -x) - 1)
+(* Count trailing zeros of a nonzero word: isolate the lowest set bit and
+   look it up by its residue mod 67.  2 is a primitive root mod 67, so the
+   63 powers of two leave distinct residues.  Bit 62 is the sign bit and
+   leaves a negative residue; the table is offset by 67 to keep every
+   index in range. *)
+let ctz_table =
+  let t = Array.make 134 0 in
+  for k = 0 to bits_per_word - 1 do
+    t.(((1 lsl k) mod 67) + 67) <- k
+  done;
+  t
+
+let ctz x = Array.unsafe_get ctz_table (((x land -x) mod 67) + 67)
 
 let cardinal s = Array.fold_left (fun acc w -> acc + popcount w) 0 s.words
 
@@ -133,13 +156,19 @@ let fold f s init =
 
 let to_list s = List.rev (fold (fun i acc -> i :: acc) s [])
 
+(* [iter]'s walk with the writes inline: a row of P is written straight
+   out of the words, with no call per member. *)
 let to_array s =
   let out = Array.make (cardinal s) 0 and k = ref 0 in
-  iter
-    (fun i ->
-      out.(!k) <- i;
-      incr k)
-    s;
+  for w = 0 to Array.length s.words - 1 do
+    let word = ref s.words.(w) in
+    let base = w * bits_per_word in
+    while !word <> 0 do
+      Array.unsafe_set out !k (base + ctz !word);
+      incr k;
+      word := !word land (!word - 1)
+    done
+  done;
   out
 
 let of_list size xs =

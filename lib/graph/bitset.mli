@@ -17,6 +17,11 @@ val universe_size : t -> int
 (** [add s i] sets bit [i].  @raise Invalid_argument if [i] is out of range. *)
 val add : t -> int -> unit
 
+(** [add_slice s a start len] adds [a.(start) .. a.(start + len - 1)]:
+    {!add} over an array slice in one tight loop.
+    @raise Invalid_argument if an element is out of range. *)
+val add_slice : t -> int array -> int -> int -> unit
+
 (** [remove s i] clears bit [i]. *)
 val remove : t -> int -> unit
 
@@ -58,7 +63,8 @@ val disjoint : t -> t -> bool
 (** [subset a b] is [true] iff [a ⊆ b]. *)
 val subset : t -> t -> bool
 
-(** [iter f s] applies [f] to each member in increasing order. *)
+(** [iter f s] applies [f] to each member in increasing order.  [f] may
+    remove the member it is given from [s]. *)
 val iter : (int -> unit) -> t -> unit
 
 (** [fold f s init] folds over members in increasing order. *)

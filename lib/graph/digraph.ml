@@ -45,7 +45,16 @@ type side = {
 }
 
 type labels_store = Lheap of int array | Lmapped of int_ba | L32 of int32_ba
-type lab = { ls : labels_store; dense_labels : int array option Atomic.t }
+
+(* [by_label] caches the label index: the nodes grouped by label as a CSR
+   of [label_count + 1] offsets over ascending ids.  Built on first use;
+   an [Atomic] for the same reason as [side.dense].  It lives with the
+   labels, so [with_labels] starts a fresh one. *)
+type lab = {
+  ls : labels_store;
+  dense_labels : int array option Atomic.t;
+  by_label : (int array * int array) option Atomic.t;
+}
 
 type t = {
   n : int;
@@ -69,6 +78,9 @@ let check_labels n = function
         l;
       Array.copy l
 
+let mk_lab ls ~dense =
+  { ls; dense_labels = Atomic.make dense; by_label = Atomic.make None }
+
 let flat_side off adj =
   {
     store = Sflat { off; adj };
@@ -83,7 +95,7 @@ let mk_flat ~n ~labels ~out_off ~out_adj ~in_off ~in_adj =
     n;
     m = Array.length out_adj;
     label_count = compute_label_count labels;
-    lab = { ls = Lheap labels; dense_labels = Atomic.make (Some labels) };
+    lab = mk_lab (Lheap labels) ~dense:(Some labels);
     fwd = flat_side out_off out_adj;
     bwd = flat_side in_off in_adj;
   }
@@ -209,7 +221,7 @@ let of_mapped_unchecked ~n ~m ~label_count ~labels ~out_off ~out_adj ~in_off
     n;
     m;
     label_count;
-    lab = { ls = Lmapped labels; dense_labels = Atomic.make None };
+    lab = mk_lab (Lmapped labels) ~dense:None;
     fwd = { store = Smapped { off = out_off; adj = out_adj }; dense = Atomic.make None;
             scratch = scratch_key () };
     bwd = { store = Smapped { off = in_off; adj = in_adj }; dense = Atomic.make None;
@@ -224,7 +236,7 @@ let of_varint_unchecked ~n ~m ~label_count ~labels ~out_idx ~out_data ~in_idx
     n;
     m;
     label_count;
-    lab = { ls = L32 labels; dense_labels = Atomic.make None };
+    lab = mk_lab (L32 labels) ~dense:None;
     fwd = { store = Svarint { idx = out_idx; data = out_data }; dense = Atomic.make None;
             scratch = scratch_key () };
     bwd = { store = Svarint { idx = in_idx; data = in_data }; dense = Atomic.make None;
@@ -452,6 +464,35 @@ let labels g =
       a
 
 let label_count g = g.label_count
+
+let label_index g =
+  match Atomic.get g.lab.by_label with
+  | Some ix -> ix
+  | None ->
+      let k = g.label_count in
+      let off = Array.make (k + 1) 0 in
+      for v = 0 to g.n - 1 do
+        let l = label g v + 1 in
+        off.(l) <- off.(l) + 1
+      done;
+      for l = 1 to k do
+        off.(l) <- off.(l) + off.(l - 1)
+      done;
+      let fill = Array.sub off 0 k and ids = Array.make g.n 0 in
+      for v = 0 to g.n - 1 do
+        let l = label g v in
+        ids.(fill.(l)) <- v;
+        fill.(l) <- fill.(l) + 1
+      done;
+      let ix = (off, ids) in
+      Atomic.set g.lab.by_label (Some ix);
+      ix
+
+let label_slice g l =
+  let off, ids = label_index g in
+  if l < 0 || l >= g.label_count then (ids, 0, 0)
+  else (ids, off.(l), off.(l + 1) - off.(l))
+
 let out_degree g v = side_degree g.fwd v
 let in_degree g v = side_degree g.bwd v
 let succ_slice g v = side_slice g.fwd v
@@ -537,7 +578,12 @@ let labels_bytes g =
     | Lheap _, _ | _, None -> 0
     | _, Some a -> 8 * (Array.length a + 1)
   in
-  store + extra
+  let index =
+    match Atomic.get g.lab.by_label with
+    | None -> 0
+    | Some (off, ids) -> 8 * (Array.length off + Array.length ids + 2)
+  in
+  store + extra + index
 
 let memory_bytes g = side_bytes g.fwd + side_bytes g.bwd + labels_bytes g + 72
 
@@ -555,7 +601,7 @@ let with_labels g labels =
   let labels = Array.copy labels in
   {
     g with
-    lab = { ls = Lheap labels; dense_labels = Atomic.make (Some labels) };
+    lab = mk_lab (Lheap labels) ~dense:(Some labels);
     label_count = compute_label_count labels;
   }
 
@@ -670,7 +716,7 @@ let to_flat g =
         n = g.n;
         m = g.m;
         label_count = g.label_count;
-        lab = { ls = Lheap labels; dense_labels = Atomic.make (Some labels) };
+        lab = mk_lab (Lheap labels) ~dense:(Some labels);
         fwd = flat_side out_off out_adj;
         bwd = flat_side in_off in_adj;
       }
@@ -715,7 +761,7 @@ let to_varint g =
         n = g.n;
         m = g.m;
         label_count = g.label_count;
-        lab = { ls = L32 l32; dense_labels = Atomic.make None };
+        lab = mk_lab (L32 l32) ~dense:None;
         fwd = encode_varint_side g.n g.fwd;
         bwd = encode_varint_side g.n g.bwd;
       }

@@ -146,7 +146,8 @@ val size : t -> int
 (** [memory_bytes g] is the resident size of the storage backing [g]:
     heap words for the flat backend, mapped (page-cache) bytes for mmap,
     index + stream bytes for varint — plus any dense view or label array
-    that has been forced on a non-flat backend.  Used for the
+    that has been forced on a non-flat backend, and the label index once
+    {!label_slice} has built it.  Used for the
     Fig 12(d)-style memory comparisons and the bytes-per-edge figures in
     [qpgc stats] and the storage bench. *)
 val memory_bytes : t -> int
@@ -160,6 +161,14 @@ val labels : t -> int array
 
 (** [label_count g] is [1 + max label] (at least 1 even for empty graphs). *)
 val label_count : t -> int
+
+(** [label_slice g l] is the view [(base, start, len)] of the nodes
+    labelled [l], in ascending order: [base.(start) .. base.(start + len -
+    1)].  Empty when [l < 0] or [l >= label_count g].  Read from a label
+    index (nodes grouped by label, [label_count + 1] offsets over [n] ids)
+    built on first use and cached on [g]; {!with_labels} starts a fresh
+    one.  Do not mutate [base]. *)
+val label_slice : t -> int -> int array * int * int
 
 val out_degree : t -> int -> int
 val in_degree : t -> int -> int

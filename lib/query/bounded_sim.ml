@@ -31,6 +31,31 @@ let check_cache g = function
 let rec slice_meets set adj i stop =
   i < stop && (Bitset.mem set adj.(i) || slice_meets set adj (i + 1) stop)
 
+(* Kahn's algorithm: the pattern nodes with every parent before its
+   children, or [None] when the pattern has a cycle (a self-loop is one). *)
+let topo_order p =
+  let np = Pattern.node_count p in
+  let indeg = Array.make np 0 in
+  List.iter (fun (_, u', _) -> indeg.(u') <- indeg.(u') + 1) (Pattern.edges p);
+  let order = Array.make np 0 and tail = ref 0 in
+  let push u =
+    order.(!tail) <- u;
+    incr tail
+  in
+  for u = 0 to np - 1 do
+    if indeg.(u) = 0 then push u
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    List.iter
+      (fun (u', _) ->
+        indeg.(u') <- indeg.(u') - 1;
+        if indeg.(u') = 0 then push u')
+      (Pattern.out_edges p order.(!head));
+    incr head
+  done;
+  if !tail = np then Some order else None
+
 let refine ?cache p g ~cand =
   let cache = check_cache g cache in
   let np = Pattern.node_count p in
@@ -49,38 +74,50 @@ let refine ?cache p g ~cand =
       | Pattern.Unbounded ->
           not (Bitset.disjoint (descendants_for cache (-1)).(v) cand.(u'))
     in
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for u = 0 to np - 1 do
-        let outs = Pattern.out_edges p u in
-        if outs <> [] then begin
-          let to_remove = ref [] in
+    (* Drop from cand(u) every node lacking a witness for some out-edge of
+       u, one edge at a time; [true] iff something was dropped.  Removing
+       the node [Bitset.iter] is visiting is safe. *)
+    let prune u =
+      let cu = cand.(u) and changed = ref false in
+      List.iter
+        (fun (u', b) ->
           Bitset.iter
             (fun v ->
-              if not (List.for_all (fun (u', b) -> witness v b u') outs) then
-                to_remove := v :: !to_remove)
-            cand.(u);
-          if !to_remove <> [] then begin
-            changed := true;
-            List.iter (Bitset.remove cand.(u)) !to_remove
-          end
-        end
-      done
-    done;
+              if not (witness v b u') then begin
+                Bitset.remove cu v;
+                changed := true
+              end)
+            cu)
+        (Pattern.out_edges p u);
+      !changed
+    in
+    (match topo_order p with
+    | Some order ->
+        (* Children before parents: when u is pruned its children's sets
+           are already final, and pruning u only affects u's parents, so
+           this single pass is the greatest fixpoint for every bound. *)
+        for i = np - 1 downto 0 do
+          ignore (prune order.(i) : bool)
+        done
+    | None ->
+        let changed = ref true in
+        while !changed do
+          changed := false;
+          for u = 0 to np - 1 do
+            if prune u then changed := true
+          done
+        done);
     if Array.exists Bitset.is_empty cand then None
     else Some (Array.map Bitset.to_array cand)
   end
 
 let label_candidates p g =
-  let np = Pattern.node_count p and n = Digraph.n g in
-  let cand = Array.init np (fun _ -> Bitset.create n) in
-  for v = 0 to n - 1 do
-    for u = 0 to np - 1 do
-      if Pattern.label p u = Digraph.label g v then Bitset.add cand.(u) v
-    done
-  done;
-  cand
+  let n = Digraph.n g in
+  Array.init (Pattern.node_count p) (fun u ->
+      let c = Bitset.create n in
+      let ids, start, len = Digraph.label_slice g (Pattern.label p u) in
+      Bitset.add_slice c ids start len;
+      c)
 
 let eval ?cache p g = refine ?cache p g ~cand:(label_candidates p g)
 
@@ -110,7 +147,13 @@ let eval_matrix p g =
             end)
       done
     done;
-    let cand = label_candidates p g in
+    (* A plain scan, so the oracle does not go through the label index. *)
+    let cand = Array.init np (fun _ -> Bitset.create n) in
+    for v = 0 to n - 1 do
+      for u = 0 to np - 1 do
+        if Pattern.label p u = Digraph.label g v then Bitset.add cand.(u) v
+      done
+    done;
     let within v v' = function
       | Pattern.Bounded k -> dist.(v).(v') <= k
       | Pattern.Unbounded -> dist.(v).(v') < max_int

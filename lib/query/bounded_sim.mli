@@ -7,7 +7,9 @@
     nonempty path of length ≤ k (or any length) to a matched node.
 
     Computed as a greatest-fixpoint refinement of label-based candidate
-    sets.  Path tests use memoised descendant bitsets per (node, bound),
+    sets.  An acyclic pattern is refined in one pass, each pattern node
+    pruned once with its children first; a pattern with a cycle or a
+    self-loop repeats passes until nothing changes.  Path tests use memoised descendant bitsets per (node, bound),
     shareable across queries on the same graph via {!cache}. *)
 
 (** Memoised reachability state for one data graph. *)
@@ -34,6 +36,11 @@ val eval_boolean : ?cache:cache -> Pattern.t -> Digraph.t -> bool
     fixpoint with O(1) distance tests.  O(|V|²) memory — fine for test
     oracles and small graphs, which is what it is for. *)
 val eval_matrix : Pattern.t -> Digraph.t -> Pattern.result
+
+(** [label_candidates p g] is, per pattern node [u], the bitset of data
+    nodes labelled [fv(u)], read from {!Digraph.label_slice}: the
+    starting sets of {!eval}. *)
+val label_candidates : Pattern.t -> Digraph.t -> Bitset.t array
 
 (** [refine ?cache p g ~cand] runs the removal fixpoint starting from the
     given candidate bitsets (one per pattern node) instead of the label

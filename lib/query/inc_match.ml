@@ -5,19 +5,9 @@ type t = {
   mutable cand : Bitset.t array; (* fixpoint sets; an empty set = no match *)
 }
 
-let label_candidates p g =
-  let np = Pattern.node_count p and n = Digraph.n g in
-  let cand = Array.init np (fun _ -> Bitset.create n) in
-  for v = 0 to n - 1 do
-    for u = 0 to np - 1 do
-      if Pattern.label p u = Digraph.label g v then Bitset.add cand.(u) v
-    done
-  done;
-  cand
-
 let create p g =
   let cache = Bounded_sim.make_cache g in
-  let cand = label_candidates p g in
+  let cand = Bounded_sim.label_candidates p g in
   ignore (Bounded_sim.refine ~cache p g ~cand);
   { pattern = p; graph = g; cache; cand }
 

@@ -415,7 +415,7 @@ let run_batches st pairs answers =
   let total = Array.length pairs in
   let off = ref 0 in
   while !off < total do
-    let k = min st.batch_max (total - !off) in
+    let k = Mono.imin st.batch_max (total - !off) in
     let chunk = Array.sub pairs !off k in
     let a = st.engine.eval_batch chunk in
     Array.blit a 0 answers !off k;
@@ -662,7 +662,7 @@ let read_conn c =
 let flush_conn c =
   let progress = ref true in
   while !progress && out_pending c > 0 do
-    let k = min 65536 (out_pending c) in
+    let k = Mono.imin 65536 (out_pending c) in
     let s = Buffer.sub c.out c.out_ofs k in
     match Unix.write_substring c.fd s 0 k with
     | n ->
@@ -691,7 +691,9 @@ let sweep st =
       (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
       closed;
     (* A freed descriptor ends an accept back-off early. *)
-    if closed <> [] && st.accept_retry_ns > 0 then st.accept_retry_ns <- 1;
+    (match closed with
+    | _ :: _ when st.accept_retry_ns > 0 -> st.accept_retry_ns <- 1
+    | _ -> ());
     live
   in
   st.conns <- close_done st.conns;
@@ -709,7 +711,7 @@ let dump_flight st =
             ("path", Obs.Log.Str st.flight_file);
             ( "entries",
               Obs.Log.Int
-                (min (Obs.Ring.recorded st.flight) (Obs.Ring.capacity st.flight))
+                (Mono.imin (Obs.Ring.recorded st.flight) (Obs.Ring.capacity st.flight))
             );
           ]
   | exception Sys_error e ->

@@ -18,7 +18,7 @@ let worker ~connect ~batch ~pairs ~answers lo hi () =
       let batches = ref 0 in
       let off = ref lo in
       while !off < hi do
-        let k = min batch (hi - !off) in
+        let k = Mono.imin batch (hi - !off) in
         let chunk = Array.sub pairs !off k in
         let t0 = Obs.Clock.now_ns () in
         let a = Server_client.reach c chunk in
@@ -37,7 +37,7 @@ let run ~connect ~concurrency ~batch ~pairs =
   if batch < 1 then invalid_arg "Server_loadgen.run: batch < 1";
   let total = Array.length pairs in
   let answers = Array.make total false in
-  let conc = max 1 (min concurrency total) in
+  let conc = Mono.imax 1 (Mono.imin concurrency total) in
   let bounds =
     Array.init conc (fun i -> (total * i / conc, total * (i + 1) / conc))
   in

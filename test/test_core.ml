@@ -310,13 +310,18 @@ let single_node_unit () =
         (Digraph.mem_edge (Compressed.graph rc) 0 0 = (edges <> [])))
     [ []; [ (0, 0) ] ]
 
+(* The members of [h] copied out of the flat member CSR. *)
+let members c h =
+  let ids, start, len = Compressed.member_slice c h in
+  Array.sub ids start len
+
 let compressed_unit () =
   let g = Digraph.make ~n:4 ~labels:[| 0; 0; 1; 1 |] [ (0, 2); (1, 3) ] in
   let c = Compress_bisim.compress g in
   Alcotest.(check int) "original_n" 4 (Compressed.original_n c);
   let h0 = Compressed.hypernode c 0 in
   Alcotest.(check bool) "members sorted" true
-    (let ms = Compressed.members c h0 in
+    (let ms = members c h0 in
      Array.to_list ms = List.sort compare (Array.to_list ms));
   Alcotest.(check bool) "ratio in (0,1]" true
     (let r = Compressed.ratio c ~original:g in
@@ -356,7 +361,7 @@ let expand_reference c = function
         (Array.map
            (fun hs ->
              Array.to_list hs
-             |> List.concat_map (fun h -> Array.to_list (Compressed.members c h))
+             |> List.concat_map (fun h -> Array.to_list (members c h))
              |> List.sort_uniq compare |> Array.of_list)
            rows)
 
@@ -392,8 +397,31 @@ let strictly_ascending a =
   done;
   !ok
 
+(* The member slices partition V, ascend, and invert [node_map];
+   [iter_members] walks the same slice. *)
+let members_invert_node_map c =
+  let n = Compressed.original_n c and nr = Digraph.n (Compressed.graph c) in
+  let seen = Array.make n 0 in
+  let ok = ref true in
+  for h = 0 to nr - 1 do
+    let ms = members c h in
+    let walked = ref [] in
+    Compressed.iter_members c h (fun v -> walked := v :: !walked);
+    if Array.length ms = 0 || not (strictly_ascending ms) then ok := false;
+    if List.rev !walked <> Array.to_list ms then ok := false;
+    Array.iter
+      (fun v ->
+        seen.(v) <- seen.(v) + 1;
+        if Compressed.hypernode c v <> h then ok := false)
+      ms
+  done;
+  !ok && Array.for_all (fun k -> k = 1) seen
+
 let expand_result_props =
   [
+    Testutil.qtest ~count:300 "member slices partition V and invert node_map"
+      (compressed_rows_gen, compressed_rows_print) (fun (c, _) ->
+        members_invert_node_map c);
     Testutil.qtest ~count:500 "P equals the list-based reference"
       (compressed_rows_gen, compressed_rows_print) (fun (c, rows) ->
         let got = Compressed.expand_result c rows in
@@ -413,6 +441,14 @@ let compressed_io_roundtrip () =
       let c' = Compressed_io.of_string (Compressed_io.to_string c) in
       Alcotest.(check bool) "roundtrip identical" true
         (Verify.same_compression c c');
+      let cb = Compressed_io.of_binary_string (Compressed_io.to_binary_string c) in
+      List.iter
+        (fun c' ->
+          Alcotest.(check bool) "member CSR survives" true
+            (c'.Compressed.member_off = c.Compressed.member_off
+            && c'.Compressed.member_ids = c.Compressed.member_ids
+            && members_invert_node_map c'))
+        [ c'; cb ];
       (* answers survive the roundtrip *)
       Alcotest.(check bool) "queries still preserved" true
         (Verify.reach_preserved g c' || not (Verify.reach_preserved g c)))

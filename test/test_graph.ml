@@ -43,6 +43,29 @@ let bitset_zero_capacity () =
   Alcotest.(check bool) "empty" true (Bitset.is_empty s);
   Alcotest.(check int) "cardinal" 0 (Bitset.cardinal s)
 
+(* Every bit position of a word, the sign bit (62) included, walks back
+   out of [to_array] and [iter]; [iter] lets [f] remove the member it is
+   given. *)
+let bitset_every_position () =
+  let n = 200 in
+  let s = Bitset.create n in
+  let all = Array.init n Fun.id in
+  Bitset.add_slice s all 0 n;
+  Alcotest.(check (array int)) "to_array" all (Bitset.to_array s);
+  let walked = ref [] in
+  Bitset.iter
+    (fun i ->
+      walked := i :: !walked;
+      Bitset.remove s i)
+    s;
+  Alcotest.(check (list int)) "iter" (Array.to_list all) (List.rev !walked);
+  Alcotest.(check bool) "removed while iterating" true (Bitset.is_empty s);
+  Bitset.add_slice s [| 5; 62; 125; 188; 199 |] 1 3;
+  Alcotest.(check (list int)) "slice bounds" [ 62; 125; 188 ] (Bitset.to_list s);
+  Alcotest.check_raises "add_slice range"
+    (Invalid_argument "Bitset: index 200 out of range [0,200)") (fun () ->
+      Bitset.add_slice s [| 200 |] 0 1)
+
 let int_sets_gen =
   let open QCheck2.Gen in
   let* a = list_size (int_range 0 40) (int_range 0 99) in
@@ -60,6 +83,10 @@ let module_of xs = List.sort_uniq compare xs
 
 let bitset_props =
   [
+    qtest "add_slice and to_array match list model" arb_int_sets (fun (a, b) ->
+        let s = Bitset.create 100 and xs = Array.of_list (a @ b) in
+        Bitset.add_slice s xs (List.length a) (List.length b);
+        Array.to_list (Bitset.to_array s) = module_of b);
     qtest "union matches list model" arb_int_sets (fun (a, b) ->
         let sa = Bitset.of_list 100 a and sb = Bitset.of_list 100 b in
         ignore (Bitset.union_into ~into:sa sb);
@@ -749,6 +776,7 @@ let () =
           Alcotest.test_case "basics" `Quick bitset_unit;
           Alcotest.test_case "bounds" `Quick bitset_bounds;
           Alcotest.test_case "zero capacity" `Quick bitset_zero_capacity;
+          Alcotest.test_case "every bit position" `Quick bitset_every_position;
         ]
         @ bitset_props );
       ( "digraph",

@@ -440,6 +440,119 @@ let pattern_io_props =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* One-pass refinement of acyclic patterns against the cubic oracle *)
+
+type shape = Tree | Dag | Two_cycle | Self_loop
+
+let shape_name = function
+  | Tree -> "tree"
+  | Dag -> "dag"
+  | Two_cycle -> "2-cycle"
+  | Self_loop -> "self-loop"
+
+(* A pattern of a given shape over [np] nodes.  The shape is built on
+   positions (every edge runs from a lower to a higher position) and the
+   positions are then renumbered by a random permutation, so a parent's
+   number lies before or after its children's.  [Two_cycle] adds the
+   reverse of one edge and [Self_loop] a loop, which sends refinement down
+   the fixpoint path.  Bounds are drawn from 1, 2 and [*]; with [absent],
+   one pattern node carries a label that no data node has. *)
+let shaped_pattern_gen g =
+  let open QCheck2.Gen in
+  let bound = oneofl [ Pattern.Bounded 1; Pattern.Bounded 2; Pattern.Unbounded ] in
+  let* shape = oneofl [ Tree; Dag; Two_cycle; Self_loop ] in
+  let* np = int_range (match shape with Two_cycle -> 2 | _ -> 1) 5 in
+  let* perm = shuffle_a (Array.init np Fun.id) in
+  let* tree =
+    flatten_l
+      (List.init (np - 1) (fun i ->
+           let child = i + 1 in
+           let* parent = int_range 0 i in
+           let* b = bound in
+           pure (parent, child, b)))
+  in
+  let* extra =
+    match shape with
+    | Tree -> pure []
+    | Dag | Two_cycle | Self_loop ->
+        list_size (int_range 0 3)
+          (let* a = int_range 0 (np - 1) in
+           let* c = int_range 0 (np - 1) in
+           let* b = bound in
+           pure (Mono.imin a c, Mono.imax a c, b))
+        >|= List.filter (fun (a, c, _) -> a < c)
+  in
+  let acyclic = tree @ extra in
+  let* closing =
+    match (shape, acyclic) with
+    | Two_cycle, (a, c, _) :: _ ->
+        let* b = bound in
+        pure [ (c, a, b) ]
+    | Self_loop, _ ->
+        let* u = int_range 0 (np - 1) in
+        let* b = bound in
+        pure [ (u, u, b) ]
+    | (Tree | Dag | Two_cycle), _ -> pure []
+  in
+  let lc = Digraph.label_count g in
+  let* labels = array_size (pure np) (int_range 0 (lc - 1)) in
+  let* absent = float_range 0.0 1.0 >|= fun x -> x < 0.15 in
+  let* absent_at = int_range 0 (np - 1) in
+  let labels =
+    Array.mapi (fun u l -> if absent && u = perm.(absent_at) then lc else l) labels
+  in
+  let edges =
+    List.map (fun (a, c, b) -> (perm.(a), perm.(c), b)) (acyclic @ closing)
+  in
+  pure (shape, absent, Pattern.make ~n:np ~labels ~edges)
+
+let shaped_gen =
+  let open QCheck2.Gen in
+  let* g = Testutil.digraph_gen ~max_n:16 () in
+  let* shape, absent, p = shaped_pattern_gen g in
+  pure (g, shape, absent, p)
+
+let shaped_print (g, shape, absent, p) =
+  Format.asprintf "%s%s@.%a@.%a" (shape_name shape)
+    (if absent then " (absent label)" else "")
+    Digraph.pp g Pattern.pp p
+
+let one_pass_props =
+  [
+    qtest ~count:1000 "eval equals eval_matrix on shaped patterns"
+      (shaped_gen, shaped_print) (fun (g, _, absent, p) ->
+        let r = Bounded_sim.eval p g in
+        Pattern.result_equal r (Bounded_sim.eval_matrix p g)
+        && ((not absent) || r = None));
+  ]
+
+(* One round trip through Inc_match on the same shapes, cyclic ones
+   included: [refine] restarts from the previous match. *)
+let shaped_inc_match =
+  qtest ~count:300 "Inc_match equals eval after an update on shaped patterns"
+    ( (let open QCheck2.Gen in
+       let* g, shape, absent, p = shaped_gen in
+       let n = Digraph.n g in
+       let* updates =
+         list_size (int_range 1 6)
+           (let* u = int_range 0 (n - 1) in
+            let* v = int_range 0 (n - 1) in
+            let* ins = bool in
+            pure
+              (if ins then Edge_update.Insert (u, v)
+               else Edge_update.Delete (u, v)))
+       in
+       pure ((g, shape, absent, p), updates)),
+      fun (x, updates) ->
+        Format.asprintf "%s@.updates: %a" (shaped_print x)
+          (Format.pp_print_list ~pp_sep:Format.pp_print_space Edge_update.pp)
+          updates )
+    (fun ((g, _, _, p), updates) ->
+      let im = Inc_match.create p g in
+      let got = Inc_match.apply im updates in
+      Pattern.result_equal got (Bounded_sim.eval p (Inc_match.graph im)))
+
+(* ------------------------------------------------------------------ *)
 (* Incremental match *)
 
 let inc_match_props =
@@ -550,7 +663,7 @@ let () =
           Alcotest.test_case "simulation rejects bounds" `Quick sim_rejects_bounds;
           Alcotest.test_case "cache mismatch" `Quick cache_mismatch;
         ]
-        @ sim_props );
+        @ sim_props @ one_pass_props );
       ( "pattern_io",
         [
           Alcotest.test_case "roundtrip" `Quick pattern_io_roundtrip;
@@ -558,6 +671,6 @@ let () =
           Alcotest.test_case "errors" `Quick pattern_io_errors;
         ]
         @ pattern_io_props );
-      ("inc_match", inc_match_props);
+      ("inc_match", inc_match_props @ [ shaped_inc_match ]);
       ("pattern_gen", pattern_gen_props);
     ]

@@ -291,6 +291,58 @@ let accessor_equiv_prop g =
     (backends_of g);
   true
 
+(* The label index of [g]: every slice ascends and agrees with
+   [Digraph.label], together they partition V, and labels outside
+   [0, label_count) give an empty slice. *)
+let check_label_index name g =
+  let n = Digraph.n g and lc = Digraph.label_count g in
+  let seen = Array.make n 0 in
+  for l = 0 to lc - 1 do
+    let ids, start, len = Digraph.label_slice g l in
+    for i = start to start + len - 1 do
+      let v = ids.(i) in
+      if i > start && ids.(i - 1) >= v then
+        QCheck2.Test.fail_reportf "%s: label %d slice not ascending" name l;
+      if Digraph.label g v <> l then
+        QCheck2.Test.fail_reportf "%s: node %d in slice of label %d" name v l;
+      seen.(v) <- seen.(v) + 1
+    done
+  done;
+  Array.iteri
+    (fun v k ->
+      if k <> 1 then
+        QCheck2.Test.fail_reportf "%s: node %d in %d label slices" name v k)
+    seen;
+  List.iter
+    (fun l ->
+      let _, _, len = Digraph.label_slice g l in
+      if len <> 0 then
+        QCheck2.Test.fail_reportf "%s: label %d outside the range has %d nodes"
+          name l len)
+    [ -1; lc; lc + 7 ]
+
+let label_index_prop g =
+  List.iter
+    (fun (name, gb) ->
+      check_label_index name gb;
+      (* Relabel after the index was built: the new graph derives its
+         own index and the old one keeps its own. *)
+      let relabelled =
+        Digraph.with_labels gb
+          (Array.init (Digraph.n gb) (fun v -> (Digraph.label gb v + v) mod 3))
+      in
+      check_label_index (name ^ " relabelled") relabelled;
+      check_label_index name gb)
+    (backends_of g);
+  true
+
+let label_index_empty () =
+  let ids, _, len = Digraph.label_slice Digraph.empty 0 in
+  Alcotest.(check int) "no nodes" 0 len;
+  Alcotest.(check int) "no ids" 0 (Array.length ids);
+  let _, _, len = Digraph.label_slice Digraph.empty 1 in
+  Alcotest.(check int) "label past the count" 0 len
+
 let bfs_equiv_prop g =
   let n = Digraph.n g in
   let reference = Digraph.to_flat g in
@@ -402,6 +454,8 @@ let equivalence_props =
   [
     Testutil.qtest ~count:120 "accessors agree across backends" arb_bigger
       accessor_equiv_prop;
+    Testutil.qtest ~count:120 "label index partitions V on every backend"
+      arb_bigger label_index_prop;
     Testutil.qtest ~count:40 "BFS and biBFS agree across backends" arb_graph
       bfs_equiv_prop;
     Testutil.qtest ~count:40 "compressR bit-identical across backends and domains"
@@ -425,4 +479,5 @@ let () =
         ] );
       ("format_props", format_props);
       ("equivalence", equivalence_props);
+      ("label_index", [ Alcotest.test_case "empty graph" `Quick label_index_empty ]);
     ]
