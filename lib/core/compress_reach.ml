@@ -126,19 +126,10 @@ let compress_paper ?pool g =
               remaining := !keep
         done)
       buckets;
-    let members_count = Array.make !count 0 in
-    Array.iter (fun c -> members_count.(c) <- members_count.(c) + 1) class_of;
-    let members = Array.init !count (fun c -> Array.make members_count.(c) 0) in
-    let fill = Array.make !count 0 in
-    for v = 0 to n - 1 do
-      let c = class_of.(v) in
-      members.(c).(fill.(c)) <- v;
-      fill.(c) <- fill.(c) + 1
-    done;
     let cyclic = Array.make !count false in
     List.iter (fun c -> cyclic.(c) <- true) !cyclic_acc;
     compress_of_equiv ~pool g
-      { Reach_equiv.count = !count; class_of; members; cyclic }
+      { Reach_equiv.count = !count; class_of; cyclic }
   end
 
 let rewrite c ~source ~target =

@@ -1,31 +1,13 @@
-type t = {
-  count : int;
-  class_of : int array;
-  members : int array array;
-  cyclic : bool array;
-}
+type t = { count : int; class_of : int array; cyclic : bool array }
 
 let of_scc_grouping g scc ~scc_class ~class_count =
   (* Lift a grouping of SCCs to a grouping of nodes. *)
-  let n = Digraph.n g in
-  let class_of = Array.make n 0 in
-  for v = 0 to n - 1 do
-    class_of.(v) <- scc_class.(scc.Scc.comp.(v))
-  done;
-  let sizes = Array.make class_count 0 in
-  Array.iter (fun c -> sizes.(c) <- sizes.(c) + 1) class_of;
-  let members = Array.init class_count (fun c -> Array.make sizes.(c) 0) in
-  let fill = Array.make class_count 0 in
-  for v = 0 to n - 1 do
-    let c = class_of.(v) in
-    members.(c).(fill.(c)) <- v;
-    fill.(c) <- fill.(c) + 1
-  done;
+  let class_of = Array.init (Digraph.n g) (fun v -> scc_class.(scc.Scc.comp.(v))) in
   let cyclic = Array.make class_count false in
   for s = 0 to scc.Scc.count - 1 do
     if scc.Scc.nontrivial.(s) then cyclic.(scc_class.(s)) <- true
   done;
-  { count = class_count; class_of; members; cyclic }
+  { count = class_count; class_of; cyclic }
 
 let group_by_signature signatures =
   (* signatures: per item a hashable key; returns (class per item, count). *)
@@ -51,85 +33,86 @@ let group_by_signature signatures =
 
 let compute g =
   let n = Digraph.n g in
-  if n = 0 then { count = 0; class_of = [||]; members = [||]; cyclic = [||] }
+  if n = 0 then { count = 0; class_of = [||]; cyclic = [||] }
   else begin
     let scc = Obs.span "compressR.scc" (fun () -> Scc.compute g) in
     let cond = Scc.condensation g scc in
     let k = scc.Scc.count in
+    let cyclic = scc.Scc.nontrivial in
     (* Group SCCs on the (descendants, ancestors) pair of reachability sets.
        Two SCCs with equal SCC-level sets have members with equal node-level
-       sets and vice versa.
+       sets and vice versa.  One pass per direction, each refining the
+       previous grouping.
 
-       Materialising both set families at once costs 2·k²/64 words.
-       Instead: one pass per direction, each refining the previous grouping,
-       and within a pass each SCC's bitset is released at its last use —
-       either right after its group is sealed (non-representatives) or when
-       its final consumer has folded it in (every set is read once per
-       condensation edge into it).  Only group representatives survive to
-       the end of a pass, so peak memory is
-       (#classes + live frontier)·k/64 words per direction instead of
-       k²/64 (see the memory note in DESIGN.md). *)
-    let dummy = Bitset.create 0 in
+       A sealed set is never written again, so SCCs with equal sets share
+       one bitset: only a class representative's set is allocated, built in
+       one reused scratch set, and every other SCC points at its class's
+       set.  Two shapes need no building at all: a trivial SCC with no
+       neighbour in the sweep direction has the shared empty set, and a
+       trivial SCC whose only neighbour c' is cyclic has exactly c''s set
+       ({c'} ∪ set(c') = set(c'), as a cyclic SCC contains itself).  A
+       pass allocates at most one set per class, the scratch and the
+       empty set: (#classes + 2)·k/63 words (DESIGN §2.1). *)
+    let empty = Bitset.create k in
+    let empty_hash = Bitset.hash empty in
+    let scratch = Bitset.create k in
     let pass ~prev ~asc =
       (* [asc]: ascending ids with successor unions builds descendant sets
          (ascending SCC id is reverse topological order); descending with
-         predecessor unions builds ancestor sets.  A cyclic SCC contains
-         itself.  Returns the refined grouping (classes dense in discovery
-         order) and its class count. *)
-      let sets = Array.make k dummy in
-      let uses = Array.make k 0 in
-      for c = 0 to k - 1 do
-        (if asc then Digraph.iter_succ else Digraph.iter_pred) cond c
-          (fun c' -> uses.(c') <- uses.(c') + 1)
-      done;
+         predecessor unions builds ancestor sets.  Returns the refined
+         grouping (classes dense in discovery order) and its class count. *)
+      let slice = if asc then Digraph.succ_slice cond else Digraph.pred_slice cond in
+      let sets = Array.make k empty in
+      let hashes = Array.make k empty_hash in
       let cls = Array.make k (-1) in
-      let is_rep = Array.make k false in
       let count = ref 0 in
       (* Hash then verify: bucket representatives by (previous class, set
          hash), compare candidates against them by true set equality to
          rule out collisions. *)
       let buckets : int list ref Mono.Ptbl.t = Mono.Ptbl.create (2 * k) in
-      let release c = if not is_rep.(c) then sets.(c) <- dummy in
+      let seal c s h =
+        let fresh reps =
+          cls.(c) <- !count;
+          incr count;
+          sets.(c) <- (if s == scratch then Bitset.copy s else s);
+          c :: reps
+        in
+        hashes.(c) <- h;
+        let key = (prev.(c), h) in
+        match Mono.Ptbl.find_opt buckets key with
+        | None -> Mono.Ptbl.replace buckets key (ref (fresh []))
+        | Some reps -> (
+            match List.find_opt (fun r -> Bitset.equal s sets.(r)) !reps with
+            | Some r ->
+                cls.(c) <- cls.(r);
+                sets.(c) <- sets.(r)
+            | None -> reps := fresh !reps)
+      in
       let process c =
-        let s = Bitset.create k in
-        sets.(c) <- s;
-        if scc.Scc.nontrivial.(c) then Bitset.add s c;
-        (if asc then Digraph.iter_succ else Digraph.iter_pred) cond c
-          (fun c' ->
+        let base, start, len = slice c in
+        if len = 0 && not cyclic.(c) then seal c empty empty_hash
+        else if len = 1 && (not cyclic.(c)) && cyclic.(base.(start)) then
+          seal c sets.(base.(start)) hashes.(base.(start))
+        else begin
+          Bitset.clear scratch;
+          if cyclic.(c) then Bitset.add scratch c;
+          for i = start to start + len - 1 do
+            let c' = base.(i) in
             (* The sets are transitively closed, so once c' is a member an
-               earlier edge has absorbed its whole set: skip the O(k/64)
-               union sweep.  When the union does run, its changed flag
-               spares the separate membership update for cyclic SCCs: they
+               earlier neighbour has absorbed its whole set: skip the
+               O(k/63) union sweep.  When the union does run, its changed
+               flag spares the membership update for cyclic SCCs: they
                contain themselves, so any growth carried c' in with it. *)
-            if not (Bitset.mem s c') then
-              if Bitset.union_into ~into:s sets.(c') && scc.Scc.nontrivial.(c')
+            if not (Bitset.mem scratch c') then
+              if
+                sets.(c') != empty
+                && Bitset.union_into ~into:scratch sets.(c')
+                && cyclic.(c')
               then ()
-              else Bitset.add s c';
-            (* that was one of c''s scheduled reads; drop its set after the
-               last one *)
-            uses.(c') <- uses.(c') - 1;
-            if uses.(c') = 0 then release c');
-        let key = (prev.(c), Bitset.hash s) in
-        (match Mono.Ptbl.find_opt buckets key with
-        | Some reps ->
-            let rec assign = function
-              | [] ->
-                  is_rep.(c) <- true;
-                  cls.(c) <- !count;
-                  incr count;
-                  reps := c :: !reps
-              | r :: tl ->
-                  if Bitset.equal s sets.(r) then cls.(c) <- cls.(r)
-                  else assign tl
-            in
-            assign !reps
-        | None ->
-            is_rep.(c) <- true;
-            cls.(c) <- !count;
-            incr count;
-            Mono.Ptbl.replace buckets key (ref [ c ]));
-        (* sinks of the sweep direction have no consumers at all *)
-        if uses.(c) = 0 then release c
+              else Bitset.add scratch c'
+          done;
+          seal c scratch (Bitset.hash scratch)
+        end
       in
       if asc then
         for c = 0 to k - 1 do
@@ -155,7 +138,7 @@ let equivalent t u v = t.class_of.(u) = t.class_of.(v)
 
 let compute_naive g =
   let n = Digraph.n g in
-  if n = 0 then { count = 0; class_of = [||]; members = [||]; cyclic = [||] }
+  if n = 0 then { count = 0; class_of = [||]; cyclic = [||] }
   else begin
     let desc = Transitive.descendant_sets g in
     let anc = Transitive.ancestor_sets g in
@@ -163,21 +146,9 @@ let compute_naive g =
       Array.init n (fun v -> (Bitset.to_list anc.(v), Bitset.to_list desc.(v)))
     in
     let class_of, count = group_by_signature keys in
-    let scc = Scc.compute g in
-    (* Reuse the lifting helper by pretending every node is its own SCC is
-       not possible here (classes already node-level); build directly. *)
-    let sizes = Array.make count 0 in
-    Array.iter (fun c -> sizes.(c) <- sizes.(c) + 1) class_of;
-    let members = Array.init count (fun c -> Array.make sizes.(c) 0) in
-    let fill = Array.make count 0 in
-    for v = 0 to n - 1 do
-      let c = class_of.(v) in
-      members.(c).(fill.(c)) <- v;
-      fill.(c) <- fill.(c) + 1
-    done;
     let cyclic = Array.make count false in
     for v = 0 to n - 1 do
-      if scc.Scc.nontrivial.(scc.Scc.comp.(v)) then cyclic.(class_of.(v)) <- true
+      if Bitset.mem desc.(v) v then cyclic.(class_of.(v)) <- true
     done;
-    { count; class_of; members; cyclic }
+    { count; class_of; cyclic }
   end

@@ -12,12 +12,18 @@
       cyclic SCC or a set of pairwise-unreachable acyclic nodes;
     - therefore [Re] can be computed on the condensation by grouping SCC
       nodes with equal (ancestor, descendant) bitset pairs — O(|V|·|E|/w)
-      overall, the paper's quadratic bound with a word-parallel constant. *)
+      overall, the paper's quadratic bound with a word-parallel constant;
+    - SCCs with equal sets share one bitset, so a pass allocates at most
+      one set per class, one scratch set and one empty set:
+      (#classes + 2)·k/63 words for k SCCs.  A trivial SCC with no neighbour in the sweep direction takes
+      the shared empty set, and one whose only neighbour is cyclic takes
+      that neighbour's set unchanged. *)
 
 type t = {
   count : int;  (** number of equivalence classes *)
-  class_of : int array;  (** node → class id *)
-  members : int array array;  (** class id → sorted member nodes *)
+  class_of : int array;
+      (** node → class id.  Ids are dense and numbered in order of first
+          appearance when SCCs are scanned by descending SCC id. *)
   cyclic : bool array;
       (** [cyclic.(c)] iff the members of [c] lie on a cycle (the class is a
           nontrivial SCC); exactly the classes whose hypernode carries a

@@ -85,10 +85,12 @@ let same_universe a b op =
     invalid_arg (Printf.sprintf "Bitset.%s: universe mismatch (%d vs %d)" op a.size b.size)
 
 let equal a b =
-  same_universe a b "equal";
-  let n = Array.length a.words in
-  let rec go i = i >= n || (a.words.(i) = b.words.(i) && go (i + 1)) in
-  go 0
+  a == b
+  ||
+  (same_universe a b "equal";
+   let n = Array.length a.words in
+   let rec go i = i >= n || (a.words.(i) = b.words.(i) && go (i + 1)) in
+   go 0)
 
 let union_into ~into src =
   same_universe into src "union_into";

@@ -40,7 +40,8 @@ val clear : t -> unit
 (** [copy s] is a fresh bitset with the same contents. *)
 val copy : t -> t
 
-(** [equal a b] is set equality.  The two sets must share a universe size. *)
+(** [equal a b] is set equality, O(1) when [a] and [b] are the same set.
+    The two sets must share a universe size. *)
 val equal : t -> t -> bool
 
 (** [union_into ~into src] computes [into := into ∪ src] in place and returns

@@ -5,62 +5,67 @@ type t = {
   nontrivial : bool array;
 }
 
-(* Iterative Tarjan.  The explicit stack holds (node, next-successor-index)
-   frames; lowlink is folded back when a frame is popped. *)
+(* Iterative Tarjan over flat int arrays: the DFS frames are (node,
+   next-edge position) pairs in [frame_v]/[frame_e] and the node stack is
+   [stack], so no tuple or list cell is allocated per visit.  A node is on
+   at most one frame and at most once on the node stack, so n cells bound
+   both.  A visited node is on the node stack iff it has no component
+   yet, so [comp.(w) < 0] stands in for an on-stack flag.  lowlink is
+   folded back when a frame is popped. *)
 let compute g =
   let n = Digraph.n g in
   let out_off, out_adj = Digraph.out_csr g in
   let index = Array.make n (-1) in
   let lowlink = Array.make n 0 in
-  let on_stack = Array.make n false in
   let comp = Array.make n (-1) in
-  let stack = ref [] in
+  let stack = Array.make n 0 in
+  let sp = ref 0 in
+  let frame_v = Array.make n 0 in
+  let frame_e = Array.make n 0 in
+  let fp = ref 0 in
   let next_index = ref 0 in
   let scc_count = ref 0 in
-  let frames = Stack.create () in
-  let start root =
-    Stack.push (root, 0) frames;
-    index.(root) <- !next_index;
-    lowlink.(root) <- !next_index;
+  let visit v =
+    index.(v) <- !next_index;
+    lowlink.(v) <- !next_index;
     incr next_index;
-    stack := root :: !stack;
-    on_stack.(root) <- true;
-    while not (Stack.is_empty frames) do
-      let v, i = Stack.pop frames in
-      if out_off.(v) + i < out_off.(v + 1) then begin
-        let w = out_adj.(out_off.(v) + i) in
-        Stack.push (v, i + 1) frames;
-        if index.(w) < 0 then begin
-          index.(w) <- !next_index;
-          lowlink.(w) <- !next_index;
-          incr next_index;
-          stack := w :: !stack;
-          on_stack.(w) <- true;
-          Stack.push (w, 0) frames
-        end
-        else if on_stack.(w) && index.(w) < lowlink.(v) then
+    stack.(!sp) <- v;
+    incr sp;
+    frame_v.(!fp) <- v;
+    frame_e.(!fp) <- out_off.(v);
+    incr fp
+  in
+  let start root =
+    visit root;
+    while !fp > 0 do
+      let top = !fp - 1 in
+      let v = frame_v.(top) and e = frame_e.(top) in
+      if e < out_off.(v + 1) then begin
+        let w = out_adj.(e) in
+        frame_e.(top) <- e + 1;
+        if index.(w) < 0 then visit w
+        else if comp.(w) < 0 && index.(w) < lowlink.(v) then
           lowlink.(v) <- index.(w)
       end
       else begin
+        fp := top;
         if lowlink.(v) = index.(v) then begin
           (* v is an SCC root: pop the component. *)
           let c = !scc_count in
           incr scc_count;
           let continue = ref true in
           while !continue do
-            match !stack with
-            | [] -> assert false
-            | w :: rest ->
-                stack := rest;
-                on_stack.(w) <- false;
-                comp.(w) <- c;
-                if w = v then continue := false
+            decr sp;
+            let w = stack.(!sp) in
+            comp.(w) <- c;
+            if w = v then continue := false
           done
         end;
         (* Propagate lowlink to the parent frame, if any. *)
-        (match Stack.top_opt frames with
-        | Some (p, _) when lowlink.(v) < lowlink.(p) -> lowlink.(p) <- lowlink.(v)
-        | _ -> ())
+        if top > 0 then begin
+          let p = frame_v.(top - 1) in
+          if lowlink.(v) < lowlink.(p) then lowlink.(p) <- lowlink.(v)
+        end
       end
     done
   in

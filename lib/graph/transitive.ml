@@ -72,24 +72,43 @@ let ancestor_sets ?pool g = descendant_sets ?pool (Digraph.reverse g)
 let reduction_dag ?pool dag =
   let pool = get_pool pool in
   let scc = Scc.compute dag in
-  if scc.Scc.count <> Digraph.n dag || Array.exists (fun b -> b) scc.Scc.nontrivial
-  then invalid_arg "Transitive.reduction_dag: graph has a cycle";
-  let desc = descendant_sets ~pool dag in
   let n = Digraph.n dag in
-  (* Per-source redundancy scans are independent; collect per-node so the
-     final edge list does not depend on scheduling (Digraph.make sorts and
-     dedups anyway). *)
+  if scc.Scc.count <> n || Array.exists (fun b -> b) scc.Scc.nontrivial
+  then invalid_arg "Transitive.reduction_dag: graph has a cycle";
+  (* Acyclic, so SCC [comp.(v)] is {v}: the SCC-level descendant sets are
+     the node-level ones under the renaming [comp]. *)
+  let _, desc = scc_descendant_sets ~pool dag scc in
+  let comp = scc.Scc.comp in
+  (* Cover rule: (u,v) is redundant iff another successor of u reaches v,
+     and such a successor has a larger SCC id than v.  Visiting u's
+     successors by descending SCC id, a successor is redundant iff it is
+     already in the union of the descendant sets of the successors kept so
+     far (a redundant successor's set lies inside a kept one's), so one
+     [covered] set decides every edge of u in O(deg·n/63).  Each node's
+     kept edges are a pure function of the graph, so the result does not
+     depend on scheduling (Digraph.make sorts and dedups anyway). *)
   let keep = Array.make n [] in
-  Pool.parallel_for pool ~n (fun u ->
-      let acc = ref [] in
-      Digraph.iter_succ dag u (fun v ->
-          (* (u,v) is redundant iff v is reachable from another successor. *)
-          let redundant = ref false in
-          Digraph.iter_succ dag u (fun w ->
-              if (not !redundant) && w <> v && Bitset.mem desc.(w) v then
-                redundant := true);
-          if not !redundant then acc := (u, v) :: !acc);
-      keep.(u) <- !acc);
+  Pool.parallel_for_ranges pool ~n (fun lo hi ->
+      let covered = Bitset.create n in
+      for u = lo to hi - 1 do
+        let base, start, len = Digraph.succ_slice dag u in
+        if len = 1 then keep.(u) <- [ (u, base.(start)) ]
+        else if len > 1 then begin
+          let succ = Array.sub base start len in
+          Array.sort (fun a b -> Mono.icompare comp.(b) comp.(a)) succ;
+          Bitset.clear covered;
+          keep.(u) <-
+            Array.fold_left
+              (fun acc v ->
+                let c = comp.(v) in
+                if Bitset.mem covered c then acc
+                else begin
+                  ignore (Bitset.union_into ~into:covered desc.(c));
+                  (u, v) :: acc
+                end)
+              [] succ
+        end
+      done);
   let edges = ref [] in
   for u = n - 1 downto 0 do
     edges := List.rev_append keep.(u) !edges

@@ -26,7 +26,11 @@ val ancestor_sets : ?pool:Pool.t -> Digraph.t -> Bitset.t array
 
 (** [reduction_dag dag] is the unique transitive reduction of an acyclic
     graph: the minimal subgraph with the same reachability relation.  Edge
-    [(u,v)] is kept iff no other successor of [u] reaches [v].
+    [(u,v)] is kept iff no other successor of [u] reaches [v].  Each node's
+    successors are visited nearest first (descending SCC id) against one
+    [covered] set: a successor already covered is redundant, otherwise it
+    is kept and its descendant set is folded in — O(deg·|V|/63) per node
+    over the SCC-level descendant sets, with no node-level copy.
     @raise Invalid_argument if [dag] has a cycle. *)
 val reduction_dag : ?pool:Pool.t -> Digraph.t -> Digraph.t
 

@@ -362,10 +362,59 @@ let scc_self_loop () =
   Alcotest.(check bool) "self-loop nontrivial" true
     scc.Scc.nontrivial.(scc.Scc.comp.(0));
   Alcotest.(check bool) "plain node trivial" false
-    scc.Scc.nontrivial.(scc.Scc.comp.(1))
+    scc.Scc.nontrivial.(scc.Scc.comp.(1));
+  let single edges = (Scc.compute (Digraph.make ~n:1 edges)).Scc.nontrivial in
+  Alcotest.(check (array bool)) "self-loop singleton" [| true |] (single [ (0, 0) ]);
+  Alcotest.(check (array bool)) "plain singleton" [| false |] (single [])
+
+(* Tarjan keeps its DFS in heap arrays: a 200,000-node path (n components)
+   and cycle (one) go through under a stack limit that a recursive DFS of
+   that depth overflows. *)
+let scc_deep () =
+  let n = 200_000 in
+  let path = Digraph.make ~n (List.init (n - 1) (fun i -> (i, i + 1))) in
+  let cycle = Digraph.add_edges path [ (n - 1, 0) ] in
+  let old = Gc.get () in
+  let path_scc, cycle_scc =
+    Fun.protect
+      ~finally:(fun () -> Gc.set old)
+      (fun () ->
+        Gc.set { old with Gc.stack_limit = 65_536 };
+        (Scc.compute path, Scc.compute cycle))
+  in
+  Alcotest.(check int) "path: n components" n path_scc.Scc.count;
+  Alcotest.(check bool) "path: all trivial" false
+    (Array.exists Fun.id path_scc.Scc.nontrivial);
+  Alcotest.(check int) "cycle: one component" 1 cycle_scc.Scc.count;
+  Alcotest.(check bool) "cycle: nontrivial" true cycle_scc.Scc.nontrivial.(0)
+
+(* SCC classes are exactly the mutual-reachability classes, checked on all
+   pairs by BFS. *)
+let scc_matches_bfs g =
+  let scc = Scc.compute g in
+  let n = Digraph.n g in
+  let reach = Array.init n (fun u -> Array.init n (Traversal.bfs_reaches g u)) in
+  let ok = ref true in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      if Scc.same_scc scc u v <> (reach.(u).(v) && reach.(v).(u)) then
+        ok := false
+    done
+  done;
+  !ok
+
+(* Ascending SCC id is a reverse topological order of the condensation. *)
+let scc_ids_reverse_topological g =
+  let scc = Scc.compute g in
+  let ok = ref true in
+  Digraph.iter_edges (Scc.condensation g scc) (fun a b -> if a <= b then ok := false);
+  !ok
 
 let scc_props =
   [
+    qtest "SCCs and order on fan/chain/self-loop shapes"
+      Testutil.arbitrary_condensation_shapes (fun g ->
+        scc_matches_bfs g && scc_ids_reverse_topological g);
     qtest "members partition the nodes" arb_g (fun g ->
         let scc = Scc.compute g in
         let total = Array.fold_left (fun acc a -> acc + Array.length a) 0 scc.Scc.members in
@@ -373,16 +422,8 @@ let scc_props =
         && Array.for_all
              (fun ms -> Array.for_all (fun v -> scc.Scc.comp.(v) = scc.Scc.comp.(ms.(0))) ms)
              scc.Scc.members);
-    qtest "same scc iff mutually reachable" arb_pair (fun (g, u, v) ->
-        let scc = Scc.compute g in
-        Scc.same_scc scc u v
-        = (Traversal.bfs_reaches g u v && Traversal.bfs_reaches g v u));
-    qtest "scc ids reverse topological" arb_g (fun g ->
-        let scc = Scc.compute g in
-        let cond = Scc.condensation g scc in
-        let ok = ref true in
-        Digraph.iter_edges cond (fun a b -> if a <= b then ok := false);
-        !ok);
+    qtest "same scc iff mutually reachable" arb_g scc_matches_bfs;
+    qtest "scc ids reverse topological" arb_g scc_ids_reverse_topological;
     qtest "condensation is acyclic" arb_g (fun g ->
         let scc = Scc.compute g in
         Topo_rank.topological_order (Scc.condensation g scc) <> None);
@@ -485,6 +526,45 @@ let transitive_props =
         Transitive.closure_matrix g u v = Traversal.bfs_reaches_nonempty g u v);
   ]
 
+(* Brute-force transitive reduction: (u,v) stays iff no other successor of
+   u reaches v, each successor's reach set found by its own BFS. *)
+let brute_reduction dag =
+  let edges = ref [] in
+  for u = 0 to Digraph.n dag - 1 do
+    let succ = Array.of_list (Digraph.fold_succ dag u (fun acc v -> v :: acc) []) in
+    let reach = Array.map (Traversal.descendants dag) succ in
+    Array.iteri
+      (fun i v ->
+        let covered = ref false in
+        Array.iteri (fun j r -> if j <> i && Bitset.mem r v then covered := true) reach;
+        if not !covered then edges := (u, v) :: !edges)
+      succ
+  done;
+  Digraph.make ~n:(Digraph.n dag) ~labels:(Digraph.labels dag) !edges
+
+(* Random DAGs, half of them with a hub: the highest node id points at
+   every other node (random_dag edges go from higher to lower ids), so its
+   out-degree is at least 1,000 and most of its edges are redundant. *)
+let arb_hub_dag =
+  ( (let open QCheck2.Gen in
+     let* seed = int_range 0 99999 in
+     let* hub = bool in
+     let rng = Random.State.make [| seed |] in
+     let n = if hub then 1001 + Random.State.int rng 200 else 1 + Random.State.int rng 12 in
+     let dag = Generators.random_dag rng ~n ~m:(Random.State.int rng (2 * n + 1)) in
+     pure
+       (if hub then Digraph.add_edges dag (List.init (n - 1) (fun v -> (n - 1, v)))
+        else dag)),
+    Testutil.digraph_print )
+
+let reduction_matches_brute_force dag =
+  let expected = brute_reduction dag in
+  List.for_all
+    (fun domains ->
+      Pool.with_pool ~domains (fun pool ->
+          Digraph.equal expected (Transitive.reduction_dag ~pool dag)))
+    [ 1; 2; 4 ]
+
 let reduction_dag_props =
   let arb_dag =
     ( (let open QCheck2.Gen in
@@ -496,6 +576,8 @@ let reduction_dag_props =
       Testutil.digraph_print )
   in
   [
+    qtest ~count:100 "reduction equals brute force at 1, 2, 4 domains"
+      arb_hub_dag reduction_matches_brute_force;
     qtest "reduction preserves reachability" arb_dag (fun dag ->
         let red = Transitive.reduction_dag dag in
         let ok = ref true in
@@ -799,6 +881,7 @@ let () =
         [
           Alcotest.test_case "basics" `Quick scc_unit;
           Alcotest.test_case "self loop" `Quick scc_self_loop;
+          Alcotest.test_case "deep path and cycle" `Quick scc_deep;
         ]
         @ scc_props );
       ("ranks", rank_props);

@@ -166,6 +166,61 @@ type 'a arb = 'a QCheck2.Gen.t * ('a -> string)
 let arbitrary_digraph ?max_n ?max_labels () =
   (digraph_gen ?max_n ?max_labels (), digraph_print)
 
+(* Graphs whose condensations take the shapes Reach_equiv's passes treat
+   specially: cyclic SCCs (a cycle, or one self-loop node) with fans of
+   trivial sinks and sources hanging off them and chains of trivial SCCs
+   below them, self-loop singletons as sinks or sources, isolated nodes,
+   and the empty graph.  A few random edges mix the gadgets. *)
+let condensation_shapes_gen =
+  let open QCheck2.Gen in
+  let* seed = int_range 0 99999 in
+  let* cores = int_range 0 3 in
+  let* extra = int_range 0 3 in
+  let rng = Random.State.make [| seed |] in
+  let upto k = Random.State.int rng (k + 1) in
+  let n = ref 0 and edges = ref [] in
+  let node () =
+    incr n;
+    !n - 1
+  in
+  let edge u v = edges := (u, v) :: !edges in
+  for _ = 1 to cores do
+    let len = 1 + upto 3 in
+    let core = Array.init len (fun _ -> node ()) in
+    Array.iteri (fun i v -> edge v core.((i + 1) mod len)) core;
+    let hook () = core.(Random.State.int rng len) in
+    for _ = 1 to upto 4 do
+      edge (hook ()) (node ())
+    done;
+    for _ = 1 to upto 4 do
+      edge (node ()) (hook ())
+    done;
+    let below = ref (hook ()) in
+    for _ = 1 to upto 4 do
+      let v = node () in
+      edge !below v;
+      below := v
+    done;
+    for _ = 1 to upto 2 do
+      let s = node () in
+      edge s s;
+      if Random.State.bool rng then edge (hook ()) s else edge s (hook ())
+    done
+  done;
+  for _ = 1 to upto 3 do
+    ignore (node ())
+  done;
+  if Random.State.bool rng then begin
+    let s = node () in
+    edge s s
+  end;
+  for _ = 1 to extra do
+    if !n > 0 then edge (Random.State.int rng !n) (Random.State.int rng !n)
+  done;
+  pure (Digraph.make ~n:!n !edges)
+
+let arbitrary_condensation_shapes = (condensation_shapes_gen, digraph_print)
+
 (* A graph together with a batch of random updates. *)
 let graph_updates_gen ?(max_n = 14) ?(max_updates = 10) () =
   let open QCheck2.Gen in
