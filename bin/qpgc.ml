@@ -18,25 +18,50 @@
 
 open Cmdliner
 
-(* Shared --domains flag: sizes the process-wide pool the parallel kernels
-   draw from.  Applied by the subcommands that run compression or batch
-   query kernels. *)
-let domains_arg =
-  Arg.(
-    value
-    & opt int (Pool.recommended ())
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the parallel kernels (default: the \
-           recommended domain count, capped at 8; $(b,1) forces the \
-           sequential path).")
+(* ------------------------------------------------------------------ *)
+(* Shared terms: each input, output, daemon endpoint and failure of the
+   subcommands below is handled here, once. *)
 
-let setup_domains n =
-  if n < 1 then begin
-    Printf.eprintf "--domains must be >= 1\n";
-    exit 1
-  end;
-  Pool.set_default_domains n
+(* One line on stderr, then exit 1: where every user-facing failure ends. *)
+let die fmt =
+  Printf.ksprintf
+    (fun s ->
+      prerr_endline s;
+      exit 1)
+    fmt
+
+(* The error exit.  Runs [f]; a parse error, a file-system error, or the
+   [Unix_error] or [Failure] of a failed connect, host lookup or daemon
+   request becomes one line on stderr, prefixed by [at], and exit 1.
+   [path] names the file or endpoint being read, written or dialled. *)
+let or_exit ?(at = "") path f =
+  try f () with
+  | Graph_io.Parse_error (line, msg)
+  | Compressed_io.Parse_error (line, msg)
+  | Reach_index_io.Parse_error (line, msg)
+  | Pattern_io.Parse_error (line, msg) ->
+      die "%s%s:%d: %s" at path line msg
+  | Sys_error e -> die "%s%s" at e
+  | Unix.Unix_error (e, _, _) -> die "%s%s: %s" at path (Unix.error_message e)
+  | Failure e -> die "%s%s: %s" at path e
+
+(* --domains: sizes the process-wide pool the parallel kernels draw from.
+   Taken by the subcommands that run compression or batch query kernels. *)
+let domains_term =
+  let set n =
+    if n < 1 then die "--domains must be >= 1";
+    Pool.set_default_domains n
+  in
+  Term.(
+    const set
+    $ Arg.(
+        value
+        & opt int (Pool.recommended ())
+        & info [ "domains" ] ~docv:"N"
+            ~doc:
+              "Worker domains for the parallel kernels (default: the \
+               recommended domain count, capped at 8; $(b,1) forces the \
+               sequential path)."))
 
 (* Shared observability flags, accepted by every subcommand.  Exports are
    registered [at_exit] so they capture whatever ran, including early
@@ -84,26 +109,6 @@ let setup_obs trace metrics trace_gc =
 
 let obs_term = Term.(const setup_obs $ trace_arg $ metrics_arg $ trace_gc_arg)
 
-(* [Graph_io.load] sniffs the snapshot magic, so every subcommand accepts
-   text and binary graph files interchangeably. *)
-let read_graph ?(mmap = false) path =
-  try fst (Graph_io.load ~mmap path) with
-  | Graph_io.Parse_error (line, msg) ->
-      Printf.eprintf "%s:%d: %s\n" path line msg;
-      exit 1
-  | Sys_error e ->
-      Printf.eprintf "%s\n" e;
-      exit 1
-
-let binary_arg =
-  Arg.(
-    value & flag
-    & info [ "binary" ]
-        ~doc:
-          "Write outputs as binary snapshots instead of text (loaded \
-           transparently by every subcommand; see DESIGN.md for the \
-           format).")
-
 (* Shared --mmap flag: zero-copy loading of mapped ('M') snapshots,
    including graph blobs nested inside 'C' and 'I' snapshots. *)
 let mmap_arg =
@@ -115,6 +120,53 @@ let mmap_arg =
            become views over the file pages instead of being read onto the \
            heap, so opening is O(1) in the graph size.  Other formats load \
            eagerly as usual.")
+
+let graph_arg =
+  Arg.(
+    required
+    & pos 0 (some file) None
+    & info [] ~docv:"GRAPH" ~doc:"Graph file (see README for the format).")
+
+(* [Graph_io.load] sniffs the snapshot magic, so every subcommand accepts
+   text and binary graph files interchangeably. *)
+let load_graph ~mmap path = or_exit path (fun () -> Graph_io.load ~mmap path)
+
+(* GRAPH and --mmap: the graph, loaded through the error exit. *)
+let graph_term =
+  Term.(
+    const (fun mmap path -> fst (load_graph ~mmap path)) $ mmap_arg $ graph_arg)
+
+(* A saved index snapshot, checked against the graph it answers for. *)
+let load_index ~mmap g path =
+  let idx = or_exit path (fun () -> Reach_index_io.load ~mmap path) in
+  if Reach_index.original_n idx <> Digraph.n g then
+    die "index answers for %d node(s) but the graph has %d"
+      (Reach_index.original_n idx) (Digraph.n g);
+  idx
+
+(* The one range check on node ids, from the command line or a workload
+   line. *)
+let check_nodes ?(at = "") n ids =
+  if List.exists (fun v -> v < 0 || v >= n) ids then
+    die "%snodes must be in [0, %d)" at n
+
+let parse_regex ?(at = "") regex =
+  try Rpq.parse regex with Invalid_argument msg -> die "%s%s" at msg
+
+let output_arg ~doc =
+  Arg.(
+    required
+    & opt (some string) None
+    & info [ "output"; "o" ] ~docv:"FILE" ~doc)
+
+let binary_arg =
+  Arg.(
+    value & flag
+    & info [ "binary" ]
+        ~doc:
+          "Write outputs as binary snapshots instead of text (loaded \
+           transparently by every subcommand; see DESIGN.md for the \
+           format).")
 
 (* Shared --adj flag: the adjacency encoding of binary outputs. *)
 let adj_arg =
@@ -134,6 +186,41 @@ let adj_arg =
            'G', the default), $(b,varint) (kind 'V', gap + LEB128 delta \
            coding, 2-4x smaller) or $(b,mmap) (kind 'M', 8-byte-aligned \
            sections built for zero-copy $(b,--mmap) loading).")
+
+(* --binary and --adj: [None] writes text, [Some k] a binary snapshot
+   whose graphs use adjacency kind [k]. *)
+let encoding_term =
+  Term.(
+    const (fun binary adj -> if binary then Some adj else None)
+    $ binary_arg $ adj_arg)
+
+(* Every output file is written through here, so a write error takes the
+   error exit. *)
+let save path write = or_exit path (fun () -> write path)
+
+let write_graph ?labels enc g path =
+  match enc with
+  | None -> Graph_io.save ?labels path g
+  | Some format -> Graph_io.save_binary ?labels ~format path g
+
+(* A daemon endpoint as a subcommand dials it: [cmd] and [where] prefix
+   every error line about it. *)
+type daemon = {
+  cmd : string;
+  where : string;
+  connect : unit -> Server_client.t;
+}
+
+(* [with_daemon d f] runs [f d.connect] through the error exit, so a
+   refused connect, a failed host lookup or an error reply prints
+   "CMD: WHERE: reason" and exits 1. *)
+let with_daemon d f = or_exit ~at:(d.cmd ^ ": ") d.where (fun () -> f d.connect)
+
+(* [ask d f] runs [f] on a fresh connection to [d], closed afterwards. *)
+let ask d f =
+  with_daemon d (fun connect ->
+      let c = connect () in
+      Fun.protect ~finally:(fun () -> Server_client.close c) (fun () -> f c))
 
 (* ------------------------------------------------------------------ *)
 (* generate *)
@@ -161,45 +248,30 @@ let generate_cmd =
   let seed =
     Arg.(value & opt int 0xC0FFEE & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed.")
   in
-  let output =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "output"; "o" ] ~docv:"FILE" ~doc:"Output graph file.")
-  in
-  let run () dataset nodes edges seed output binary adj =
+  let run () dataset nodes edges seed output enc =
     match Datasets.find dataset with
     | exception Not_found ->
-        Printf.eprintf "unknown dataset %S; try `qpgc datasets'\n" dataset;
-        exit 1
+        die "unknown dataset %S; try `qpgc datasets'" dataset
     | spec ->
         let nodes = Option.value nodes ~default:spec.Datasets.nodes in
         let edges = Option.value edges ~default:spec.Datasets.edges in
         let g = Datasets.generate_scaled ~seed spec ~nodes ~edges in
-        if binary then Graph_io.save_binary ~format:adj output g
-        else Graph_io.save output g;
+        save output (write_graph enc g);
         Printf.printf "wrote %s: |V| = %d, |E| = %d, |L| = %d\n" output
           (Digraph.n g) (Digraph.m g) (Digraph.label_count g)
   in
   Cmd.v
     (Cmd.info "generate" ~doc:"Materialise a synthetic dataset stand-in.")
     Term.(
-      const run $ obs_term $ dataset $ nodes $ edges $ seed $ output
-      $ binary_arg $ adj_arg)
+      const run $ obs_term $ dataset $ nodes $ edges $ seed
+      $ output_arg ~doc:"Output graph file."
+      $ encoding_term)
 
 (* ------------------------------------------------------------------ *)
 (* stats *)
 
-let graph_arg =
-  Arg.(
-    required
-    & pos 0 (some file) None
-    & info [] ~docv:"GRAPH" ~doc:"Graph file (see README for the format).")
-
 let stats_cmd =
-  let run () domains mmap path =
-    setup_domains domains;
-    let g = read_graph ~mmap path in
+  let run () () g =
     (* Measure before the stats pass: computing stats may force the dense
        escape-hatch views on a mapped or varint backend, which would count
        against the resident figure. *)
@@ -233,7 +305,7 @@ let stats_cmd =
   in
   Cmd.v
     (Cmd.info "stats" ~doc:"Structural statistics and compression ratios.")
-    Term.(const run $ obs_term $ domains_arg $ mmap_arg $ graph_arg)
+    Term.(const run $ obs_term $ domains_term $ graph_term)
 
 (* ------------------------------------------------------------------ *)
 (* compress *)
@@ -247,12 +319,6 @@ let mode_arg =
         ~doc:"Compression scheme: $(b,reach) or $(b,pattern).")
 
 let compress_cmd =
-  let output =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "output"; "o" ] ~docv:"FILE" ~doc:"Compressed graph file.")
-  in
   let map_file =
     Arg.(
       value
@@ -269,31 +335,30 @@ let compress_cmd =
             "Write the full compression (Gr + node map) in one file, \
              loadable by $(b,qpgc cquery).")
   in
-  let run () domains mmap adj path mode output map_file save_file binary =
-    setup_domains domains;
-    let g = read_graph ~mmap path in
+  let run () () g mode output map_file save_file enc =
     let c, dt =
       Obs.time (fun () ->
           match mode with
           | `Reach -> Compress_reach.compress g
           | `Pattern -> Compress_bisim.compress g)
     in
-    (if binary then Graph_io.save_binary ?labels:None ~format:adj
-     else Graph_io.save ?labels:None)
-      output (Compressed.graph c);
-    (match save_file with
-    | None -> ()
-    | Some sf ->
-        if binary then Compressed_io.save_binary ~graph_format:adj sf c
-        else Compressed_io.save sf c);
-    (match map_file with
-    | None -> ()
-    | Some mf ->
-        let oc = open_out mf in
-        for v = 0 to Digraph.n g - 1 do
-          Printf.fprintf oc "%d %d\n" v (Compressed.hypernode c v)
-        done;
-        close_out oc);
+    save output (write_graph enc (Compressed.graph c));
+    Option.iter
+      (fun sf ->
+        save sf (fun path ->
+            match enc with
+            | None -> Compressed_io.save path c
+            | Some graph_format ->
+                Compressed_io.save_binary ~graph_format path c))
+      save_file;
+    Option.iter
+      (fun mf ->
+        save mf (fun path ->
+            Out_channel.with_open_text path (fun oc ->
+                for v = 0 to Digraph.n g - 1 do
+                  Printf.fprintf oc "%d %d\n" v (Compressed.hypernode c v)
+                done)))
+      map_file;
     Printf.printf "compressed in %.3fs: |V| = %d -> |Vr| = %d, ratio = %.2f%%\n"
       dt (Digraph.n g)
       (Digraph.n (Compressed.graph c))
@@ -302,8 +367,9 @@ let compress_cmd =
   Cmd.v
     (Cmd.info "compress" ~doc:"Compress a graph, preserving a query class.")
     Term.(
-      const run $ obs_term $ domains_arg $ mmap_arg $ adj_arg $ graph_arg
-      $ mode_arg $ output $ map_file $ save_file $ binary_arg)
+      const run $ obs_term $ domains_term $ graph_term $ mode_arg
+      $ output_arg ~doc:"Compressed graph file."
+      $ map_file $ save_file $ encoding_term)
 
 (* ------------------------------------------------------------------ *)
 (* index: build a reachability index over the compression and save it *)
@@ -323,20 +389,7 @@ let algorithm_arg =
           "Index algorithm: $(b,tree-cover), $(b,two-hop) or $(b,grail) \
            (default $(b,tree-cover)).")
 
-let load_index ?(mmap = false) path =
-  try Reach_index_io.load ~mmap path
-  with Reach_index_io.Parse_error (line, msg) ->
-    Printf.eprintf "%s:%d: %s\n" path line msg;
-    exit 1
-
 let index_cmd =
-  let output =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "output"; "o" ] ~docv:"FILE"
-          ~doc:"Index snapshot file (kind 'I'), loadable by $(b,--index).")
-  in
   let direct =
     Arg.(
       value & flag
@@ -345,15 +398,13 @@ let index_cmd =
             "Index the graph itself instead of its reach compression \
              (larger index, for comparison).")
   in
-  let run () domains mmap adj path algorithm output direct =
-    setup_domains domains;
-    let g = read_graph ~mmap path in
+  let run () () g adj algorithm output direct =
     let idx, dt =
       Obs.time (fun () ->
           if direct then Reach_index.build ~algorithm g
           else Compress_reach.index ~algorithm (Compress_reach.compress g))
     in
-    Reach_index_io.save ~graph_format:adj output idx;
+    save output (fun path -> Reach_index_io.save ~graph_format:adj path idx);
     Printf.printf
       "built %s index in %.3fs: %d node(s) indexed for %d original(s), %d \
        index bytes vs %d CSR bytes\n"
@@ -370,8 +421,10 @@ let index_cmd =
          "Compress a graph, build a reachability index over the \
           compression, and save it.")
     Term.(
-      const run $ obs_term $ domains_arg $ mmap_arg $ adj_arg $ graph_arg
-      $ algorithm_arg $ output $ direct)
+      const run $ obs_term $ domains_term $ graph_term $ adj_arg $ algorithm_arg
+      $ output_arg
+          ~doc:"Index snapshot file (kind 'I'), loadable by $(b,--index)."
+      $ direct)
 
 (* ------------------------------------------------------------------ *)
 (* query *)
@@ -408,29 +461,16 @@ let query_cmd =
              instead of computing locally (the graph file is still read \
              for id validation and the BFS cross-check).")
   in
-  let run () domains mmap path source target planner index_file server =
-    setup_domains domains;
-    let g = read_graph ~mmap path in
-    let n = Digraph.n g in
-    if source < 0 || source >= n || target < 0 || target >= n then begin
-      Printf.eprintf "nodes must be in [0, %d)\n" n;
-      exit 1
-    end;
-    let index = Option.map (load_index ~mmap) index_file in
-    (match index with
-    | Some idx when Reach_index.original_n idx <> n ->
-        Printf.eprintf "index answers for %d node(s) but the graph has %d\n"
-          (Reach_index.original_n idx) n;
-        exit 1
-    | _ -> ());
+  let run () () g mmap source target planner index_file server =
+    check_nodes (Digraph.n g) [ source; target ];
+    let index = Option.map (load_index ~mmap g) index_file in
     let answer =
       match (server, planner, index) with
       | Some sock, _, _ ->
-          let c = Server_client.connect_unix sock in
+          let connect () = Server_client.connect_unix sock in
           let answer =
-            Fun.protect
-              ~finally:(fun () -> Server_client.close c)
-              (fun () -> (Server_client.reach c [| (source, target) |]).(0))
+            ask { cmd = "query"; where = sock; connect } (fun c ->
+                (Server_client.reach c [| (source, target) |]).(0))
           in
           Printf.printf "QR(%d, %d) = %b   (served over %s)\n" source target
             answer sock;
@@ -464,7 +504,7 @@ let query_cmd =
   Cmd.v
     (Cmd.info "query" ~doc:"Answer a reachability query via the compression.")
     Term.(
-      const run $ obs_term $ domains_arg $ mmap_arg $ graph_arg $ source
+      const run $ obs_term $ domains_term $ graph_term $ mmap_arg $ source
       $ target $ planner_arg $ index_file_arg $ server_arg)
 
 (* ------------------------------------------------------------------ *)
@@ -477,14 +517,8 @@ let match_cmd =
       & opt (some file) None
       & info [ "pattern"; "p" ] ~docv:"FILE" ~doc:"Pattern query file.")
   in
-  let run () mmap path pattern_file =
-    let g = read_graph ~mmap path in
-    let p =
-      try Pattern_io.load pattern_file
-      with Pattern_io.Parse_error (line, msg) ->
-        Printf.eprintf "%s:%d: %s\n" pattern_file line msg;
-        exit 1
-    in
+  let run () g pattern_file =
+    let p = or_exit pattern_file (fun () -> Pattern_io.load pattern_file) in
     let c = Compress_bisim.compress g in
     match Compress_bisim.answer p c with
     | None -> print_endline "no match"
@@ -499,7 +533,7 @@ let match_cmd =
   Cmd.v
     (Cmd.info "match"
        ~doc:"Evaluate a pattern query on the compressed graph.")
-    Term.(const run $ obs_term $ mmap_arg $ graph_arg $ pattern_file)
+    Term.(const run $ obs_term $ graph_term $ pattern_file)
 
 (* ------------------------------------------------------------------ *)
 (* cquery: query a saved compression without the original graph *)
@@ -519,21 +553,9 @@ let cquery_cmd =
     Arg.(required & pos 2 (some int) None & info [] ~docv:"TARGET" ~doc:"Target node (original id).")
   in
   let run () mmap path source target =
-    let c =
-      try Compressed_io.load ~mmap path
-      with Compressed_io.Parse_error (line, msg) ->
-        Printf.eprintf "%s:%d: %s
-" path line msg;
-        exit 1
-    in
-    let n = Compressed.original_n c in
-    if source < 0 || source >= n || target < 0 || target >= n then begin
-      Printf.eprintf "nodes must be in [0, %d)
-" n;
-      exit 1
-    end;
-    Printf.printf "QR(%d, %d) = %b   (answered on Gr alone: %d hypernodes)
-"
+    let c = or_exit path (fun () -> Compressed_io.load ~mmap path) in
+    check_nodes (Compressed.original_n c) [ source; target ];
+    Printf.printf "QR(%d, %d) = %b   (answered on Gr alone: %d hypernodes)\n"
       source target
       (Compress_reach.answer c ~source ~target)
       (Digraph.n (Compressed.graph c))
@@ -541,7 +563,8 @@ let cquery_cmd =
   Cmd.v
     (Cmd.info "cquery"
        ~doc:
-         "Answer a reachability query from a saved compression, without the           original graph.")
+         "Answer a reachability query from a saved compression, without the \
+          original graph.")
     Term.(const run $ obs_term $ mmap_arg $ comp_file $ source $ target)
 
 (* ------------------------------------------------------------------ *)
@@ -557,14 +580,8 @@ let rpq_cmd =
             "Regular path query over node labels: atoms $(b,l<id>) and \
              $(b,.), postfix $(b,*)/$(b,+)/$(b,?), infix $(b,|), parentheses.")
   in
-  let run () mmap path regex =
-    let g = read_graph ~mmap path in
-    let r =
-      try Rpq.parse regex
-      with Invalid_argument msg ->
-        Printf.eprintf "%s\n" msg;
-        exit 1
-    in
+  let run () g regex =
+    let r = parse_regex regex in
     let c = Compress_bisim.compress g in
     let nodes = Compress_bisim.answer_rpq r c in
     Printf.printf
@@ -579,7 +596,7 @@ let rpq_cmd =
        ~doc:
          "Evaluate a regular path query on the compressed graph (the \
           paper's Sec 7 extension).")
-    Term.(const run $ obs_term $ mmap_arg $ graph_arg $ regex)
+    Term.(const run $ obs_term $ graph_term $ regex)
 
 (* ------------------------------------------------------------------ *)
 (* dot: Graphviz export, optionally clustered by the compression *)
@@ -594,10 +611,10 @@ let dot_cmd =
       & opt mode `None
       & info [ "cluster" ] ~docv:"MODE"
           ~doc:
-            "Group nodes into Graphviz clusters by their hypernode under              the $(b,reach) or $(b,pattern) compression.")
+            "Group nodes into Graphviz clusters by their hypernode under \
+             the $(b,reach) or $(b,pattern) compression.")
   in
-  let run () mmap path cluster_mode =
-    let g = read_graph ~mmap path in
+  let run () g cluster_mode =
     let cluster =
       match cluster_mode with
       | `None -> None
@@ -613,8 +630,9 @@ let dot_cmd =
   Cmd.v
     (Cmd.info "dot"
        ~doc:
-         "Render the graph as Graphviz DOT, optionally clustered by           hypernode.")
-    Term.(const run $ obs_term $ mmap_arg $ graph_arg $ cluster_mode)
+         "Render the graph as Graphviz DOT, optionally clustered by \
+          hypernode.")
+    Term.(const run $ obs_term $ graph_term $ cluster_mode)
 
 (* ------------------------------------------------------------------ *)
 (* convert: re-encode a graph file between the storage formats *)
@@ -638,33 +656,21 @@ let convert_cmd =
       & opt
           (Arg.enum
              [
-               ("text", `Text);
-               ("flat", `Flat);
-               ("mmap", `Mapped);
-               ("varint", `Varint);
+               ("text", None);
+               ("flat", Some Digraph.Flat);
+               ("mmap", Some Digraph.Mapped);
+               ("varint", Some Digraph.Varint);
              ])
-          `Flat
+          (Some Digraph.Flat)
       & info [ "format"; "f" ] ~docv:"FORMAT"
           ~doc:
             "Output format: $(b,text), or the binary snapshot kinds \
              $(b,flat) ('G'), $(b,mmap) ('M', zero-copy loadable with \
              $(b,--mmap)) or $(b,varint) ('V', the compact encoding).")
   in
-  let run () mmap input output format =
-    let g, labels =
-      try Graph_io.load ~mmap input with
-      | Graph_io.Parse_error (line, msg) ->
-          Printf.eprintf "%s:%d: %s\n" input line msg;
-          exit 1
-      | Sys_error e ->
-          Printf.eprintf "%s\n" e;
-          exit 1
-    in
-    (match format with
-    | `Text -> Graph_io.save ~labels output g
-    | `Flat -> Graph_io.save_binary ~labels ~format:Digraph.Flat output g
-    | `Mapped -> Graph_io.save_binary ~labels ~format:Digraph.Mapped output g
-    | `Varint -> Graph_io.save_binary ~labels ~format:Digraph.Varint output g);
+  let run () mmap input output enc =
+    let g, labels = load_graph ~mmap input in
+    save output (write_graph ~labels enc g);
     let bytes = In_channel.with_open_bin output In_channel.length in
     let bytes = Int64.to_int bytes in
     Printf.printf "wrote %s: |V| = %d, |E| = %d, %d bytes (%.1f bytes/edge)\n"
@@ -689,13 +695,14 @@ let workload_cmd =
       & opt (some file) None
       & info [ "queries"; "q" ] ~docv:"FILE"
           ~doc:
-            "Workload file: one query per line — $(b,r <u> <v>) for              reachability, $(b,p <pattern-file>) for a pattern query,              $(b,x <regex>) for a regular path query.")
+            "Workload file: one query per line — $(b,r <u> <v>) for \
+             reachability, $(b,p <pattern-file>) for a pattern query, \
+             $(b,x <regex>) for a regular path query.")
   in
-  let run () domains mmap path workload_file planner index_file =
-    setup_domains domains;
-    let g = read_graph ~mmap path in
+  let run () () g mmap workload_file planner index_file =
     let lines =
-      In_channel.with_open_text workload_file In_channel.input_lines
+      or_exit workload_file (fun () ->
+          In_channel.with_open_text workload_file In_channel.input_lines)
       |> List.mapi (fun i l -> (i + 1, String.trim l))
       |> List.filter (fun (_, l) -> l <> "" && l.[0] <> '#')
     in
@@ -706,15 +713,11 @@ let workload_cmd =
        BFS by default, a loaded index or the planner when requested. *)
     let reach_eval =
       lazy
-        (match (index_file, planner) with
-        | Some f, false ->
-            let idx = load_index ~mmap f in
+        (match (Option.map (load_index ~mmap g) index_file, planner) with
+        | Some idx, false ->
             fun ~source ~target -> Reach_index.query idx ~source ~target
-        | Some f, true ->
-            let pl = Planner.create ~index:(load_index ~mmap f) g in
-            fun ~source ~target -> Planner.eval pl ~source ~target
-        | None, true ->
-            let pl = Planner.create g in
+        | index, true ->
+            let pl = Planner.create ?index g in
             fun ~source ~target -> Planner.eval pl ~source ~target
         | None, false ->
             fun ~source ~target ->
@@ -725,6 +728,7 @@ let workload_cmd =
     let count = ref 0 and mismatches = ref 0 in
     List.iter
       (fun (lineno, line) ->
+        let at = Printf.sprintf "%s:%d: " workload_file lineno in
         let parts =
           String.split_on_char ' ' line |> List.filter (fun p -> p <> "")
         in
@@ -734,13 +738,18 @@ let workload_cmd =
           gr_time := !gr_time +. dgr;
           if not equal then begin
             incr mismatches;
-            Printf.eprintf "%s:%d: MISMATCH
-" workload_file lineno
+            Printf.eprintf "%sMISMATCH\n" at
           end
         in
         match parts with
         | [ "r"; u; v ] ->
-            let u = int_of_string u and v = int_of_string v in
+            let node s =
+              match int_of_string_opt s with
+              | Some id -> id
+              | None -> die "%snot a node id: %S" at s
+            in
+            let u = node u and v = node v in
+            check_nodes ~at (Digraph.n g) [ u; v ];
             let a, dg =
               time (fun () -> Reach_query.eval Reach_query.Bfs g ~source:u ~target:v)
             in
@@ -749,25 +758,21 @@ let workload_cmd =
             in
             record (a = b) dg dgr
         | [ "p"; file ] ->
-            let p = Pattern_io.load file in
+            let p = or_exit ~at file (fun () -> Pattern_io.load file) in
             let a, dg = time (fun () -> Bounded_sim.eval p g) in
             let b, dgr =
               time (fun () -> Compress_bisim.answer p (Lazy.force pc))
             in
             record (Pattern.result_equal a b) dg dgr
         | [ "x"; regex ] ->
-            let r = Rpq.parse regex in
+            let r = parse_regex ~at regex in
             let a, dg = time (fun () -> Bitset.to_list (Rpq.matches r g)) in
             let b, dgr =
               time (fun () ->
                   Array.to_list (Compress_bisim.answer_rpq r (Lazy.force pc)))
             in
             record (a = b) dg dgr
-        | _ ->
-            Printf.eprintf "%s:%d: unrecognised query %S
-" workload_file
-              lineno line;
-            exit 1)
+        | _ -> die "%sunrecognised query %S" at line)
       lines;
     Printf.printf
       "%d queries: %.3fs on G, %.3fs via compression (%.3fs total with the \
@@ -781,14 +786,14 @@ let workload_cmd =
     (Cmd.info "workload"
        ~doc:"Run a query workload over a graph and its compression, verifying agreement.")
     Term.(
-      const run $ obs_term $ domains_arg $ mmap_arg $ graph_arg $ workload_file
-      $ planner_arg $ index_file_arg)
+      const run $ obs_term $ domains_term $ graph_term $ mmap_arg
+      $ workload_file $ planner_arg $ index_file_arg)
 
 (* ------------------------------------------------------------------ *)
 (* datasets *)
 
 let datasets_cmd =
-  let run () () =
+  let run () =
     Printf.printf "%-12s %10s %10s %6s   %s\n" "name" "|V|" "|E|" "|L|"
       "models";
     List.iter
@@ -800,10 +805,10 @@ let datasets_cmd =
   in
   Cmd.v
     (Cmd.info "datasets" ~doc:"List the built-in dataset stand-ins.")
-    Term.(const run $ obs_term $ const ())
+    Term.(const run $ obs_term)
 
 (* ------------------------------------------------------------------ *)
-(* serve / loadgen *)
+(* serve / loadgen / top *)
 
 let socket_arg =
   Arg.(
@@ -822,6 +827,45 @@ let host_arg =
   Arg.(
     value & opt string "127.0.0.1"
     & info [ "host" ] ~docv:"HOST" ~doc:"TCP host (default 127.0.0.1).")
+
+(* The daemon endpoint of [loadgen] and [top]: --socket, or --port and
+   --host, plus --wait-ready.  Its connect retries a refused connection
+   until the --wait-ready deadline. *)
+let connect_term ~cmd =
+  let wait_ready =
+    Arg.(
+      value & opt float 5.0
+      & info [ "wait-ready" ] ~docv:"SECONDS"
+          ~doc:
+            "Retry refused connections for up to $(docv) seconds before \
+             giving up (default 5).")
+  in
+  let endpoint socket port host wait_ready =
+    let where, connect_once =
+      match (socket, port) with
+      | Some p, _ -> (p, fun () -> Server_client.connect_unix p)
+      | None, Some p ->
+          ( Printf.sprintf "%s:%d" host p,
+            fun () -> Server_client.connect_tcp ~host ~port:p )
+      | None, None -> die "%s: pass --socket PATH or --port N" cmd
+    in
+    let connect () =
+      let started = Obs.Clock.now_ns () in
+      let rec go () =
+        match connect_once () with
+        | c -> c
+        | exception
+            Unix.Unix_error
+              ((Unix.ECONNREFUSED | Unix.ENOENT | Unix.EAGAIN), _, _)
+          when Obs.Clock.elapsed_s started < wait_ready ->
+            Unix.sleepf 0.05;
+            go ()
+      in
+      go ()
+    in
+    { cmd; where; connect }
+  in
+  Term.(const endpoint $ socket_arg $ port_arg $ host_arg $ wait_ready)
 
 let serve_cmd =
   let no_mmap =
@@ -925,44 +969,23 @@ let serve_cmd =
             "Chrome-trace file SIGUSR1 dumps the flight recorder to \
              (default: qpgc-flight-<pid>.json in the temp directory).")
   in
-  let run () domains no_mmap path index_file socket port host http_port
+  let run () () no_mmap path index_file socket port host http_port
       http_socket batch_max queue_max max_frame ready_file log_level log_json
       slow_us sample_every flight_cap flight_dump =
-    setup_domains domains;
     (match Obs.Log.level_of_string log_level with
     | Ok l -> Obs.Log.set_level l
-    | Error e ->
-        Printf.eprintf "serve: %s\n" e;
-        exit 1);
+    | Error e -> die "serve: %s" e);
     if log_json then Obs.Log.set_format Obs.Log.Json;
-    let listeners =
+    let listen socket port =
       (match socket with Some p -> [ Server.Unix_socket p ] | None -> [])
-      @
-      match port with
-      | Some p -> [ Server.Tcp { host; port = p } ]
-      | None -> []
+      @ match port with Some p -> [ Server.Tcp { host; port = p } ] | None -> []
     in
-    if listeners = [] then begin
-      Printf.eprintf "serve: pass --socket PATH and/or --port N\n";
-      exit 1
-    end;
-    let http_listeners =
-      (match http_socket with Some p -> [ Server.Unix_socket p ] | None -> [])
-      @
-      match http_port with
-      | Some p -> [ Server.Tcp { host; port = p } ]
-      | None -> []
-    in
+    let listeners = listen socket port in
+    if listeners = [] then die "serve: pass --socket PATH and/or --port N";
+    let http_listeners = listen http_socket http_port in
     let engine =
-      try Server.load_engine ~mmap:(not no_mmap) ?index_file path with
-      | Graph_io.Parse_error (line, msg)
-      | Compressed_io.Parse_error (line, msg)
-      | Reach_index_io.Parse_error (line, msg) ->
-          Printf.eprintf "%s:%d: %s\n" path line msg;
-          exit 1
-      | Sys_error e ->
-          Printf.eprintf "%s\n" e;
-          exit 1
+      or_exit path (fun () ->
+          Server.load_engine ~mmap:(not no_mmap) ?index_file path)
     in
     Obs.Log.info "serving"
       ~fields:
@@ -990,7 +1013,7 @@ let serve_cmd =
           over the binary protocol (unix socket and/or TCP), with an \
           optional HTTP scrape plane for metrics and health.")
     Term.(
-      const run $ obs_term $ domains_arg $ no_mmap $ graph_arg
+      const run $ obs_term $ domains_term $ no_mmap $ graph_arg
       $ index_file_arg $ socket_arg $ port_arg $ host_arg $ http_port
       $ http_socket $ batch_max $ queue_max $ max_frame $ ready_file
       $ log_level $ log_json $ slow_us $ sample_every $ flight_cap
@@ -1035,14 +1058,6 @@ let loadgen_cmd =
       & info [ "json" ] ~docv:"FILE"
           ~doc:"Write the run summary (qps, p50/p99) to $(docv) as JSON.")
   in
-  let wait_ready =
-    Arg.(
-      value & opt float 5.0
-      & info [ "wait-ready" ] ~docv:"SECONDS"
-          ~doc:
-            "Retry refused connections for up to $(docv) seconds before \
-             giving up (default 5).")
-  in
   let shutdown =
     Arg.(
       value & flag
@@ -1055,35 +1070,14 @@ let loadgen_cmd =
       & info [ "stats" ]
           ~doc:"Print the daemon's stats verb output after the run.")
   in
-  let run () domains mmap path socket port host queries concurrency batch
-      seed verify json wait_ready shutdown stats =
-    setup_domains domains;
-    let connect_once =
-      match (socket, port) with
-      | Some p, _ -> fun () -> Server_client.connect_unix p
-      | None, Some p -> fun () -> Server_client.connect_tcp ~host ~port:p
-      | None, None ->
-          Printf.eprintf "loadgen: pass --socket PATH or --port N\n";
-          exit 1
-    in
-    let connect () =
-      let deadline = Obs.Clock.now_ns () in
-      let rec go () =
-        match connect_once () with
-        | c -> c
-        | exception
-            Unix.Unix_error
-              ((Unix.ECONNREFUSED | Unix.ENOENT | Unix.EAGAIN), _, _)
-          when Obs.Clock.elapsed_s deadline < wait_ready ->
-            Unix.sleepf 0.05;
-            go ()
-      in
-      go ()
-    in
-    let g = read_graph ~mmap path in
+  let run () () daemon g queries concurrency batch seed verify json shutdown
+      stats =
     let rng = Random.State.make [| seed |] in
     let pairs = Reach_query.random_pairs rng g ~count:queries in
-    let res = Server_loadgen.run ~connect ~concurrency ~batch ~pairs in
+    let res =
+      with_daemon daemon (fun connect ->
+          Server_loadgen.run ~connect ~concurrency ~batch ~pairs)
+    in
     Printf.printf "loadgen: %d queries in %d batches over %d connection(s)\n"
       res.Server_loadgen.queries res.Server_loadgen.batches concurrency;
     Printf.printf "qps: %.0f (%.3fs elapsed)\n" res.Server_loadgen.qps
@@ -1101,12 +1095,10 @@ let loadgen_cmd =
         oracle;
       if !diverged >= 0 then begin
         let s, t = pairs.(!diverged) in
-        Printf.eprintf
-          "loadgen: query %d diverged: served QR(%d, %d) = %b, oracle says %b\n"
+        die "loadgen: query %d diverged: served QR(%d, %d) = %b, oracle says %b"
           !diverged s t
           res.Server_loadgen.answers.(!diverged)
-          oracle.(!diverged);
-        exit 1
+          oracle.(!diverged)
       end;
       Printf.printf "verified: %d answers match the BFS oracle\n"
         (Array.length oracle)
@@ -1114,6 +1106,7 @@ let loadgen_cmd =
     (match json with
     | None -> ()
     | Some file ->
+        save file @@ fun file ->
         Out_channel.with_open_bin file (fun oc ->
             Printf.fprintf oc
               "{\"queries\": %d, \"concurrency\": %d, \"batch\": %d, \
@@ -1125,24 +1118,9 @@ let loadgen_cmd =
               (Server_loadgen.percentile res.Server_loadgen.latencies_us 50.0)
               (Server_loadgen.percentile res.Server_loadgen.latencies_us 99.0)
               verify));
-    if stats then begin
-      let c = connect () in
-      let text =
-        Fun.protect
-          ~finally:(fun () -> Server_client.close c)
-          (fun () -> Server_client.stats c)
-      in
-      print_string text
-    end;
-    if shutdown then begin
-      let c = connect () in
-      let ack =
-        Fun.protect
-          ~finally:(fun () -> Server_client.close c)
-          (fun () -> Server_client.shutdown c)
-      in
-      Printf.printf "shutdown: %s\n" ack
-    end
+    if stats then print_string (ask daemon Server_client.stats);
+    if shutdown then
+      Printf.printf "shutdown: %s\n" (ask daemon Server_client.shutdown)
   in
   Cmd.v
     (Cmd.info "loadgen"
@@ -1150,9 +1128,10 @@ let loadgen_cmd =
          "Drive a running $(b,qpgc serve) daemon with concurrent batched \
           reachability queries and report qps and latency percentiles.")
     Term.(
-      const run $ obs_term $ domains_arg $ mmap_arg $ graph_arg $ socket_arg
-      $ port_arg $ host_arg $ queries $ concurrency $ batch $ seed $ verify
-      $ json $ wait_ready $ shutdown $ stats)
+      const run $ obs_term $ domains_term
+      $ connect_term ~cmd:"loadgen"
+      $ graph_term $ queries $ concurrency $ batch $ seed $ verify $ json
+      $ shutdown $ stats)
 
 let top_cmd =
   let interval =
@@ -1168,14 +1147,6 @@ let top_cmd =
           ~doc:
             "Print a single snapshot and exit instead of refreshing the \
              screen — for scripts and CI.")
-  in
-  let wait_ready =
-    Arg.(
-      value & opt float 5.0
-      & info [ "wait-ready" ] ~docv:"SECONDS"
-          ~doc:
-            "Retry refused connections for up to $(docv) seconds before \
-             giving up (default 5).")
   in
   (* The stats verb is line-oriented "key: value" text; keep the daemon
      authoritative about what it reports and just re-arrange it here. *)
@@ -1210,42 +1181,10 @@ let top_cmd =
     line "gc: %s" (get "gc");
     Buffer.contents b
   in
-  let run () socket port host interval once wait_ready =
-    let connect_once =
-      match (socket, port) with
-      | Some p, _ -> fun () -> Server_client.connect_unix p
-      | None, Some p -> fun () -> Server_client.connect_tcp ~host ~port:p
-      | None, None ->
-          Printf.eprintf "top: pass --socket PATH or --port N\n";
-          exit 1
-    in
-    let connect () =
-      let started = Obs.Clock.now_ns () in
-      let rec go () =
-        match connect_once () with
-        | c -> c
-        | exception
-            Unix.Unix_error
-              ((Unix.ECONNREFUSED | Unix.ENOENT | Unix.EAGAIN), _, _)
-          when Obs.Clock.elapsed_s started < wait_ready ->
-            Unix.sleepf 0.05;
-            go ()
-      in
-      go ()
-    in
-    let c = connect () in
-    Fun.protect
-      ~finally:(fun () -> Server_client.close c)
-      (fun () ->
+  let run () daemon interval once =
+    ask daemon (fun c ->
         let rec loop () =
-          let text =
-            match Server_client.stats c with
-            | s -> s
-            | exception Failure e ->
-                Printf.eprintf "top: %s\n" e;
-                exit 1
-          in
-          let view = render (parse_stats text) in
+          let view = render (parse_stats (Server_client.stats c)) in
           if once then print_string view
           else begin
             (* Home + clear-to-end keeps the refresh flicker-free. *)
@@ -1265,8 +1204,7 @@ let top_cmd =
           view of qps, latency percentiles, queue depth, connections and \
           GC stats.")
     Term.(
-      const run $ obs_term $ socket_arg $ port_arg $ host_arg $ interval
-      $ once $ wait_ready)
+      const run $ obs_term $ connect_term ~cmd:"top" $ interval $ once)
 
 let () =
   let doc = "query preserving graph compression (Fan et al., SIGMOD 2012)" in

@@ -158,8 +158,6 @@ let make ?(seed = 1789) g ~fragments ~strategy =
     cross_edges = !cross;
   }
 
-let fragment_of t v = t.fragments.(t.owner.(v))
-
 let edge_cut t = List.length t.cross_edges
 
 let validate t ~original =

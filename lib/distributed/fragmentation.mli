@@ -36,9 +36,6 @@ type t = {
     @raise Invalid_argument if [fragments < 1]. *)
 val make : ?seed:int -> Digraph.t -> fragments:int -> strategy:strategy -> t
 
-(** [fragment_of t v] is the fragment owning global node [v]. *)
-val fragment_of : t -> int -> fragment
-
 (** [validate t ~original] checks the fragmentation partitions the nodes
     and accounts for every edge exactly once.  @raise Failure if broken. *)
 val validate : t -> original:Digraph.t -> unit

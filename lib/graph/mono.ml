@@ -11,11 +11,6 @@ let imin (a : int) (b : int) = if a <= b then a else b
 let imax (a : int) (b : int) = if a >= b then a else b
 let icompare (a : int) (b : int) = if a < b then -1 else if a > b then 1 else 0
 
-(* Same semantics as [Stdlib.min]/[max] at type [float] (first argument on
-   ties; asymmetric on nan), unlike [Float.min]/[Float.max]. *)
-let fmin (a : float) (b : float) = if a <= b then a else b
-let fmax (a : float) (b : float) = if a >= b then a else b
-
 (* FNV-1a over the bytes of a string: monomorphic, allocation-free and --
    unlike [Hashtbl.hash] -- stable across OCaml versions, so anything
    seeded from it (dataset RNGs, bucket layouts) is reproducible. *)

@@ -13,13 +13,6 @@ val imax : int -> int -> int
     primitive. *)
 val icompare : int -> int -> int
 
-(** [fmin]/[fmax] keep [Stdlib.min]/[max] semantics at type [float]
-    (first argument on ties, asymmetric on nan) -- they are NOT
-    [Float.min]/[Float.max], whose nan handling differs. *)
-val fmin : float -> float -> float
-
-val fmax : float -> float -> float
-
 (** FNV-1a over a string's bytes: stable across OCaml versions (unlike
     [Hashtbl.hash]), so seeds and layouts derived from it are
     reproducible.  Result is non-negative. *)

@@ -324,12 +324,6 @@ let quantile v q =
         go 0 0
       end
 
-let per_domain () =
-  all_slots ()
-  |> List.map (fun s ->
-         (s.dom, Array.to_list (defs ()) |> List.map (fun d -> (d.name, value_in_slot d s))))
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-
 (* Quiescent use only (tests, bench re-runs): zeroing another domain's
    arrays while it records would race. *)
 let clear () =

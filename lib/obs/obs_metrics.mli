@@ -66,10 +66,6 @@ val find : string -> value option
     array. *)
 val quantile : value -> float -> float option
 
-(** [per_domain ()] returns each domain's unmerged slot, sorted by domain
-    id — mainly for tests and pool diagnostics. *)
-val per_domain : unit -> (int * (string * value) list) list
-
 (** [clear ()] zeroes every slot.  Only safe when no other domain is
     recording (tests, between bench runs). *)
 val clear : unit -> unit

@@ -96,7 +96,6 @@ let universe_size p = p.n
 let block_count p = p.count
 let block_of p v = p.node_blk.(v)
 let block_size p b = p.size.(b)
-let block_first p b = p.first.(b)
 let element_at p i = p.elems.(i)
 
 let[@lint.hot_loop] iter_block p b f =

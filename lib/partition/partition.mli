@@ -11,8 +11,8 @@
     All per-block storage is preallocated at creation (a universe of [n]
     nodes never holds more than [n] blocks), so {!mark} and {!split_marked}
     allocate nothing.  The permutation layout is exposed read-only through
-    {!element_at} / {!block_first} so clients (e.g. {!Paige_tarjan}) can
-    maintain contiguous super-block ranges over it. *)
+    {!element_at} so clients (e.g. {!Paige_tarjan}) can maintain contiguous
+    super-block ranges over it. *)
 
 type t
 
@@ -36,11 +36,6 @@ val block_of : t -> int -> int
 
 (** [block_size p b] is the number of members of block [b]. *)
 val block_size : t -> int -> int
-
-(** [block_first p b] is the index in the element permutation where block
-    [b]'s members start: they occupy positions
-    [block_first p b .. block_first p b + block_size p b - 1]. *)
-val block_first : t -> int -> int
 
 (** [element_at p i] is the node at position [i] of the element permutation,
     [0 <= i < universe_size p].  Unchecked: out-of-range indices are a

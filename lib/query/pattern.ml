@@ -72,17 +72,3 @@ let result_equal a b =
 let result_size = function
   | None -> 0
   | Some arrays -> Array.fold_left (fun acc a -> acc + Array.length a) 0 arrays
-
-let pp_result ppf = function
-  | None -> Format.fprintf ppf "no match"
-  | Some arrays ->
-      Format.fprintf ppf "@[<v>";
-      Array.iteri
-        (fun u matches ->
-          Format.fprintf ppf "%d -> {%a}@," u
-            (Format.pp_print_list
-               ~pp_sep:(fun ppf () -> Format.fprintf ppf ",")
-               Format.pp_print_int)
-            (Array.to_list matches))
-        arrays;
-      Format.fprintf ppf "@]"

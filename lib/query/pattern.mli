@@ -61,5 +61,3 @@ val result_equal : result -> result -> bool
 (** [result_size r] is the number of (pattern node, data node) pairs, the
     paper's [|Qp(G)|]. *)
 val result_size : result -> int
-
-val pp_result : Format.formatter -> result -> unit

@@ -7,12 +7,6 @@ let algorithm_name = function
   | Two_hop -> "two-hop"
   | Grail -> "grail"
 
-let algorithm_of_name = function
-  | "tree-cover" -> Some Tree_cover
-  | "two-hop" -> Some Two_hop
-  | "grail" -> Some Grail
-  | _ -> None
-
 type backend =
   | Tree of Tree_cover.t
   | Hop of Two_hop.t

@@ -25,8 +25,6 @@ val all_algorithms : algorithm list
     [two-hop], [grail]). *)
 val algorithm_name : algorithm -> string
 
-val algorithm_of_name : string -> algorithm option
-
 type t
 
 (** [build ?pool ?algorithm ?node_map g] indexes [g] (default

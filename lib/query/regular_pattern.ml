@@ -58,117 +58,17 @@ let of_pattern p =
    intermediate labels spell a word in L(r).  One product BFS per source,
    memoised per (regex, source). *)
 
-(* Thompson construction in miniature (Rpq keeps its NFA private; these
-   few lines are simpler than widening that interface). *)
-type sym = Exact of int | Wild
-
-type nfa = {
-  states : int;
-  eps : int list array;
-  trans : (sym * int) list array;
-  start : int;
-  accept : int;
-}
-
-let build_nfa r =
-  let count = ref 0 in
-  let eps_edges = ref [] and sym_edges = ref [] in
-  let fresh () =
-    let s = !count in
-    incr count;
-    s
-  in
-  let add_eps a b = eps_edges := (a, b) :: !eps_edges in
-  let add_sym a s b = sym_edges := (a, s, b) :: !sym_edges in
-  let rec go r =
-    match r with
-    | Rpq.Label l ->
-        let a = fresh () and b = fresh () in
-        add_sym a (Exact l) b;
-        (a, b)
-    | Rpq.Any ->
-        let a = fresh () and b = fresh () in
-        add_sym a Wild b;
-        (a, b)
-    | Rpq.Seq (x, y) ->
-        let ax, bx = go x in
-        let ay, by = go y in
-        add_eps bx ay;
-        (ax, by)
-    | Rpq.Alt (x, y) ->
-        let a = fresh () and b = fresh () in
-        let ax, bx = go x in
-        let ay, by = go y in
-        add_eps a ax;
-        add_eps a ay;
-        add_eps bx b;
-        add_eps by b;
-        (a, b)
-    | Rpq.Star x ->
-        let a = fresh () and b = fresh () in
-        let ax, bx = go x in
-        add_eps a ax;
-        add_eps a b;
-        add_eps bx ax;
-        add_eps bx b;
-        (a, b)
-    | Rpq.Plus x ->
-        let ax, bx = go x in
-        let ay, by = go (Rpq.Star x) in
-        add_eps bx ay;
-        (ax, by)
-    | Rpq.Opt x ->
-        let a = fresh () and b = fresh () in
-        let ax, bx = go x in
-        add_eps a ax;
-        add_eps a b;
-        add_eps bx b;
-        (a, b)
-  in
-  let start, accept = go r in
-  let n = !count in
-  let eps = Array.make n [] in
-  List.iter (fun (a, b) -> eps.(a) <- b :: eps.(a)) !eps_edges;
-  let trans = Array.make n [] in
-  List.iter (fun (a, s, b) -> trans.(a) <- (s, b) :: trans.(a)) !sym_edges;
-  { states = n; eps; trans; start; accept }
-
-let closure nfa set =
-  let stack = ref (Bitset.to_list set) in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | q :: rest ->
-        stack := rest;
-        List.iter
-          (fun q' ->
-            if not (Bitset.mem set q') then begin
-              Bitset.add set q';
-              stack := q' :: !stack
-            end)
-          nfa.eps.(q)
-  done;
-  set
-
-let step_state nfa q l =
-  let out = Bitset.create nfa.states in
-  List.iter
-    (fun (s, q') ->
-      match s with
-      | Wild -> Bitset.add out q'
-      | Exact x -> if x = l then Bitset.add out q')
-    nfa.trans.(q);
-  closure nfa out
+module Nfa = Rpq.Nfa
 
 (* r-reach of one source: product BFS over (node-as-intermediate, state);
    a node y is reached when some config (x, accepting) has an edge to y, or
    directly when ε ∈ L(r). *)
 let r_reach nfa g v =
   let n = Digraph.n g in
-  let q = nfa.states in
+  let q = Nfa.states nfa in
   let out = Bitset.create (Mono.imax 1 n) in
-  let init = closure nfa (Bitset.of_list q [ nfa.start ]) in
-  let eps_accepts = Bitset.mem init nfa.accept in
+  let init = Nfa.closure nfa (Bitset.of_list q [ Nfa.start nfa ]) in
+  let eps_accepts = Bitset.mem init (Nfa.accept nfa) in
   if eps_accepts then Digraph.iter_succ g v (Bitset.add out);
   let seen = Bitset.create (Mono.imax 1 (n * q)) in
   let worklist = Queue.create () in
@@ -179,19 +79,19 @@ let r_reach nfa g v =
       Queue.add (x, s) worklist;
       (* x is an intermediate in state s; if s accepts, x's successors are
          endpoints *)
-      if s = nfa.accept then Digraph.iter_succ g x (Bitset.add out)
+      if s = Nfa.accept nfa then Digraph.iter_succ g x (Bitset.add out)
     end
   in
   (* successors of v become first intermediates *)
   Digraph.iter_succ g v (fun x ->
-      Bitset.iter
-        (fun s0 ->
-          Bitset.iter (fun s -> push x s) (step_state nfa s0 (Digraph.label g x)))
-        init);
+      Bitset.iter (fun s -> push x s)
+        (Nfa.step nfa init (Digraph.label g x)));
   while not (Queue.is_empty worklist) do
     let x, s = Queue.pop worklist in
+    let from = Bitset.of_list q [ s ] in
     Digraph.iter_succ g x (fun y ->
-        Bitset.iter (fun s' -> push y s') (step_state nfa s (Digraph.label g y)))
+        Bitset.iter (fun s' -> push y s')
+          (Nfa.step nfa from (Digraph.label g y)))
   done;
   out
 
@@ -209,7 +109,7 @@ let eval p g =
        by the regex AST itself and holds a handful of entries per eval;
        the per-node inner caches are the hot tables and are keyed
        monomorphically.  lint: allow CMP01 *)
-    let compiled : (Rpq.t, nfa * Bitset.t Mono.Itbl.t) Hashtbl.t =
+    let compiled : (Rpq.t, Nfa.t * Bitset.t Mono.Itbl.t) Hashtbl.t =
       (Hashtbl.create 8 [@lint.allow "CMP01"])
     in
     let reach r v =
@@ -217,7 +117,7 @@ let eval p g =
         match Hashtbl.find_opt compiled r with
         | Some x -> x
         | None ->
-            let x = (build_nfa r, Mono.Itbl.create 64) in
+            let x = (Nfa.compile r, Mono.Itbl.create 64) in
             Hashtbl.replace compiled r x;
             x
       in

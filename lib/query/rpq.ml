@@ -11,133 +11,139 @@ type t =
 (* Thompson construction.  States are integers; transitions consume one
    node label (exact or wildcard); epsilon edges are kept separate. *)
 
-type sym = Exact of int | Wild
+module Nfa = struct
+  type sym = Exact of int | Wild
 
-type nfa = {
-  states : int;
-  eps : int list array;
-  trans : (sym * int) list array; (* consuming transitions *)
-  start : int;
-  accept : int;
-}
+  type t = {
+    states : int;
+    eps : int list array;
+    trans : (sym * int) list array; (* consuming transitions *)
+    start : int;
+    accept : int;
+  }
 
-let compile r =
-  let count = ref 0 in
-  let eps_edges = ref [] and sym_edges = ref [] in
-  let fresh () =
-    let s = !count in
-    incr count;
-    s
-  in
-  let add_eps a b = eps_edges := (a, b) :: !eps_edges in
-  let add_sym a s b = sym_edges := (a, s, b) :: !sym_edges in
-  let rec go r =
-    match r with
-    | Label l ->
-        let a = fresh () and b = fresh () in
-        add_sym a (Exact l) b;
-        (a, b)
-    | Any ->
-        let a = fresh () and b = fresh () in
-        add_sym a Wild b;
-        (a, b)
-    | Seq (x, y) ->
-        let ax, bx = go x in
-        let ay, by = go y in
-        add_eps bx ay;
-        (ax, by)
-    | Alt (x, y) ->
-        let a = fresh () and b = fresh () in
-        let ax, bx = go x in
-        let ay, by = go y in
-        add_eps a ax;
-        add_eps a ay;
-        add_eps bx b;
-        add_eps by b;
-        (a, b)
-    | Star x ->
-        let a = fresh () and b = fresh () in
-        let ax, bx = go x in
-        add_eps a ax;
-        add_eps a b;
-        add_eps bx ax;
-        add_eps bx b;
-        (a, b)
-    | Plus x ->
-        (* x · x* *)
-        let ax, bx = go x in
-        let ay, by = go (Star x) in
-        add_eps bx ay;
-        (ax, by)
-    | Opt x ->
-        let a = fresh () and b = fresh () in
-        let ax, bx = go x in
-        add_eps a ax;
-        add_eps a b;
-        add_eps bx b;
-        (a, b)
-  in
-  let start, accept = go r in
-  let n = !count in
-  let eps = Array.make n [] in
-  List.iter (fun (a, b) -> eps.(a) <- b :: eps.(a)) !eps_edges;
-  let trans = Array.make n [] in
-  List.iter (fun (a, s, b) -> trans.(a) <- (s, b) :: trans.(a)) !sym_edges;
-  { states = n; eps; trans; start; accept }
+  let states t = t.states
+  let start t = t.start
+  let accept t = t.accept
 
-(* epsilon closure of a state set, in place *)
-let closure nfa set =
-  let stack = ref (Bitset.to_list set) in
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | q :: rest ->
-        stack := rest;
+  let compile r =
+    let count = ref 0 in
+    let eps_edges = ref [] and sym_edges = ref [] in
+    let fresh () =
+      let s = !count in
+      incr count;
+      s
+    in
+    let add_eps a b = eps_edges := (a, b) :: !eps_edges in
+    let add_sym a s b = sym_edges := (a, s, b) :: !sym_edges in
+    let rec go r =
+      match r with
+      | Label l ->
+          let a = fresh () and b = fresh () in
+          add_sym a (Exact l) b;
+          (a, b)
+      | Any ->
+          let a = fresh () and b = fresh () in
+          add_sym a Wild b;
+          (a, b)
+      | Seq (x, y) ->
+          let ax, bx = go x in
+          let ay, by = go y in
+          add_eps bx ay;
+          (ax, by)
+      | Alt (x, y) ->
+          let a = fresh () and b = fresh () in
+          let ax, bx = go x in
+          let ay, by = go y in
+          add_eps a ax;
+          add_eps a ay;
+          add_eps bx b;
+          add_eps by b;
+          (a, b)
+      | Star x ->
+          let a = fresh () and b = fresh () in
+          let ax, bx = go x in
+          add_eps a ax;
+          add_eps a b;
+          add_eps bx ax;
+          add_eps bx b;
+          (a, b)
+      | Plus x ->
+          (* x · x* *)
+          let ax, bx = go x in
+          let ay, by = go (Star x) in
+          add_eps bx ay;
+          (ax, by)
+      | Opt x ->
+          let a = fresh () and b = fresh () in
+          let ax, bx = go x in
+          add_eps a ax;
+          add_eps a b;
+          add_eps bx b;
+          (a, b)
+    in
+    let start, accept = go r in
+    let n = !count in
+    let eps = Array.make n [] in
+    List.iter (fun (a, b) -> eps.(a) <- b :: eps.(a)) !eps_edges;
+    let trans = Array.make n [] in
+    List.iter (fun (a, s, b) -> trans.(a) <- (s, b) :: trans.(a)) !sym_edges;
+    { states = n; eps; trans; start; accept }
+
+  (* epsilon closure of a state set, in place *)
+  let closure nfa set =
+    let stack = ref (Bitset.to_list set) in
+    while !stack <> [] do
+      match !stack with
+      | [] -> ()
+      | q :: rest ->
+          stack := rest;
+          List.iter
+            (fun q' ->
+              if not (Bitset.mem set q') then begin
+                Bitset.add set q';
+                stack := q' :: !stack
+              end)
+            nfa.eps.(q)
+    done;
+    set
+
+  (* states reachable from the (closed) set by consuming one node with label
+     [l], epsilon-closed *)
+  let step nfa set l =
+    let out = Bitset.create nfa.states in
+    Bitset.iter
+      (fun q ->
         List.iter
-          (fun q' ->
-            if not (Bitset.mem set q') then begin
-              Bitset.add set q';
-              stack := q' :: !stack
-            end)
-          nfa.eps.(q)
-  done;
-  set
-
-(* states reachable from the (closed) set by consuming one node with label
-   [l], epsilon-closed *)
-let step nfa set l =
-  let out = Bitset.create nfa.states in
-  Bitset.iter
-    (fun q ->
-      List.iter
-        (fun (s, q') ->
-          match s with
-          | Wild -> Bitset.add out q'
-          | Exact x -> if x = l then Bitset.add out q')
-        nfa.trans.(q))
-    set;
-  closure nfa out
+          (fun (s, q') ->
+            match s with
+            | Wild -> Bitset.add out q'
+            | Exact x -> if x = l then Bitset.add out q')
+          nfa.trans.(q))
+      set;
+    closure nfa out
+end
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation *)
 
 (* NFA state set after reading just the label of [u] from the start. *)
 let entry_sets nfa g =
-  let init = closure nfa (Bitset.of_list nfa.states [ nfa.start ]) in
+  let init = Nfa.closure nfa (Bitset.of_list nfa.Nfa.states [ nfa.start ]) in
   let by_label = Mono.Itbl.create 16 in
   fun u ->
     let l = Digraph.label g u in
     match Mono.Itbl.find_opt by_label l with
     | Some s -> s
     | None ->
-        let s = step nfa init l in
+        let s = Nfa.step nfa init l in
         Mono.Itbl.replace by_label l s;
         s
 
 let matches r g =
-  let nfa = compile r in
+  let nfa = Nfa.compile r in
   let n = Digraph.n g in
-  let q = nfa.states in
+  let q = nfa.Nfa.states in
   (* canreach.(v*q + s): configuration (v, s) — at node v, state s after
      consuming v's label — reaches acceptance.  Backward BFS. *)
   let canreach = Bitset.create (Mono.imax 1 (n * q)) in
@@ -166,7 +172,7 @@ let matches r g =
     List.iter
       (fun (sym, s) ->
         let fires =
-          match sym with Wild -> true | Exact l -> l = Digraph.label g v
+          match sym with Nfa.Wild -> true | Exact l -> l = Digraph.label g v
         in
         if fires then Digraph.iter_pred g v (fun u -> push u s))
       rev_sym.(s')
@@ -186,9 +192,9 @@ let matches r g =
 let satisfies r g u = Bitset.mem (matches r g) u
 
 let pairs r g ~source =
-  let nfa = compile r in
+  let nfa = Nfa.compile r in
   let n = Digraph.n g in
-  let q = nfa.states in
+  let q = nfa.Nfa.states in
   let seen = Bitset.create (Mono.imax 1 (n * q)) in
   let out = Bitset.create (Mono.imax 1 n) in
   let entry = entry_sets nfa g in
@@ -206,7 +212,7 @@ let pairs r g ~source =
     let v, s = Queue.pop worklist in
     Digraph.iter_succ g v (fun w ->
         let next =
-          step nfa (Bitset.of_list q [ s ]) (Digraph.label g w)
+          Nfa.step nfa (Bitset.of_list q [ s ]) (Digraph.label g w)
         in
         Bitset.iter (fun s' -> push w s') next)
   done;

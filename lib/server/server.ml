@@ -48,7 +48,6 @@ type engine = {
 
 let engine_info e = e.info
 let engine_route e = e.route
-let engine_describe e = e.describe
 let node_bound e = e.node_bound
 let eval e pairs = e.eval_batch pairs
 
@@ -478,21 +477,6 @@ let process_cycle st =
 (* ------------------------------------------------------------------ *)
 (* Sockets *)
 
-let resolve_host host =
-  match Unix.inet_addr_of_string host with
-  | addr -> addr
-  | exception Failure _ -> (
-      let hits =
-        Unix.getaddrinfo host ""
-          [ Unix.AI_FAMILY Unix.PF_INET; Unix.AI_SOCKTYPE Unix.SOCK_STREAM ]
-      in
-      let rec first = function
-        | [] -> failwith (Printf.sprintf "Server: cannot resolve host %s" host)
-        | { Unix.ai_addr = Unix.ADDR_INET (a, _); _ } :: _ -> a
-        | _ :: rest -> first rest
-      in
-      first hits)
-
 let open_listener st ~proto l =
   let note transport addr =
     Obs.Log.info "listening"
@@ -522,7 +506,7 @@ let open_listener st ~proto l =
   | Tcp { host; port } ->
       let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
       Unix.setsockopt fd Unix.SO_REUSEADDR true;
-      Unix.bind fd (Unix.ADDR_INET (resolve_host host, port));
+      Unix.bind fd (Unix.ADDR_INET (Server_client.resolve_host host, port));
       Unix.listen fd 64;
       Unix.set_nonblock fd;
       note "tcp" (Printf.sprintf "%s:%d" host port);

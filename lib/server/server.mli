@@ -66,12 +66,11 @@ val engine_of_index : ?pool:Pool.t -> Reach_index.t -> engine
 val load_engine :
   ?pool:Pool.t -> ?mmap:bool -> ?index_file:string -> string -> engine
 
-(** One-line snapshot description / committed route / planner summary,
-    as also shown by the stats verb. *)
+(** One-line snapshot description / committed route, as also shown by
+    the stats verb. *)
 val engine_info : engine -> string
 
 val engine_route : engine -> string
-val engine_describe : engine -> string
 
 (** Exclusive upper bound on valid node ids (queries beyond it get an
     error reply, not an answer). *)

@@ -26,8 +26,7 @@ let resolve_host host =
           [ Unix.AI_FAMILY Unix.PF_INET; Unix.AI_SOCKTYPE Unix.SOCK_STREAM ]
       in
       let rec first = function
-        | [] ->
-            failwith (Printf.sprintf "Server_client: cannot resolve host %s" host)
+        | [] -> failwith (Printf.sprintf "cannot resolve host %S" host)
         | { Unix.ai_addr = Unix.ADDR_INET (a, _); _ } :: _ -> a
         | _ :: rest -> first rest
       in

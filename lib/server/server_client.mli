@@ -11,6 +11,12 @@ type t
 
 val connect_unix : string -> t
 val connect_tcp : host:string -> port:int -> t
+
+(** [resolve_host host] is [host]'s IPv4 address: a dotted quad as is,
+    anything else through [getaddrinfo].  The daemon binds its TCP
+    listeners through it too.
+    @raise Failure when the name does not resolve. *)
+val resolve_host : string -> Unix.inet_addr
 val close : t -> unit
 
 (** [request t r] sends [r] and returns the server's reply.

@@ -18,9 +18,6 @@
              [List.nth] / [Option.get].
    - CMP01   polymorphic [Hashtbl.create] in hot modules, where a keyed
              [Hashtbl.Make] table hashes and compares monomorphically.
-   - CSR01   retired array-materializing adjacency accessors
-             ([Digraph.succ] / [Digraph.pred] / [Digraph.edges]): the CSR
-             core answers these with slices and folds, no allocation.
    - ALLOC01 hash-table creation ([Hashtbl.create] or any keyed [*tbl]
              table) inside [lib/partition], the flat-array refinement
              substrate whose hot loops are contractually allocation-free.
@@ -439,61 +436,6 @@ let partial01 =
   }
 
 (* ------------------------------------------------------------------ *)
-(* CSR01: retired array-materializing adjacency accessors *)
-
-let csr_retired =
-  [
-    ([ "Digraph"; "succ" ], "Digraph.succ",
-     "Digraph.iter_succ / fold_succ / succ_slice");
-    ([ "Digraph"; "pred" ], "Digraph.pred",
-     "Digraph.iter_pred / fold_pred / pred_slice");
-    ([ "Digraph"; "edges" ], "Digraph.edges",
-     "Digraph.iter_edges / fold_edges (or edge_array when random access \
-      is genuinely needed)");
-  ]
-
-let csr01 =
-  {
-    id = "CSR01";
-    (* Not hot-only: the accessors are retired everywhere, and bin/ and
-       bench/ are linted cold -- a hot-only rule would let regressions
-       slip in there. *)
-    hot_only = false;
-    doc =
-      "Array-materializing adjacency accessors (Digraph.succ, Digraph.pred, \
-       Digraph.edges) were retired by the flat-CSR refactor: each call \
-       allocated a fresh array/list per node. Iterate with \
-       Digraph.iter_succ / fold_succ (and *_pred), take an O(1) view with \
-       succ_slice / pred_slice, or walk edges with iter_edges / fold_edges; \
-       edge_array exists for the rare shuffle-style random-access need.";
-    check =
-      (fun ctx structure ->
-        let open Ast_iterator in
-        let super = default_iterator in
-        let expr it e =
-          (match e.pexp_desc with
-          | Pexp_ident _ -> (
-              match path_of_expr e with
-              | Some path -> (
-                  match
-                    List.find_opt (fun (p, _, _) -> p = path) csr_retired
-                  with
-                  | Some (_, name, instead) ->
-                      report ctx ~loc:e.pexp_loc ~rule:"CSR01"
-                        (Printf.sprintf
-                           "`%s` materializes an adjacency array per call \
-                            and is retired from the CSR core; use %s"
-                           name instead)
-                  | None -> ())
-              | None -> ())
-          | _ -> ());
-          super.expr it e
-        in
-        let it = { super with expr } in
-        it.structure it structure);
-  }
-
-(* ------------------------------------------------------------------ *)
 (* CMP01: polymorphic hash tables in hot modules *)
 
 let cmp01 =
@@ -874,6 +816,6 @@ let obs02 =
 let () =
   List.iter register
     [
-      para01; poly01; partial01; cmp01; csr01; csr02; alloc01; obs01; srv01;
+      para01; poly01; partial01; cmp01; csr02; alloc01; obs01; srv01;
       obs02;
     ]

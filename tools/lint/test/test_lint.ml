@@ -52,25 +52,6 @@ let test_partial01 () =
     ]
     (lint "bad_partial01.ml")
 
-let test_csr01 () =
-  check_diags "bad_csr01"
-    [ (3, "CSR01"); (6, "CSR01"); (9, "CSR01"); (12, "CSR01") ]
-    (lint "bad_csr01.ml")
-
-(* CSR01 is not hot-only: the retired accessors are wrong in cold modules
-   (bin/, bench/) too, so the same findings must fire without the hot
-   classification. *)
-let test_csr01_cold () =
-  let r =
-    Lint_driver.lint_file ~hot:false ~display:"bad_csr01.ml"
-      (fixture "bad_csr01.ml")
-  in
-  check_diags "bad_csr01 cold"
-    [ (3, "CSR01"); (6, "CSR01"); (9, "CSR01"); (12, "CSR01") ]
-    (List.map
-       (fun d -> (d.Lint_diag.line, d.Lint_diag.rule))
-       r.Lint_driver.diags)
-
 let test_csr02 () =
   check_diags "bad_csr02"
     [ (3, "CSR02"); (6, "CSR02") ]
@@ -332,8 +313,6 @@ let () =
           Alcotest.test_case "PARA01 only" `Quick test_para01_only;
           Alcotest.test_case "PARTIAL01 fixture" `Quick test_partial01;
           Alcotest.test_case "POLY01 fixture" `Quick test_poly01;
-          Alcotest.test_case "CSR01 fixture" `Quick test_csr01;
-          Alcotest.test_case "CSR01 fires cold" `Quick test_csr01_cold;
           Alcotest.test_case "CSR02 fixture" `Quick test_csr02;
           Alcotest.test_case "CSR02 exempts lib/graph" `Quick
             test_csr02_in_scope;
