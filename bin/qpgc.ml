@@ -880,7 +880,9 @@ let serve_cmd =
     Arg.(
       value & opt int 8192
       & info [ "batch-max" ] ~docv:"N"
-          ~doc:"Queries per coalesced eval_batch dispatch (default 8192).")
+          ~doc:
+            "Most queries the engine answers in one dispatch; a cycle's \
+             coalesced reach queries go in chunks of N (default 8192).")
   in
   let queue_max =
     Arg.(

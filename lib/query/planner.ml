@@ -117,39 +117,61 @@ let describe t =
     (route_name (route t))
     s.nodes s.edges extras
 
-let eval t ~source ~target =
-  if source = target then begin
-    Obs.incr c_trivial;
-    true
-  end
-  else if
-    (* A source with no out-edge or a target with no in-edge settles the
-       query in O(1), whatever the engine. *)
-    Digraph.out_degree t.g source = 0 || Digraph.in_degree t.g target = 0
-  then begin
-    Obs.incr c_trivial;
-    false
-  end
-  else
-    match t.engine with
-    | E_bfs ->
-        Obs.incr c_bfs;
-        Traversal.bfs_reaches t.g source target
-    | E_bibfs ->
-        Obs.incr c_bibfs;
-        Traversal.bibfs_reaches t.g source target
-    | E_index idx ->
-        Obs.incr c_index;
-        Reach_index.query idx ~source ~target
-    | E_grail grail ->
-        Obs.incr c_grail;
-        Grail.query grail source target
+(* A source with no out-edge or a target with no in-edge settles the
+   query in O(1), whatever the engine; so does [source = target], the one
+   short-circuit that answers [true]. *)
+let trivial t source target =
+  source = target
+  || Digraph.out_degree t.g source = 0
+  || Digraph.in_degree t.g target = 0
 
-let eval_batch ?pool t pairs =
+(* [k] queries went to the engine: its route counter, and an index's own
+   query counter, which [Reach_index.answer] leaves to its caller. *)
+let count_engine t k =
+  match t.engine with
+  | E_bfs -> Obs.add c_bfs k
+  | E_bibfs -> Obs.add c_bibfs k
+  | E_index _ ->
+      Obs.add c_index k;
+      Reach_index.count_queries k
+  | E_grail _ -> Obs.add c_grail k
+
+let engine_answer t source target =
+  match t.engine with
+  | E_bfs -> Traversal.bfs_reaches t.g source target
+  | E_bibfs -> Traversal.bibfs_reaches t.g source target
+  | E_index idx -> Reach_index.answer idx source target
+  | E_grail grail -> Grail.query grail source target
+
+let eval t ~source ~target =
+  if trivial t source target then begin
+    Obs.incr c_trivial;
+    source = target
+  end
+  else begin
+    count_engine t 1;
+    engine_answer t source target
+  end
+
+let eval_into ?pool t ~src ~dst ~off ~len out =
+  Reach_query.check_slice "Planner.eval_into" ~src ~dst ~off ~len out;
   Obs.span "planner.batch" (fun () ->
       let pool = match pool with Some p -> p | None -> Pool.default () in
-      let res = Array.make (Array.length pairs) false in
-      Pool.parallel_for pool ~n:(Array.length pairs) (fun i ->
-          let source, target = pairs.(i) in
-          res.(i) <- eval t ~source ~target);
-      res)
+      Pool.parallel_for_ranges pool ~n:len (fun lo hi ->
+          (* Route counters move once per chunk, not once per query. *)
+          let trivials = ref 0 in
+          for i = off + lo to off + hi - 1 do
+            let s = src.(i) and d = dst.(i) in
+            let r =
+              if trivial t s d then begin
+                incr trivials;
+                s = d
+              end
+              else engine_answer t s d
+            in
+            Bytes.set out i (if r then '\001' else '\000')
+          done;
+          Obs.add c_trivial !trivials;
+          count_engine t (hi - lo - !trivials)))
+
+let eval_batch ?pool t pairs = Reach_query.eval_pairs (eval_into ?pool t) pairs

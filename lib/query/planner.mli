@@ -56,6 +56,16 @@ val describe : t -> string
     through the committed engine. *)
 val eval : t -> source:int -> target:int -> bool
 
-(** [eval_batch t pairs] evaluates every pair over [?pool] (default
-    {!Pool.default}), order-preserving and identical to sequential. *)
+(** [eval_into t ~src ~dst ~off ~len out] answers the slice
+    [off .. off+len-1] of the id columns into the same bytes of [out] (a
+    {!Reach_query.flat_eval}) over [?pool] (default {!Pool.default}),
+    identical to sequential and to {!eval} per query.  The route
+    counters move once per pool chunk, not per query.
+    @raise Invalid_argument when the slice leaves a column or [out]. *)
+val eval_into :
+  ?pool:Pool.t -> t -> src:int array -> dst:int array -> off:int -> len:int ->
+  Bytes.t -> unit
+
+(** [eval_batch t pairs] is {!eval_into} over a tuple batch: every pair
+    answered, in order. *)
 val eval_batch : ?pool:Pool.t -> t -> (int * int) array -> bool array

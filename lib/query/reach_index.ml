@@ -85,8 +85,9 @@ let build ?pool ?(algorithm = Tree_cover) ?node_map g =
       in
       { graph_n = n; node_map; self_loops; backend })
 
-let[@lint.hot_loop] query t ~source ~target =
-  Obs.incr c_queries;
+(* One probe, uncounted: [query] counts it, [query_into] counts its
+   whole slice at once. *)
+let[@lint.hot_loop] answer t source target =
   if source = target then true
   else begin
     (* Two separate matches rather than one binding a pair: a fresh (s, d)
@@ -106,14 +107,24 @@ let[@lint.hot_loop] query t ~source ~target =
           Grail.query gl s d
   end
 
-let query_batch ?pool t pairs =
+let count_queries k = Obs.add c_queries k
+
+let query t ~source ~target =
+  Obs.incr c_queries;
+  answer t source target
+
+let query_into ?pool t ~src ~dst ~off ~len out =
+  Reach_query.check_slice "Reach_index.query_into" ~src ~dst ~off ~len out;
   Obs.span "reach_index.batch" (fun () ->
       let pool = match pool with Some p -> p | None -> Pool.default () in
-      let res = Array.make (Array.length pairs) false in
-      Pool.parallel_for pool ~n:(Array.length pairs) (fun i ->
-          let source, target = pairs.(i) in
-          res.(i) <- query t ~source ~target);
-      res)
+      count_queries len;
+      Pool.parallel_for_ranges pool ~n:len (fun lo hi ->
+          for i = off + lo to off + hi - 1 do
+            Bytes.set out i
+              (if answer t src.(i) dst.(i) then '\001' else '\000')
+          done))
+
+let query_batch ?pool t pairs = Reach_query.eval_pairs (query_into ?pool t) pairs
 
 let memory_bytes t =
   let backend_bytes =

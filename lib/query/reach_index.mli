@@ -42,9 +42,27 @@ val build :
     time: a map lookup plus one index probe; no traversal of [G]. *)
 val query : t -> source:int -> target:int -> bool
 
-(** [query_batch t pairs] answers every pair, preserving order.  Queries
-    are independent, so a multi-domain [?pool] (default {!Pool.default})
-    evaluates them concurrently with answers identical to sequential. *)
+(** [answer t source target] is {!query} without the
+    [reach_index.queries] count, for a batch loop that counts its slice
+    once with {!count_queries}. *)
+val answer : t -> int -> int -> bool
+
+(** [count_queries k] adds [k] to [reach_index.queries]. *)
+val count_queries : int -> unit
+
+(** [query_into t ~src ~dst ~off ~len out] answers the slice
+    [off .. off+len-1] of the id columns into the same bytes of [out]
+    (a {!Reach_query.flat_eval}), counting the slice once in
+    [reach_index.queries].  Queries are independent, so a multi-domain
+    [?pool] (default {!Pool.default}) evaluates them concurrently with
+    answers identical to sequential.
+    @raise Invalid_argument when the slice leaves a column or [out]. *)
+val query_into :
+  ?pool:Pool.t -> t -> src:int array -> dst:int array -> off:int -> len:int ->
+  Bytes.t -> unit
+
+(** [query_batch t pairs] is {!query_into} over a tuple batch: every
+    pair answered, in order. *)
 val query_batch : ?pool:Pool.t -> t -> (int * int) array -> bool array
 
 val algorithm : t -> algorithm

@@ -29,6 +29,33 @@ let eval_batch ?pool algo g pairs =
           res.(i) <- eval algo g ~source ~target);
       res)
 
+type flat_eval =
+  src:int array -> dst:int array -> off:int -> len:int -> Bytes.t -> unit
+
+let check_slice who ~src ~dst ~off ~len out =
+  if
+    off < 0 || len < 0
+    || off > Array.length src - len
+    || off > Array.length dst - len
+    || off > Bytes.length out - len
+  then invalid_arg (who ^ ": slice out of range")
+
+let eval_pairs (eval_into : flat_eval) pairs =
+  let n = Array.length pairs in
+  let src = Array.make n 0 and dst = Array.make n 0 in
+  for i = 0 to n - 1 do
+    let s, d = pairs.(i) in
+    src.(i) <- s;
+    dst.(i) <- d
+  done;
+  let out = Bytes.create n in
+  eval_into ~src ~dst ~off:0 ~len:n out;
+  let res = Array.make n false in
+  for i = 0 to n - 1 do
+    res.(i) <- Bytes.get out i <> '\000'
+  done;
+  res
+
 let random_pairs rng g ~count =
   let n = Digraph.n g in
   if n = 0 && count > 0 then

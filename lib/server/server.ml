@@ -1,11 +1,13 @@
 (* The serving loop.  See the .mli for the architecture overview.
 
    Single-threaded [select] over all sockets; parallelism lives inside
-   the engine's [eval_batch] (the Pool domains), not in the I/O layer, so
+   the engine's [eval_into] (the Pool domains), not in the I/O layer, so
    connection state needs no locks.  Each cycle is parse -> one coalesced
    eval -> reply -> flush; replies preserve per-connection FIFO order
    because items are appended in parse order and written back in the same
-   order. *)
+   order.  Reach frames stay flat all the way: decoded into the state's
+   reused id columns, answered into its reused answer bytes, and replied
+   with a slice of those bytes. *)
 
 module SP = Server_protocol
 
@@ -28,10 +30,16 @@ let h_queue = Obs.histogram "server.queue_depth"
 let g_conns = Obs.gauge "server.connections_open"
 let g_queue = Obs.gauge "server.queue_depth_last"
 
-(* 1 us .. ~1 s in powers of two; per-frame turnaround. *)
+(* Per-frame turnaround, 1 us .. ~1 s at four buckets per octave
+   (2^(i/4)), so a bucket-interpolated p50 lands within 19% of the true
+   value.  The fourth roots of 2 come from [sqrt]: [Float.pow] would page
+   libm's pow tables into every process that links this module. *)
 let h_latency =
+  let r = Float.sqrt (Float.sqrt 2.0) in
+  let step = [| 1.0; r; r *. r; r *. r *. r |] in
   Obs.histogram
-    ~buckets:(Array.init 21 (fun i -> float_of_int (1 lsl i)))
+    ~buckets:
+      (Array.init 81 (fun i -> float_of_int (1 lsl (i / 4)) *. step.(i land 3)))
     "server.latency_us"
 
 (* ------------------------------------------------------------------ *)
@@ -42,14 +50,14 @@ type engine = {
   route : string;
   describe : string;
   node_bound : int;
-  eval_batch : (int * int) array -> bool array;
+  eval_into : Reach_query.flat_eval;
   eval_pattern : (Pattern.t -> Pattern.result) option;
 }
 
 let engine_info e = e.info
 let engine_route e = e.route
 let node_bound e = e.node_bound
-let eval e pairs = e.eval_batch pairs
+let eval e pairs = Reach_query.eval_pairs e.eval_into pairs
 
 let engine_of_graph ?pool ?index g =
   let planner = Planner.create ?pool ?index g in
@@ -61,7 +69,7 @@ let engine_of_graph ?pool ?index g =
     route = Planner.route_name (Planner.route planner);
     describe = Planner.describe planner;
     node_bound = Digraph.n g;
-    eval_batch = (fun pairs -> Planner.eval_batch ?pool planner pairs);
+    eval_into = Planner.eval_into ?pool planner;
     eval_pattern = Some (fun p -> Compress_bisim.answer p (Lazy.force bisim));
   }
 
@@ -77,7 +85,7 @@ let engine_of_compressed ?pool c =
         (Reach_index.algorithm_name (Reach_index.algorithm idx))
         (Compressed.size c);
     node_bound = Compressed.original_n c;
-    eval_batch = (fun pairs -> Reach_index.query_batch ?pool idx pairs);
+    eval_into = Reach_index.query_into ?pool idx;
     eval_pattern = Some (fun p -> Compress_bisim.answer p c);
   }
 
@@ -91,7 +99,7 @@ let engine_of_index ?pool idx =
     route = "index";
     describe = Printf.sprintf "%s index, %d byte(s)" name (Reach_index.memory_bytes idx);
     node_bound = Reach_index.original_n idx;
-    eval_batch = (fun pairs -> Reach_index.query_batch ?pool idx pairs);
+    eval_into = Reach_index.query_into ?pool idx;
     eval_pattern = None;
   }
 
@@ -165,12 +173,19 @@ type totals = {
   batches : int;
 }
 
+(* A connection buffer: bytes [pos .. len) of [buf] are live.  Reads
+   land in place after them; decoding and writes go straight from them. *)
+type bytes_queue = {
+  mutable buf : Bytes.t;
+  mutable pos : int;
+  mutable len : int;
+}
+
 type conn = {
   fd : Unix.file_descr;
-  inbuf : Buffer.t;  (* bytes received, not yet parsed *)
-  out : Buffer.t;  (* encoded replies, flushed from [out_ofs] *)
-  mutable out_ofs : int;
-  mutable closing : bool;  (* close once [out] is flushed *)
+  inq : bytes_queue;  (* received, not yet parsed *)
+  outq : bytes_queue;  (* encoded replies, not yet written *)
+  mutable closing : bool;  (* close once [outq] is flushed *)
 }
 
 type state = {
@@ -185,13 +200,17 @@ type state = {
   flight_file : string;  (* SIGUSR1 dump target *)
   w_queries : Obs.Window.t;  (* rolling qps *)
   w_latency : Obs.Window.t;  (* rolling p50/p99 *)
-  frame_hook : (SP.request -> unit) option;  (* test-only latency injection *)
+  frame_hook : (char -> unit) option;  (* test-only latency injection *)
+  pairs : SP.pairs;  (* the cycle's reach queries, reused across cycles *)
+  mutable answers : Bytes.t;  (* their 0/1 answers, the 'A' bodies *)
+  enc : Buffer.t;  (* one reply at a time, on its way to a [conn.outq] *)
   mutable conns : conn list;
   mutable hconns : conn list;  (* HTTP scrape connections, one-shot *)
   mutable lfds : Unix.file_descr list;
   mutable http_lfds : Unix.file_descr list;
   mutable ready : bool;  (* listeners bound, engine resident *)
   mutable draining : bool;
+  mutable open_conns : int;  (* [conns] and [hconns] together *)
   mutable accepted : int;
   mutable rejected : int;
   mutable accept_retry_ns : int;
@@ -210,12 +229,49 @@ type state = {
 (* Reads pause on a connection holding this much unflushed output. *)
 let out_high_water = 1 lsl 20
 
-let out_pending c = Buffer.length c.out - c.out_ofs
+(* Connection buffers start this large and double on demand. *)
+let queue_create () = { buf = Bytes.create 4096; pos = 0; len = 0 }
+
+let live q = q.len - q.pos
+
+let clear q =
+  q.pos <- 0;
+  q.len <- 0
+
+(* Room for [room] more bytes after the live ones, which move to the
+   front — of a buffer at least twice as large when they do not fit. *)
+let reserve q room =
+  if Bytes.length q.buf - q.len < room then begin
+    let n = live q in
+    let buf =
+      if n + room <= Bytes.length q.buf then q.buf
+      else Bytes.create (Mono.imax (n + room) (2 * Bytes.length q.buf))
+    in
+    Bytes.blit q.buf q.pos buf 0 n;
+    q.buf <- buf;
+    q.pos <- 0;
+    q.len <- n
+  end
+
+let push_buffer q b =
+  let k = Buffer.length b in
+  reserve q k;
+  Buffer.blit b 0 q.buf q.len k;
+  q.len <- q.len + k
+
+let push_string q s =
+  let k = String.length s in
+  reserve q k;
+  Bytes.blit_string s 0 q.buf q.len k;
+  q.len <- q.len + k
+
+let out_pending c = live c.outq
 
 let pending_frame st c =
   (not c.closing)
-  && Buffer.length c.inbuf >= 4
-  && SP.frame_ready ~max_frame:st.max_frame (Buffer.contents c.inbuf) ~pos:0
+  && live c.inq >= 4
+  && SP.frame_ready ~max_frame:st.max_frame c.inq.buf ~pos:c.inq.pos
+       ~len:c.inq.len
 
 let stats_text st =
   let b = Buffer.create 256 in
@@ -288,9 +344,9 @@ let metrics_text st =
 (* The parse -> eval -> reply cycle *)
 
 (* Work discovered during the parse phase, in per-connection arrival
-   order.  [Slice] points into the cycle's coalesced answer array.  Every
-   frame — well-formed or not — carries a [meta] with its daemon-unique
-   trace id, so the flight recorder can name it. *)
+   order.  [Slice] points into the cycle's answer bytes.  Every frame —
+   well-formed or not — carries a [meta] with its daemon-unique trace id,
+   so the flight recorder can name it. *)
 type meta = { trace : int; verb : char; batch : int }
 
 type item =
@@ -305,30 +361,39 @@ let verb_char = function
   | SP.Dump -> 'D'
   | SP.Shutdown -> 'X'
 
-let handle_request st items pairs_rev pairs_len c req t0 m =
+(* An 'R' frame just appended its [k] pairs to [st.pairs]: answer them
+   with the cycle, unless an id is out of range — then drop them again
+   and reply with an error naming the first such query. *)
+let reach_frame st items c k t0 m =
+  let p = st.pairs in
+  let off = p.SP.len - k in
+  let bound = st.engine.node_bound in
+  let bad = ref (-1) in
+  let i = ref 0 in
+  while !bad < 0 && !i < k do
+    if p.SP.src.(off + !i) >= bound || p.SP.dst.(off + !i) >= bound then
+      bad := !i;
+    incr i
+  done;
+  if !bad >= 0 then begin
+    SP.pairs_truncate p off;
+    items :=
+      Ready
+        ( c,
+          SP.Error
+            (Printf.sprintf "query %d: node id out of range (node count %d)" !bad
+               bound),
+          t0, m )
+      :: !items
+  end
+  else items := Slice (c, off, k, t0, m) :: !items
+
+let handle_request st items c req t0 m =
   let push i = items := i :: !items in
-  (match st.frame_hook with Some f -> f req | None -> ());
   match req with
-  | SP.Reach pairs ->
-      let bound = st.engine.node_bound in
-      let bad = ref (-1) in
-      Array.iteri
-        (fun i (u, v) -> if !bad < 0 && (u >= bound || v >= bound) then bad := i)
-        pairs;
-      if !bad >= 0 then
-        push
-          (Ready
-             ( c,
-               SP.Error
-                 (Printf.sprintf "query %d: node id out of range (node count %d)"
-                    !bad bound),
-               t0, m ))
-      else begin
-        let off = !pairs_len in
-        pairs_rev := pairs :: !pairs_rev;
-        pairs_len := off + Array.length pairs;
-        push (Slice (c, off, Array.length pairs, t0, m))
-      end
+  | SP.Reach _ ->
+      (* [SP.decode_into] returns every 'R' frame as [Pairs]. *)
+      assert false
   | SP.Match p -> (
       match st.engine.eval_pattern with
       | None ->
@@ -356,19 +421,21 @@ let handle_request st items pairs_rev pairs_len c req t0 m =
       st.draining <- true;
       push (Ready (c, SP.Text "draining", t0, m))
 
-let parse_conn st items pairs_rev pairs_len c =
-  if Buffer.length c.inbuf > 0 && not c.closing then begin
-    let data = Buffer.contents c.inbuf in
-    let len = String.length data in
-    let pos = ref 0 in
+let parse_conn st items c =
+  let q = c.inq in
+  if live q > 0 && not c.closing then begin
     let parsed = ref 0 in
     let stop = ref false in
     let fresh_meta verb batch =
       st.next_trace <- st.next_trace + 1;
       { trace = st.next_trace; verb; batch }
     in
+    let hook verb = match st.frame_hook with Some f -> f verb | None -> () in
     while (not !stop) && !parsed < st.queue_max do
-      match SP.decode_request ~max_frame:st.max_frame data ~pos:!pos with
+      match
+        SP.decode_into ~max_frame:st.max_frame st.pairs q.buf ~pos:q.pos
+          ~len:q.len
+      with
       | None -> stop := true
       | Some (decoded, next) ->
           let t0 = Obs.Clock.now_ns () in
@@ -380,15 +447,18 @@ let parse_conn st items pairs_rev pairs_len c =
                 Ready
                   (c, SP.Error ("malformed frame: " ^ msg), t0, fresh_meta '?' 0)
                 :: !items
-          | SP.Frame req ->
+          | SP.Frame (SP.Pairs k) ->
               st.frames <- st.frames + 1;
               Obs.incr m_frames;
-              let batch =
-                match req with SP.Reach pairs -> Array.length pairs | _ -> 0
-              in
-              let m = fresh_meta (verb_char req) batch in
-              handle_request st items pairs_rev pairs_len c req t0 m);
-          pos := next;
+              hook 'R';
+              reach_frame st items c k t0 (fresh_meta 'R' k)
+          | SP.Frame (SP.Request req) ->
+              st.frames <- st.frames + 1;
+              Obs.incr m_frames;
+              let verb = verb_char req in
+              hook verb;
+              handle_request st items c req t0 (fresh_meta verb 0));
+          q.pos <- next;
           incr parsed
       | exception SP.Parse_error (_, msg) ->
           (* The length prefix itself lied: reply, then drop the
@@ -399,25 +469,23 @@ let parse_conn st items pairs_rev pairs_len c =
             Ready (c, SP.Error msg, Obs.Clock.now_ns (), fresh_meta '?' 0)
             :: !items;
           c.closing <- true;
-          pos := len;
+          q.pos <- q.len;
           stop := true
     done;
     if !parsed > 0 then Obs.observe h_queue (float_of_int !parsed);
-    if !pos > 0 then begin
-      let rest = len - !pos in
-      Buffer.clear c.inbuf;
-      if rest > 0 then Buffer.add_substring c.inbuf data !pos rest
-    end
+    if live q = 0 then clear q
   end
 
-let run_batches st pairs answers =
-  let total = Array.length pairs in
+(* Answer the cycle's pairs [0 .. total) into [st.answers], [batch_max]
+   at a time. *)
+let run_batches st total =
+  let p = st.pairs in
+  if Bytes.length st.answers < total then
+    st.answers <- Bytes.create (Mono.imax total (2 * Bytes.length st.answers));
   let off = ref 0 in
   while !off < total do
     let k = Mono.imin st.batch_max (total - !off) in
-    let chunk = Array.sub pairs !off k in
-    let a = st.engine.eval_batch chunk in
-    Array.blit a 0 answers !off k;
+    st.engine.eval_into ~src:p.SP.src ~dst:p.SP.dst ~off:!off ~len:k st.answers;
     st.batches <- st.batches + 1;
     st.queries <- st.queries + k;
     Obs.incr m_batches;
@@ -437,42 +505,38 @@ let record_flight st m ~t0 ~dur_ns ~depth =
     Obs.Ring.record st.flight ~id:m.trace ~verb:m.verb ~batch:m.batch
       ~queue:depth ~ts_ns:t0 ~dur_ns ~sampled:true
 
-let deliver st items answers ~depth =
+(* Queue the reply just encoded into [st.enc] and time the frame. *)
+let reply st c m ~t0 ~depth =
+  push_buffer c.outq st.enc;
+  let dur_ns = Obs.Clock.now_ns () - t0 in
+  Obs.observe h_latency (Obs.Clock.ns_to_us dur_ns);
+  record_flight st m ~t0 ~dur_ns ~depth
+
+let deliver st items ~depth =
   List.iter
     (fun item ->
-      let c, resp, t0, m =
-        match item with
-        | Ready (c, r, t0, m) -> (c, r, t0, m)
-        | Slice (c, off, len, t0, m) ->
-            (c, SP.Answers (Array.sub answers off len), t0, m)
-      in
-      SP.add_response c.out resp;
-      let dur_ns = Obs.Clock.now_ns () - t0 in
-      Obs.observe h_latency (Obs.Clock.ns_to_us dur_ns);
-      record_flight st m ~t0 ~dur_ns ~depth)
+      Buffer.clear st.enc;
+      match item with
+      | Ready (c, r, t0, m) ->
+          SP.add_response st.enc r;
+          reply st c m ~t0 ~depth
+      | Slice (c, off, len, t0, m) ->
+          SP.add_answers st.enc st.answers ~off ~len;
+          reply st c m ~t0 ~depth)
     items
 
 let process_cycle st =
   let items = ref [] in
-  let pairs_rev = ref [] in
-  let pairs_len = ref 0 in
-  List.iter (fun c -> parse_conn st items pairs_rev pairs_len c) st.conns;
+  SP.pairs_truncate st.pairs 0;
+  List.iter (fun c -> parse_conn st items c) st.conns;
   let items = List.rev !items in
   let depth = List.length items in
   if depth > 0 then begin
     st.last_depth <- depth;
     Obs.set_gauge g_queue (float_of_int depth)
   end;
-  let answers =
-    if !pairs_len = 0 then [||]
-    else begin
-      let pairs = Array.concat (List.rev !pairs_rev) in
-      let answers = Array.make !pairs_len false in
-      run_batches st pairs answers;
-      answers
-    end
-  in
-  deliver st items answers ~depth
+  run_batches st st.pairs.SP.len;
+  deliver st items ~depth
 
 (* ------------------------------------------------------------------ *)
 (* Sockets *)
@@ -554,18 +618,12 @@ let rec accept_all st lfd ~http =
   match Unix.accept ~cloexec:true lfd with
   | fd, _addr ->
       Unix.set_nonblock fd;
-      if List.length st.conns + List.length st.hconns >= max_connections then
-        reject st fd ~http
+      if st.open_conns >= max_connections then reject st fd ~http
       else begin
         let c =
-          {
-            fd;
-            inbuf = Buffer.create 4096;
-            out = Buffer.create 4096;
-            out_ofs = 0;
-            closing = false;
-          }
+          { fd; inq = queue_create (); outq = queue_create (); closing = false }
         in
+        st.open_conns <- st.open_conns + 1;
         if http then st.hconns <- c :: st.hconns
         else begin
           st.accepted <- st.accepted + 1;
@@ -609,12 +667,13 @@ let http_route st (r : Server_http.request) =
 let process_http st =
   List.iter
     (fun c ->
-      if (not c.closing) && Buffer.length c.out = 0 then
-        match Server_http.parse (Buffer.contents c.inbuf) with
+      if (not c.closing) && c.outq.len = 0 then
+        match
+          Server_http.parse (Bytes.sub_string c.inq.buf c.inq.pos (live c.inq))
+        with
         | Server_http.Incomplete -> ()
         | Server_http.Bad msg ->
-            Buffer.add_string c.out
-              (Server_http.response ~status:400 (msg ^ "\n"));
+            push_string c.outq (Server_http.response ~status:400 (msg ^ "\n"));
             c.closing <- true
         | Server_http.Request r ->
             let status, content_type, body = http_route st r in
@@ -623,48 +682,44 @@ let process_http st =
             Obs.Log.debug "scrape"
               ~fields:
                 [ ("path", Obs.Log.Str r.path); ("status", Obs.Log.Int status) ];
-            Buffer.add_string c.out
-              (Server_http.response ~status ~content_type body);
+            push_string c.outq (Server_http.response ~status ~content_type body);
             c.closing <- true)
     st.hconns
 
-(* One scratch buffer is enough: the loop is single-threaded. *)
-let read_scratch = Bytes.create 65536
+(* A read is offered at least this much room. *)
+let min_read = 1024
 
 let read_conn c =
-  match Unix.read c.fd read_scratch 0 (Bytes.length read_scratch) with
+  let q = c.inq in
+  reserve q min_read;
+  match Unix.read c.fd q.buf q.len (Bytes.length q.buf - q.len) with
   | 0 -> c.closing <- true
-  | k -> Buffer.add_subbytes c.inbuf read_scratch 0 k
+  | k -> q.len <- q.len + k
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->
       ()
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      Buffer.clear c.out;
-      c.out_ofs <- 0;
+      clear c.outq;
       c.closing <- true
 
 let flush_conn c =
+  let q = c.outq in
   let progress = ref true in
-  while !progress && out_pending c > 0 do
-    let k = Mono.imin 65536 (out_pending c) in
-    let s = Buffer.sub c.out c.out_ofs k in
-    match Unix.write_substring c.fd s 0 k with
+  while !progress && live q > 0 do
+    let k = Mono.imin 65536 (live q) in
+    match Unix.write c.fd q.buf q.pos k with
     | n ->
-        c.out_ofs <- c.out_ofs + n;
+        q.pos <- q.pos + n;
         if n < k then progress := false
     | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
       ->
         progress := false
     | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-        Buffer.clear c.out;
-        c.out_ofs <- 0;
+        clear q;
         c.closing <- true;
         progress := false
   done;
-  if out_pending c = 0 && Buffer.length c.out > 0 then begin
-    Buffer.clear c.out;
-    c.out_ofs <- 0
-  end
+  if live q = 0 then clear q
 
 let sweep st =
   let close_done conns =
@@ -672,7 +727,9 @@ let sweep st =
       List.partition (fun c -> c.closing && out_pending c = 0) conns
     in
     List.iter
-      (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
+      (fun c ->
+        (try Unix.close c.fd with Unix.Unix_error _ -> ());
+        st.open_conns <- st.open_conns - 1)
       closed;
     (* A freed descriptor ends an accept back-off early. *)
     (match closed with
@@ -807,12 +864,16 @@ let run ?(max_frame = SP.default_max_frame) ?(queue_max = 64)
       w_queries = Obs.Window.create "server.queries";
       w_latency = Obs.Window.create "server.latency_us";
       frame_hook;
+      pairs = SP.pairs_create ();
+      answers = Bytes.empty;
+      enc = Buffer.create 4096;
       conns = [];
       hconns = [];
       lfds = [];
       http_lfds = [];
       ready = false;
       draining = false;
+      open_conns = 0;
       accepted = 0;
       rejected = 0;
       accept_retry_ns = 0;
@@ -848,6 +909,7 @@ let run ?(max_frame = SP.default_max_frame) ?(queue_max = 64)
       st.http_lfds <- [];
       st.conns <- [];
       st.hconns <- [];
+      st.open_conns <- 0;
       List.iter (fun f -> f ()) st.cleanup;
       Obs.Log.flush ())
     (fun () ->

@@ -9,11 +9,16 @@
     {!Server_protocol} frames over unix-domain and/or TCP sockets.
 
     Batching is the whole point: each loop iteration drains every
-    readable connection, coalesces all pending reachability frames into
-    one flat pair array, and dispatches it through the engine's
-    [eval_batch] (pool-parallel internally) in [batch_max]-sized chunks —
-    concurrent clients share planning, cache locality and domain fan-out.
-    Replies preserve per-connection FIFO order.
+    readable connection and decodes all pending reachability frames,
+    in place from the connection buffers, into one pair of source and
+    target columns that the daemon reuses across cycles.  The engine's
+    one flat entry point ({!Reach_query.flat_eval}, pool-parallel
+    internally) answers them in [batch_max]-sized chunks into one
+    reused array of 0/1 answer bytes, and each reply is the ['A'] header
+    plus that frame's slice of those bytes, which already are the wire
+    body — no per-query allocation on the way.  Concurrent clients
+    share planning, cache locality and domain fan-out.  Replies preserve
+    per-connection FIFO order.
 
     Backpressure is structural: at most [queue_max] frames are parsed per
     connection per cycle, reads pause on connections with more than a
@@ -76,8 +81,9 @@ val engine_route : engine -> string
     error reply, not an answer). *)
 val node_bound : engine -> int
 
-(** [eval engine pairs] answers one batch in-process — the serving path
-    without the sockets, for tests and oracles. *)
+(** [eval engine pairs] answers one batch in-process through the same
+    flat entry point the daemon uses — the serving path without the
+    sockets and chunking, for tests and oracles. *)
 val eval : engine -> (int * int) array -> bool array
 
 type listener =
@@ -97,15 +103,14 @@ type totals = {
   frames : int;  (** well-formed request frames *)
   malformed : int;  (** rejected frames (clean error replies) *)
   queries : int;  (** reachability queries answered *)
-  batches : int;  (** [eval_batch] dispatches *)
+  batches : int;  (** engine dispatches, each at most [batch_max] queries *)
 }
 
 (** [run ~listeners engine] serves until a drain completes.  [on_ready]
     fires after every listener is bound and listening (write a ready
     file, signal a test).  [queue_max] (default 64) caps frames parsed
     per connection per cycle; [batch_max] (default 8192) caps the pairs
-    per [eval_batch] dispatch; [max_frame] caps the accepted frame
-    payload.
+    per engine dispatch; [max_frame] caps the accepted frame payload.
 
     At most {!max_connections} connections are open at once, protocol
     and scrape together.  An accept over the cap is answered with an
@@ -128,9 +133,10 @@ type totals = {
     [<tmpdir>/qpgc-flight-<pid>.json]); the ['D'] verb returns the same
     JSON in a text frame.
 
-    [frame_hook] is a test-only hook called with every well-formed
-    request before dispatch — used to inject latency so the slow path
-    can be exercised deterministically.
+    [frame_hook] is a test-only hook called with the verb byte (['R'],
+    ['P'], ['S'], ...) of every well-formed request before dispatch —
+    used to inject latency so the slow path can be exercised
+    deterministically.
 
     Progress lines (listening / draining / drained / flight dumps) are
     logged through {!Obs.Log} at info level; the buffer is flushed every
@@ -149,7 +155,7 @@ val run :
   ?sample_every:int ->
   ?flight_cap:int ->
   ?flight_file:string ->
-  ?frame_hook:(Server_protocol.request -> unit) ->
+  ?frame_hook:(char -> unit) ->
   listeners:listener list ->
   engine ->
   totals

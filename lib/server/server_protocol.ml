@@ -34,24 +34,28 @@ type 'a decoded = Frame of 'a | Malformed of string
 
 let bad pos msg = raise (Parse_error (pos, msg))
 
+(* Every reader works on bytes: the daemon decodes its connection buffer
+   in place, and the string entry points view their argument through
+   [Bytes.unsafe_of_string], which is sound because no reader writes. *)
+
 (* Checker: [k] more bytes at [pos] must lie inside both the buffer and
-   the current frame ([limit] never exceeds [String.length s], checked
+   the current frame ([limit] never exceeds [Bytes.length s], checked
    when the frame is delimited). *)
 let need_frame s ~limit pos k what =
-  if pos < 0 || k < 0 || pos + k > limit || pos + k > String.length s then
+  if pos < 0 || k < 0 || pos + k > limit || pos + k > Bytes.length s then
     bad pos (Printf.sprintf "frame truncated reading %s" what)
 
 let rd_u8 s ~limit pos what =
   need_frame s ~limit pos 1 what;
-  Char.code (String.unsafe_get s pos)
+  Char.code (Bytes.unsafe_get s pos)
 
 let rd_u32 s ~limit pos what =
   need_frame s ~limit pos 4 what;
-  Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
+  Int32.to_int (Bytes.get_int32_le s pos) land 0xFFFFFFFF
 
 let rd_string s ~limit pos len what =
   need_frame s ~limit pos len what;
-  String.sub s pos len
+  Bytes.sub_string s pos len
 
 (* ------------------------------------------------------------------ *)
 (* Encoding *)
@@ -106,12 +110,21 @@ let matches_body_length = function
   | Some rows ->
       Array.fold_left (fun acc row -> acc + 4 + (4 * Array.length row)) 5 rows
 
+(* The one 'A' encoder: the answer bytes already are the wire body. *)
+let add_answers buf answers ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length answers - len then
+    invalid_arg "Server_protocol.add_answers: slice out of range";
+  with_frame buf 'A' (4 + len) (fun b ->
+      add_u32 b len;
+      Buffer.add_subbytes b answers off len)
+
 let add_response buf r =
   match r with
   | Answers answers ->
-      with_frame buf 'A' (4 + Array.length answers) (fun b ->
-          add_u32 b (Array.length answers);
-          Array.iter (fun a -> Buffer.add_uint8 b (if a then 1 else 0)) answers)
+      let n = Array.length answers in
+      add_answers buf
+        (Bytes.init n (fun i -> if answers.(i) then '\001' else '\000'))
+        ~off:0 ~len:n
   | Matches m ->
       with_frame buf 'H' (matches_body_length m) (fun b ->
           match m with
@@ -130,15 +143,47 @@ let add_response buf r =
   | Error s -> add_string_body buf 'E' s
 
 (* ------------------------------------------------------------------ *)
+(* Flat reach columns *)
+
+type pairs = {
+  mutable src : int array;
+  mutable dst : int array;
+  mutable len : int;
+}
+
+let pairs_create () = { src = [||]; dst = [||]; len = 0 }
+
+let pairs_truncate p n =
+  if n < 0 || n > p.len then invalid_arg "Server_protocol.pairs_truncate";
+  p.len <- n
+
+(* Room for [k] more pairs, doubling so a daemon's columns settle at the
+   largest cycle it has seen. *)
+let reserve p k =
+  let need = p.len + k in
+  if need > Array.length p.src then begin
+    let cap = Mono.imax need (2 * Array.length p.src) in
+    let grow a =
+      let a' = Array.make cap 0 in
+      Array.blit a 0 a' 0 p.len;
+      a'
+    in
+    p.src <- grow p.src;
+    p.dst <- grow p.dst
+  end
+
+(* ------------------------------------------------------------------ *)
 (* Decoding *)
 
-(* Delimit the frame at [pos]: [None] while the buffer holds only a
-   prefix, [Some (body, len, next)] otherwise.  An oversized declared
-   length raises — the one unrecoverable condition. *)
-let frame_bounds ~max_frame s ~pos =
-  if String.length s - pos < 4 then None
+(* Delimit the frame at [pos] among the first [limit] bytes of [s]:
+   [None] while they hold only a prefix, [Some (body, len, next)]
+   otherwise.  An oversized declared length raises — the one
+   unrecoverable condition. *)
+let frame_bounds ~max_frame s ~pos ~limit =
+  if limit < 0 || limit > Bytes.length s then
+    invalid_arg "Server_protocol: fill length out of range";
+  if limit - pos < 4 then None
   else begin
-    let limit = String.length s in
     let len = rd_u32 s ~limit pos "frame length" in
     if len > max_frame then
       bad pos
@@ -151,17 +196,25 @@ let frame_bounds ~max_frame s ~pos =
    exactly: trailing bytes mean a count field lied about the payload. *)
 let finish q ~limit at = if at <> limit then bad at "trailing bytes in frame" else q
 
-let parse_pairs s ~limit pos =
+(* The one 'R' body parser: appends the frame's pairs to [p] and returns
+   their count.  [p.len] moves only once the whole body checked out, so a
+   malformed frame appends nothing. *)
+let parse_pairs p s ~limit pos =
   let count = rd_u32 s ~limit pos "query count" in
   let base = pos + 4 in
   need_frame s ~limit base (8 * count) "query pairs";
-  let pairs =
-    Array.init count (fun i ->
-        let at = base + (8 * i) in
-        ( rd_u32 s ~limit at "query source",
-          rd_u32 s ~limit (at + 4) "query target" ))
-  in
-  (pairs, base + (8 * count))
+  finish () ~limit (base + (8 * count));
+  reserve p count;
+  let len = p.len in
+  (* [need_frame] above covered every pair: read them unchecked by frame. *)
+  for i = 0 to count - 1 do
+    let at = base + (8 * i) in
+    p.src.(len + i) <- Int32.to_int (Bytes.get_int32_le s at) land 0xFFFFFFFF;
+    p.dst.(len + i) <-
+      Int32.to_int (Bytes.get_int32_le s (at + 4)) land 0xFFFFFFFF
+  done;
+  p.len <- len + count;
+  count
 
 let parse_text s ~limit pos what =
   let len = rd_u32 s ~limit pos what in
@@ -173,13 +226,10 @@ let parse_header s ~limit pos =
     bad pos (Printf.sprintf "unsupported protocol version %d" ver);
   rd_u8 s ~limit (pos + 1) "frame tag"
 
-let parse_request s ~limit pos =
-  let tag = parse_header s ~limit pos in
+(* Every verb but 'R', whose body the caller parses into columns. *)
+let parse_other s ~limit tag pos =
   let p = pos + 2 in
-  if tag = Char.code 'R' then
-    let pairs, at = parse_pairs s ~limit p in
-    finish (Reach pairs) ~limit at
-  else if tag = Char.code 'P' then begin
+  if tag = Char.code 'P' then begin
     let text, at = parse_text s ~limit p "pattern text" in
     let pat =
       try Pattern_io.of_string text
@@ -193,6 +243,22 @@ let parse_request s ~limit pos =
   else if tag = Char.code 'D' then finish Dump ~limit p
   else if tag = Char.code 'X' then finish Shutdown ~limit p
   else bad pos (Printf.sprintf "unknown request verb %d" tag)
+
+let parse_request s ~limit pos =
+  let tag = parse_header s ~limit pos in
+  if tag = Char.code 'R' then begin
+    let p = pairs_create () in
+    let (_ : int) = parse_pairs p s ~limit (pos + 2) in
+    Reach (Array.init p.len (fun i -> (p.src.(i), p.dst.(i))))
+  end
+  else parse_other s ~limit tag pos
+
+type flat = Pairs of int | Request of request
+
+let parse_flat p s ~limit pos =
+  let tag = parse_header s ~limit pos in
+  if tag = Char.code 'R' then Pairs (parse_pairs p s ~limit (pos + 2))
+  else Request (parse_other s ~limit tag pos)
 
 let parse_answers s ~limit pos =
   let count = rd_u32 s ~limit pos "answer count" in
@@ -244,8 +310,8 @@ let parse_response s ~limit pos =
     finish (Error text) ~limit at
   else bad pos (Printf.sprintf "unknown response kind %d" tag)
 
-let decode parse ?(max_frame = default_max_frame) s ~pos =
-  match frame_bounds ~max_frame s ~pos with
+let decode parse ~max_frame s ~pos ~limit =
+  match frame_bounds ~max_frame s ~pos ~limit with
   | None -> None
   | Some (body, len, next) ->
       if len < 2 then Some (Malformed "frame too short for version and tag", next)
@@ -255,11 +321,21 @@ let decode parse ?(max_frame = default_max_frame) s ~pos =
         | exception Parse_error (_, msg) -> Some (Malformed msg, next)
       end
 
-let decode_request ?max_frame s ~pos = decode parse_request ?max_frame s ~pos
-let decode_response ?max_frame s ~pos = decode parse_response ?max_frame s ~pos
+let decode_string parse ?(max_frame = default_max_frame) s ~pos =
+  decode parse ~max_frame (Bytes.unsafe_of_string s) ~pos
+    ~limit:(String.length s)
 
-let frame_ready ?(max_frame = default_max_frame) s ~pos =
-  match frame_bounds ~max_frame s ~pos with
+let decode_request ?max_frame s ~pos =
+  decode_string parse_request ?max_frame s ~pos
+
+let decode_response ?max_frame s ~pos =
+  decode_string parse_response ?max_frame s ~pos
+
+let decode_into ?(max_frame = default_max_frame) p b ~pos ~len =
+  decode (parse_flat p) ~max_frame b ~pos ~limit:len
+
+let frame_ready ?(max_frame = default_max_frame) b ~pos ~len =
+  match frame_bounds ~max_frame b ~pos ~limit:len with
   | None -> false
   | Some _ -> true
   | exception Parse_error _ -> true

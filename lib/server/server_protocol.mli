@@ -68,6 +68,14 @@ val add_request : Buffer.t -> request -> unit
 
 val add_response : Buffer.t -> response -> unit
 
+(** [add_answers buf b ~off ~len] appends an ['A'] frame whose body is
+    the [len] bytes of [b] from [off], each ['\000'] or ['\001'] (not
+    checked).  The one ['A'] encoder: [add_response (Answers _)] goes
+    through it, and the daemon replies with a slice of its answer bytes,
+    which already are the wire body.
+    @raise Invalid_argument when the slice leaves [b]. *)
+val add_answers : Buffer.t -> Bytes.t -> off:int -> len:int -> unit
+
 (** [decode_request ?max_frame s ~pos] decodes the frame starting at
     [pos].  [Some (frame, next)] consumes bytes [pos .. next-1]; [None]
     means the buffer holds only a frame prefix.  @raise Parse_error when
@@ -78,9 +86,45 @@ val decode_request :
 val decode_response :
   ?max_frame:int -> string -> pos:int -> (response decoded * int) option
 
-(** [frame_ready ?max_frame s ~pos] is [true] iff a decode attempt at
-    [pos] would yield a result right now — a frame, a malformed frame, or
-    an oversized-length [Parse_error] — rather than needing more bytes.
-    Never raises: the poll the event loop uses to tell backlog from a
+(** {1 Flat decoding}
+
+    The daemon decodes its connection buffer in place, and each ['R']
+    body straight into two int columns that it reuses across frames.
+    {!decode_request} builds its [Reach] value through the same ['R']
+    parser, so both give the same verdicts and messages. *)
+
+(** Growable (source, target) columns: pair [i < len] is
+    [(src.(i), dst.(i))]; the arrays may be longer than [len]. *)
+type pairs = private {
+  mutable src : int array;
+  mutable dst : int array;
+  mutable len : int;
+}
+
+(** [pairs_create ()] is an empty column pair; capacity grows on demand. *)
+val pairs_create : unit -> pairs
+
+(** [pairs_truncate p n] drops every pair at index [n] or above.
+    @raise Invalid_argument unless [0 <= n <= p.len]. *)
+val pairs_truncate : pairs -> int -> unit
+
+(** What {!decode_into} found in a well-formed frame: [Pairs k] when an
+    ['R'] frame appended [k] pairs to the columns, [Request r] for any
+    other verb. *)
+type flat = Pairs of int | Request of request
+
+(** [decode_into ?max_frame p b ~pos ~len] is {!decode_request} over the
+    first [len] bytes of [b], with an ['R'] body appended to [p].  A
+    malformed frame leaves [p] as it was.
+    @raise Parse_error when the declared length exceeds [max_frame]. *)
+val decode_into :
+  ?max_frame:int -> pairs -> Bytes.t -> pos:int -> len:int ->
+  (flat decoded * int) option
+
+(** [frame_ready ?max_frame b ~pos ~len] is [true] iff a decode attempt
+    at [pos] over the first [len] bytes of [b] would yield a result right
+    now — a frame, a malformed frame, or an oversized-length
+    [Parse_error] — rather than needing more bytes.  Never raises on any
+    input bytes: the poll the event loop uses to tell backlog from a
     partial frame. *)
-val frame_ready : ?max_frame:int -> string -> pos:int -> bool
+val frame_ready : ?max_frame:int -> Bytes.t -> pos:int -> len:int -> bool

@@ -30,6 +30,36 @@ let all_pairs_agree ?name g eval =
 
 let every_algorithm f = List.for_all f Reach_index.all_algorithms
 
+(* A flat entry point answers the slice [off .. off+len) of its id columns
+   into the same bytes of its output and leaves every other byte alone.
+   The slice holds all n² pairs of [g]; the ids around it are filler. *)
+let flat_agrees ~off g into per_query =
+  let n = Digraph.n g in
+  let len = n * n in
+  let total = off + len + 3 in
+  let src = Array.make total 0 and dst = Array.make total 0 in
+  for i = 0 to len - 1 do
+    src.(off + i) <- i / n;
+    dst.(off + i) <- i mod n
+  done;
+  let out = Bytes.make total 'x' in
+  into ~src ~dst ~off ~len out;
+  let ok = ref true in
+  for i = 0 to total - 1 do
+    let expected =
+      if i < off || i >= off + len then 'x'
+      else if per_query ~source:src.(i) ~target:dst.(i) then '\001'
+      else '\000'
+    in
+    if Bytes.get out i <> expected then ok := false
+  done;
+  !ok
+
+let arb_g_off =
+  let gen, print = arb_g in
+  (QCheck2.Gen.pair gen (QCheck2.Gen.int_range 1 5),
+   fun (g, off) -> Printf.sprintf "off = %d\n%s" off (print g))
+
 (* ------------------------------------------------------------------ *)
 (* Reach_index over the graph itself and over compressR *)
 
@@ -99,6 +129,20 @@ let index_props =
               (fun domains ->
                 Pool.with_pool ~domains (fun pool ->
                     Reach_index.query_batch ~pool idx pairs = expected))
+              [ 1; 2; 4 ]));
+    qtest
+      "query_into at an offset equals per-query answers for every domain count"
+      arb_g_off
+      (fun (g, off) ->
+        let c = Compress_reach.compress g in
+        every_algorithm (fun algorithm ->
+            let idx = Compress_reach.index ~algorithm c in
+            List.for_all
+              (fun domains ->
+                Pool.with_pool ~domains (fun pool ->
+                    flat_agrees ~off g
+                      (Reach_index.query_into ~pool idx)
+                      (Reach_index.query idx)))
               [ 1; 2; 4 ]));
     (* GRAIL's randomized traversals fan out over the pool; the per-
        traversal seeding must make the labeling — and therefore the
@@ -261,6 +305,21 @@ let planner_props =
             Pool.with_pool ~domains (fun pool ->
                 Planner.eval_batch ~pool pl pairs = expected))
           [ 1; 2; 4 ]);
+    qtest
+      "planner eval_into at an offset equals per-query eval for every domain \
+       count"
+      arb_g_off
+      (fun (g, off) ->
+        let index = Compress_reach.index (Compress_reach.compress g) in
+        List.for_all
+          (fun pl ->
+            List.for_all
+              (fun domains ->
+                Pool.with_pool ~domains (fun pool ->
+                    flat_agrees ~off g (Planner.eval_into ~pool pl)
+                      (Planner.eval pl)))
+              [ 1; 2; 4 ])
+          [ Planner.create g; Planner.create ~index g ]);
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -224,16 +224,19 @@ let test_corruption_cases () =
     (fun () -> ignore (decode_req oversized))
 
 let test_frame_ready () =
+  let frame_ready s ~pos =
+    SP.frame_ready (Bytes.of_string s) ~pos ~len:(String.length s)
+  in
   let valid = encode_request SP.Stats in
-  Testutil.check_bool "empty buffer" false (SP.frame_ready "" ~pos:0);
-  Testutil.check_bool "partial prefix" false (SP.frame_ready "\006\000" ~pos:0);
+  Testutil.check_bool "empty buffer" false (frame_ready "" ~pos:0);
+  Testutil.check_bool "partial prefix" false (frame_ready "\006\000" ~pos:0);
   Testutil.check_bool "one byte short" false
-    (SP.frame_ready (String.sub valid 0 (String.length valid - 1)) ~pos:0);
-  Testutil.check_bool "complete frame" true (SP.frame_ready valid ~pos:0);
+    (frame_ready (String.sub valid 0 (String.length valid - 1)) ~pos:0);
+  Testutil.check_bool "complete frame" true (frame_ready valid ~pos:0);
   Testutil.check_bool "oversized is ready (to fail)" true
-    (SP.frame_ready "\255\255\255\127" ~pos:0);
+    (frame_ready "\255\255\255\127" ~pos:0);
   Testutil.check_bool "past the frame" false
-    (SP.frame_ready valid ~pos:(String.length valid))
+    (frame_ready valid ~pos:(String.length valid))
 
 let test_stream_decode () =
   let reqs = [ SP.Reach [| (1, 2); (3, 4) |]; SP.Stats; SP.Shutdown ] in
@@ -342,6 +345,60 @@ let qcheck_corruption =
           next > 0 && next <= String.length s
       | exception SP.Parse_error _ -> true)
 
+(* The daemon's in-place decoder and the tuple decoder share one 'R'
+   parser: on any (possibly corrupted) frame they agree on the verdict
+   and its message.  The columns start non-empty and sit inside a larger
+   buffer, so appending, and leaving them untouched on a malformed
+   frame, are both checked. *)
+let qcheck_decode_into =
+  let open QCheck2.Gen in
+  let gen =
+    quad request_gen (int_range 0 100000) (int_range 0 255) (int_range 0 7)
+  in
+  let print (r, i, b, pre) =
+    Printf.sprintf "%s, byte %d := %d, %d pair(s) already decoded"
+      (request_print r) i b pre
+  in
+  Testutil.qtest ~count:500 "decode_into agrees with decode_request"
+    (gen, print) (fun (r, i, b, pre) ->
+      let s = Bytes.of_string (encode_request r) in
+      if i mod 3 > 0 then Bytes.set s (i mod Bytes.length s) (Char.chr b);
+      let s = Bytes.to_string s in
+      let p = SP.pairs_create () in
+      let filler =
+        encode_request (SP.Reach (Array.init pre (fun k -> (k, k + 1))))
+      in
+      (match
+         SP.decode_into p (Bytes.of_string filler) ~pos:0
+           ~len:(String.length filler)
+       with
+      | Some (SP.Frame (SP.Pairs k), _) when k = pre -> ()
+      | _ -> QCheck2.Test.fail_report "filler frame did not decode");
+      let buf = Bytes.of_string ("junk" ^ s ^ "tail") in
+      let columns () =
+        Array.init p.SP.len (fun k -> (p.SP.src.(k), p.SP.dst.(k)))
+      in
+      let before = columns () in
+      let into =
+        match SP.decode_into p buf ~pos:4 ~len:(4 + String.length s) with
+        | v -> Ok v
+        | exception SP.Parse_error (_, msg) -> Error msg
+      in
+      match (SP.decode_request s ~pos:0, into) with
+      | exception SP.Parse_error (_, msg) -> into = Error msg
+      | None, Ok None -> true
+      | Some (SP.Malformed m, next), Ok (Some (SP.Malformed m', next')) ->
+          m = m' && next' = next + 4 && columns () = before
+      | ( Some (SP.Frame (SP.Reach pairs), next),
+          Ok (Some (SP.Frame (SP.Pairs k), next')) ) ->
+          k = Array.length pairs
+          && next' = next + 4
+          && columns () = Array.append before pairs
+      | ( Some (SP.Frame req, next),
+          Ok (Some (SP.Frame (SP.Request req'), next')) ) ->
+          request_equal req req' && next' = next + 4 && columns () = before
+      | _ -> QCheck2.Test.fail_report "the two decoders disagree")
+
 (* ------------------------------------------------------------------ *)
 (* Daemon end to end *)
 
@@ -367,14 +424,14 @@ let rec wait_ready ready n =
 (* Run [f sock] against a daemon serving [engine] in a spawned domain;
    drain it with the shutdown verb afterwards and return [f]'s result
    together with the daemon's totals. *)
-let with_server ?max_frame ?queue_max ?http_listeners ?slow_us ?sample_every
-    ?frame_hook engine f =
+let with_server ?max_frame ?queue_max ?batch_max ?http_listeners ?slow_us
+    ?sample_every ?frame_hook engine f =
   let sock = fresh_sock () in
   let ready = Atomic.make false in
   let d =
     Domain.spawn (fun () ->
-        Server.run ?max_frame ?queue_max ?http_listeners ?slow_us ?sample_every
-          ?frame_hook
+        Server.run ?max_frame ?queue_max ?batch_max ?http_listeners ?slow_us
+          ?sample_every ?frame_hook
           ~on_ready:(fun () -> Atomic.set ready true)
           ~listeners:[ Server.Unix_socket sock ] engine)
   in
@@ -581,7 +638,7 @@ let test_e2e_oversized_disconnect () =
    frame itself — fast — must stay out of the ring. *)
 let test_e2e_flight_recorder () =
   let g = random_graph ~n:40 ~m:80 ~seed:13 in
-  let hook = function SP.Reach _ -> Unix.sleepf 0.005 | _ -> () in
+  let hook = function 'R' -> Unix.sleepf 0.005 | _ -> () in
   let (), _totals =
     with_server ~slow_us:1000.0 ~sample_every:0 ~frame_hook:hook
       (Server.engine_of_graph g)
@@ -599,6 +656,180 @@ let test_e2e_flight_recorder () =
               (not (contains ~sub:"\"name\":\"dump\"" dump))))
   in
   ()
+
+(* ------------------------------------------------------------------ *)
+(* The flat reach path end to end
+
+   Scripted byte streams over a raw socket: pipelined frames, a frame
+   split mid-pair, empty and out-of-range batches, count fields that lie
+   and a pattern frame among reach frames.  The daemon owes one reply
+   per frame in FIFO order, so the whole reply stream must equal, byte
+   for byte, the concatenation of the replies the codec and the
+   in-process engine give — and every answer must match the BFS
+   oracle. *)
+
+let reach_frame pairs = encode_request (SP.Reach pairs)
+
+(* The frame's count field (bytes 6..9) rewritten, so the body no
+   longer matches it. *)
+let lying_count frame count =
+  let b = Bytes.of_string frame in
+  Bytes.set_int32_le b 6 (Int32.of_int count);
+  Bytes.to_string b
+
+let malformed_reply frame =
+  match SP.decode_request frame ~pos:0 with
+  | Some (SP.Malformed msg, next) when next = String.length frame ->
+      encode_response (SP.Error ("malformed frame: " ^ msg))
+  | _ -> Alcotest.fail "a scripted frame meant to be malformed decoded"
+
+(* Read exactly [k] bytes, or fail once the socket stays quiet. *)
+let read_exactly fd k =
+  let b = Bytes.create k in
+  let rec go off =
+    if off < k then
+      match Unix.read fd b off (k - off) with
+      | 0 -> Alcotest.failf "connection closed after %d of %d reply bytes" off k
+      | n -> go (off + n)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          Alcotest.failf "no reply after %d of %d bytes" off k
+  in
+  go 0;
+  Bytes.to_string b
+
+(* [writes] go out one [write] each, with a pause between them so the
+   daemon reads each on its own; the replies are then read back whole. *)
+let exchange sock writes =
+  let fd = raw_connect sock in
+  Fun.protect ~finally:(fun () -> Unix.close fd) (fun () ->
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+      List.iteri
+        (fun i (bytes, _) ->
+          if i > 0 then Unix.sleepf 0.01;
+          raw_send fd bytes)
+        writes;
+      let expected = String.concat "" (List.map snd writes) in
+      read_exactly fd (String.length expected) = expected)
+
+(* The script's writes, each with the reply bytes owed once it is in.
+   [answers pairs] is the expected 'A' reply; [pattern_reply] the 'H'
+   reply to [pattern]. *)
+let flat_script ~rng ~n ~answers ~pattern ~pattern_reply =
+  let random_pairs k =
+    Array.init k (fun _ -> (Random.State.int rng n, Random.State.int rng n))
+  in
+  let batch () = random_pairs (Random.State.int rng 40) in
+  let reach pairs = (reach_frame pairs, answers pairs) in
+  let one_write fs =
+    (String.concat "" (List.map fst fs), String.concat "" (List.map snd fs))
+  in
+  (* Several frames in one write, an empty batch among them. *)
+  let pipelined = one_write [ reach (batch ()); reach [||]; reach (batch ()) ] in
+  (* One frame in two writes, cut inside the second pair's source id. *)
+  let split =
+    let pairs = random_pairs (3 + Random.State.int rng 20) in
+    let f = reach_frame pairs in
+    let cut = 10 + 8 + 2 in
+    [
+      (String.sub f 0 cut, "");
+      (String.sub f cut (String.length f - cut), answers pairs);
+    ]
+  in
+  (* Five frames in one write; the third names a node past the bound. *)
+  let out_of_range =
+    let bad = random_pairs (1 + Random.State.int rng 20) in
+    let j = Random.State.int rng (Array.length bad) in
+    let u, v = bad.(j) in
+    bad.(j) <- (if Random.State.bool rng then (n, v) else (u, n + 17));
+    let err =
+      encode_response
+        (SP.Error
+           (Printf.sprintf "query %d: node id out of range (node count %d)" j n))
+    in
+    one_write
+      [
+        reach (batch ()); reach (batch ()); (reach_frame bad, err);
+        reach (batch ()); reach (batch ());
+      ]
+  in
+  (* Count fields that lie: too few pairs claimed, too many, and a count
+     whose pairs could never fit a frame.  Each draws the decoder's own
+     verdict, and the stream stays in sync. *)
+  let lying =
+    let f = reach_frame (random_pairs 3) in
+    one_write
+      (List.map
+         (fun count ->
+           let bad = lying_count f count in
+           (bad, malformed_reply bad))
+         [ 2; 4; 0xFFFFFFFF ]
+      @ [ reach (batch ()) ])
+  in
+  (* A pattern frame between reach frames. *)
+  let mixed =
+    one_write
+      [
+        reach (batch ());
+        (encode_request (SP.Match pattern), pattern_reply);
+        reach (batch ());
+      ]
+  in
+  [ pipelined ] @ split @ [ out_of_range; lying; mixed ]
+
+let test_e2e_flat_path () =
+  let n = 400 in
+  let g = random_graph ~n ~m:1200 ~seed:71 in
+  let pattern =
+    Pattern.make ~n:2 ~labels:[| 0; 1 |] ~edges:[ (0, 1, Pattern.Bounded 1) ]
+  in
+  let oracle_match = Bounded_sim.eval pattern g in
+  let c = Compress_reach.compress g in
+  List.iter
+    (fun domains ->
+      Pool.with_pool ~domains (fun pool ->
+          let engines =
+            [
+              ( "graph",
+                Server.engine_of_graph ~pool g,
+                Compress_bisim.answer pattern (Compress_bisim.compress g) );
+              ( "compressed",
+                Server.engine_of_compressed ~pool c,
+                Compress_bisim.answer pattern c );
+            ]
+          in
+          List.iter
+            (fun (name, engine, matched) ->
+              if name = "graph" then
+                Testutil.check_bool "pattern answer matches Bounded_sim" true
+                  (Pattern.result_equal matched oracle_match);
+              let pattern_reply = encode_response (SP.Matches matched) in
+              List.iter
+                (fun batch_max ->
+                  let label =
+                    Printf.sprintf "%s engine, %d domain(s), batch_max %d" name
+                      domains batch_max
+                  in
+                  let answers pairs =
+                    let a = Server.eval engine pairs in
+                    if a <> Reach_query.eval_batch Reach_query.Bfs g pairs then
+                      Alcotest.failf "%s: in-process answers differ from BFS"
+                        label;
+                    encode_response (SP.Answers a)
+                  in
+                  let rng = Random.State.make [| domains; batch_max |] in
+                  let script =
+                    flat_script ~rng ~n ~answers ~pattern ~pattern_reply
+                  in
+                  let ok, _totals =
+                    with_server ~batch_max engine (fun sock ->
+                        exchange sock script)
+                  in
+                  Testutil.check_bool
+                    (label ^ ": replies byte for byte")
+                    true ok)
+                [ 1; 7; 8192 ])
+            engines))
+    [ 1; 2; 4 ]
 
 (* The scrape plane: raw HTTP/1.0 over a second unix socket served by
    the same select loop. *)
@@ -688,6 +919,7 @@ let () =
           qcheck_roundtrip_pattern;
           qcheck_truncation;
           qcheck_corruption;
+          qcheck_decode_into;
         ] );
       ( "daemon",
         [
@@ -703,6 +935,8 @@ let () =
             test_e2e_malformed_recovery;
           Alcotest.test_case "oversized frame disconnects" `Quick
             test_e2e_oversized_disconnect;
+          Alcotest.test_case "flat reach path, scripted streams" `Quick
+            test_e2e_flat_path;
           Alcotest.test_case "flight recorder captures slow frames" `Quick
             test_e2e_flight_recorder;
           Alcotest.test_case "http scrape endpoints" `Quick
