@@ -15,12 +15,10 @@
    Exit codes: 0 clean, 1 findings, 2 read/parse errors. *)
 
 let usage =
-  "qpgc-lint [--typed] [--hot] [--prefix P] [--format text|json] [--rule R] \
-   <paths>"
+  "qpgc-lint [--typed] [--prefix P] [--format text|json] [--rule R] <paths>"
 
 let () =
   let paths = ref [] in
-  let hot = ref None in
   let prefix = ref "" in
   let format = ref "text" in
   let only = ref [] in
@@ -31,10 +29,6 @@ let () =
       ("--typed", Arg.Set typed,
        " whole-program tier: analyze Typedtree (.cmt) units with the \
         interprocedural rules, then the syntactic rules on their sources");
-      ("--hot", Arg.Unit (fun () -> hot := Some true),
-       " treat all given files as hot-path modules (default: by path)");
-      ("--cold", Arg.Unit (fun () -> hot := Some false),
-       " treat all given files as cold modules");
       ("--prefix", Arg.Set_string prefix,
        "P prepend P to reported file paths (for out-of-tree invocation)");
       ("--format", Arg.Symbol ([ "text"; "json" ], (fun f -> format := f)),
@@ -49,7 +43,7 @@ let () =
     List.iter
       (fun (r : Lint_rules.rule) ->
         Printf.printf "%s%s\n  %s\n" r.id
-          (if r.hot_only then " (hot-path modules only)" else "")
+          (if r.scope = Hot then " (hot-path modules only)" else "")
           r.doc)
       (Lint_rules.all_rules ());
     List.iter
@@ -66,8 +60,7 @@ let () =
     if !typed then
       Lint_typed_driver.analyze ~only:!only ~prefix:!prefix (List.rev !paths)
     else
-      Lint_driver.lint_paths ?hot:!hot ~only:!only ~prefix:!prefix
-        (List.rev !paths)
+      Lint_driver.lint_paths ~only:!only ~prefix:!prefix (List.rev !paths)
   in
   List.iter prerr_endline result.errors;
   (match !format with

@@ -664,7 +664,9 @@ let http_route st (r : Server_http.request) =
         else (503, "text/plain; charset=utf-8", "starting\n")
     | _ -> (404, "text/plain; charset=utf-8", "not found\n")
 
-let process_http st =
+(* [fed] holds the scrape connections a read added bytes to this cycle;
+   the others hold no new input, so they are not parsed again. *)
+let process_http st fed =
   List.iter
     (fun c ->
       if (not c.closing) && c.outq.len = 0 then
@@ -684,23 +686,29 @@ let process_http st =
                 [ ("path", Obs.Log.Str r.path); ("status", Obs.Log.Int status) ];
             push_string c.outq (Server_http.response ~status ~content_type body);
             c.closing <- true)
-    st.hconns
+    fed
 
 (* A read is offered at least this much room. *)
 let min_read = 1024
 
+(* True when the read added bytes to [c]'s input. *)
 let read_conn c =
   let q = c.inq in
   reserve q min_read;
   match Unix.read c.fd q.buf q.len (Bytes.length q.buf - q.len) with
-  | 0 -> c.closing <- true
-  | k -> q.len <- q.len + k
+  | 0 ->
+      c.closing <- true;
+      false
+  | k ->
+      q.len <- q.len + k;
+      true
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
     ->
-      ()
+      false
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
       clear c.outq;
-      c.closing <- true
+      c.closing <- true;
+      false
 
 let flush_conn c =
   let q = c.outq in
@@ -796,17 +804,23 @@ let serve_loop st stop usr1 =
           (st.conns @ st.hconns)
       in
       let timeout = if backlog then 0.0 else if st.draining then 0.05 else 0.25 in
-      (match Unix.select rfds wfds [] timeout with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | readable, _, _ ->
-          List.iter
-            (fun fd ->
-              if List.memq fd st.lfds then accept_all st fd ~http:false
-              else if List.memq fd st.http_lfds then accept_all st fd ~http:true)
-            readable;
-          List.iter
-            (fun c -> if List.memq c.fd readable then read_conn c)
-            (st.conns @ st.hconns));
+      let fed =
+        match Unix.select rfds wfds [] timeout with
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+        | readable, _, _ ->
+            List.iter
+              (fun fd ->
+                if List.memq fd st.lfds then accept_all st fd ~http:false
+                else if List.memq fd st.http_lfds then
+                  accept_all st fd ~http:true)
+              readable;
+            List.iter
+              (fun c -> if List.memq c.fd readable then ignore (read_conn c))
+              st.conns;
+            List.filter
+              (fun c -> List.memq c.fd readable && read_conn c)
+              st.hconns
+      in
       if !stop && not st.draining then begin
         Obs.Log.info "draining" ~fields:[ ("reason", Obs.Log.Str "signal") ];
         st.draining <- true
@@ -816,7 +830,7 @@ let serve_loop st stop usr1 =
         dump_flight st
       end;
       process_cycle st;
-      process_http st;
+      process_http st fed;
       Obs.Window.tick st.w_queries;
       Obs.Window.tick st.w_latency;
       Obs.set_gauge g_conns (float_of_int (List.length st.conns));

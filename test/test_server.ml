@@ -888,6 +888,75 @@ let test_e2e_http_scrape () =
   in
   try Sys.remove hsock with Sys_error _ -> ()
 
+(* Read a scrape reply to EOF.  A receive timeout turns a connection the
+   daemon never closes into a failure instead of a hang; a reset after
+   the reply (the daemon closed with input unread) also ends it. *)
+let http_read_all fd =
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 5.0;
+  let buf = Buffer.create 1024 in
+  let scratch = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd scratch 0 (Bytes.length scratch) with
+    | 0 -> Buffer.contents buf
+    | k ->
+        Buffer.add_subbytes buf scratch 0 k;
+        go ()
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> Buffer.contents buf
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        Alcotest.fail "the daemon did not close the scrape connection"
+  in
+  go ()
+
+let count_sub ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec go i acc =
+    if i + n > m then acc
+    else go (i + 1) (if String.sub s i n = sub then acc + 1 else acc)
+  in
+  go 0 0
+
+(* Run [f hsock raw_fd] against a daemon with a scrape listener, [raw_fd]
+   a fresh raw connection to it; the protocol socket is passed too. *)
+let with_scrape_conn g f =
+  let hsock = fresh_sock () in
+  let v, _totals =
+    with_server
+      ~http_listeners:[ Server.Unix_socket hsock ]
+      (Server.engine_of_graph g)
+      (fun sock ->
+        let fd = raw_connect hsock in
+        Fun.protect
+          ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+          (fun () -> f sock fd))
+  in
+  (try Sys.remove hsock with Sys_error _ -> ());
+  v
+
+(* A request split over two writes, with a pause between them, is parsed
+   when its second half arrives and answered exactly once. *)
+let test_e2e_http_split_request () =
+  with_scrape_conn (random_graph ~n:20 ~m:40 ~seed:7) (fun sock fd ->
+      raw_send fd "GET /healthz HT";
+      Unix.sleepf 0.1;
+      raw_send fd "TP/1.0\r\n\r\n";
+      let reply = http_read_all fd in
+      Testutil.check_int "one status line" 1 (count_sub ~sub:"HTTP/1.0 " reply);
+      Testutil.check_bool "healthz answered" true
+        (contains ~sub:"HTTP/1.0 200" reply && contains ~sub:"\r\n\r\nok\n" reply);
+      with_client sock (fun c ->
+          Testutil.check_bool "one scrape counted" true
+            (contains ~sub:"scrapes: 1\n" (Server_client.stats c))))
+
+(* More than [Server_http.max_header] bytes with no header terminator:
+   a 400, then the daemon closes the connection. *)
+let test_e2e_http_header_too_large () =
+  with_scrape_conn (random_graph ~n:20 ~m:40 ~seed:8) (fun _sock fd ->
+      raw_send fd (String.make (Server_http.max_header + 808) 'x');
+      let reply = http_read_all fd in
+      Testutil.check_bool "400 status" true (contains ~sub:"HTTP/1.0 400" reply);
+      Testutil.check_bool "reason given" true
+        (contains ~sub:"header block too large" reply))
+
 let test_e2e_shutdown_ack () =
   let g = random_graph ~n:20 ~m:40 ~seed:5 in
   let (), totals =
@@ -941,6 +1010,10 @@ let () =
             test_e2e_flight_recorder;
           Alcotest.test_case "http scrape endpoints" `Quick
             test_e2e_http_scrape;
+          Alcotest.test_case "http request split over two writes" `Quick
+            test_e2e_http_split_request;
+          Alcotest.test_case "http header block too large" `Quick
+            test_e2e_http_header_too_large;
           Alcotest.test_case "shutdown verb drains" `Quick
             test_e2e_shutdown_ack;
         ] );

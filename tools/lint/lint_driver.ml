@@ -1,4 +1,5 @@
-(* Parsing, rule execution, suppression filtering and path discovery. *)
+(* Parsing, scope classification, rule execution, suppression filtering
+   and path discovery. *)
 
 type result = {
   diags : Lint_diag.t list;  (* surviving findings, sorted *)
@@ -10,22 +11,21 @@ let empty = { diags = []; errors = [] }
 let merge a b =
   { diags = a.diags @ b.diags; errors = a.errors @ b.errors }
 
-(* Directories whose modules POLY01/CMP01 treat as hot paths. *)
-let hot_prefixes = [ "lib/graph"; "lib/partition"; "lib/core"; "lib/query" ]
+(* Directories whose modules are hot paths: the scope of POLY01 and
+   CMP01. *)
+let hot_prefixes =
+  [ "lib/graph"; "lib/partition"; "lib/core"; "lib/query"; "lib/server" ]
 
 let contains_sub ~sub s =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-let auto_hot display =
-  List.exists (fun p -> contains_sub ~sub:p display) hot_prefixes
-
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+let in_scope display = function
+  | Lint_rules.Anywhere -> true
+  | Hot -> List.exists (fun p -> contains_sub ~sub:p display) hot_prefixes
+  | Under ps -> List.exists (fun p -> contains_sub ~sub:p display) ps
+  | Outside p -> not (contains_sub ~sub:p display)
 
 let parse_implementation ~display src =
   let lexbuf = Lexing.from_string src in
@@ -35,35 +35,38 @@ let parse_implementation ~display src =
 let rule_enabled only id =
   match only with [] -> true | ids -> List.mem id ids
 
-(* Lint one [.ml] file.  [hot] overrides the path-based classification;
-   [only] restricts to the given rule ids (empty = all). *)
-let lint_file ?hot ?(only = []) ~display path =
-  match read_file path with
-  | exception Sys_error msg -> { empty with errors = [ msg ] }
+(* Lint one [.ml] file: run the syntactic rules whose scope covers
+   [display] ([only] restricts them to the given ids; empty = all), then
+   drop every finding -- theirs, and [typed], the typed tier's findings
+   against the same file -- that a comment or attribute in the source
+   suppresses. *)
+let lint_file ?(only = []) ?(typed = []) ~display path =
+  let failed msg = { diags = typed; errors = [ msg ] } in
+  match Lint_cmt.read_file path with
+  | exception Sys_error msg -> failed msg
   | src -> (
       match parse_implementation ~display src with
       | exception exn ->
-          let msg =
-            match Location.error_of_exn exn with
-            | Some (`Ok err) ->
-                Format.asprintf "%a" Location.print_report err
-            | _ -> Printf.sprintf "%s: %s" display (Printexc.to_string exn)
-          in
-          { empty with errors = [ msg ] }
+          failed
+            (match Location.error_of_exn exn with
+            | Some (`Ok err) -> Format.asprintf "%a" Location.print_report err
+            | _ -> Printf.sprintf "%s: %s" display (Printexc.to_string exn))
       | structure ->
-          let hot = match hot with Some h -> h | None -> auto_hot display in
-          let ctx = { Lint_rules.display; hot; diags = [] } in
-          List.iter
-            (fun (r : Lint_rules.rule) ->
-              if rule_enabled only r.id && ((not r.hot_only) || hot) then
-                r.check ctx structure)
-            (Lint_rules.all_rules ());
+          let ctx = { Lint_rules.display; diags = [] } in
+          Lint_rules.check ctx
+            (List.filter
+               (fun (r : Lint_rules.rule) ->
+                 rule_enabled only r.id && in_scope display r.scope)
+               (Lint_rules.all_rules ()))
+            structure;
           let spans =
             Lint_suppress.scan_comments src
             @ Lint_suppress.collect_attribute_spans structure
           in
           {
-            diags = Lint_diag.dedup_sort (Lint_suppress.filter spans ctx.diags);
+            diags =
+              Lint_diag.dedup_sort
+                (Lint_suppress.filter spans (typed @ ctx.diags));
             errors = [];
           })
 
@@ -78,11 +81,9 @@ let rec collect_ml path =
   else if Filename.check_suffix path ".ml" then [ path ]
   else []
 
-let lint_paths ?hot ?(only = []) ?(prefix = "") paths =
+let lint_paths ?(only = []) ?(prefix = "") paths =
   let files = List.concat_map collect_ml paths in
   List.fold_left
-    (fun acc path ->
-      let display = prefix ^ path in
-      merge acc (lint_file ?hot ~only ~display path))
+    (fun acc path -> merge acc (lint_file ~only ~display:(prefix ^ path) path))
     empty files
   |> fun r -> { diags = Lint_diag.dedup_sort r.diags; errors = List.rev r.errors }

@@ -292,10 +292,10 @@ let pool_entry_names =
 
 let is_pool_entry name = List.mem (last2 name) pool_entry_names
 
-(* Mirrors the syntactic PARA01 table ([Lint_rules.mutating_module]), with
-   the containers the typed tier can afford to track precisely added:
-   Queue/Stack (passed across helpers far more often than they appear
-   literally in closures). *)
+(* Containers whose update functions mutate their first argument: the
+   stdlib [Hashtbl], [Buffer], [Queue] and [Stack], plus keyed tables by
+   convention ([Itbl], [Ptbl], ... -- any module name ending in
+   "tbl"/"Tbl", as produced by [Hashtbl.Make]). *)
 let mutating_container m =
   m = "Hashtbl" || m = "Buffer" || m = "Queue" || m = "Stack"
   || (let n = String.length m in
@@ -332,17 +332,12 @@ let sanctioned_module m =
 let sanctioned_callee name =
   match split_name name with m :: _ :: _ -> sanctioned_module m | _ -> false
 
-let contains_sub ~sub s =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
-
 (* Units whose definitions get neutral summaries: the observability and
    pool layers mutate their own internal state by design (per-domain
    metric cells, work queues), under their own synchronisation. *)
 let exempt_unit (d : def) =
-  contains_sub ~sub:"lib/obs" d.unit_display
-  || contains_sub ~sub:"lib/parallel" d.unit_display
+  Lint_driver.contains_sub ~sub:"lib/obs" d.unit_display
+  || Lint_driver.contains_sub ~sub:"lib/parallel" d.unit_display
 
 let raise_family =
   [ "raise"; "raise_notrace"; "failwith"; "invalid_arg"; "assert_failure" ]

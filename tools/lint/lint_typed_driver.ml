@@ -6,51 +6,9 @@
    tiers share one entry point and one deduplicated report — also runs
    the syntactic rules over each unit whose source is readable.
 
-   Suppression works exactly as in the syntactic tier: `lint: allow`
-   comments are scanned from the unit's source, and [@lint.allow]
-   attributes are collected from the Typedtree (the typed analogue of the
-   parsetree collector). *)
-
-let typed_attribute_spans (u : Lint_cmt.unit_info) =
-  let spans = ref [] in
-  let add loc (attrs : Parsetree.attributes) =
-    List.iter
-      (fun attr ->
-        match Lint_suppress.rules_of_attribute attr with
-        | Some rules when rules <> [] ->
-            spans := Lint_suppress.span_of_loc loc rules :: !spans
-        | _ -> ())
-      attrs
-  in
-  let open Tast_iterator in
-  let super = default_iterator in
-  let expr it (e : Typedtree.expression) =
-    add e.exp_loc e.exp_attributes;
-    super.expr it e
-  in
-  let value_binding it (vb : Typedtree.value_binding) =
-    add vb.vb_loc vb.vb_attributes;
-    super.value_binding it vb
-  in
-  let structure_item it (si : Typedtree.structure_item) =
-    (match si.str_desc with
-    | Typedtree.Tstr_attribute attr -> (
-        match Lint_suppress.rules_of_attribute attr with
-        | Some rules when rules <> [] ->
-            spans :=
-              {
-                Lint_suppress.from_line = si.str_loc.loc_start.pos_lnum;
-                to_line = max_int;
-                rules;
-              }
-              :: !spans
-        | _ -> ())
-    | _ -> ());
-    super.structure_item it si
-  in
-  let it = { super with expr; value_binding; structure_item } in
-  it.structure it u.str;
-  !spans
+   Suppression works exactly as in the syntactic tier: each unit's
+   source is parsed once, and its `lint: allow` comments and
+   [@lint.allow] attributes filter the findings of both tiers. *)
 
 (* Classify and load the given inputs: a directory is scanned recursively
    for .cmt files, a .cmt is read, a .ml is typechecked in-process.
@@ -81,7 +39,7 @@ let load_units ~prefix paths =
     paths;
   (List.rev !units, List.rev !errors)
 
-let analyze ?(only = []) ?(prefix = "") ?(syntactic = true) paths =
+let analyze ?(only = []) ?(prefix = "") paths =
   let units, load_errors = load_units ~prefix paths in
   let prog = Lint_program.build units in
   let ctx = { Lint_typed_rules.prog; diags = [] } in
@@ -89,44 +47,19 @@ let analyze ?(only = []) ?(prefix = "") ?(syntactic = true) paths =
     (fun (r : Lint_typed_rules.rule) ->
       if Lint_driver.rule_enabled only r.id then r.check ctx)
     (Lint_typed_rules.all_rules ());
-  (* Apply each unit's suppression spans to the typed findings reported
-     against it. *)
-  let typed_diags =
-    List.concat_map
-      (fun (u : Lint_cmt.unit_info) ->
-        let mine =
+  let r =
+    List.fold_left
+      (fun acc (u : Lint_cmt.unit_info) ->
+        let typed =
           List.filter
             (fun d -> d.Lint_diag.file = u.display)
             ctx.Lint_typed_rules.diags
         in
-        if mine = [] then []
-        else
-          let spans =
-            (match u.source_path with
-            | Some p -> (
-                match Lint_driver.read_file p with
-                | src -> Lint_suppress.scan_comments src
-                | exception Sys_error _ -> [])
-            | None -> [])
-            @ typed_attribute_spans u
-          in
-          Lint_suppress.filter spans mine)
+        Lint_driver.merge acc
+          (match u.source_path with
+          | Some p -> Lint_driver.lint_file ~only ~typed ~display:u.display p
+          | None -> { Lint_driver.diags = typed; errors = [] }))
+      { Lint_driver.empty with errors = load_errors }
       units
   in
-  let syntactic_result =
-    if syntactic then
-      List.fold_left
-        (fun acc (u : Lint_cmt.unit_info) ->
-          match u.source_path with
-          | Some p ->
-              Lint_driver.merge acc
-                (Lint_driver.lint_file ~only ~display:u.display p)
-          | None -> acc)
-        Lint_driver.empty units
-    else Lint_driver.empty
-  in
-  {
-    Lint_driver.diags =
-      Lint_diag.dedup_sort (typed_diags @ syntactic_result.Lint_driver.diags);
-    errors = load_errors @ syntactic_result.Lint_driver.errors;
-  }
+  { r with diags = Lint_diag.dedup_sort r.diags }

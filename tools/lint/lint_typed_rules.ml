@@ -11,8 +11,8 @@
 
    - PARA02   interprocedural escape of mutable state into Pool closures:
               a parallel closure that mutates captured or global state
-              through helper calls, aliases, or partial applications —
-              the cases the syntactic PARA01 cannot see.
+              directly, through helper calls, aliases, or partial
+              applications.
    - BOUNDS01 untrusted-read bounds: every [String.get_int64_le] /
               [get_int32_le] (and friends) must be dominated, within its
               function, by a length check that raises [Parse_error] —
@@ -128,18 +128,23 @@ let para_transfer prog (d : P.def) ~get =
             let witness = Printf.sprintf "via %s: %s" name w in
             match target with
             | Mglobal g -> acc := para_add !acc (Mglobal g) witness
-            | Mparam j when j < List.length pos -> (
-                let arg = List.nth pos j in
-                match arg.exp_desc with
-                | Texp_ident (p, _, _) when P.resolve scope p <> None ->
-                    let g = Option.get (P.resolve scope p) in
-                    if not (P.sanctioned_callee g) then
-                      acc := para_add !acc (Mglobal g) witness
-                | _ ->
-                    List.iter
-                      (fun i -> acc := para_add !acc (Mparam i) witness)
-                      (roots_of roots arg))
-            | Mparam _ -> ())
+            | Mparam j -> (
+                match List.nth_opt pos j with
+                | None -> ()
+                | Some arg -> (
+                    let global =
+                      match arg.exp_desc with
+                      | Texp_ident (p, _, _) -> P.resolve scope p
+                      | _ -> None
+                    in
+                    match global with
+                    | Some g ->
+                        if not (P.sanctioned_callee g) then
+                          acc := para_add !acc (Mglobal g) witness
+                    | None ->
+                        List.iter
+                          (fun i -> acc := para_add !acc (Mparam i) witness)
+                          (roots_of roots arg))))
           (get name)
     | _ -> ()
   in
@@ -175,12 +180,11 @@ let para_transfer prog (d : P.def) ~get =
         (match P.head_name scope f with
         | None -> ()
         | Some name ->
-            (match (P.mutating_target name, pos) with
-            | Some i, _ when i < List.length pos ->
-                record_target
-                  ~what:(Printf.sprintf "`%s`" (P.last2 name))
-                  ~loc:e.exp_loc (List.nth pos i)
-            | _ -> ());
+            Option.iter
+              (record_target
+                 ~what:(Printf.sprintf "`%s`" (P.last2 name))
+                 ~loc:e.exp_loc)
+              (Option.bind (P.mutating_target name) (List.nth_opt pos));
             callee_summary name pos)
     | _ -> P.iter_child_exprs walk e
   in
@@ -300,12 +304,11 @@ let para_check_closure ctx summaries (d : P.def) closure =
         (match P.head_name scope f with
         | None -> ()
         | Some name -> (
-            (match (P.mutating_target name, pos) with
-            | Some i, _ when i < List.length pos ->
-                check_target
-                  ~what:(Printf.sprintf "`%s`" (P.last2 name))
-                  ~loc:e.exp_loc (List.nth pos i)
-            | _ -> ());
+            Option.iter
+              (check_target
+                 ~what:(Printf.sprintf "`%s`" (P.last2 name))
+                 ~loc:e.exp_loc)
+              (Option.bind (P.mutating_target name) (List.nth_opt pos));
             match P.def_of ctx.prog name with
             | Some callee when not (P.exempt_unit callee) ->
                 List.iter
@@ -314,14 +317,16 @@ let para_check_closure ctx summaries (d : P.def) closure =
                     | Mglobal g ->
                         para_flag ctx d ~loc:e.exp_loc g
                           (Printf.sprintf "via %s: %s" name w)
-                    | Mparam j when j < List.length pos -> (
-                        let arg = List.nth pos j in
-                        match origins_of scope locals origins arg with
-                        | origin :: _ ->
+                    | Mparam j -> (
+                        match
+                          Option.map
+                            (origins_of scope locals origins)
+                            (List.nth_opt pos j)
+                        with
+                        | Some (origin :: _) ->
                             para_flag ctx d ~loc:e.exp_loc origin
                               (Printf.sprintf "via %s: %s" name w)
-                        | [] -> ())
-                    | Mparam _ -> ())
+                        | Some [] | None -> ()))
                   (summary_of name)
             | _ -> ()))
     | _ -> P.iter_child_exprs walk e
@@ -975,7 +980,7 @@ let span_check ctx (d : P.def) =
         go b0 body
     | _ -> fold_children go bal e
   in
-  if not (P.contains_sub ~sub:"lib/obs" d.unit_display) then
+  if not (Lint_driver.contains_sub ~sub:"lib/obs" d.unit_display) then
     List.iter
       (fun body ->
         let out = go 0 body in

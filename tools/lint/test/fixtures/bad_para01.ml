@@ -1,6 +1,6 @@
-(* PARA01 fixture: closures passed to Pool entry points that mutate
-   captured state.  Lines matter -- test_lint.ml asserts them. *)
-
+(* PARA01's cases, checked by PARA02.  Lines matter: test_lint.ml asserts them. *)
+module Pool = struct let parallel_for () ~n f = for i = 0 to n - 1 do f i done
+  let parallel_for_ranges () ~n f = f 0 n end
 let bad_ref pool n =
   let total = ref 0 in
   Pool.parallel_for pool ~n (fun i -> total := !total + i);
@@ -40,3 +40,9 @@ let good pool n =
       done;
       out.(lo) <- !scratch);
   out
+
+(* line 48: record-field write on a captured record *)
+type acc = { mutable cell : int }
+
+let bad_field pool n (state : acc) =
+  Pool.parallel_for pool ~n (fun i -> state.cell <- state.cell + i)

@@ -16,9 +16,3 @@ let sorted a = Array.sort compare a [@@lint.allow "POLY01"]
 
 (* Multiple rules in one directive. *)
 let h name = (Hashtbl.hash name, List.hd [ name ]) (* lint: allow POLY01, PARTIAL01 *)
-
-let para pool n =
-  let total = ref 0 in
-  (* Provably disjoint in this imaginary scenario.  lint: allow PARA01 *)
-  Pool.parallel_for pool ~n (fun i -> total := !total + i);
-  !total

@@ -1,7 +1,6 @@
 (* Typed-tier suppression fixture: every violation below carries either a
-   comment directive (scanned from the source) or a [@lint.allow]
-   expression attribute (collected from the Typedtree), so the typed
-   analysis must report nothing. *)
+   comment directive or a [@lint.allow] expression attribute, both read
+   from the parsed source, so the typed analysis must report nothing. *)
 
 (* Comment form: covers the comment's lines and the next line. *)
 let[@lint.hot_loop] hot_comment (a : int array) =
@@ -23,7 +22,7 @@ end
 let racy_but_reviewed n =
   let total = ref 0 in
   Pool.parallel_for () ~n (fun i ->
-      (* lint: allow PARA01 PARA02 -- fixture: demonstrating that one
-         directive can silence both tiers on the same line *)
+      (* lint: allow PARA02 -- fixture: a comment spanning two lines
+         covers the line after it *)
       total := !total + i);
   !total

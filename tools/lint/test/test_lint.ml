@@ -4,11 +4,11 @@
 
 let fixture name = Filename.concat "fixtures" name
 
-(* Lint a fixture as a hot-path module and return its (line, rule) pairs in
-   report order. *)
+(* Lint a fixture as a hot-path module (displayed under lib/core) and
+   return its (line, rule) pairs in report order. *)
 let lint ?only name =
   let path = fixture name in
-  let r = Lint_driver.lint_file ?only ~hot:true ~display:path path in
+  let r = Lint_driver.lint_file ?only ~display:("lib/core/" ^ path) path in
   (match r.Lint_driver.errors with
   | [] -> ()
   | e :: _ -> Alcotest.failf "unexpected lint error on %s: %s" name e);
@@ -20,24 +20,6 @@ let check_diags name expected actual =
   Alcotest.check (Alcotest.list line_rule) name expected actual
 
 let test_cmp01 () = check_diags "bad_cmp01" [ (3, "CMP01") ] (lint "bad_cmp01.ml")
-
-let test_para01 () =
-  check_diags "bad_para01"
-    [
-      (6, "PARA01");
-      (12, "PARA01");
-      (17, "CMP01");
-      (18, "PARA01");
-      (25, "PARA01");
-      (36, "CMP01");
-    ]
-    (lint "bad_para01.ml")
-
-(* --rule / [only] restricts the run to the named rules. *)
-let test_para01_only () =
-  check_diags "bad_para01 --rule PARA01"
-    [ (6, "PARA01"); (12, "PARA01"); (18, "PARA01"); (25, "PARA01") ]
-    (lint ~only:[ "PARA01" ] "bad_para01.ml")
 
 let test_partial01 () =
   check_diags "bad_partial01"
@@ -61,7 +43,7 @@ let test_csr02 () =
    representation and may touch the dense CSR freely. *)
 let test_csr02_in_scope () =
   let r =
-    Lint_driver.lint_file ~hot:true ~only:[ "CSR02" ]
+    Lint_driver.lint_file ~only:[ "CSR02" ]
       ~display:"lib/graph/bad_csr02.ml"
       (fixture "bad_csr02.ml")
   in
@@ -75,7 +57,7 @@ let test_csr02_in_scope () =
    isolates it from CMP01, which also dislikes the Hashtbl.create line. *)
 let test_alloc01 () =
   let r =
-    Lint_driver.lint_file ~hot:true ~only:[ "ALLOC01" ]
+    Lint_driver.lint_file ~only:[ "ALLOC01" ]
       ~display:"lib/partition/bad_alloc01.ml"
       (fixture "bad_alloc01.ml")
   in
@@ -89,7 +71,7 @@ let test_alloc01 () =
    keyed tables legitimately. *)
 let test_alloc01_out_of_scope () =
   let r =
-    Lint_driver.lint_file ~hot:true ~only:[ "ALLOC01" ]
+    Lint_driver.lint_file ~only:[ "ALLOC01" ]
       ~display:"lib/graph/bad_alloc01.ml"
       (fixture "bad_alloc01.ml")
   in
@@ -99,7 +81,7 @@ let test_alloc01_out_of_scope () =
        r.Lint_driver.diags)
 
 (* OBS01 is scoped like ALLOC01 but inverted: it fires everywhere except
-   under lib/obs.  The [lint] helper's display path (fixtures/...) is
+   under lib/obs.  The [lint] helper's display path (lib/core/...) is
    outside lib/obs, so the findings fire. *)
 let test_obs01 () =
   check_diags "bad_obs01"
@@ -110,7 +92,7 @@ let test_obs01 () =
    raw clock for everyone else. *)
 let test_obs01_in_scope () =
   let r =
-    Lint_driver.lint_file ~hot:false ~only:[ "OBS01" ]
+    Lint_driver.lint_file ~only:[ "OBS01" ]
       ~display:"lib/obs/bad_obs01.ml"
       (fixture "bad_obs01.ml")
   in
@@ -123,7 +105,7 @@ let test_obs01_in_scope () =
    under lib/server — the one layer whose event loop must never block. *)
 let test_srv01 () =
   let r =
-    Lint_driver.lint_file ~hot:false ~only:[ "SRV01" ]
+    Lint_driver.lint_file ~only:[ "SRV01" ]
       ~display:"lib/server/bad_srv01.ml"
       (fixture "bad_srv01.ml")
   in
@@ -160,7 +142,7 @@ let obs02_expected =
 
 let obs02_under display =
   let r =
-    Lint_driver.lint_file ~hot:false ~only:[ "OBS02" ] ~display
+    Lint_driver.lint_file ~only:[ "OBS02" ] ~display
       (fixture "bad_obs02.ml")
   in
   List.map (fun d -> (d.Lint_diag.line, d.Lint_diag.rule)) r.Lint_driver.diags
@@ -198,11 +180,11 @@ let test_clean () = check_diags "clean" [] (lint "clean.ml")
    multi-rule directive); all must silence the finding. *)
 let test_suppressed () = check_diags "suppressed" [] (lint "suppressed.ml")
 
-(* The same violations *without* hot classification: hot-only rules
+(* The same violations outside the hot directories: hot-only rules
    (POLY01, CMP01) must stay quiet, path-independent ones still fire. *)
 let test_cold () =
   let r =
-    Lint_driver.lint_file ~hot:false ~display:"bad_poly01.ml"
+    Lint_driver.lint_file ~display:"bad_poly01.ml"
       (fixture "bad_poly01.ml")
   in
   check_diags "bad_poly01 cold" []
@@ -215,13 +197,13 @@ let test_parse_error () =
   let oc = open_out tmp in
   output_string oc "let = in\n";
   close_out oc;
-  let r = Lint_driver.lint_file ~hot:true ~display:tmp tmp in
+  let r = Lint_driver.lint_file ~display:tmp tmp in
   Sys.remove tmp;
   Alcotest.(check bool) "parse error reported" true (r.Lint_driver.errors <> [])
 
 let test_json () =
   let path = fixture "bad_cmp01.ml" in
-  let r = Lint_driver.lint_file ~hot:true ~display:path path in
+  let r = Lint_driver.lint_file ~display:("lib/core/" ^ path) path in
   let json = Lint_diag.list_to_json r.Lint_driver.diags in
   let has sub =
     let n = String.length json and m = String.length sub in
@@ -236,9 +218,9 @@ let test_json () =
    against the stdlib, so each is self-contained (local Pool/Obs modules,
    local Parse_error). *)
 
-let typed_lint ?only name =
+let typed_lint ?only ?prefix name =
   let path = fixture name in
-  let r = Lint_typed_driver.analyze ?only [ path ] in
+  let r = Lint_typed_driver.analyze ?only ?prefix [ path ] in
   (match r.Lint_driver.errors with
   | [] -> ()
   | e :: _ -> Alcotest.failf "unexpected typed lint error on %s: %s" name e);
@@ -248,6 +230,25 @@ let test_para02 () =
   check_diags "bad_para02"
     [ (26, "PARA02"); (36, "PARA02"); (43, "PARA02"); (51, "PARA02") ]
     (typed_lint ~only:[ "PARA02" ] "bad_para02.ml")
+
+(* The direct mutations of bad_para01.ml -- a captured ref (:=, incr), a
+   Hashtbl, a Buffer, a record field -- each reported once, at the
+   mutation; nothing in the sanctioned [good]. *)
+let para01_cases = [ 6; 12; 18; 25; 48 ]
+
+let test_para01_cases () =
+  check_diags "bad_para01 --rule PARA02"
+    (List.map (fun l -> (l, "PARA02")) para01_cases)
+    (typed_lint ~only:[ "PARA02" ] "bad_para01.ml")
+
+(* The full run of both tiers in a hot directory adds the two polymorphic
+   tables, and nothing else. *)
+let test_para01_cases_hot () =
+  check_diags "bad_para01 under lib/core"
+    (List.sort compare
+       ([ (17, "CMP01"); (36, "CMP01") ]
+       @ List.map (fun l -> (l, "PARA02")) para01_cases))
+    (typed_lint ~prefix:"lib/core/" "bad_para01.ml")
 
 let test_bounds01 () =
   check_diags "bad_bounds01"
@@ -282,7 +283,7 @@ let test_suppressed_typed () =
   check_diags "suppressed_typed" [] (typed_lint "suppressed_typed.ml")
 
 (* A self-contained clean file must stay clean under the full typed run
-   (all eleven rules, both tiers). *)
+   (all twelve rules, both tiers). *)
 let test_typed_clean () =
   check_diags "clean_typed" [] (typed_lint "clean_typed.ml")
 
@@ -309,8 +310,6 @@ let () =
       ( "rules",
         [
           Alcotest.test_case "CMP01 fixture" `Quick test_cmp01;
-          Alcotest.test_case "PARA01 fixture" `Quick test_para01;
-          Alcotest.test_case "PARA01 only" `Quick test_para01_only;
           Alcotest.test_case "PARTIAL01 fixture" `Quick test_partial01;
           Alcotest.test_case "POLY01 fixture" `Quick test_poly01;
           Alcotest.test_case "CSR02 fixture" `Quick test_csr02;
@@ -337,6 +336,9 @@ let () =
       ( "typed rules",
         [
           Alcotest.test_case "PARA02 fixture" `Quick test_para02;
+          Alcotest.test_case "PARA01 cases" `Quick test_para01_cases;
+          Alcotest.test_case "PARA01 cases, hot run" `Quick
+            test_para01_cases_hot;
           Alcotest.test_case "BOUNDS01 fixture" `Quick test_bounds01;
           Alcotest.test_case "ALLOC02 fixture" `Quick test_alloc02;
           Alcotest.test_case "SPAN01 fixture" `Quick test_span01;
