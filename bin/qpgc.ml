@@ -36,10 +36,7 @@ let die fmt =
    [path] names the file or endpoint being read, written or dialled. *)
 let or_exit ?(at = "") path f =
   try f () with
-  | Graph_io.Parse_error (line, msg)
-  | Compressed_io.Parse_error (line, msg)
-  | Reach_index_io.Parse_error (line, msg)
-  | Pattern_io.Parse_error (line, msg) ->
+  | Graph_io.Parse_error (line, msg) | Pattern_io.Parse_error (line, msg) ->
       die "%s%s:%d: %s" at path line msg
   | Sys_error e -> die "%s%s" at e
   | Unix.Unix_error (e, _, _) -> die "%s%s: %s" at path (Unix.error_message e)

@@ -1,6 +1,4 @@
-exception Parse_error of int * string
-
-let fail line fmt = Format.kasprintf (fun s -> raise (Parse_error (line, s))) fmt
+let fail = Graph_io.fail
 
 let to_string c =
   let gr = Compressed.graph c in
@@ -84,13 +82,11 @@ let of_string s =
   | exception Invalid_argument msg -> fail 1 "%s" msg
 
 (* ------------------------------------------------------------------ *)
-(* Binary snapshots: magic "QPGC", kind 'C', version byte, two reserved
-   bytes, then the compressed graph Gr as an embedded Graph_io graph blob,
-   the original node count, and the node map R as int32 entries.  The
-   inverse index (members) is rederived by [Compressed.v] on load, exactly
-   as for the text format. *)
-
-let bad fmt = fail 0 fmt
+(* Binary snapshots: the Graph_io header with kind 'C', then the
+   compressed graph Gr as a nested Graph_io graph blob, the original node
+   count, and the node map R as int32 entries.  The inverse index
+   (members) is rederived by [Compressed.v] on load, exactly as for the
+   text format. *)
 
 (* Version 2 allows the embedded Gr blob to be any Graph_io snapshot kind
    ('G', 'M' or 'V'); version-1 snapshots (always 'G') still load. *)
@@ -100,11 +96,7 @@ let to_binary_string ?(graph_format = Digraph.Flat) c =
   let gr = Compressed.graph c in
   let original_n = Compressed.original_n c in
   let buf = Buffer.create (64 + (12 * Digraph.n gr) + (4 * Digraph.m gr) + (4 * original_n)) in
-  Buffer.add_string buf "QPGC";
-  Buffer.add_char buf 'C';
-  Buffer.add_char buf (Char.chr binary_version);
-  Buffer.add_char buf '\000';
-  Buffer.add_char buf '\000';
+  Graph_io.add_header buf 'C' binary_version;
   (* The blob starts at offset 8, already 8-aligned — an 'M' blob needs no
      padding here. *)
   Graph_io.add_any_blob buf ~format:graph_format gr;
@@ -114,37 +106,16 @@ let to_binary_string ?(graph_format = Digraph.Flat) c =
   done;
   Buffer.contents buf
 
-let check_header s =
-  if String.length s < 8 || String.sub s 0 4 <> "QPGC" then
-    bad "bad magic: not a qpgc binary snapshot";
-  if s.[4] <> 'C' then
-    bad "wrong snapshot kind '%c' (expected 'C')" s.[4];
-  let v = Char.code s.[5] in
-  if v < 1 || v > binary_version then bad "unsupported snapshot version %d" v
-
-(* The original-count + node-map tail that follows the graph blob. *)
-let read_node_map s pos =
-  if pos + 8 > String.length s then bad "binary snapshot truncated reading original count";
-  let original_n = Int64.to_int (String.get_int64_le s pos) in
-  if original_n < 0 then bad "negative original node count";
-  let pos = pos + 8 in
-  if pos + (4 * original_n) > String.length s then
-    bad "binary snapshot truncated reading node map";
-  Array.init original_n (fun i ->
-      Int32.to_int (String.get_int32_le s (pos + (4 * i))))
-
-let rebuild graph node_map =
+let of_cursor c =
+  Graph_io.read_header c 'C' ~versions:(1, binary_version);
+  let graph, _table = Graph_io.graph_blob c in
+  let original_n = Graph_io.i64 c "original count" in
+  let node_map = Graph_io.i32_array c original_n "node map" in
   match Compressed.v ~graph ~node_map with
   | c -> c
-  | exception Invalid_argument msg -> bad "%s" msg
+  | exception Invalid_argument msg -> fail 0 "%s" msg
 
-let of_binary_string s =
-  check_header s;
-  let (graph, _table), pos =
-    try Graph_io.of_any_blob s 8
-    with Graph_io.Parse_error (line, msg) -> raise (Parse_error (line, msg))
-  in
-  rebuild graph (read_node_map s pos)
+let of_binary_string s = of_cursor (Graph_io.cursor s)
 
 let save_binary ?graph_format path c =
   let oc = open_out_bin path in
@@ -158,35 +129,4 @@ let save path c =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc (to_string c))
 
-let load ?(mmap = false) path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      let head = really_input_string ic (Mono.imin len 13) in
-      if String.length head >= 8 && Graph_io.has_magic head then
-        if mmap && String.length head >= 13 && head.[4] = 'C' && head.[12] = 'M'
-        then begin
-          (* Zero-copy path: map the embedded 'M' graph blob in place and
-             read only its header plus the node-map tail eagerly, so the
-             adjacency of Gr never transits the heap. *)
-          check_header head;
-          try
-            seek_in ic 8;
-            let blob_head = really_input_string ic (Mono.imin (len - 8) 48) in
-            let total = Graph_io.mapped_blob_length blob_head 0 in
-            let graph, _table = Graph_io.map_mapped ~offset:8 path in
-            seek_in ic (8 + total);
-            let tail = In_channel.input_all ic in
-            rebuild graph (read_node_map tail 0)
-          with Graph_io.Parse_error (line, msg) -> raise (Parse_error (line, msg))
-        end
-        else begin
-          seek_in ic 0;
-          of_binary_string (In_channel.input_all ic)
-        end
-      else begin
-        seek_in ic 0;
-        of_string (In_channel.input_all ic)
-      end)
+let load ?mmap path = Graph_io.load_file ?mmap ~text:of_string path of_cursor

@@ -243,59 +243,6 @@ let of_varint_unchecked ~n ~m ~label_count ~labels ~out_idx ~out_data ~in_idx
             scratch = scratch_key () };
   }
 
-module Builder = struct
-  type t = {
-    mutable labels : int array;
-    mutable count : int;
-    mutable src : int array;
-    mutable dst : int array;
-    mutable edge_count : int;
-  }
-
-  let create ?(expected_nodes = 16) () =
-    {
-      labels = Array.make (Mono.imax 1 expected_nodes) 0;
-      count = 0;
-      src = Array.make 16 0;
-      dst = Array.make 16 0;
-      edge_count = 0;
-    }
-
-  let add_node b ~label =
-    if label < 0 then invalid_arg "Builder.add_node: negative label";
-    if b.count = Array.length b.labels then begin
-      let bigger = Array.make (2 * b.count) 0 in
-      Array.blit b.labels 0 bigger 0 b.count;
-      b.labels <- bigger
-    end;
-    b.labels.(b.count) <- label;
-    b.count <- b.count + 1;
-    b.count - 1
-
-  let add_edge b u v =
-    if u < 0 || u >= b.count || v < 0 || v >= b.count then
-      invalid_arg "Builder.add_edge: unknown endpoint";
-    if b.edge_count = Array.length b.src then begin
-      let cap = 2 * b.edge_count in
-      let s = Array.make cap 0 and d = Array.make cap 0 in
-      Array.blit b.src 0 s 0 b.edge_count;
-      Array.blit b.dst 0 d 0 b.edge_count;
-      b.src <- s;
-      b.dst <- d
-    end;
-    b.src.(b.edge_count) <- u;
-    b.dst.(b.edge_count) <- v;
-    b.edge_count <- b.edge_count + 1
-
-  let node_count b = b.count
-
-  let build b =
-    let labels = Array.sub b.labels 0 b.count in
-    of_edge_arrays ~n:b.count ~labels
-      (Array.sub b.src 0 b.edge_count)
-      (Array.sub b.dst 0 b.edge_count)
-end
-
 let n g = g.n
 let m g = g.m
 let size g = g.n + g.m

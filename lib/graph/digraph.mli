@@ -90,28 +90,6 @@ val of_varint_unchecked :
   in_data:string ->
   t
 
-(** A mutable staging area for incremental construction. *)
-module Builder : sig
-  type graph := t
-  type t
-
-  (** [create ?expected_nodes ()] is an empty builder. *)
-  val create : ?expected_nodes:int -> unit -> t
-
-  (** [add_node b ~label] allocates the next node id and returns it. *)
-  val add_node : t -> label:int -> int
-
-  (** [add_edge b u v] records edge [(u, v)]; both endpoints must already
-      exist. *)
-  val add_edge : t -> int -> int -> unit
-
-  (** [node_count b] is the number of nodes allocated so far. *)
-  val node_count : t -> int
-
-  (** [build b] freezes the builder into an immutable graph. *)
-  val build : t -> graph
-end
-
 (** {1 Backends} *)
 
 type backend = Flat | Mapped | Varint

@@ -107,28 +107,21 @@ let to_string ?labels g =
   Buffer.contents buf
 
 (* ------------------------------------------------------------------ *)
-(* Binary snapshots.
+(* The QPGC container.
 
-   Layout (all integers little-endian):
+   Every binary snapshot -- the three graph kinds below, and the 'C' and
+   'I' snapshots that Compressed_io and Reach_index_io lay out on top --
+   starts with one 8-byte header, is read through one bounds-checked
+   cursor, nests its graphs as the blobs below, and fails with
+   [Parse_error] (line 0):
 
-     offset  size          field
-     0       4             magic "QPGC"
-     4       1             kind 'G' (graph)
-     5       1             version (1)
-     6       2             reserved (0)
-     8       8             n
-     16      8             m
-     24      8*(n+1)       out-CSR offsets (int64)
-     ...     4*m           out-CSR adjacency (int32)
-     ...     4*n           labels (int32)
-     ...     8             label-name count k
-     ...     per name      int32 length + bytes, ids 0..k-1 in order
+     offset  size  field
+     0       4     magic "QPGC"
+     4       1     kind
+     5       1     version
+     6       2     reserved (0)
 
-   The adjacency and label blobs are the graph's canonical CSR, so loading
-   is a header check plus three array reads — no parsing, no sorting; only
-   the in-mirror is rebuilt (O(n + m) counting sort).  Node ids and labels
-   are stored as int32: graphs beyond 2^31 nodes do not fit the dense-int
-   node model anyway. *)
+   All integers are little-endian. *)
 
 let magic = "QPGC"
 let version = 1
@@ -137,8 +130,103 @@ let varint_version = 1
 
 let bad fmt = fail 0 fmt
 
-(* Shared by the three kinds: the label-name table is an int64 count [k]
-   followed by [k] names (int32 length + bytes), ids 0..k-1 in order. *)
+let add_header buf kind version =
+  Buffer.add_string buf magic;
+  Buffer.add_char buf kind;
+  Buffer.add_char buf (Char.chr version);
+  Buffer.add_char buf '\000';
+  Buffer.add_char buf '\000'
+
+(* A forward reader over a snapshot.  The input is a string, or, on an
+   mmap load, a file read on demand one field or array at a time, so a
+   blob the reader maps and moves past never transits the heap.  [s]
+   holds the input bytes [off, off + String.length s). *)
+type cursor = {
+  mutable s : string;
+  mutable off : int;
+  mutable pos : int;  (* input offset of the next read *)
+  len : int;  (* input length *)
+  file : in_channel option;
+}
+
+let cursor s = { s; off = 0; pos = 0; len = String.length s; file = None }
+
+let remaining c = c.len - c.pos
+
+let truncated what = bad "binary snapshot truncated reading %s" what
+
+(* Moves past [count] items of [width] bytes and returns the index in
+   [c.s] of the first.  Every read of the input goes through here, so a
+   truncated or corrupt snapshot fails with Parse_error, never with an
+   out-of-bounds access or an absurd allocation. *)
+let take c ~width count what =
+  if count < 0 || count > (c.len - c.pos) / width then truncated what;
+  let k = width * count in
+  if c.pos + k > c.off + String.length c.s then begin
+    match c.file with
+    | None -> truncated what
+    | Some ic -> (
+        seek_in ic c.pos;
+        match really_input_string ic k with
+        | s ->
+            c.s <- s;
+            c.off <- c.pos
+        | exception End_of_file -> truncated what)
+  end;
+  let i = c.pos - c.off in
+  c.pos <- c.pos + k;
+  i
+
+(* [peek c k] is [take] without moving past the bytes. *)
+let peek c k =
+  let i = take c ~width:1 k "header" in
+  c.pos <- c.pos - k;
+  i
+
+let u8 c what =
+  let i = take c ~width:1 1 what in
+  Char.code c.s.[i]
+
+let i64 c what =
+  let i = take c ~width:8 1 what in
+  let x = Int64.to_int (String.get_int64_le c.s i) in
+  if x < 0 then bad "negative %s in binary snapshot" what;
+  x
+
+let i32 c what =
+  let i = take c ~width:4 1 what in
+  let x = Int32.to_int (String.get_int32_le c.s i) in
+  if x < 0 then bad "negative %s in binary snapshot" what;
+  x
+
+let i32_array c count what =
+  let i = take c ~width:4 count what in
+  let s = c.s in
+  Array.init count (fun j -> Int32.to_int (String.get_int32_le s (i + (4 * j))))
+
+let i64_array c count what =
+  let i = take c ~width:8 count what in
+  let s = c.s in
+  Array.init count (fun j ->
+      let x = Int64.to_int (String.get_int64_le s (i + (8 * j))) in
+      if x < 0 then bad "negative %s in binary snapshot" what;
+      x)
+
+let bytes c k what =
+  let i = take c ~width:1 k what in
+  String.sub c.s i k
+
+let read_header c kind ~versions:(lo, hi) =
+  let i = take c ~width:1 8 "header" in
+  if String.sub c.s i 4 <> magic then bad "bad magic: not a qpgc binary snapshot";
+  if c.s.[i + 4] <> kind then
+    bad "wrong snapshot kind '%c' (expected '%c')" c.s.[i + 4] kind;
+  let v = Char.code c.s.[i + 5] in
+  if v < lo || v > hi then bad "unsupported snapshot version %d" v
+
+(* Shared by the three graph kinds: the label-name table is an int64
+   count [k] followed by [k] names (int32 length + bytes), ids 0..k-1 in
+   order. *)
 let add_names buf labels =
   match labels with
   | None -> Buffer.add_int64_le buf 0L
@@ -151,12 +239,46 @@ let add_names buf labels =
         Buffer.add_string buf name
       done
 
-let add_header buf kind version =
-  Buffer.add_string buf magic;
-  Buffer.add_char buf kind;
-  Buffer.add_char buf (Char.chr version);
-  Buffer.add_char buf '\000';
-  Buffer.add_char buf '\000'
+let read_names c =
+  let k = i64 c "label-name count" in
+  let table = Label_table.create () in
+  for id = 0 to k - 1 do
+    let len = i32 c "label-name length" in
+    let name = bytes c len "label name" in
+    if Label_table.intern table name <> id then
+      bad "duplicate label name %S in binary snapshot" name
+  done;
+  table
+
+(* The loaded out-CSR, re-validated. *)
+let of_csr what ~n ~labels ~out_off ~out_adj =
+  let g =
+    match Digraph.of_csr_unchecked ~n ~labels ~out_off ~out_adj with
+    | g -> g
+    | exception Invalid_argument msg -> bad "%s" msg
+  in
+  (match Digraph.validate g with
+  | () -> ()
+  | exception Failure msg -> bad "invalid CSR in %s: %s" what msg);
+  g
+
+(* ------------------------------------------------------------------ *)
+(* 'G': the flat snapshot.
+
+     offset  size          field
+     0       8             header, kind 'G', version 1
+     8       8             n
+     16      8             m
+     24      8*(n+1)       out-CSR offsets (int64)
+     ...     4*m           out-CSR adjacency (int32)
+     ...     4*n           labels (int32)
+     ...                   label-name table
+
+   The adjacency and label blobs are the graph's canonical CSR, so loading
+   is a header check plus three array reads -- no parsing, no sorting; only
+   the in-mirror is rebuilt (O(n + m) counting sort).  Node ids and labels
+   are stored as int32: graphs beyond 2^31 nodes do not fit the dense-int
+   node model anyway. *)
 
 let add_graph_blob buf ?labels g =
   let n = Digraph.n g and m = Digraph.m g in
@@ -174,91 +296,27 @@ let to_binary_string ?labels g =
   add_graph_blob buf ?labels g;
   Buffer.contents buf
 
-(* Cursor-style readers over an in-memory blob; every access is
-   bounds-checked so a truncated or corrupt file fails with Parse_error,
-   never an ugly out-of-bounds exception. *)
-let need s pos k what =
-  if pos < 0 || pos + k > String.length s then
-    bad "binary snapshot truncated reading %s" what
-
-let read_i64 s pos what =
-  need s pos 8 what;
-  let x = Int64.to_int (String.get_int64_le s pos) in
-  if x < 0 then bad "negative %s in binary snapshot" what;
-  (x, pos + 8)
-
-let read_i32 s pos what =
-  need s pos 4 what;
-  let x = Int32.to_int (String.get_int32_le s pos) in
-  if x < 0 then bad "negative %s in binary snapshot" what;
-  (x, pos + 4)
-
-let read_i32_array s pos count what =
-  need s pos (4 * count) what;
-  (Array.init count (fun i -> Int32.to_int (String.get_int32_le s (pos + (4 * i)))),
-   pos + (4 * count))
-
-let read_names s pos =
-  let k, pos = read_i64 s pos "label-name count" in
-  let table = Label_table.create () in
-  let pos = ref pos in
-  for id = 0 to k - 1 do
-    let len, p = read_i32 s !pos "label-name length" in
-    need s p len "label name";
-    let name = String.sub s p len in
-    if Label_table.intern table name <> id then
-      bad "duplicate label name %S in binary snapshot" name;
-    pos := p + len
-  done;
-  (table, !pos)
-
-let has_magic s = String.length s >= 4 && String.sub s 0 4 = magic
-
-(* Checks magic + kind + version at [start] and returns the position just
-   past the 8-byte header. *)
-let check_header s start kind =
-  need s start 8 "header";
-  if String.sub s start 4 <> magic then
-    bad "bad magic: not a qpgc binary snapshot";
-  if s.[start + 4] <> kind then
-    bad "wrong snapshot kind '%c' (expected '%c')" s.[start + 4] kind;
-  let v = Char.code s.[start + 5] in
-  if v <> version then bad "unsupported snapshot version %d" v;
-  start + 8
-
-let of_binary_substring s start =
-  let pos = check_header s start 'G' in
-  let n, pos = read_i64 s pos "node count" in
-  let m, pos = read_i64 s pos "edge count" in
-  need s pos (8 * (n + 1)) "offsets";
-  let out_off =
-    Array.init (n + 1) (fun i -> Int64.to_int (String.get_int64_le s (pos + (8 * i))))
-  in
-  let pos = pos + (8 * (n + 1)) in
-  let out_adj, pos = read_i32_array s pos m "adjacency" in
-  let labels, pos = read_i32_array s pos n "labels" in
+let flat_blob c =
+  read_header c 'G' ~versions:(version, version);
+  let n = i64 c "node count" in
+  let m = i64 c "edge count" in
+  let out_off = i64_array c (n + 1) "offsets" in
+  let out_adj = i32_array c m "adjacency" in
+  let labels = i32_array c n "labels" in
   if Array.exists (fun l -> l < 0) labels then bad "negative label";
-  let table, pos = read_names s pos in
-  let g =
-    match Digraph.of_csr_unchecked ~n ~labels ~out_off ~out_adj with
-    | g -> g
-    | exception Invalid_argument msg -> bad "%s" msg
-  in
-  (match Digraph.validate g with
-  | () -> ()
-  | exception Failure msg -> bad "invalid CSR in binary snapshot: %s" msg);
-  ((g, table), pos)
+  let table = read_names c in
+  (of_csr "binary snapshot" ~n ~labels ~out_off ~out_adj, table)
 
 (* ------------------------------------------------------------------ *)
 (* 'M': the zero-copy mapped snapshot.
 
-   Layout (version 1) — every section is int64 little-endian and starts at
+   Layout (version 1) -- every section is int64 little-endian and starts at
    an offset that is a multiple of 8 relative to the blob (writers pad the
    stream so nested blobs land 8-aligned absolutely), which lets the loader
    hand out int-kind Bigarray views straight over the mapped pages:
 
      offset            size      field
-     0                 8         magic "QPGC", kind 'M', version, reserved
+     0                 8         header, kind 'M', version 1
      8                 8         n
      16                8         m
      24                8         label_count
@@ -269,7 +327,7 @@ let of_binary_substring s start =
      ...               8*(n+1)   in-CSR offsets
      ...               8*m       in-CSR adjacency
      ...               8*n       labels
-     ...               names_len label-name table (as in 'G')
+     ...               names_len label-name table
      ...               pad to 8
 
    Unlike 'G', both mirrors are stored, so opening the snapshot is O(1) in
@@ -322,62 +380,44 @@ let add_mapped_blob buf ?labels g =
     Buffer.add_char buf '\000'
   done
 
-let check_kind_header s start kind version =
-  need s start 8 "header";
-  if String.sub s start 4 <> magic then
-    bad "bad magic: not a qpgc binary snapshot";
-  if s.[start + 4] <> kind then
-    bad "wrong snapshot kind '%c' (expected '%c')" s.[start + 4] kind;
-  let v = Char.code s.[start + 5] in
-  if v <> version then bad "unsupported snapshot version %d" v;
-  start + 8
-
-let read_i64_array s pos count what =
-  need s pos (8 * count) what;
-  ( Array.init count (fun i ->
-        let x = Int64.to_int (String.get_int64_le s (pos + (8 * i))) in
-        if x < 0 then bad "negative %s in binary snapshot" what;
-        x),
-    pos + (8 * count) )
-
-(* The fields every 'M' reader needs, with the O(1) consistency checks:
-   sections must tile the declared [total_len] exactly. *)
-let read_mapped_header s start =
-  let pos = check_kind_header s start 'M' mapped_version in
-  let n, pos = read_i64 s pos "node count" in
-  let m, pos = read_i64 s pos "edge count" in
-  let label_count, pos = read_i64 s pos "label count" in
-  let names_len, pos = read_i64 s pos "name-table length" in
-  let total_len, _pos = read_i64 s pos "blob length" in
-  if label_count < 1 then bad "label count below 1 in mapped snapshot";
-  let _, _, _, _, _, names0 = mapped_section_offsets ~n ~m in
-  if total_len <> align8 (names0 + names_len) then
-    bad "mapped snapshot section table does not tile the blob";
-  (n, m, label_count, names_len, total_len)
-
-(* Eager parse of an 'M' blob into the flat backend — the portable path
-   (works from a plain string, checks everything).  The stored in-mirror
-   must agree with the one derived from the out-CSR. *)
-let of_mapped_substring s start =
-  let n, m, label_count, names_len, total_len = read_mapped_header s start in
-  need s start total_len "mapped snapshot body";
-  let off0, adj0, ioff0, iadj0, lab0, names0 = mapped_section_offsets ~n ~m in
-  let out_off, _ = read_i64_array s (start + off0) (n + 1) "offsets" in
-  let out_adj, _ = read_i64_array s (start + adj0) m "adjacency" in
-  let in_off, _ = read_i64_array s (start + ioff0) (n + 1) "in-offsets" in
-  let in_adj, _ = read_i64_array s (start + iadj0) m "in-adjacency" in
-  let labels, _ = read_i64_array s (start + lab0) n "labels" in
-  let table, names_end = read_names s (start + names0) in
-  if names_end > start + names0 + names_len then
-    bad "name table overruns its declared length";
-  let g =
-    match Digraph.of_csr_unchecked ~n ~labels ~out_off ~out_adj with
-    | g -> g
-    | exception Invalid_argument msg -> bad "%s" msg
+(* Zero-copy: the five int64 sections of the blob at [start] become
+   int-kind Bigarray views over the file's pages and are never read.
+   The structural checks here are O(1) (CSR endpoints); [Digraph.validate]
+   does the deep check on demand. *)
+let map_sections ic ~start ~n ~m ~label_count =
+  let off0, adj0, ioff0, iadj0, lab0, _ = mapped_section_offsets ~n ~m in
+  let fd = Unix.descr_of_in_channel ic in
+  let section pos len : Digraph.int_ba =
+    if len = 0 then Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0
+    else
+      Bigarray.array1_of_genarray
+        (Unix.map_file fd
+           ~pos:(Int64.of_int (start + pos))
+           Bigarray.int Bigarray.c_layout false [| len |])
   in
-  (match Digraph.validate g with
-  | () -> ()
-  | exception Failure msg -> bad "invalid CSR in mapped snapshot: %s" msg);
+  let out_off = section off0 (n + 1) in
+  let out_adj = section adj0 m in
+  let in_off = section ioff0 (n + 1) in
+  let in_adj = section iadj0 m in
+  let labels = section lab0 n in
+  if n > 0 then begin
+    if out_off.{0} <> 0 || out_off.{n} <> m then
+      bad "mapped out-offsets do not span [0,m]";
+    if in_off.{0} <> 0 || in_off.{n} <> m then
+      bad "mapped in-offsets do not span [0,m]"
+  end;
+  Digraph.of_mapped_unchecked ~n ~m ~label_count ~labels ~out_off ~out_adj
+    ~in_off ~in_adj
+
+(* Eager parse onto the flat backend, checking everything: the stored
+   in-mirror must agree with the one derived from the out-CSR. *)
+let parse_sections c ~n ~m ~label_count =
+  let out_off = i64_array c (n + 1) "offsets" in
+  let out_adj = i64_array c m "adjacency" in
+  let in_off = i64_array c (n + 1) "in-offsets" in
+  let in_adj = i64_array c m "in-adjacency" in
+  let labels = i64_array c n "labels" in
+  let g = of_csr "mapped snapshot" ~n ~labels ~out_off ~out_adj in
   if Digraph.label_count g <> label_count then
     bad "label count field disagrees with label section";
   let d_in_off, d_in_adj = Digraph.in_csr g in
@@ -387,86 +427,56 @@ let of_mapped_substring s start =
     go_off 0 && go_adj 0
   in
   if not mirror_ok then bad "stored in-mirror disagrees with out-CSR";
-  ((g, table), start + total_len)
+  g
 
-(* Zero-copy open: O(1) in the graph size.  Only the fixed header and the
-   name table are read eagerly; the five int64 sections become int-kind
-   Bigarray views over the mapped pages.  Structural validation here is
-   O(1) (bounds, tiling, CSR endpoints); [Digraph.validate] does the deep
-   check on demand. *)
-let map_mapped ~offset path =
-  if offset land 7 <> 0 then
-    invalid_arg "Graph_io.map_mapped: offset not 8-byte aligned";
-  let ic = open_in_bin path in
-  let n, m, label_count, table =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let file_len = in_channel_length ic in
-        if offset < 0 || offset + mapped_header_len > file_len then
-          bad "mapped snapshot header out of file bounds";
-        seek_in ic offset;
-        let head = really_input_string ic mapped_header_len in
-        let n, m, label_count, names_len, total_len = read_mapped_header head 0 in
-        if offset + total_len > file_len then
-          bad "mapped snapshot body out of file bounds";
-        let _, _, _, _, _, names0 = mapped_section_offsets ~n ~m in
-        seek_in ic (offset + names0);
-        let names = really_input_string ic names_len in
-        let table, names_end = read_names names 0 in
-        if names_end > names_len then
-          bad "name table overruns its declared length";
-        (n, m, label_count, table))
-  in
-  let off0, adj0, ioff0, iadj0, lab0, _ = mapped_section_offsets ~n ~m in
-  let fd = Unix.openfile path [ Unix.O_RDONLY ] 0 in
+(* An 'M' blob maps in place when the cursor reads a file (an mmap load)
+   and the blob sits at an 8-aligned offset of it; otherwise it parses.
+   Before either, the blob must fit the input and its sections must tile
+   the declared [total_len] exactly. *)
+let mapped_blob c =
+  let start = c.pos in
+  read_header c 'M' ~versions:(mapped_version, mapped_version);
+  let n = i64 c "node count" in
+  let m = i64 c "edge count" in
+  let label_count = i64 c "label count" in
+  let names_len = i64 c "name-table length" in
+  let total_len = i64 c "blob length" in
+  if label_count < 1 then bad "label count below 1 in mapped snapshot";
+  if total_len > c.len - start then truncated "mapped snapshot body";
+  let _, _, _, _, _, names0 = mapped_section_offsets ~n ~m in
+  if n > total_len / 8 || m > total_len / 8
+     || total_len <> align8 (names0 + names_len)
+  then bad "mapped snapshot section table does not tile the blob";
   let g =
-    Fun.protect
-      ~finally:(fun () -> Unix.close fd)
-      (fun () ->
-        let section pos len : Digraph.int_ba =
-          if len = 0 then
-            Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0
-          else
-            Bigarray.array1_of_genarray
-              (Unix.map_file fd
-                 ~pos:(Int64.of_int (offset + pos))
-                 Bigarray.int Bigarray.c_layout false [| len |])
-        in
-        let out_off = section off0 (n + 1) in
-        let out_adj = section adj0 m in
-        let in_off = section ioff0 (n + 1) in
-        let in_adj = section iadj0 m in
-        let labels = section lab0 n in
-        if n > 0 then begin
-          if out_off.{0} <> 0 || out_off.{n} <> m then
-            bad "mapped out-offsets do not span [0,m]";
-          if in_off.{0} <> 0 || in_off.{n} <> m then
-            bad "mapped in-offsets do not span [0,m]"
-        end;
-        Digraph.of_mapped_unchecked ~n ~m ~label_count ~labels ~out_off
-          ~out_adj ~in_off ~in_adj)
+    match c.file with
+    | Some ic when start land 7 = 0 -> map_sections ic ~start ~n ~m ~label_count
+    | _ -> parse_sections c ~n ~m ~label_count
   in
+  c.pos <- start + names0;
+  let table = read_names c in
+  if c.pos > start + names0 + names_len then
+    bad "name table overruns its declared length";
+  c.pos <- start + total_len;
   (g, table)
 
 (* ------------------------------------------------------------------ *)
 (* 'V': gap + LEB128 varint adjacency snapshot.
 
-   Layout (version 1), no alignment requirements — always parsed eagerly:
+   Layout (version 1), no alignment requirements -- always parsed eagerly:
 
      offset  size       field
-     0       8          magic "QPGC", kind 'V', version, reserved
+     0       8          header, kind 'V', version 1
      8       8          n
      16      8          m
      24      8          label_count
      32      8          out_data_len
      40      8          in_data_len
      48      4*(n+1)    out index: byte offset of node v's block in out data
-     ...     out_data   per node: varint degree, first neighbour, gaps ≥ 1
+     ...     out_data   per node: varint degree, first neighbour, gaps >= 1
      ...     4*(n+1)    in index
      ...     in_data
      ...     4*n        labels (int32)
-     ...                label-name table (as in 'G')
+     ...                label-name table
 
    The encoder is minimal-form LEB128 and the loader re-decodes every
    block with the checked reader, so the format is canonical: loading and
@@ -551,23 +561,19 @@ let ba32_of_ints a : Digraph.int32_ba =
   Array.iteri (fun i x -> ba.{i} <- Int32.of_int x) a;
   ba
 
-let of_varint_substring s start =
-  let pos = check_kind_header s start 'V' varint_version in
-  let n, pos = read_i64 s pos "node count" in
-  let m, pos = read_i64 s pos "edge count" in
-  let label_count, pos = read_i64 s pos "label count" in
-  let out_len, pos = read_i64 s pos "out-stream length" in
-  let in_len, pos = read_i64 s pos "in-stream length" in
-  let out_idx, pos = read_i32_array s pos (n + 1) "out index" in
-  need s pos out_len "out stream";
-  let out_data = String.sub s pos out_len in
-  let pos = pos + out_len in
-  let in_idx, pos = read_i32_array s pos (n + 1) "in index" in
-  need s pos in_len "in stream";
-  let in_data = String.sub s pos in_len in
-  let pos = pos + in_len in
-  let labels, pos = read_i32_array s pos n "labels" in
-  let table, pos = read_names s pos in
+let varint_blob c =
+  read_header c 'V' ~versions:(varint_version, varint_version);
+  let n = i64 c "node count" in
+  let m = i64 c "edge count" in
+  let label_count = i64 c "label count" in
+  let out_len = i64 c "out-stream length" in
+  let in_len = i64 c "in-stream length" in
+  let out_idx = i32_array c (n + 1) "out index" in
+  let out_data = bytes c out_len "out stream" in
+  let in_idx = i32_array c (n + 1) "in index" in
+  let in_data = bytes c in_len "in stream" in
+  let labels = i32_array c n "labels" in
+  let table = read_names c in
   check_varint_dir ~what:"out" ~n ~m out_data out_idx;
   check_varint_dir ~what:"in" ~n ~m in_data in_idx;
   let computed_label_count =
@@ -583,33 +589,24 @@ let of_varint_substring s start =
   (match Digraph.validate g with
   | () -> ()
   | exception Failure msg -> bad "invalid varint snapshot: %s" msg);
-  ((g, table), pos)
+  (g, table)
 
 (* ------------------------------------------------------------------ *)
-(* Kind dispatch *)
+(* Nested blobs, kind dispatch and file loading *)
 
-(* 'M' blobs nested at unaligned positions are preceded by zero padding;
-   magic never starts with '\000', so one byte disambiguates. *)
-let skip_pad s pos =
-  if pos < String.length s && String.get s pos = '\000' then align8 pos else pos
-
-let of_any_blob s pos =
-  let pos = skip_pad s pos in
-  need s pos 8 "header";
-  match String.get s (pos + 4) with
-  | 'G' -> of_binary_substring s pos
-  | 'M' -> of_mapped_substring s pos
-  | 'V' -> of_varint_substring s pos
-  | c -> bad "unknown snapshot kind '%c'" c
-
-(* Nested-snapshot helpers for readers that want to map an embedded 'M'
-   blob themselves (Compressed_io, Reach_index_io): [skip_pad] finds the
-   blob start past any alignment padding, [mapped_blob_length] reads just
-   the fixed header to learn how many bytes to skip without touching the
-   sections. *)
-let mapped_blob_length s pos =
-  let _, _, _, _, total_len = read_mapped_header s pos in
-  total_len
+let graph_blob c =
+  (* 'M' blobs nested at unaligned positions are preceded by zero
+     padding; magic never starts with '\000', so one byte tells. *)
+  if c.pos < c.len then begin
+    let i = peek c 1 in
+    if c.s.[i] = '\000' then c.pos <- Mono.imin (align8 c.pos) c.len
+  end;
+  let i = peek c 8 in
+  match c.s.[i + 4] with
+  | 'G' -> flat_blob c
+  | 'M' -> mapped_blob c
+  | 'V' -> varint_blob c
+  | k -> bad "unknown snapshot kind '%c'" k
 
 let add_any_blob buf ?labels ~(format : Digraph.backend) g =
   match format with
@@ -622,9 +619,7 @@ let to_snapshot_string ?labels ?(format = Digraph.Flat) g =
   add_any_blob buf ?labels ~format g;
   Buffer.contents buf
 
-let of_binary_string s =
-  let (g, table), _end = of_any_blob s 0 in
-  (g, table)
+let of_binary_string s = graph_blob (cursor s)
 
 let save_binary ?labels ?format path g =
   let oc = open_out_bin path in
@@ -632,26 +627,28 @@ let save_binary ?labels ?format path g =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc (to_snapshot_string ?labels ?format g))
 
-let load ?(mmap = false) path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let len = in_channel_length ic in
-      let head = really_input_string ic (if len < 8 then len else 8) in
-      if String.length head >= 8 && has_magic head then
-        match head.[4] with
-        | 'M' when mmap ->
-            (* O(1): never reads the adjacency sections. *)
-            map_mapped ~offset:0 path
-        | _ ->
-            seek_in ic 0;
-            let s = In_channel.input_all ic in
-            fst (of_any_blob s 0)
-      else begin
-        seek_in ic 0;
-        of_string (In_channel.input_all ic)
-      end)
+(* The kind byte of a snapshot at the start of [ic]; [None] for any
+   other file. *)
+let sniff ic =
+  let head = really_input_string ic (Mono.imin (in_channel_length ic) 5) in
+  if String.length head = 5 && String.starts_with ~prefix:magic head then
+    Some head.[4]
+  else None
+
+let snapshot_kind path = In_channel.with_open_bin path sniff
+
+let load_file ?(mmap = false) ?text path binary =
+  In_channel.with_open_bin path (fun ic ->
+      let kind = sniff ic in
+      seek_in ic 0;
+      match (kind, text) with
+      | None, Some text -> text (In_channel.input_all ic)
+      | _ when mmap ->
+          binary
+            { s = ""; off = 0; pos = 0; len = in_channel_length ic; file = Some ic }
+      | _ -> binary (cursor (In_channel.input_all ic)))
+
+let load ?mmap path = load_file ?mmap ~text:of_string path graph_blob
 
 let to_dot ?labels ?(name = "g") ?cluster g =
   let buf = Buffer.create 1024 in

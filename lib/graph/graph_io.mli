@@ -1,6 +1,7 @@
-(** Text serialisation of labeled graphs.
+(** Text and binary serialisation of labeled graphs, and the one codec
+    of every QPGC binary snapshot (see {!section:container}).
 
-    Format (one record per line, ['#'] starts a comment):
+    Text format (one record per line, ['#'] starts a comment):
     {v
     n <node-count>
     l <node-id> <label-name>     # optional; default label is "_"
@@ -25,8 +26,14 @@ module Label_table : sig
   val count : t -> int
 end
 
-(** Raised by the parsers with a 1-based line number and message. *)
+(** Raised by every parser of this module, {!Compressed_io} and
+    [Reach_index_io], text and binary, with a 1-based line number (0 for
+    binary input) and a message. *)
 exception Parse_error of int * string
+
+(** [fail line fmt] raises {!Parse_error} with [line] and the formatted
+    message. *)
+val fail : int -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 
 (** [of_string s] parses the format above, returning the graph and the label
     table.  @raise Parse_error on malformed input. *)
@@ -64,73 +71,90 @@ val to_binary_string : ?labels:Label_table.t -> Digraph.t -> string
 val to_snapshot_string :
   ?labels:Label_table.t -> ?format:Digraph.backend -> Digraph.t -> string
 
-(** [of_binary_string s] parses a binary snapshot of any kind.  The
+(** [of_binary_string s] parses a binary snapshot of any graph kind.  The
     loaded structure is re-validated, so corrupt or truncated input fails
     with {!Parse_error} (line 0) rather than undefined behaviour. *)
 val of_binary_string : string -> Digraph.t * Label_table.t
-
-(** [of_binary_substring s start] parses a 'G' graph blob embedded at
-    offset [start], returning the result and the position one past the
-    blob. *)
-val of_binary_substring : string -> int -> (Digraph.t * Label_table.t) * int
-
-(** [of_any_blob s pos] parses a graph blob of any kind ('G', 'M' or 'V')
-    embedded at [pos], skipping the zero padding that precedes an 'M'
-    blob at an unaligned position; used by {!Compressed_io} and
-    [Reach_index_io] to nest graphs inside their own snapshots.  'M'
-    blobs parse eagerly onto the flat backend here — use {!map_mapped}
-    with the blob's file offset for the zero-copy path. *)
-val of_any_blob : string -> int -> (Digraph.t * Label_table.t) * int
-
-(** [add_graph_blob buf ?labels g] appends the 'G' snapshot of [g] to
-    [buf]; the writer counterpart of {!of_binary_substring}. *)
-val add_graph_blob : Buffer.t -> ?labels:Label_table.t -> Digraph.t -> unit
-
-(** [add_any_blob buf ?labels ~format g] appends the snapshot kind
-    matching [format].  An 'M' blob is preceded by zero padding up to the
-    next multiple of 8 of [Buffer.length buf], so its int64 sections land
-    8-byte aligned when the buffer is written at file offset 0;
-    {!of_any_blob} skips the same padding. *)
-val add_any_blob :
-  Buffer.t -> ?labels:Label_table.t -> format:Digraph.backend -> Digraph.t -> unit
-
-(** [skip_pad s pos] is the first position at or after [pos] holding a
-    nested blob: [pos] itself, or the next multiple of 8 when [pos] sits
-    on the zero padding that {!add_any_blob} writes before an 'M' blob
-    (snapshot magic never starts with ['\000']). *)
-val skip_pad : string -> int -> int
-
-(** [mapped_blob_length s pos] reads the fixed 'M' header at [pos] and
-    returns the blob's total byte length — how far a nested reader must
-    advance past a blob it intends to {!map_mapped} instead of parsing.
-    O(1); performs the same header consistency checks as the parsers.
-    @raise Parse_error on a malformed header. *)
-val mapped_blob_length : string -> int -> int
-
-(** [map_mapped ~offset path] opens the 'M' blob at byte [offset] of
-    [path] zero-copy: the adjacency, offset and label sections become
-    [Bigarray] views over the mapped pages and are never read eagerly, so
-    the call is O(1) in the graph size (only the fixed header and the
-    label-name table are parsed).  [offset] must be 8-byte aligned.
-    Structural sanity is checked in O(1); use [Digraph.validate] for the
-    deep check.  @raise Parse_error on malformed headers or bounds. *)
-val map_mapped : offset:int -> string -> Digraph.t * Label_table.t
 
 (** [save_binary ?labels ?format path g] writes the binary snapshot of
     [g]; [format] as in {!to_snapshot_string}. *)
 val save_binary :
   ?labels:Label_table.t -> ?format:Digraph.backend -> string -> Digraph.t -> unit
 
-(** [has_magic s] is [true] when [s] starts with the snapshot magic —
-    the sniff {!load} uses to pick a parser. *)
-val has_magic : string -> bool
-
-(** [load ?mmap path] reads a graph file in any format, sniffing the
-    magic and kind: binary snapshots are detected by their first four
-    bytes, anything else parses as text.  With [~mmap:true], an 'M'
-    snapshot opens zero-copy on the mapped backend in O(1) (other formats
-    still load eagerly). *)
+(** [load ?mmap path] reads a graph file in any format: binary snapshots
+    are detected by their magic and kind byte, anything else parses as
+    text.  With [~mmap:true], an 'M' snapshot opens zero-copy on the
+    mapped backend in O(1) (other formats still load eagerly). *)
 val load : ?mmap:bool -> string -> Digraph.t * Label_table.t
+
+(** {1:container The snapshot container}
+
+    Every QPGC snapshot — the graph kinds above, {!Compressed_io}'s ['C']
+    and [Reach_index_io]'s ['I'] — shares one codec, kept here: an 8-byte
+    header (magic ["QPGC"], kind byte, version byte, two reserved zero
+    bytes), little-endian fields read through one bounds-checked
+    {!cursor}, graphs nested as blobs of any graph kind, and
+    {!Parse_error} (line 0) for every malformed input. *)
+
+(** [add_header buf kind version] appends the 8-byte header. *)
+val add_header : Buffer.t -> char -> int -> unit
+
+(** [add_any_blob buf ?labels ~format g] appends the snapshot kind
+    matching [format].  An 'M' blob is preceded by zero padding up to the
+    next multiple of 8 of [Buffer.length buf], so its int64 sections land
+    8-byte aligned when the buffer is written at file offset 0;
+    {!graph_blob} skips the same padding. *)
+val add_any_blob :
+  Buffer.t -> ?labels:Label_table.t -> format:Digraph.backend -> Digraph.t -> unit
+
+(** A forward reader over a snapshot, from a string or, on an mmap load,
+    from a file read on demand.  Every read checks the bytes are there
+    first; the [what] argument names the field in the
+    ["binary snapshot truncated reading ..."] error. *)
+type cursor
+
+(** [cursor s] reads [s] from offset 0. *)
+val cursor : string -> cursor
+
+(** [read_header c kind ~versions:(lo, hi)] reads the 8-byte header and
+    checks the magic, that the kind byte is [kind] and that the version
+    byte lies in [lo..hi]. *)
+val read_header : cursor -> char -> versions:int * int -> unit
+
+(** One unsigned byte. *)
+val u8 : cursor -> string -> int
+
+(** A non-negative int32. *)
+val i32 : cursor -> string -> int
+
+(** A non-negative int64. *)
+val i64 : cursor -> string -> int
+
+(** [i32_array c count what] reads [count] int32 entries (any sign). *)
+val i32_array : cursor -> int -> string -> int array
+
+(** Bytes left in the input. *)
+val remaining : cursor -> int
+
+(** [graph_blob c] reads a nested graph blob of any kind ('G', 'M' or
+    'V'), skipping the zero padding {!add_any_blob} writes before an 'M'
+    blob.  On a cursor of an mmap load an 8-aligned 'M' blob maps in
+    place: only its fixed header and label-name table are read, its
+    sections become views over the file pages. *)
+val graph_blob : cursor -> Digraph.t * Label_table.t
+
+(** [snapshot_kind path] is [Some k] when [path] starts with the snapshot
+    magic followed by kind byte [k], [None] for any other file. *)
+val snapshot_kind : string -> char option
+
+(** [load_file ?mmap ?text path binary] reads [path] with one open: a
+    snapshot goes to [binary] with a cursor at offset 0, any other file
+    to [text] as one string (without [text], to [binary] too, whose
+    header check then rejects it).  Without [mmap] the cursor reads the
+    whole file as one string; with [~mmap:true] it reads the file on
+    demand and {!graph_blob} maps 'M' blobs in place. *)
+val load_file :
+  ?mmap:bool -> ?text:(string -> 'a) -> string -> (cursor -> 'a) -> 'a
 
 (** [save ?labels path g] writes [g] to [path] in the text format. *)
 val save : ?labels:Label_table.t -> string -> Digraph.t -> unit

@@ -1,6 +1,4 @@
-exception Parse_error of int * string
-
-let bad fmt = Format.kasprintf (fun s -> raise (Parse_error (0, s))) fmt
+let bad fmt = Graph_io.fail 0 fmt
 
 (* Version 2 allows the GRAIL condensation to be embedded as any Graph_io
    snapshot kind ('G', 'M' or 'V'), 8-byte aligned when 'M'; version-1
@@ -15,11 +13,7 @@ let tag_of_backend = function
 let to_binary_string ?(graph_format = Digraph.Flat) t =
   let graph_n = Reach_index.indexed_n t in
   let buf = Buffer.create (256 + (8 * graph_n)) in
-  Buffer.add_string buf "QPGC";
-  Buffer.add_char buf 'I';
-  Buffer.add_char buf (Char.chr binary_version);
-  Buffer.add_char buf '\000';
-  Buffer.add_char buf '\000';
+  Graph_io.add_header buf 'I' binary_version;
   Buffer.add_char buf (Char.chr (tag_of_backend (Reach_index.backend t)));
   let node_map = Reach_index.node_map t in
   Buffer.add_char buf (match node_map with None -> '\000' | Some _ -> '\001');
@@ -83,71 +77,34 @@ let to_binary_string ?(graph_format = Digraph.Flat) t =
         intervals);
   Buffer.contents buf
 
-(* All readers bounds-check before touching the payload, and counts are
-   validated before the allocation they size, so corrupt input fails with
-   Parse_error rather than a crash or an absurd allocation. *)
+(* Counts are read before the payload they size, and the cursor checks
+   every read against the input, so corrupt input fails with
+   Graph_io.Parse_error rather than a crash or an absurd allocation. *)
 
-let rd_u8 s pos what =
-  if !pos >= String.length s then bad "index snapshot truncated reading %s" what;
-  let v = Char.code s.[!pos] in
-  incr pos;
-  v
+let i32_pairs c count what =
+  let a = Graph_io.i32_array c (2 * count) what in
+  Array.init count (fun i -> (a.(2 * i), a.((2 * i) + 1)))
 
-let rd_i64 s pos what =
-  if !pos + 8 > String.length s then
-    bad "index snapshot truncated reading %s" what;
-  let v = Int64.to_int (String.get_int64_le s !pos) in
-  pos := !pos + 8;
-  v
-
-let rd_i32 s pos what =
-  if !pos + 4 > String.length s then
-    bad "index snapshot truncated reading %s" what;
-  let v = Int32.to_int (String.get_int32_le s !pos) in
-  pos := !pos + 4;
-  v
-
-let rd_i32_array s pos n what =
-  if n < 0 then bad "negative %s count" what;
-  if !pos + (4 * n) > String.length s then
-    bad "index snapshot truncated reading %s" what;
-  Array.init n (fun i -> Int32.to_int (String.get_int32_le s (!pos + (4 * i))))
-  |> fun a ->
-  pos := !pos + (4 * n);
-  a
-
-(* [map_path], when given, is the file [s] was read from: a 'M' cond blob
-   then opens as zero-copy mapped views at its file offset instead of
-   parsing eagerly.  The blob sits at offset [skip_pad s pos] of the file
-   because snapshots are written from offset 0. *)
-let parse ?map_path s =
-  if String.length s < 8 || String.sub s 0 4 <> "QPGC" then
-    bad "bad magic: not a qpgc binary snapshot";
-  if s.[4] <> 'I' then bad "wrong snapshot kind '%c' (expected 'I')" s.[4];
-  let version = Char.code s.[5] in
-  if version < 1 || version > binary_version then
-    bad "unsupported index snapshot version %d" version;
-  let pos = ref 8 in
-  let tag = rd_u8 s pos "algorithm tag" in
+let of_cursor c =
+  Graph_io.read_header c 'I' ~versions:(1, binary_version);
+  let tag = Graph_io.u8 c "algorithm tag" in
   if tag > 2 then bad "unknown index algorithm tag %d" tag;
-  let has_map = rd_u8 s pos "node-map flag" in
+  let has_map = Graph_io.u8 c "node-map flag" in
   if has_map > 1 then bad "bad node-map flag %d" has_map;
-  let graph_n = rd_i64 s pos "indexed node count" in
-  if graph_n < 0 then bad "negative indexed node count";
+  let graph_n = Graph_io.i64 c "indexed node count" in
   let node_map =
     if has_map = 0 then None
     else begin
-      let orig_n = rd_i64 s pos "original node count" in
-      Some (rd_i32_array s pos orig_n "node map")
+      let orig_n = Graph_io.i64 c "original node count" in
+      Some (Graph_io.i32_array c orig_n "node map")
     end
   in
-  let loop_count = rd_i64 s pos "self-loop count" in
-  if loop_count < 0 || loop_count > graph_n then
-    bad "self-loop count %d out of range" loop_count;
+  let loop_count = Graph_io.i64 c "self-loop count" in
+  if loop_count > graph_n then bad "self-loop count %d out of range" loop_count;
   let self_loops = Bitset.create graph_n in
   let prev = ref (-1) in
   for _ = 1 to loop_count do
-    let u = rd_i32 s pos "self-loop id" in
+    let u = Graph_io.i32 c "self-loop id" in
     if u <= !prev || u >= graph_n then
       bad "self-loop ids must be strictly ascending and in range (got %d)" u;
     prev := u;
@@ -156,36 +113,19 @@ let parse ?map_path s =
   let backend =
     match tag with
     | 0 ->
-        let k = rd_i64 s pos "condensation size" in
-        if k < 0 then bad "negative condensation size";
-        let comp = rd_i32_array s pos graph_n "component map" in
-        let post = rd_i32_array s pos k "post ranks" in
-        let counts = rd_i32_array s pos k "interval counts" in
-        let intervals =
-          Array.map
-            (fun c ->
-              if c < 0 then bad "negative interval count";
-              if !pos + (8 * c) > String.length s then
-                bad "index snapshot truncated reading intervals";
-              Array.init c (fun i ->
-                  let lo = Int32.to_int (String.get_int32_le s (!pos + (8 * i)))
-                  and hi =
-                    Int32.to_int (String.get_int32_le s (!pos + (8 * i) + 4))
-                  in
-                  (lo, hi))
-              |> fun a ->
-              pos := !pos + (8 * c);
-              a)
-            counts
-        in
+        let k = Graph_io.i64 c "condensation size" in
+        let comp = Graph_io.i32_array c graph_n "component map" in
+        let post = Graph_io.i32_array c k "post ranks" in
+        let counts = Graph_io.i32_array c k "interval counts" in
+        let intervals = Array.map (fun n -> i32_pairs c n "intervals") counts in
         (match Tree_cover.of_parts ~comp ~post ~intervals with
         | tc -> Reach_index.Tree tc
         | exception Invalid_argument msg -> bad "%s" msg)
     | 1 ->
         let rd_labels what =
           Array.init graph_n (fun _ ->
-              let len = rd_i32 s pos what in
-              let l = rd_i32_array s pos len what in
+              let len = Graph_io.i32 c what in
+              let l = Graph_io.i32_array c len what in
               Array.iter
                 (fun h ->
                   if h < 0 || h >= graph_n then
@@ -199,54 +139,25 @@ let parse ?map_path s =
         | th -> Reach_index.Hop th
         | exception Invalid_argument msg -> bad "%s" msg)
     | _ ->
-        let comp = rd_i32_array s pos graph_n "component map" in
-        let cond =
-          try
-            let blob_pos = Graph_io.skip_pad s !pos in
-            match map_path with
-            | Some path
-              when blob_pos + 8 <= String.length s
-                   && s.[blob_pos + 4] = 'M'
-                   && blob_pos land 7 = 0 ->
-                let total = Graph_io.mapped_blob_length s blob_pos in
-                let cond, _ = Graph_io.map_mapped ~offset:blob_pos path in
-                pos := blob_pos + total;
-                cond
-            | _ ->
-                let (cond, _), next = Graph_io.of_any_blob s !pos in
-                pos := next;
-                cond
-          with Graph_io.Parse_error (line, msg) ->
-            raise (Parse_error (line, msg))
-        in
-        let k = rd_i64 s pos "traversal count" in
+        let comp = Graph_io.i32_array c graph_n "component map" in
+        let cond, _ = Graph_io.graph_blob c in
+        let k = Graph_io.i64 c "traversal count" in
         if k <= 0 || k > 1024 then bad "traversal count %d out of range" k;
         let cn = Digraph.n cond in
         let intervals =
-          Array.init k (fun _ ->
-              if !pos + (8 * cn) > String.length s then
-                bad "index snapshot truncated reading traversal intervals";
-              Array.init cn (fun i ->
-                  let lo = Int32.to_int (String.get_int32_le s (!pos + (8 * i)))
-                  and post =
-                    Int32.to_int (String.get_int32_le s (!pos + (8 * i) + 4))
-                  in
-                  (lo, post))
-              |> fun a ->
-              pos := !pos + (8 * cn);
-              a)
+          Array.init k (fun _ -> i32_pairs c cn "traversal intervals")
         in
         (match Grail.of_parts ~comp ~cond ~intervals with
         | gl -> Reach_index.Grl gl
         | exception Invalid_argument msg -> bad "%s" msg)
   in
-  if !pos <> String.length s then
-    bad "trailing %d bytes after index snapshot" (String.length s - !pos);
+  if Graph_io.remaining c <> 0 then
+    bad "trailing %d bytes after index snapshot" (Graph_io.remaining c);
   match Reach_index.v ~graph_n ?node_map ~self_loops ~backend () with
   | t -> t
   | exception Invalid_argument msg -> bad "%s" msg
 
-let of_binary_string s = parse s
+let of_binary_string s = of_cursor (Graph_io.cursor s)
 
 let save ?graph_format path t =
   let oc = open_out_bin path in
@@ -254,10 +165,4 @@ let save ?graph_format path t =
     ~finally:(fun () -> close_out_noerr oc)
     (fun () -> output_string oc (to_binary_string ?graph_format t))
 
-let load ?(mmap = false) path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let s = In_channel.input_all ic in
-      if mmap then parse ~map_path:path s else parse s)
+let load ?mmap path = Graph_io.load_file ?mmap path of_cursor

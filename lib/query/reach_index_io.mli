@@ -1,7 +1,6 @@
 (** Binary snapshots of reachability indexes.
 
-    The third QPGC snapshot kind: magic ["QPGC"], kind ['I'], version
-    byte, two reserved bytes, then
+    The {!Graph_io} snapshot header with kind ['I'], then
 
     {v
     u8   algorithm tag            0 = tree-cover, 1 = two-hop, 2 = grail
@@ -18,22 +17,20 @@
     condensation as an embedded {!Graph_io} snapshot blob of any kind
     ('G' flat, 'M' mapped or 'V' varint — pick with [graph_format]) and
     the per-traversal interval tables.  An 'M' cond blob is preceded by
-    zero padding to an 8-byte file offset so it can be mapped in place.
+    zero padding to an 8-byte file offset so it can be mapped in place
+    ({!Graph_io.graph_blob}).
     Everything is little-endian, counts before payloads — so equal
     indexes serialize to equal bytes and a snapshot round-trips
     canonically per format. *)
-
-(** Raised on malformed input with a line number (0 for binary offsets)
-    and message.  Truncation, trailing bytes, out-of-range ids and
-    inconsistent sizes are all rejected. *)
-exception Parse_error of int * string
 
 val to_binary_string : ?graph_format:Digraph.backend -> Reach_index.t -> string
 
 (** [of_binary_string s] parses a kind-['I'] snapshot.  Structural
     invariants are re-validated through {!Reach_index.v} and the backend
-    [of_parts] constructors, so corrupt input fails with {!Parse_error}
-    rather than undefined query behaviour. *)
+    [of_parts] constructors, so corrupt input fails with
+    {!Graph_io.Parse_error} rather than undefined query behaviour:
+    truncation, trailing bytes, out-of-range ids and inconsistent sizes
+    are all rejected. *)
 val of_binary_string : string -> Reach_index.t
 
 (** [save ?graph_format path t] writes the snapshot of [t] to [path];
@@ -45,5 +42,5 @@ val save : ?graph_format:Digraph.backend -> string -> Reach_index.t -> unit
     [~mmap:true], a GRAIL index whose cond blob is kind 'M' opens the
     condensation as zero-copy mapped views over [path] instead of
     parsing it eagerly.
-    @raise Parse_error on malformed input. *)
+    @raise Graph_io.Parse_error on malformed input. *)
 val load : ?mmap:bool -> string -> Reach_index.t

@@ -103,25 +103,6 @@ let engine_of_index ?pool idx =
     eval_pattern = None;
   }
 
-(* First five bytes decide the loader: "QPGC" + kind byte for binary
-   snapshots, anything else (short file, text edge list) goes through
-   [Graph_io.load]'s own sniffing. *)
-let snapshot_kind path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let b = Bytes.create 5 in
-      let rec fill off =
-        if off >= 5 then true
-        else
-          let k = input ic b off (5 - off) in
-          if k = 0 then false else fill (off + k)
-      in
-      if fill 0 && String.equal (Bytes.sub_string b 0 4) "QPGC" then
-        Some (Bytes.get b 4)
-      else None)
-
 let load_engine ?pool ?(mmap = true) ?index_file path =
   let index = Option.map (fun f -> Reach_index_io.load ~mmap f) index_file in
   let reject_index what =
@@ -131,7 +112,7 @@ let load_engine ?pool ?(mmap = true) ?index_file path =
            "Server.load_engine: an index file cannot be combined with a %s snapshot"
            what)
   in
-  match snapshot_kind path with
+  match Graph_io.snapshot_kind path with
   | Some 'C' ->
       reject_index "compressed";
       engine_of_compressed ?pool (Compressed_io.load ~mmap path)
@@ -155,7 +136,7 @@ let load_engine ?pool ?(mmap = true) ?index_file path =
           | c ->
               reject_index "compressed";
               engine_of_compressed ?pool c
-          | exception Compressed_io.Parse_error (comp_line, _)
+          | exception Graph_io.Parse_error (comp_line, _)
             when comp_line <= graph_line ->
               raise graph_err))
 

@@ -66,8 +66,7 @@ val engine_of_index : ?pool:Pool.t -> Reach_index.t -> engine
     the compression-only records (whose text format strictly extends
     the graph records).  [index_file] is only meaningful for graph
     snapshots.
-    @raise Graph_io.Parse_error, [Compressed_io.Parse_error] or
-    [Reach_index_io.Parse_error] on a corrupt snapshot. *)
+    @raise Graph_io.Parse_error on a corrupt snapshot. *)
 val load_engine :
   ?pool:Pool.t -> ?mmap:bool -> ?index_file:string -> string -> engine
 

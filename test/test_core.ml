@@ -484,7 +484,7 @@ let compressed_io_roundtrip () =
 let compressed_io_errors () =
   let expect s =
     match Compressed_io.of_string s with
-    | exception Compressed_io.Parse_error _ -> ()
+    | exception Graph_io.Parse_error _ -> ()
     | _ -> Alcotest.fail ("expected parse error for " ^ s)
   in
   expect "";
@@ -496,18 +496,23 @@ let compressed_io_errors () =
   expect "n 1\ne 0 3\no 1\nm 0 0\n"
 
 let compressed_io_binary_errors () =
-  let g = Testutil.recommendation () in
-  let s = Compressed_io.to_binary_string (Compress_reach.compress g) in
-  let expect what s =
-    match Compressed_io.of_binary_string s with
-    | exception Compressed_io.Parse_error _ -> ()
-    | _ -> Alcotest.fail ("expected Parse_error: " ^ what)
-  in
-  expect "empty input" "";
-  expect "header only" "QPGC";
-  expect "truncated node map" (String.sub s 0 (String.length s - 2));
-  expect "graph kind where compressed expected"
-    ("QPGCG" ^ String.sub s 5 (String.length s - 5))
+  let c = Compress_reach.compress (Testutil.recommendation ()) in
+  List.iter
+    (fun graph_format ->
+      let s = Compressed_io.to_binary_string ~graph_format c in
+      let expect what s =
+        match Compressed_io.of_binary_string s with
+        | exception Graph_io.Parse_error _ -> ()
+        | _ -> Alcotest.fail ("expected Parse_error: " ^ what)
+      in
+      expect "empty input" "";
+      expect "header only" "QPGC";
+      expect "truncated node map" (String.sub s 0 (String.length s - 2));
+      expect "graph kind where compressed expected"
+        ("QPGCG" ^ String.sub s 5 (String.length s - 5));
+      expect "version beyond 2"
+        ("QPGCC\003" ^ String.sub s 6 (String.length s - 6)))
+    [ Digraph.Flat; Digraph.Mapped; Digraph.Varint ]
 
 let compressed_io_props =
   [

@@ -158,19 +158,6 @@ let digraph_edit () =
   Alcotest.(check bool) "right edge left" true (Digraph.mem_edge g3 1 2);
   Digraph.validate g3
 
-let digraph_builder () =
-  let b = Digraph.Builder.create () in
-  let x = Digraph.Builder.add_node b ~label:1 in
-  let y = Digraph.Builder.add_node b ~label:2 in
-  Digraph.Builder.add_edge b x y;
-  Digraph.Builder.add_edge b y x;
-  Alcotest.(check int) "count" 2 (Digraph.Builder.node_count b);
-  let g = Digraph.Builder.build b in
-  Alcotest.(check int) "n" 2 (Digraph.n g);
-  Alcotest.(check int) "m" 2 (Digraph.m g);
-  Alcotest.(check int) "labels kept" 2 (Digraph.label g y);
-  Digraph.validate g
-
 let digraph_induced () =
   let g = Digraph.make ~n:5 ~labels:[| 0; 1; 2; 3; 4 |]
       [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 0) ]
@@ -866,7 +853,6 @@ let () =
           Alcotest.test_case "basics" `Quick digraph_basics;
           Alcotest.test_case "errors" `Quick digraph_errors;
           Alcotest.test_case "edit" `Quick digraph_edit;
-          Alcotest.test_case "builder" `Quick digraph_builder;
           Alcotest.test_case "induced" `Quick digraph_induced;
         ]
         @ digraph_props );

@@ -168,21 +168,72 @@ let snapshot_of g algorithm =
   Reach_index_io.to_binary_string
     (Compress_reach.index ~algorithm (Compress_reach.compress g))
 
-let io_truncation () =
-  let g = Testutil.recommendation () in
-  List.iter
-    (fun algorithm ->
-      let s = snapshot_of g algorithm in
-      for len = 0 to String.length s - 1 do
-        match Reach_index_io.of_binary_string (String.sub s 0 len) with
-        | _ ->
-            Alcotest.fail
-              (Printf.sprintf "%s: prefix of %d/%d bytes accepted"
+let format_name = function
+  | Digraph.Flat -> "flat"
+  | Digraph.Mapped -> "mmap"
+  | Digraph.Varint -> "varint"
+
+(* Every snapshot kind read through the one codec: the three graph kinds,
+   and 'C' and 'I' over each embedded graph format.  Each comes with its
+   string parser and its file loader, which opens with mmap; both must
+   accept the whole snapshot and reject every proper prefix. *)
+let every_kind g =
+  let c = Compress_reach.compress g in
+  List.concat_map
+    (fun format ->
+      let over = format_name format in
+      ( over ^ " graph",
+        Graph_io.to_snapshot_string ~format g,
+        (fun s -> ignore (Graph_io.of_binary_string s)),
+        fun path -> ignore (Graph_io.load ~mmap:true path) )
+      :: ( "'C' over " ^ over,
+           Compressed_io.to_binary_string ~graph_format:format c,
+           (fun s -> ignore (Compressed_io.of_binary_string s)),
+           fun path -> ignore (Compressed_io.load ~mmap:true path) )
+      :: List.map
+           (fun algorithm ->
+             ( Printf.sprintf "'I' %s over %s"
                  (Reach_index.algorithm_name algorithm)
-                 len (String.length s))
-        | exception Reach_index_io.Parse_error _ -> ()
-      done)
-    Reach_index.all_algorithms
+                 over,
+               Reach_index_io.to_binary_string ~graph_format:format
+                 (Compress_reach.index ~algorithm c),
+               (fun s -> ignore (Reach_index_io.of_binary_string s)),
+               fun path -> ignore (Reach_index_io.load ~mmap:true path) ))
+           Reach_index.all_algorithms)
+    [ Digraph.Flat; Digraph.Mapped; Digraph.Varint ]
+
+let io_truncation () =
+  let path = Filename.temp_file "qpgc_trunc" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      List.iter
+        (fun (name, s, parse, load) ->
+          let rejects what input =
+            (match parse input with
+            | () -> Alcotest.failf "%s: %s accepted" name what
+            | exception Graph_io.Parse_error _ -> ());
+            Out_channel.with_open_bin path (fun oc -> output_string oc input);
+            match load path with
+            | () -> Alcotest.failf "%s: %s accepted by an mmap load" name what
+            | exception Graph_io.Parse_error _ -> ()
+          in
+          parse s;
+          Out_channel.with_open_bin path (fun oc -> output_string oc s);
+          load path;
+          for len = 0 to String.length s - 1 do
+            rejects
+              (Printf.sprintf "prefix of %d/%d bytes" len (String.length s))
+              (String.sub s 0 len)
+          done;
+          let flip i =
+            let b = Bytes.of_string s in
+            Bytes.set b i (Char.chr (Char.code s.[i] lxor 0x80));
+            Bytes.to_string b
+          in
+          rejects "flipped kind byte" (flip 4);
+          rejects "flipped version byte" (flip 5))
+        (every_kind (Testutil.recommendation ())))
 
 let io_corruption () =
   let g = Testutil.recommendation () in
@@ -190,7 +241,7 @@ let io_corruption () =
   let expect what s =
     match Reach_index_io.of_binary_string s with
     | _ -> Alcotest.fail ("expected Parse_error: " ^ what)
-    | exception Reach_index_io.Parse_error _ -> ()
+    | exception Graph_io.Parse_error _ -> ()
   in
   let patch i c =
     let b = Bytes.of_string s in

@@ -200,7 +200,25 @@ let mapped_corruption () =
       let gm, _ = Graph_io.load ~mmap:true path in
       match Digraph.validate gm with
       | () -> Alcotest.fail "mmap deep validation accepted corrupt adjacency"
-      | exception Failure _ -> ())
+      | exception Failure _ -> ());
+  (* A 72-byte blob declaring n = 2^59 and m = 2^58: the section sizes
+     overflow, wrap and seem to tile the declared length, so the header
+     must bound n and m by it before sizing any read or map. *)
+  let huge =
+    let b = Buffer.create 72 in
+    Buffer.add_string b "QPGCM\001\000\000";
+    List.iter
+      (fun x -> Buffer.add_int64_le b (Int64.of_int x))
+      [ 1 lsl 59; 1 lsl 58; 1; 8; 72 ];
+    Buffer.add_string b (String.make 24 '\000');
+    Buffer.contents b
+  in
+  expect_parse_error "overflowing section sizes" (fun () ->
+      Graph_io.of_binary_string huge);
+  with_tmp_file (fun path ->
+      write_file path huge;
+      expect_parse_error "overflowing section sizes, mmap" (fun () ->
+          Graph_io.load ~mmap:true path))
 
 let varint_corruption () =
   let g, table = sample () in

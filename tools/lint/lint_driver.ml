@@ -11,19 +11,14 @@ let empty = { diags = []; errors = [] }
 let merge a b =
   { diags = a.diags @ b.diags; errors = a.errors @ b.errors }
 
-(* Directories whose modules are hot paths: the scope of POLY01 and
-   CMP01. *)
-let hot_prefixes =
-  [ "lib/graph"; "lib/partition"; "lib/core"; "lib/query"; "lib/server" ]
-
 let contains_sub ~sub s =
   let n = String.length s and m = String.length sub in
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-let in_scope display = function
+let rec in_scope display = function
   | Lint_rules.Anywhere -> true
-  | Hot -> List.exists (fun p -> contains_sub ~sub:p display) hot_prefixes
+  | Hot -> in_scope display (Under Lint_rules.hot_prefixes)
   | Under ps -> List.exists (fun p -> contains_sub ~sub:p display) ps
   | Outside p -> not (contains_sub ~sub:p display)
 
@@ -86,4 +81,4 @@ let lint_paths ?(only = []) ?(prefix = "") paths =
   List.fold_left
     (fun acc path -> merge acc (lint_file ~only ~display:(prefix ^ path) path))
     empty files
-  |> fun r -> { diags = Lint_diag.dedup_sort r.diags; errors = List.rev r.errors }
+  |> fun r -> { r with diags = Lint_diag.dedup_sort r.diags }

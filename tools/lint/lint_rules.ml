@@ -46,10 +46,14 @@ type ctx = {
 let report ctx ~loc ~rule msg =
   ctx.diags <- Lint_diag.make ~file:ctx.display ~loc ~rule msg :: ctx.diags
 
+(* The hot-path directories: the scope of POLY01 and CMP01. *)
+let hot_prefixes =
+  [ "lib/graph"; "lib/partition"; "lib/core"; "lib/query"; "lib/server" ]
+
 (* Where a rule applies, judged from the file's display path. *)
 type scope =
   | Anywhere
-  | Hot  (* the hot-path modules, [Lint_driver.hot_prefixes] *)
+  | Hot  (* the hot-path modules, [hot_prefixes] *)
   | Under of string list  (* paths containing one of these *)
   | Outside of string  (* paths not containing this *)
 
@@ -104,13 +108,13 @@ let poly01 =
     id = "POLY01";
     scope = Hot;
     doc =
-      "Polymorphic comparison in a hot-path module (lib/graph, \
-       lib/partition, lib/core, lib/query): min/max and Hashtbl.hash \
-       anywhere, and compare / = / <> escaping as first-class functions \
-       (e.g. Array.sort compare). Use a monomorphic version (Int.compare, \
-       Mono.imin, an FNV-1a string hash, ...) instead; the generic \
-       caml_compare walk is a memory-bound interpreter of the value's \
-       shape.";
+      "Polymorphic comparison in a hot-path module ("
+      ^ String.concat ", " hot_prefixes
+      ^ "): min/max and Hashtbl.hash anywhere, and compare / = / <> \
+         escaping as first-class functions (e.g. Array.sort compare). Use a \
+         monomorphic version (Int.compare, Mono.imin, an FNV-1a string \
+         hash, ...) instead; the generic caml_compare walk is a \
+         memory-bound interpreter of the value's shape.";
     check =
       Walk
         (fun ctx structure ->
@@ -238,7 +242,7 @@ let partial01 =
        exclude with a message that names neither caller nor data. \
        Destructure with a total match, or use the [_opt] variant, carrying \
        a real error message instead. Test code is exempt by construction: \
-       the lint aliases only cover lib/, bin/ and bench/.";
+       the lint run covers lib/, bin/, bench/, examples/ and tools/.";
     check =
       Banned
         {

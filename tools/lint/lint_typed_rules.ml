@@ -16,7 +16,7 @@
    - BOUNDS01 untrusted-read bounds: every [String.get_int64_le] /
               [get_int32_le] (and friends) must be dominated, within its
               function, by a length check that raises [Parse_error] —
-              inline or via a checker helper such as [need] / [rd_i64].
+              inline or via a checker helper such as [need] / [take].
    - ALLOC02  allocation (tuples, closures, boxing, allocating stdlib
               calls, transitively through helpers) reachable from a
               region marked [@lint.hot_loop].
@@ -574,9 +574,9 @@ let bounds01 =
        String/Bytes get_int64_le / get_int32_le / get_int16_le read must \
        be dominated, within its function, by a length check that raises \
        Parse_error — an inline `if ... > String.length s then bad ...` or \
-       a call to a checker helper (`need`, `rd_i64`, ...). Checker status \
-       is computed interprocedurally, so helper-based parsers are \
-       understood.";
+       a call to a checker helper (`need`, Graph_io's cursor `take`, ...). \
+       Checker status is computed interprocedurally, so helper-based \
+       parsers are understood.";
     check =
       (fun ctx ->
         let summaries =
