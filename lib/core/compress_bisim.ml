@@ -28,9 +28,38 @@ let compress ?pool g =
       in
       Obs.span "compressB.quotient" (fun () -> compress_of_partition g part))
 
+type scratch = {
+  c : Compressed.t;
+  sim : Bounded_sim.scratch;  (* the match on Gr, rows over Vr *)
+  mutable rows : Bitset.t array;  (* the answer after P, rows over V *)
+}
+
+let scratch c =
+  { c; sim = Bounded_sim.scratch (Compressed.graph c); rows = [||] }
+
+let answer_into ?cache s p =
+  Bounded_sim.match_into ?cache s.sim p
+  &&
+  let np = Pattern.node_count p and have = Array.length s.rows in
+  if have < np then
+    s.rows <-
+      Array.init np (fun u ->
+          if u < have then s.rows.(u)
+          else Bitset.create (Compressed.original_n s.c));
+  for u = 0 to np - 1 do
+    Bitset.clear s.rows.(u);
+    Compressed.expand_into s.c (Bounded_sim.matched s.sim u) s.rows.(u)
+  done;
+  true
+
+let row s u = s.rows.(u)
+
 let answer ?cache p c =
-  Compressed.expand_result c
-    (Bounded_sim.eval ?cache p (Compressed.graph c))
+  let s = scratch c in
+  if answer_into ?cache s p then
+    Some
+      (Array.init (Pattern.node_count p) (fun u -> Bitset.to_array s.rows.(u)))
+  else None
 
 let answer_boolean ?cache p c =
   Bounded_sim.eval_boolean ?cache p (Compressed.graph c)

@@ -27,6 +27,31 @@ val compress_of_partition : Digraph.t -> int array -> Compressed.t
     optional cache must be built on [Compressed.graph c]. *)
 val answer : ?cache:Bounded_sim.cache -> Pattern.t -> Compressed.t -> Pattern.result
 
+(** {1 Answering into reused scratch}
+
+    The daemon's path: match on [Gr] into reused candidate bitsets
+    ({!Bounded_sim.match_into}), then run [P] into reused bitsets over
+    [V], from which each reply row is written straight out
+    ({!Bitset.write_u32_le}).  {!answer} is the same kernel with the
+    rows copied out into arrays. *)
+
+(** Candidate bitsets over [Gr] and answer rows over [V], kept from
+    query to query; they grow to the widest pattern met.  Not safe to
+    share between domains. *)
+type scratch
+
+val scratch : Compressed.t -> scratch
+
+(** [answer_into ?cache s p] evaluates [p] on [Gr] and expands the match
+    through [P] into [s]; [true] iff every pattern node has a match,
+    exactly when {!answer} is [Some].  Row [u < Pattern.node_count p] is
+    then {!row} [s u], until the next call. *)
+val answer_into : ?cache:Bounded_sim.cache -> scratch -> Pattern.t -> bool
+
+(** [row s u] is the original nodes matching pattern node [u] in the
+    last answer, as a bitset over [V]. *)
+val row : scratch -> int -> Bitset.t
+
 (** [answer_boolean ?cache p c] decides [Qp ⊨ G] directly on [Gr]; no
     post-processing involved. *)
 val answer_boolean : ?cache:Bounded_sim.cache -> Pattern.t -> Compressed.t -> bool

@@ -48,29 +48,35 @@ let ratio t ~original =
   let g = Digraph.size original in
   if g = 0 then 1.0 else float_of_int (size t) /. float_of_int g
 
-(* P marks the members of a row's hypernodes in one bitset over V and
+(* P marks the members of a row's hypernodes in a bitset over V and
    reads the bits back in order: O(|V|/63 + |output|) per row, no sort.
-   Hypernodes are disjoint, so no dedup is needed; a hypernode listed
-   twice only marks the same bits again.  [mark] is empty on entry and
-   on exit. *)
-let expand_row t mark hypernodes =
-  let off = t.member_off and ids = t.member_ids in
-  for i = 0 to Array.length hypernodes - 1 do
-    let h = hypernodes.(i) in
-    Bitset.add_slice mark ids off.(h) (off.(h + 1) - off.(h))
-  done;
+   Hypernodes are disjoint, so no dedup is needed. *)
+let expand_into t hyper mark =
+  Bitset.union_rows ~into:mark ~off:t.member_off ~ids:t.member_ids hyper
+
+(* The array rows of [expand_nodes] and [expand_result] go through the
+   same marking, by way of a bitset of hypernodes over Vr ([hyper]);
+   both sets are empty again on return. *)
+let expand_row t ~hyper ~mark hypernodes =
+  Bitset.add_slice hyper hypernodes 0 (Array.length hypernodes);
+  expand_into t hyper mark;
+  Bitset.clear hyper;
   let out = Bitset.to_array mark in
   Bitset.clear mark;
   out
 
 let expand_nodes t hypernodes =
-  expand_row t (Bitset.create (original_n t)) hypernodes
+  expand_row t
+    ~hyper:(Bitset.create (Digraph.n t.graph))
+    ~mark:(Bitset.create (original_n t))
+    hypernodes
 
 let expand_result t = function
   | None -> None
   | Some rows ->
-      let mark = Bitset.create (original_n t) in
-      Some (Array.map (expand_row t mark) rows)
+      let hyper = Bitset.create (Digraph.n t.graph)
+      and mark = Bitset.create (original_n t) in
+      Some (Array.map (expand_row t ~hyper ~mark) rows)
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>compressed |Vr|=%d |Er|=%d of |V|=%d@,%a@]"

@@ -44,6 +44,15 @@ val size : t -> int
 (** [ratio t ~original] is the paper's compression ratio [|Gr| / |G|]. *)
 val ratio : t -> original:Digraph.t -> float
 
+(** {1 The post-processing function [P]} *)
+
+(** [expand_into t hyper mark] adds to [mark], a bitset over [V], the
+    members of every hypernode in [hyper], a bitset over [Vr]: P for one
+    row, read back in ascending order from [mark].  Hypernodes are
+    disjoint, so [Bitset.cardinal mark] is the row's length when [mark]
+    starts empty.  O(|Vr|/63 + |output|), allocating nothing. *)
+val expand_into : t -> Bitset.t -> Bitset.t -> unit
+
 (** [expand_nodes t hs] is the sorted union of the members of the
     hypernodes [hs]: one bitset over [V] is marked and read back in
     order, O(|V|/63 + |output|). *)

@@ -46,6 +46,19 @@ let mem s i =
   let w = i / bits_per_word in
   Array.unsafe_get s.words w land (1 lsl (i - (w * bits_per_word))) <> 0
 
+(* [mem] inline over a slice, stopping at the first hit: one toplevel
+   recursion, no call per element. *)
+let rec meets_from s a i stop =
+  i < stop
+  &&
+  let x = a.(i) in
+  if x < 0 || x >= s.size then out_of_range s x;
+  let w = x / bits_per_word in
+  Array.unsafe_get s.words w land (1 lsl (x - (w * bits_per_word))) <> 0
+  || meets_from s a (i + 1) stop
+
+let meets_slice s a start len = meets_from s a start (start + len)
+
 (* Branch-free SWAR popcount.  The 64-bit masks truncate to OCaml's 63-bit
    ints, which is exactly the classic algorithm run on a zero-extended
    value: lanes never carry into each other, and the only dropped bit
@@ -127,11 +140,16 @@ let inter_cardinal a b =
   done;
   !acc
 
+(* A toplevel recursion: a local [let rec] capturing the two sets would
+   be a closure allocated on every call, and pattern matching calls
+   [disjoint] once per candidate. *)
+let rec disjoint_from aw bw i =
+  i >= Array.length aw
+  || (aw.(i) land bw.(i) = 0 && disjoint_from aw bw (i + 1))
+
 let disjoint a b =
   same_universe a b "disjoint";
-  let n = Array.length a.words in
-  let rec go i = i >= n || (a.words.(i) land b.words.(i) = 0 && go (i + 1)) in
-  go 0
+  disjoint_from a.words b.words 0
 
 let subset a b =
   same_universe a b "subset";
@@ -172,6 +190,94 @@ let to_array s =
     done
   done;
   out
+
+(* [iter] with the context passed alongside the function, as toplevel
+   recursion: with a toplevel [f] and an existing [env], a walk allocates
+   nothing, not even the partial application [f env]. *)
+let rec iter_word f env base word =
+  if word <> 0 then begin
+    f env (base + ctz word);
+    iter_word f env base (word land (word - 1))
+  end
+
+let rec iter_words f env words w =
+  if w < Array.length words then begin
+    iter_word f env (w * bits_per_word) (Array.unsafe_get words w);
+    iter_words f env words (w + 1)
+  end
+
+let iter_with f env s = iter_words f env s.words 0
+
+(* [add_slice] of the CSR row of each member of [sel], the word walk
+   inline: no callback per member. *)
+let rec union_word into off ids base word =
+  if word <> 0 then begin
+    let h = base + ctz word in
+    add_slice into ids off.(h) (off.(h + 1) - off.(h));
+    union_word into off ids base (word land (word - 1))
+  end
+
+let rec union_words into off ids words w =
+  if w < Array.length words then begin
+    union_word into off ids (w * bits_per_word) (Array.unsafe_get words w);
+    union_words into off ids words (w + 1)
+  end
+
+let[@lint.hot_loop] union_rows ~into ~off ~ids sel =
+  if Array.length off <= sel.size then
+    invalid_arg "Bitset.union_rows: offsets too short";
+  union_words into off ids sel.words 0
+
+(* [meets_slice] of the CSR row of each member of [s], dropping the
+   members whose row misses [t].  A member is cleared in [s.words] as it
+   is visited while the walk reads its own copy of the word, so [t] may
+   be [s] itself. *)
+let rec keep_word s off adj t w base word dropped =
+  if word = 0 then dropped
+  else begin
+    let v = base + ctz word and rest = word land (word - 1) in
+    if meets_from t adj off.(v) off.(v + 1) then
+      keep_word s off adj t w base rest dropped
+    else begin
+      Array.unsafe_set s.words w
+        (Array.unsafe_get s.words w land lnot (1 lsl (v - base)));
+      keep_word s off adj t w base rest true
+    end
+  end
+
+let rec keep_words s off adj t w dropped =
+  if w >= Array.length s.words then dropped
+  else
+    keep_words s off adj t (w + 1)
+      (keep_word s off adj t w (w * bits_per_word) (Array.unsafe_get s.words w)
+         dropped)
+
+let[@lint.hot_loop] keep_meeting s ~off ~adj t =
+  if Array.length off <= s.size then
+    invalid_arg "Bitset.keep_meeting: offsets too short";
+  keep_words s off adj t 0 false
+
+(* [to_array]'s walk as toplevel recursion, one 32-bit store per
+   member. *)
+let rec write_word b at base word =
+  if word = 0 then at
+  else begin
+    Bytes.set_int32_le b at (Int32.of_int (base + ctz word));
+    write_word b (at + 4) base (word land (word - 1))
+  end
+
+let rec write_words words b at w =
+  if w >= Array.length words then at
+  else
+    write_words words b
+      (write_word b at (w * bits_per_word) (Array.unsafe_get words w))
+      (w + 1)
+
+(* lint: allow ALLOC02 — the one finding is [write_word]'s
+   [Int32.of_int], which feeds [Bytes.set_int32_le] directly: ocamlopt
+   keeps that value unboxed, so the walk allocates nothing (0 minor
+   words over a 1,000-member write). *)
+let[@lint.hot_loop] write_u32_le s b pos = write_words s.words b pos 0
 
 let of_list size xs =
   let s = create size in

@@ -28,6 +28,12 @@ val remove : t -> int -> unit
 (** [mem s i] is [true] iff bit [i] is set. *)
 val mem : t -> int -> bool
 
+(** [meets_slice s a start len] is [true] iff some of [a.(start) .. a.(start
+    + len - 1)] is a member of [s]: {!mem} over an array slice in one
+    tight loop, stopping at the first hit.
+    @raise Invalid_argument if an element it reads is out of range. *)
+val meets_slice : t -> int array -> int -> int -> bool
+
 (** [cardinal s] is the number of set bits (popcount over all words). *)
 val cardinal : t -> int
 
@@ -78,6 +84,36 @@ val to_list : t -> int list
     exactly [cardinal s] cells: O(capacity/63 + cardinal) with no
     intermediate list. *)
 val to_array : t -> int array
+
+(** [iter_with f env s] is [iter (f env) s]: with a toplevel [f], the
+    walk allocates nothing, which keeps the per-member loops of hot
+    kernels free of closures.  [f] may remove the member it is given
+    from [s]. *)
+val iter_with : ('a -> int -> unit) -> 'a -> t -> unit
+
+(** [union_rows ~into ~off ~ids sel] adds to [into], for each member [h]
+    of [sel], the CSR row [ids.(off.(h)) .. ids.(off.(h + 1) - 1)]:
+    the union of the rows [sel] selects, in one walk over the words of
+    [sel] with no callback and no allocation.
+    @raise Invalid_argument if [off] has fewer than [universe_size sel
+    + 1] entries or a row leaves [ids] or [into]'s universe. *)
+val union_rows : into:t -> off:int array -> ids:int array -> t -> unit
+
+(** [keep_meeting s ~off ~adj t] removes from [s] every member [v] whose
+    CSR row [adj.(off.(v)) .. adj.(off.(v + 1) - 1)] has no member of
+    [t], and is [true] iff it removed one.  One walk over the words of
+    [s] with no callback and no allocation; [t] may be [s] itself, in
+    which case a member removed earlier in the walk no longer counts.
+    @raise Invalid_argument if [off] has fewer than [universe_size s + 1]
+    entries or a row leaves [adj] or [t]'s universe. *)
+val keep_meeting : t -> off:int array -> adj:int array -> t -> bool
+
+(** [write_u32_le s b pos] writes the members in increasing order as
+    u32 little-endian values into [b] from [pos], [4 * cardinal s] bytes,
+    and returns the position after them.  Allocates nothing.  Members
+    must fit in 32 bits.
+    @raise Invalid_argument if the bytes do not fit in [b]. *)
+val write_u32_le : t -> Bytes.t -> int -> int
 
 (** [of_list capacity xs] is the set containing exactly [xs]. *)
 val of_list : int -> int list -> t

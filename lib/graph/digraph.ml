@@ -366,6 +366,64 @@ let side_mem sd v x =
       done;
       !found
 
+(* Successor scans for the stores that are not flat arrays, stopping at
+   the first successor in [set], each a toplevel recursion so that no
+   call allocates. *)
+let rec mapped_meets set (adj : int_ba) i stop =
+  i < stop && (Bitset.mem set adj.{i} || mapped_meets set adj (i + 1) stop)
+
+(* The varint at [pos] with [acc]/[shift] the bits read so far. *)
+let rec varint_at data pos acc shift =
+  let b = Char.code (String.get data pos) in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b < 0x80 then acc else varint_at data (pos + 1) acc (shift + 7)
+
+(* [left] successors from [pos], gap-coded after [x] (0 before the
+   first, which is stored as is), one byte per step. *)
+let rec varint_meets set data pos left x acc shift =
+  left > 0
+  &&
+  let b = Char.code (String.get data pos) in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b >= 0x80 then varint_meets set data (pos + 1) left x acc (shift + 7)
+  else
+    Bitset.mem set (x + acc)
+    || varint_meets set data (pos + 1) (left - 1) (x + acc) 0 0
+
+let side_meets sd v set =
+  match sd.store with
+  | Sflat { off; adj } ->
+      Bitset.meets_slice set adj off.(v) (off.(v + 1) - off.(v))
+  | Smapped { off; adj } -> mapped_meets set adj off.{v} off.{v + 1}
+  | Svarint { idx; data } ->
+      let pos = Int32.to_int idx.{v} in
+      let deg = varint_at data pos 0 0 in
+      (* Encodings are minimal, so the degree's length is its own. *)
+      varint_meets set data (pos + Varint.byte_length deg) deg 0 0 0
+
+(* One [keep_with_succ_in] over a store that is not flat: the walk
+   passes this record and a toplevel function to [Bitset.iter_with]. *)
+type keep = {
+  side : side;
+  from : Bitset.t;
+  into : Bitset.t;
+  mutable dropped : bool;
+}
+
+let keep_one k v =
+  if not (side_meets k.side v k.into) then begin
+    Bitset.remove k.from v;
+    k.dropped <- true
+  end
+
+let side_keep sd s t =
+  match sd.store with
+  | Sflat { off; adj } -> Bitset.keep_meeting s ~off ~adj t
+  | Smapped _ | Svarint _ ->
+      let k = { side = sd; from = s; into = t; dropped = false } in
+      Bitset.iter_with keep_one k s;
+      k.dropped
+
 (* Materialise (and cache) the flat view of a non-flat side.  Concurrent
    forcing from two domains duplicates work but stays correct: both
    compute identical immutable arrays and one atomic publication wins. *)
@@ -447,6 +505,7 @@ let pred_slice g v = side_slice g.bwd v
 let out_csr g = force_dense g.n g.fwd
 let in_csr g = force_dense g.n g.bwd
 let mem_edge g u v = side_mem g.fwd u v
+let keep_with_succ_in g s t = side_keep g.fwd s t
 let iter_succ g v f = side_iter g.fwd v f
 let iter_pred g v f = side_iter g.bwd v f
 

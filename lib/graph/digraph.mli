@@ -169,6 +169,14 @@ val mem_edge : t -> int -> int -> bool
 val succ_slice : t -> int -> int array * int * int
 val pred_slice : t -> int -> int array * int * int
 
+(** [keep_with_succ_in g s t] removes from [s] every node with no
+    successor in [t], and is [true] iff it removed one: the bound-1
+    pruning step of pattern matching.  [t] may be [s] itself.  Reads
+    the store in place on every backend; on the flat one it is a single
+    walk ({!Bitset.keep_meeting}) with no callback per node, and it
+    allocates nothing per node on any backend. *)
+val keep_with_succ_in : t -> Bitset.t -> Bitset.t -> bool
+
 (** [out_csr g] is the dense [(offsets, adjacency)] view of the out-CSR:
     [offsets] has [n+1] entries and the successors of [v] occupy
     [adjacency.(offsets.(v)) .. adjacency.(offsets.(v+1) - 1)].  On the

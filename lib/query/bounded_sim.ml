@@ -26,10 +26,43 @@ let check_cache g = function
       c
   | None -> make_cache g
 
-(* Some slot of [adj] in [i, stop) is a member of [set]: stops at the
-   first hit. *)
-let rec slice_meets set adj i stop =
-  i < stop && (Bitset.mem set adj.(i) || slice_meets set adj (i + 1) stop)
+(* A bound k or [*] edge (u, u'): cand(u) keeps the nodes whose
+   memoised set [sets.(v)] meets cand(u').  The walk passes this record
+   and a toplevel function to [Bitset.iter_with], so it builds nothing
+   per candidate. *)
+type far = {
+  sets : Bitset.t array;
+  cu : Bitset.t;
+  cu' : Bitset.t;
+  mutable dropped : bool;
+}
+
+let keep_far e v =
+  if Bitset.disjoint e.sets.(v) e.cu' then begin
+    Bitset.remove e.cu v;
+    e.dropped <- true
+  end
+
+let[@lint.hot_loop] prune_far e = Bitset.iter_with keep_far e e.cu
+
+(* Drop from [cu] the candidates without a witness in [cu'] along one
+   pattern edge: a successor for bound 1, a member of its memoised set
+   (looked up once per edge) for a bound k or [*].  [true] iff something
+   was dropped. *)
+let prune_edge cache g cu cu' = function
+  | Pattern.Bounded 1 -> Digraph.keep_with_succ_in g cu cu'
+  | b ->
+      let key = match b with Pattern.Bounded k -> k | Pattern.Unbounded -> -1 in
+      let e = { sets = descendants_for cache key; cu; cu'; dropped = false } in
+      prune_far e;
+      e.dropped
+
+let rec prune_edges cache g cand cu edges dropped =
+  match edges with
+  | [] -> dropped
+  | (u', b) :: rest ->
+      let d = prune_edge cache g cu cand.(u') b in
+      prune_edges cache g cand cu rest (d || dropped)
 
 (* Kahn's algorithm: the pattern nodes with every parent before its
    children, or [None] when the pattern has a cycle (a self-loop is one). *)
@@ -56,70 +89,76 @@ let topo_order p =
   done;
   if !tail = np then Some order else None
 
-let refine ?cache p g ~cand =
+(* The removal fixpoint on [cand.(0 .. np - 1)] in place, where [cand]
+   may be longer than the pattern; [true] iff every pattern node keeps a
+   candidate.  The one kernel under [refine], [eval] and [match_into]. *)
+let fixpoint ?cache p g cand =
   let cache = check_cache g cache in
   let np = Pattern.node_count p in
-  if Array.length cand <> np then
-    invalid_arg "Bounded_sim.refine: candidate array length mismatch";
-  if np = 0 then Some [||]
-  else begin
-    (* witness v b u' : some node within reach of v under b lies in cand(u'). *)
-    let witness v b u' =
-      match b with
-      | Pattern.Bounded 1 ->
-          let adj, start, len = Digraph.succ_slice g v in
-          slice_meets cand.(u') adj start (start + len)
-      | Pattern.Bounded k ->
-          not (Bitset.disjoint (descendants_for cache k).(v) cand.(u'))
-      | Pattern.Unbounded ->
-          not (Bitset.disjoint (descendants_for cache (-1)).(v) cand.(u'))
-    in
-    (* Drop from cand(u) every node lacking a witness for some out-edge of
-       u, one edge at a time; [true] iff something was dropped.  Removing
-       the node [Bitset.iter] is visiting is safe. *)
-    let prune u =
-      let cu = cand.(u) and changed = ref false in
-      List.iter
-        (fun (u', b) ->
-          Bitset.iter
-            (fun v ->
-              if not (witness v b u') then begin
-                Bitset.remove cu v;
-                changed := true
-              end)
-            cu)
-        (Pattern.out_edges p u);
-      !changed
-    in
-    (match topo_order p with
-    | Some order ->
-        (* Children before parents: when u is pruned its children's sets
-           are already final, and pruning u only affects u's parents, so
-           this single pass is the greatest fixpoint for every bound. *)
-        for i = np - 1 downto 0 do
-          ignore (prune order.(i) : bool)
+  (* Drop from cand(u) every node lacking a witness for some out-edge of
+     u; [true] iff something was dropped. *)
+  let prune u =
+    prune_edges cache g cand cand.(u) (Pattern.out_edges p u) false
+  in
+  (match topo_order p with
+  | Some order ->
+      (* Children before parents: when u is pruned its children's sets
+         are already final, and pruning u only affects u's parents, so
+         this single pass is the greatest fixpoint for every bound. *)
+      for i = np - 1 downto 0 do
+        ignore (prune order.(i) : bool)
+      done
+  | None ->
+      let changed = ref true in
+      while !changed do
+        changed := false;
+        for u = 0 to np - 1 do
+          if prune u then changed := true
         done
-    | None ->
-        let changed = ref true in
-        while !changed do
-          changed := false;
-          for u = 0 to np - 1 do
-            if prune u then changed := true
-          done
-        done);
-    if Array.exists Bitset.is_empty cand then None
-    else Some (Array.map Bitset.to_array cand)
-  end
+      done);
+  let rec all_kept u =
+    u >= np || ((not (Bitset.is_empty cand.(u))) && all_kept (u + 1))
+  in
+  all_kept 0
+
+let refine ?cache p g ~cand =
+  if Array.length cand <> Pattern.node_count p then
+    invalid_arg "Bounded_sim.refine: candidate array length mismatch";
+  if fixpoint ?cache p g cand then Some (Array.map Bitset.to_array cand)
+  else None
+
+(* Reset [cand.(u)] to the nodes labelled [fv(u)], for each pattern node. *)
+let fill_labels p g cand =
+  for u = 0 to Pattern.node_count p - 1 do
+    let c = cand.(u) in
+    Bitset.clear c;
+    let ids, start, len = Digraph.label_slice g (Pattern.label p u) in
+    Bitset.add_slice c ids start len
+  done
 
 let label_candidates p g =
-  let n = Digraph.n g in
-  Array.init (Pattern.node_count p) (fun u ->
-      let c = Bitset.create n in
-      let ids, start, len = Digraph.label_slice g (Pattern.label p u) in
-      Bitset.add_slice c ids start len;
-      c)
+  let cand =
+    Array.init (Pattern.node_count p) (fun _ -> Bitset.create (Digraph.n g))
+  in
+  fill_labels p g cand;
+  cand
 
 let eval ?cache p g = refine ?cache p g ~cand:(label_candidates p g)
+
+type scratch = { on : Digraph.t; mutable sets : Bitset.t array }
+
+let scratch g = { on = g; sets = [||] }
+
+let match_into ?cache s p =
+  let np = Pattern.node_count p and have = Array.length s.sets in
+  if have < np then
+    s.sets <-
+      Array.init np (fun u ->
+          if u < have then s.sets.(u) else Bitset.create (Digraph.n s.on));
+  fill_labels p s.on s.sets;
+  fixpoint ?cache p s.on s.sets
+
+let matched s u = s.sets.(u)
 
 (* The cubic formulation: materialise nonempty-path shortest distances with
    one BFS per source, then run the same greatest-fixpoint removal with

@@ -9,8 +9,16 @@
     Computed as a greatest-fixpoint refinement of label-based candidate
     sets.  An acyclic pattern is refined in one pass, each pattern node
     pruned once with its children first; a pattern with a cycle or a
-    self-loop repeats passes until nothing changes.  Path tests use memoised descendant bitsets per (node, bound),
-    shareable across queries on the same graph via {!cache}. *)
+    self-loop repeats passes until nothing changes.  A bound-1 test scans
+    the candidate's successors in the out-CSR; a bound k or [*] test
+    uses memoised descendant bitsets per (node, bound), kept across
+    queries only by a caller that passes the same {!cache}.  The daemon
+    passes none, so each of its queries with a bound above 1 builds its
+    sets afresh.
+
+    {!eval}, {!refine} and {!match_into} share one kernel: the fixpoint
+    prunes the candidate bitsets in place, and only {!eval} and
+    {!refine} then copy the rows out into arrays. *)
 
 (** Memoised reachability state for one data graph. *)
 type cache
@@ -50,3 +58,25 @@ val label_candidates : Pattern.t -> Digraph.t -> Bitset.t array
     and returns the result.  This is the entry point {!Inc_match} builds
     on. *)
 val refine : ?cache:cache -> Pattern.t -> Digraph.t -> cand:Bitset.t array -> Pattern.result
+
+(** {1 Matching into reused bitsets} *)
+
+(** Candidate bitsets over one data graph, kept from query to query: a
+    server evaluating many patterns allocates none per candidate or per
+    row.  Not safe to share between domains. *)
+type scratch
+
+(** [scratch g] is an empty scratch over [g]; it grows to the widest
+    pattern it meets. *)
+val scratch : Digraph.t -> scratch
+
+(** [match_into ?cache s p] computes the maximum match of [p] in the
+    scratch's graph, leaving each pattern node's row in {!matched}.
+    [true] iff every pattern node has a match: [eval] returns [Some] of
+    the same rows exactly then. *)
+val match_into : ?cache:cache -> scratch -> Pattern.t -> bool
+
+(** [matched s u] is pattern node [u]'s row after the last
+    {!match_into}, for [u < Pattern.node_count p].  It is overwritten by
+    the next call. *)
+val matched : scratch -> int -> Bitset.t

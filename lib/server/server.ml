@@ -7,7 +7,9 @@
    because items are appended in parse order and written back in the same
    order.  Reach frames stay flat all the way: decoded into the state's
    reused id columns, answered into its reused answer bytes, and replied
-   with a slice of those bytes. *)
+   with a slice of those bytes.  Pattern frames are matched when their
+   reply is due, into the engine's reused bitsets, and the 'H' frame is
+   written from those straight into the connection's output queue. *)
 
 module SP = Server_protocol
 
@@ -21,6 +23,7 @@ let m_queries = Obs.counter "server.queries"
 let m_batches = Obs.counter "server.batches"
 let m_scrapes = Obs.counter "server.scrapes"
 let m_rejected = Obs.counter "server.rejected"
+let m_oversize = Obs.counter "server.oversize_replies"
 let h_batch = Obs.histogram "server.batch_size"
 let h_queue = Obs.histogram "server.queue_depth"
 
@@ -51,7 +54,9 @@ type engine = {
   describe : string;
   node_bound : int;
   eval_into : Reach_query.flat_eval;
-  eval_pattern : (Pattern.t -> Pattern.result) option;
+  patterns : Compress_bisim.scratch Lazy.t option;
+      (* Match on Gr and P into bitsets reused across queries: only the
+         select loop touches them, one pattern at a time. *)
 }
 
 let engine_info e = e.info
@@ -61,7 +66,7 @@ let eval e pairs = Reach_query.eval_pairs e.eval_into pairs
 
 let engine_of_graph ?pool ?index g =
   let planner = Planner.create ?pool ?index g in
-  let bisim = lazy (Compress_bisim.compress ?pool g) in
+  let bisim = lazy (Compress_bisim.scratch (Compress_bisim.compress ?pool g)) in
   {
     info =
       Printf.sprintf "graph, %d node(s), %d edge(s), %s backend" (Digraph.n g)
@@ -70,23 +75,24 @@ let engine_of_graph ?pool ?index g =
     describe = Planner.describe planner;
     node_bound = Digraph.n g;
     eval_into = Planner.eval_into ?pool planner;
-    eval_pattern = Some (fun p -> Compress_bisim.answer p (Lazy.force bisim));
+    patterns = Some bisim;
   }
 
 let engine_of_compressed ?pool c =
   let idx = Compress_reach.index ?pool c in
+  let hypernodes = Digraph.n (Compressed.graph c) in
   {
     info =
       Printf.sprintf "compressed snapshot, %d hypernode(s) for %d original node(s)"
-        (Compressed.size c) (Compressed.original_n c);
+        hypernodes (Compressed.original_n c);
     route = "index";
     describe =
       Printf.sprintf "%s index over the %d-hypernode compression"
         (Reach_index.algorithm_name (Reach_index.algorithm idx))
-        (Compressed.size c);
+        hypernodes;
     node_bound = Compressed.original_n c;
     eval_into = Reach_index.query_into ?pool idx;
-    eval_pattern = Some (fun p -> Compress_bisim.answer p c);
+    patterns = Some (Lazy.from_val (Compress_bisim.scratch c));
   }
 
 let engine_of_index ?pool idx =
@@ -100,7 +106,7 @@ let engine_of_index ?pool idx =
     describe = Printf.sprintf "%s index, %d byte(s)" name (Reach_index.memory_bytes idx);
     node_bound = Reach_index.original_n idx;
     eval_into = Reach_index.query_into ?pool idx;
-    eval_pattern = None;
+    patterns = None;
   }
 
 let load_engine ?pool ?(mmap = true) ?index_file path =
@@ -325,14 +331,19 @@ let metrics_text st =
 (* The parse -> eval -> reply cycle *)
 
 (* Work discovered during the parse phase, in per-connection arrival
-   order.  [Slice] points into the cycle's answer bytes.  Every frame —
-   well-formed or not — carries a [meta] with its daemon-unique trace id,
-   so the flight recorder can name it. *)
+   order.  [Slice] points into the cycle's answer bytes.  [Pattern] is
+   evaluated when it is delivered, straight into the engine's reused
+   scratch and from there into the connection's output: evaluating it at
+   parse time would let the cycle's next pattern overwrite the scratch
+   before the reply is written.  Every frame — well-formed or not —
+   carries a [meta] with its daemon-unique trace id, so the flight
+   recorder can name it. *)
 type meta = { trace : int; verb : char; batch : int }
 
 type item =
   | Ready of conn * SP.response * int * meta  (* response, start ns *)
   | Slice of conn * int * int * int * meta  (* offset, length, start ns *)
+  | Pattern of conn * Pattern.t * int * meta  (* pattern, start ns *)
 
 let verb_char = function
   | SP.Reach _ -> 'R'
@@ -375,24 +386,7 @@ let handle_request st items c req t0 m =
   | SP.Reach _ ->
       (* [SP.decode_into] returns every 'R' frame as [Pairs]. *)
       assert false
-  | SP.Match p -> (
-      match st.engine.eval_pattern with
-      | None ->
-          push
-            (Ready
-               ( c,
-                 SP.Error
-                   "pattern queries are not supported over a bare index snapshot",
-                 t0, m ))
-      | Some f ->
-          let resp =
-            match f p with
-            | r -> SP.Matches r
-            | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
-            | exception e ->
-                SP.Error ("pattern evaluation failed: " ^ Printexc.to_string e)
-          in
-          push (Ready (c, resp, t0, m)))
+  | SP.Match p -> push (Pattern (c, p, t0, m))
   | SP.Stats -> push (Ready (c, SP.Text (stats_text st), t0, m))
   | SP.Metrics -> push (Ready (c, SP.Text (metrics_text st), t0, m))
   | SP.Dump ->
@@ -486,24 +480,81 @@ let record_flight st m ~t0 ~dur_ns ~depth =
     Obs.Ring.record st.flight ~id:m.trace ~verb:m.verb ~batch:m.batch
       ~queue:depth ~ts_ns:t0 ~dur_ns ~sampled:true
 
-(* Queue the reply just encoded into [st.enc] and time the frame. *)
-let reply st c m ~t0 ~depth =
-  push_buffer c.outq st.enc;
+(* Time a frame whose reply is queued. *)
+let replied st m ~t0 ~depth =
   let dur_ns = Obs.Clock.now_ns () - t0 in
   Obs.observe h_latency (Obs.Clock.ns_to_us dur_ns);
   record_flight st m ~t0 ~dur_ns ~depth
 
+let respond st c r =
+  Buffer.clear st.enc;
+  SP.add_response st.enc r;
+  push_buffer c.outq st.enc
+
+(* Match [p] into the engine's scratch and write the 'H' frame straight
+   from it into [c.outq], at the length [SP.matches_frame_length] gives.
+   A reply over the frame cap is refused with an 'E' frame instead: the
+   client could not read it, and the daemon keeps serving. *)
+let pattern_reply st c p =
+  match st.engine.patterns with
+  | None ->
+      respond st c
+        (SP.Error "pattern queries are not supported over a bare index snapshot")
+  | Some scratch -> (
+      match
+        let s = Lazy.force scratch in
+        if Compress_bisim.answer_into s p then
+          Some
+            {
+              SP.rows = Pattern.node_count p;
+              row_length = (fun u -> Bitset.cardinal (Compress_bisim.row s u));
+              write_row =
+                (fun u b pos ->
+                  Bitset.write_u32_le (Compress_bisim.row s u) b pos);
+            }
+        else None
+      with
+      | exception ((Stack_overflow | Out_of_memory) as e) -> raise e
+      | exception e ->
+          respond st c
+            (SP.Error ("pattern evaluation failed: " ^ Printexc.to_string e))
+      | rows ->
+          let len = SP.matches_frame_length rows in
+          if SP.matches_fit len then begin
+            let q = c.outq in
+            reserve q len;
+            q.len <- SP.write_matches q.buf q.len rows
+          end
+          else begin
+            Obs.incr m_oversize;
+            Obs.Log.warn "reply over the frame cap"
+              ~fields:
+                [
+                  ("verb", Obs.Log.Str "P");
+                  ("bytes", Obs.Log.Int len);
+                  ("cap", Obs.Log.Int SP.default_max_frame);
+                ];
+            respond st c
+              (SP.Error
+                 (Printf.sprintf
+                    "pattern reply of %d bytes exceeds the %d-byte frame cap" len
+                    SP.default_max_frame))
+          end)
+
 let deliver st items ~depth =
   List.iter
-    (fun item ->
-      Buffer.clear st.enc;
-      match item with
+    (function
       | Ready (c, r, t0, m) ->
-          SP.add_response st.enc r;
-          reply st c m ~t0 ~depth
+          respond st c r;
+          replied st m ~t0 ~depth
       | Slice (c, off, len, t0, m) ->
+          Buffer.clear st.enc;
           SP.add_answers st.enc st.answers ~off ~len;
-          reply st c m ~t0 ~depth)
+          push_buffer c.outq st.enc;
+          replied st m ~t0 ~depth
+      | Pattern (c, p, t0, m) ->
+          pattern_reply st c p;
+          replied st m ~t0 ~depth)
     items
 
 let process_cycle st =

@@ -20,6 +20,16 @@
     share planning, cache locality and domain fan-out.  Replies preserve
     per-connection FIFO order.
 
+    Pattern frames are flat too: each is evaluated when its turn in the
+    reply order comes ({!Compress_bisim.answer_into}), matching on [Gr]
+    and expanding through [P] into bitsets the engine owns and reuses,
+    and its ['H'] frame is written from those bitsets straight into the
+    connection's output queue ({!Server_protocol.write_matches}).  A
+    reply over the frame cap is refused with an ['E'] frame, counted in
+    [server.oversize_replies] and logged, and the daemon keeps serving.
+    An engine's pattern scratch belongs to the one loop serving it: run
+    one daemon per engine at a time.
+
     Backpressure is structural: at most [queue_max] frames are parsed per
     connection per cycle, reads pause on connections with more than a
     high-water mark of unflushed output, and the socket buffers do the
@@ -52,7 +62,8 @@ val engine_of_graph :
 (** [engine_of_compressed ?pool c] indexes the compressed graph
     ({!Compress_reach.index}) and answers original-graph ids through the
     node map.  Pattern queries evaluate on [c] directly, which is only
-    meaningful when the snapshot came from [compress --mode pattern]. *)
+    meaningful when the snapshot came from [compress --mode pattern].
+    The engine's description counts [|Vr|] hypernodes. *)
 val engine_of_compressed : ?pool:Pool.t -> Compressed.t -> engine
 
 (** [engine_of_index ?pool idx] serves a standalone 'I' snapshot.

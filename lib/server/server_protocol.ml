@@ -65,6 +65,8 @@ let add_u32 buf x =
     invalid_arg "Server_protocol: u32 field out of range";
   Buffer.add_int32_le buf (Int32.of_int x)
 
+let over_cap () = invalid_arg "Server_protocol: frame body exceeds the frame cap"
+
 (* Every encoder knows its body length before writing a byte, so the
    frame goes straight into [buf] in one pass: [len] counts the body
    after the version and tag bytes.  The frame cap is checked first; a
@@ -72,8 +74,7 @@ let add_u32 buf x =
    frame began, so a failed encode appends nothing. *)
 let with_frame buf tag len body =
   let len = len + 2 in
-  if len > default_max_frame then
-    invalid_arg "Server_protocol: frame body exceeds the frame cap";
+  if len > default_max_frame then over_cap ();
   let start = Buffer.length buf in
   try
     add_u32 buf len;
@@ -105,10 +106,57 @@ let add_request buf r =
   | Dump -> with_frame buf 'D' 0 ignore
   | Shutdown -> with_frame buf 'X' 0 ignore
 
-let matches_body_length = function
-  | None -> 1
-  | Some rows ->
-      Array.fold_left (fun acc row -> acc + 4 + (4 * Array.length row)) 5 rows
+(* ------------------------------------------------------------------ *)
+(* The one 'H' writer *)
+
+type match_rows = {
+  rows : int;
+  row_length : int -> int;
+  write_row : int -> Bytes.t -> int -> int;
+}
+
+let matches_frame_length = function
+  | None -> 7
+  | Some m ->
+      let total = ref 11 in
+      for i = 0 to m.rows - 1 do
+        total := !total + 4 + (4 * m.row_length i)
+      done;
+      !total
+
+(* Two 16-bit halves: no [Int32] value on the row writer's path. *)
+let set_u32 b pos x =
+  if x < 0 || x > 0xFFFFFFFF then
+    invalid_arg "Server_protocol: u32 field out of range";
+  Bytes.set_uint16_le b pos (x land 0xFFFF);
+  Bytes.set_uint16_le b (pos + 2) (x lsr 16)
+
+(* Version, tag, flag and row count first, then each row after a count
+   slot; the counts and the length prefix are backfilled from where the
+   writes ended, so the frame goes out in one pass. *)
+let write_matches b pos m =
+  Bytes.set_uint8 b (pos + 4) version;
+  Bytes.set b (pos + 5) 'H';
+  let stop =
+    match m with
+    | None ->
+        Bytes.set_uint8 b (pos + 6) 0;
+        pos + 7
+    | Some m ->
+        Bytes.set_uint8 b (pos + 6) 1;
+        set_u32 b (pos + 7) m.rows;
+        let at = ref (pos + 11) in
+        (for i = 0 to m.rows - 1 do
+           let next = m.write_row i b (!at + 4) in
+           set_u32 b !at ((next - !at - 4) / 4);
+           at := next
+         done) [@lint.hot_loop];
+        !at
+  in
+  set_u32 b pos (stop - pos - 4);
+  stop
+
+let matches_fit len = len - 4 <= default_max_frame
 
 (* The one 'A' encoder: the answer bytes already are the wire body. *)
 let add_answers buf answers ~off ~len =
@@ -126,19 +174,29 @@ let add_response buf r =
         (Bytes.init n (fun i -> if answers.(i) then '\001' else '\000'))
         ~off:0 ~len:n
   | Matches m ->
-      with_frame buf 'H' (matches_body_length m) (fun b ->
-          match m with
-          | None -> Buffer.add_uint8 b 0
-          | Some rows ->
-              Buffer.add_uint8 b 1;
-              add_u32 b (Array.length rows);
-              Array.iter
-                (fun row ->
-                  add_u32 b (Array.length row);
-                  for i = 0 to Array.length row - 1 do
-                    add_u32 b row.(i)
-                  done)
-                rows)
+      let m =
+        Option.map
+          (fun rows ->
+            {
+              rows = Array.length rows;
+              row_length = (fun i -> Array.length rows.(i));
+              write_row =
+                (fun i b pos ->
+                  let row = rows.(i) in
+                  for j = 0 to Array.length row - 1 do
+                    set_u32 b (pos + (4 * j)) row.(j)
+                  done;
+                  pos + (4 * Array.length row));
+            })
+          m
+      in
+      let len = matches_frame_length m in
+      if not (matches_fit len) then over_cap ();
+      (* Written aside, so that a row failing its u32 check appends
+         nothing. *)
+      let b = Bytes.create len in
+      let (_ : int) = write_matches b 0 m in
+      Buffer.add_bytes buf b
   | Text s -> add_string_body buf 'T' s
   | Error s -> add_string_body buf 'E' s
 

@@ -66,6 +66,12 @@ type 'a decoded = Frame of 'a | Malformed of string
     or a count field overflows its wire width. *)
 val add_request : Buffer.t -> request -> unit
 
+(** [add_response buf r] appends the encoded frame to [buf].  A
+    [Matches] frame goes through {!write_matches}, the daemon's one
+    ['H'] writer.
+    @raise Invalid_argument when the body exceeds {!default_max_frame}
+    or a count or id overflows its wire width; [buf] is then left as
+    it was. *)
 val add_response : Buffer.t -> response -> unit
 
 (** [add_answers buf b ~off ~len] appends an ['A'] frame whose body is
@@ -75,6 +81,39 @@ val add_response : Buffer.t -> response -> unit
     which already are the wire body.
     @raise Invalid_argument when the slice leaves [b]. *)
 val add_answers : Buffer.t -> Bytes.t -> off:int -> len:int -> unit
+
+(** {1 The one ['H'] writer}
+
+    An ['H'] body is a flag byte, then when it is [1] a [u32] row count
+    and each row as a [u32] id count and that many [u32] ids.  The
+    writer reads the rows where they lie: [add_response (Matches _)]
+    hands it [int array] rows, the daemon the match bitsets of
+    {!Compress_bisim.answer_into}. *)
+
+(** Rows of a match, read in place: row [i < rows] holds [row_length i]
+    ids, and [write_row i b pos] writes them as [u32] LE into [b] from
+    [pos] and returns the position after them. *)
+type match_rows = {
+  rows : int;
+  row_length : int -> int;
+  write_row : int -> Bytes.t -> int -> int;
+}
+
+(** [matches_frame_length m] is the size of the ['H'] frame for [m]
+    ([None]: no match), length prefix included. *)
+val matches_frame_length : match_rows option -> int
+
+(** [matches_fit len] is [true] iff a frame of [len] bytes, prefix
+    included, is within {!default_max_frame}. *)
+val matches_fit : int -> bool
+
+(** [write_matches b pos m] writes the ['H'] frame for [m] into [b] from
+    [pos], which must have {!matches_frame_length} bytes of room, and
+    returns the position after it.  The row counts and the length prefix
+    are filled in from where each write ended, so the frame is written
+    in one pass.  The frame cap is the caller's to check.
+    @raise Invalid_argument when a count or id leaves the [u32] range. *)
+val write_matches : Bytes.t -> int -> match_rows option -> int
 
 (** [decode_request ?max_frame s ~pos] decodes the frame starting at
     [pos].  [Some (frame, next)] consumes bytes [pos .. next-1]; [None]

@@ -831,6 +831,122 @@ let test_e2e_flat_path () =
             engines))
     [ 1; 2; 4 ]
 
+(* ------------------------------------------------------------------ *)
+(* The flat pattern path end to end
+
+   The daemon matches each pattern into its engine's reused bitsets and
+   writes the 'H' frame straight from them.  Its reply bytes must equal
+   the tuple path's encoding of [Compress_bisim.answer], which must equal
+   the matches on G (Theorem 4).  The patterns of one case go out in a
+   single write, so they are answered in one cycle on one engine, a
+   wider one after a narrower one: rows left over in the scratch would
+   show in the bytes. *)
+
+let pattern_case_gen =
+  let open QCheck2.Gen in
+  let* g = Testutil.digraph_gen ~max_n:30 () in
+  let* seed = int_range 0 100_000 in
+  let rng = Random.State.make [| seed |] in
+  let random ~nodes ~edges =
+    Pattern_gen.random rng g ~nodes ~edges ~max_bound:3 ~unbounded_prob:0.3
+  in
+  let label () = Random.State.int rng (Digraph.label_count g) in
+  let bound () =
+    match Random.State.int rng 4 with
+    | 0 -> Pattern.Unbounded
+    | k -> Pattern.Bounded k
+  in
+  let patterns =
+    [
+      random ~nodes:(1 + Random.State.int rng 2) ~edges:1;
+      random ~nodes:(4 + Random.State.int rng 3) ~edges:(4 + Random.State.int rng 6);
+      (* A cycle through a self-loop. *)
+      Pattern.make ~n:2 ~labels:[| label (); label () |]
+        ~edges:[ (0, 0, bound ()); (0, 1, bound ()); (1, 0, bound ()) ];
+      (* A label no node carries: no match. *)
+      Pattern.make ~n:3
+        ~labels:[| label (); Digraph.label_count g; label () |]
+        ~edges:[ (0, 1, Pattern.Bounded 1); (1, 2, bound ()) ];
+      random ~nodes:3 ~edges:2;
+    ]
+  in
+  pure (g, patterns)
+
+let pattern_case_print (g, patterns) =
+  Format.asprintf "%a@.%a" Digraph.pp g
+    (Format.pp_print_list ~pp_sep:Format.pp_print_newline Pattern.pp)
+    patterns
+
+let flat_pattern_prop (g, patterns) =
+  let c = Compress_bisim.compress g in
+  let expected =
+    List.map
+      (fun p ->
+        let answer = Compress_bisim.answer p c in
+        if not (Pattern.result_equal answer (Bounded_sim.eval p g)) then
+          QCheck2.Test.fail_reportf "answer on Gr differs from G for@.%a"
+            Pattern.pp p;
+        encode_response (SP.Matches answer))
+      patterns
+  in
+  let request = String.concat "" (List.map (fun p -> encode_request (SP.Match p)) patterns) in
+  let reply = String.concat "" expected in
+  List.iter
+    (fun (kind, format) ->
+      let file = Filename.temp_file "qpgc_flat" ".qc" in
+      Fun.protect
+        ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+        (fun () ->
+          Compressed_io.save_binary ~graph_format:format file c;
+          let engine = Server.load_engine ~mmap:true file in
+          let ok, _totals =
+            with_server engine (fun sock -> exchange sock [ (request, reply) ])
+          in
+          if not ok then
+            QCheck2.Test.fail_reportf "'C' snapshot over a '%c' graph: 'H' replies differ"
+              kind))
+    [ ('G', Digraph.Flat); ('M', Digraph.Mapped); ('V', Digraph.Varint) ];
+  true
+
+let qcheck_flat_pattern =
+  Testutil.qtest ~count:25 "flat pattern replies equal the tuple path and G"
+    (pattern_case_gen, pattern_case_print)
+    flat_pattern_prop
+
+(* One hypernode with 300,000 members, asked a 16-node pattern without
+   edges: every row is all of V, 19.2 MB in all, over the 16 MiB frame
+   cap.  The daemon must refuse that reply with an 'E' frame and keep
+   serving. *)
+let test_e2e_oversize_reply () =
+  let members = 300_000 in
+  let c =
+    Compressed.v
+      ~graph:(Digraph.make ~n:1 ~labels:[| 0 |] [])
+      ~node_map:(Array.make members 0)
+  in
+  let engine = Server.engine_of_compressed c in
+  Testutil.check_bool "info counts |Vr|, not |Vr| + |Er|" true
+    (contains ~sub:"1 hypernode(s) for 300000 original node(s)"
+       (Server.engine_info engine));
+  let pattern = Pattern.make ~n:16 ~labels:(Array.make 16 0) ~edges:[] in
+  let pairs = [| (0, members - 1); (7, 7); (members - 1, 3) |] in
+  let (), totals =
+    with_server engine (fun sock ->
+        with_client sock (fun cl ->
+            (match Server_client.match_pattern cl pattern with
+            | _ -> Alcotest.fail "a reply over the frame cap was sent"
+            | exception Failure msg ->
+                Testutil.check_bool "the error names the cap" true
+                  (contains ~sub:"frame cap" msg));
+            Testutil.check_bool "reach still answered" true
+              (Server_client.reach cl pairs = Server.eval engine pairs);
+            Testutil.check_bool "stats describe |Vr| hypernodes" true
+              (contains ~sub:"over the 1-hypernode compression"
+                 (Server_client.stats cl))))
+  in
+  (* P, R, S, and the shutdown verb that drained the daemon. *)
+  Testutil.check_int "frames counted" 4 totals.Server.frames
+
 (* The scrape plane: raw HTTP/1.0 over a second unix socket served by
    the same select loop. *)
 let http_get hsock req =
@@ -1006,6 +1122,9 @@ let () =
             test_e2e_oversized_disconnect;
           Alcotest.test_case "flat reach path, scripted streams" `Quick
             test_e2e_flat_path;
+          qcheck_flat_pattern;
+          Alcotest.test_case "oversize pattern reply answers E" `Quick
+            test_e2e_oversize_reply;
           Alcotest.test_case "flight recorder captures slow frames" `Quick
             test_e2e_flight_recorder;
           Alcotest.test_case "http scrape endpoints" `Quick

@@ -263,6 +263,39 @@ let slices_equal (base_a, start_a, len_a) (base_b, start_b, len_b) =
       in
       go 0)
 
+(* [keep_with_succ_in] against [mem_edge] on the flat reference, for
+   every node as a singleton target, the even nodes, and a set that is
+   its own target (a member dropped earlier no longer counts). *)
+let check_keep name gb reference =
+  let n = Digraph.n reference in
+  let all = List.init n Fun.id in
+  let has_succ_in v t = List.exists (fun w -> Digraph.mem_edge reference v w && t w) all in
+  List.iter
+    (fun w ->
+      let s = Bitset.of_list n all in
+      let dropped = Digraph.keep_with_succ_in gb s (Bitset.of_list n [ w ]) in
+      let kept = List.filter (fun v -> has_succ_in v (fun x -> x = w)) all in
+      if Bitset.to_list s <> kept || dropped <> (List.length kept < n) then
+        QCheck2.Test.fail_reportf "%s: keep_with_succ_in {%d} differs" name w)
+    all;
+  let even w = w land 1 = 0 in
+  let s = Bitset.of_list n all in
+  let (_ : bool) = Digraph.keep_with_succ_in gb s (Bitset.of_list n (List.filter even all)) in
+  if Bitset.to_list s <> List.filter (fun v -> has_succ_in v even) all then
+    QCheck2.Test.fail_reportf "%s: keep_with_succ_in evens differs" name;
+  (* Its own target: the reference is the same walk, ascending, over
+     the flat arrays. *)
+  let own = Bitset.of_list n all in
+  let (_ : bool) = Digraph.keep_with_succ_in gb own own in
+  let expected = Bitset.of_list n all in
+  List.iter
+    (fun v ->
+      if not (List.exists (fun w -> Digraph.mem_edge reference v w && Bitset.mem expected w) all)
+      then Bitset.remove expected v)
+    all;
+  if not (Bitset.equal own expected) then
+    QCheck2.Test.fail_reportf "%s: keep_with_succ_in on itself differs" name
+
 let accessor_equiv_prop g =
   let n = Digraph.n g in
   let reference = Digraph.to_flat g in
@@ -300,6 +333,7 @@ let accessor_equiv_prop g =
             QCheck2.Test.fail_reportf "%s: mem_edge (%d,%d) differs" name v w
         done
       done;
+      check_keep name gb reference;
       (* Reverse shares the sides: spot-check it too. *)
       let rb = Digraph.reverse gb and rr = Digraph.reverse reference in
       for v = 0 to n - 1 do
@@ -468,6 +502,29 @@ let format_props =
       varint_backend_load_prop;
   ]
 
+(* Multi-byte varints: a degree of 300 and gaps past 127 and 16383, which
+   the small random graphs above never reach. *)
+let keep_with_succ_in_wide () =
+  let n = 40_000 in
+  let hub = List.init 300 (fun i -> (0, 1 + (i * 131))) in
+  let far = [ (1, 20_000); (1, 39_999); (2, 5) ] in
+  let g = Digraph.make ~n (hub @ far) in
+  let reference = Digraph.to_flat g in
+  let probes = [ 0; 1; 5; 132; 263; 1 + (299 * 131); 20_000; 39_999; 39_998 ] in
+  let sources = [ 0; 1; 2; 3 ] in
+  List.iter
+    (fun (name, gb) ->
+      List.iter
+        (fun w ->
+          let s = Bitset.of_list n sources in
+          let (_ : bool) = Digraph.keep_with_succ_in gb s (Bitset.of_list n [ w ]) in
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s: sources with successor %d" name w)
+            (List.filter (fun v -> Digraph.mem_edge reference v w) sources)
+            (Bitset.to_list s))
+        probes)
+    (backends_of g)
+
 let equivalence_props =
   [
     Testutil.qtest ~count:120 "accessors agree across backends" arb_bigger
@@ -496,6 +553,11 @@ let () =
           Alcotest.test_case "varint snapshot" `Quick varint_corruption;
         ] );
       ("format_props", format_props);
-      ("equivalence", equivalence_props);
+      ( "equivalence",
+        equivalence_props
+        @ [
+            Alcotest.test_case "keep_with_succ_in over multi-byte varints"
+              `Quick keep_with_succ_in_wide;
+          ] );
       ("label_index", [ Alcotest.test_case "empty graph" `Quick label_index_empty ]);
     ]
