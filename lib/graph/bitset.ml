@@ -25,16 +25,6 @@ let add s i =
   Array.unsafe_set s.words w
     (Array.unsafe_get s.words w lor (1 lsl (i - (w * bits_per_word))))
 
-let add_slice s a start len =
-  let words = s.words and size = s.size in
-  for j = start to start + len - 1 do
-    let i = a.(j) in
-    if i < 0 || i >= size then out_of_range s i;
-    let w = i / bits_per_word in
-    Array.unsafe_set words w
-      (Array.unsafe_get words w lor (1 lsl (i - (w * bits_per_word))))
-  done
-
 let remove s i =
   if i < 0 || i >= s.size then out_of_range s i;
   let w = i / bits_per_word in
@@ -208,76 +198,54 @@ let rec iter_words f env words w =
 
 let iter_with f env s = iter_words f env s.words 0
 
-(* [add_slice] of the CSR row of each member of [sel], the word walk
-   inline: no callback per member. *)
-let rec union_word into off ids base word =
-  if word <> 0 then begin
-    let h = base + ctz word in
-    add_slice into ids off.(h) (off.(h + 1) - off.(h));
-    union_word into off ids base (word land (word - 1))
+(* The row kernels are C (bitset_stubs.c) over [words] in place.  Each
+   returns a negative code instead of raising: -1 when a non-empty row
+   leaves its array, -2 - j when element j of the id array is outside
+   the target's universe.  [row_error] raises the matching
+   [Invalid_argument]. *)
+external add_slice_c : t -> int array -> int -> int -> int
+  = "qpgc_bitset_add_slice"
+[@@noalloc]
+
+external union_rows_c : t -> int array -> int array -> t -> int
+  = "qpgc_bitset_union_rows"
+[@@noalloc]
+
+external keep_meeting_c : t -> int array -> int array -> t -> int
+  = "qpgc_bitset_keep_meeting"
+[@@noalloc]
+
+external write_u32_le_c : t -> Bytes.t -> int -> int = "qpgc_bitset_write_u32_le"
+[@@noalloc]
+
+let row_error op target ids code =
+  if code = -1 then invalid_arg ("Bitset." ^ op ^ ": a row leaves its array")
+  else out_of_range target ids.(-2 - code)
+
+let add_slice s a start len =
+  if len > 0 then begin
+    if start < 0 || start > Array.length a - len then
+      invalid_arg "Bitset.add_slice: slice out of bounds";
+    let r = add_slice_c s a start len in
+    if r < 0 then row_error "add_slice" s a r
   end
 
-let rec union_words into off ids words w =
-  if w < Array.length words then begin
-    union_word into off ids (w * bits_per_word) (Array.unsafe_get words w);
-    union_words into off ids words (w + 1)
-  end
-
-let[@lint.hot_loop] union_rows ~into ~off ~ids sel =
+let union_rows ~into ~off ~ids sel =
   if Array.length off <= sel.size then
     invalid_arg "Bitset.union_rows: offsets too short";
-  union_words into off ids sel.words 0
+  let r = union_rows_c into off ids sel in
+  if r < 0 then row_error "union_rows" into ids r
 
-(* [meets_slice] of the CSR row of each member of [s], dropping the
-   members whose row misses [t].  A member is cleared in [s.words] as it
-   is visited while the walk reads its own copy of the word, so [t] may
-   be [s] itself. *)
-let rec keep_word s off adj t w base word dropped =
-  if word = 0 then dropped
-  else begin
-    let v = base + ctz word and rest = word land (word - 1) in
-    if meets_from t adj off.(v) off.(v + 1) then
-      keep_word s off adj t w base rest dropped
-    else begin
-      Array.unsafe_set s.words w
-        (Array.unsafe_get s.words w land lnot (1 lsl (v - base)));
-      keep_word s off adj t w base rest true
-    end
-  end
-
-let rec keep_words s off adj t w dropped =
-  if w >= Array.length s.words then dropped
-  else
-    keep_words s off adj t (w + 1)
-      (keep_word s off adj t w (w * bits_per_word) (Array.unsafe_get s.words w)
-         dropped)
-
-let[@lint.hot_loop] keep_meeting s ~off ~adj t =
+let keep_meeting s ~off ~adj t =
   if Array.length off <= s.size then
     invalid_arg "Bitset.keep_meeting: offsets too short";
-  keep_words s off adj t 0 false
+  let r = keep_meeting_c s off adj t in
+  if r < 0 then row_error "keep_meeting" t adj r else r = 1
 
-(* [to_array]'s walk as toplevel recursion, one 32-bit store per
-   member. *)
-let rec write_word b at base word =
-  if word = 0 then at
-  else begin
-    Bytes.set_int32_le b at (Int32.of_int (base + ctz word));
-    write_word b (at + 4) base (word land (word - 1))
-  end
-
-let rec write_words words b at w =
-  if w >= Array.length words then at
-  else
-    write_words words b
-      (write_word b at (w * bits_per_word) (Array.unsafe_get words w))
-      (w + 1)
-
-(* lint: allow ALLOC02 — the one finding is [write_word]'s
-   [Int32.of_int], which feeds [Bytes.set_int32_le] directly: ocamlopt
-   keeps that value unboxed, so the walk allocates nothing (0 minor
-   words over a 1,000-member write). *)
-let[@lint.hot_loop] write_u32_le s b pos = write_words s.words b pos 0
+let write_u32_le s b pos =
+  let r = write_u32_le_c s b pos in
+  if r < 0 then invalid_arg "Bitset.write_u32_le: the members do not fit";
+  r
 
 let of_list size xs =
   let s = create size in

@@ -3,7 +3,14 @@
     Used throughout the library for ancestor/descendant sets, candidate sets
     of pattern matching, and visited sets of traversals.  The representation
     is a flat [int array] with 63 usable bits per word, so set operations on
-    graph-sized universes cost [capacity/63] word operations. *)
+    graph-sized universes cost [capacity/63] word operations.
+
+    The row kernels of the pattern path ({!add_slice}, {!union_rows},
+    {!keep_meeting}, {!write_u32_le}) are C over the same words: each
+    jumps from member to member with a count-trailing-zeros instruction,
+    with no callback and no allocation.  Each checks its arguments before
+    it reads or writes through them, and a rejected call writes nothing
+    past the point of rejection. *)
 
 type t
 
@@ -18,8 +25,10 @@ val universe_size : t -> int
 val add : t -> int -> unit
 
 (** [add_slice s a start len] adds [a.(start) .. a.(start + len - 1)]:
-    {!add} over an array slice in one tight loop.
-    @raise Invalid_argument if an element is out of range. *)
+    {!add} over an array slice.  A [len <= 0] adds nothing.
+    @raise Invalid_argument if the slice leaves [a], before anything is
+    added, or if an element is out of range, after the elements before it
+    are added. *)
 val add_slice : t -> int array -> int -> int -> unit
 
 (** [remove s i] clears bit [i]. *)
@@ -92,27 +101,34 @@ val to_array : t -> int array
 val iter_with : ('a -> int -> unit) -> 'a -> t -> unit
 
 (** [union_rows ~into ~off ~ids sel] adds to [into], for each member [h]
-    of [sel], the CSR row [ids.(off.(h)) .. ids.(off.(h + 1) - 1)]:
-    the union of the rows [sel] selects, in one walk over the words of
-    [sel] with no callback and no allocation.
+    of [sel] in increasing order, the CSR row [ids.(off.(h)) ..
+    ids.(off.(h + 1) - 1)]: the union of the rows [sel] selects, in one
+    walk over the words of [sel].  A row with [off.(h) >= off.(h + 1)]
+    is empty.
     @raise Invalid_argument if [off] has fewer than [universe_size sel
-    + 1] entries or a row leaves [ids] or [into]'s universe. *)
+    + 1] entries, before anything is added; or if a non-empty row leaves
+    [ids] or holds an id outside [into]'s universe, after the rows before
+    it, and the ids of its own row before that id, are added. *)
 val union_rows : into:t -> off:int array -> ids:int array -> t -> unit
 
 (** [keep_meeting s ~off ~adj t] removes from [s] every member [v] whose
     CSR row [adj.(off.(v)) .. adj.(off.(v + 1) - 1)] has no member of
     [t], and is [true] iff it removed one.  One walk over the words of
-    [s] with no callback and no allocation; [t] may be [s] itself, in
-    which case a member removed earlier in the walk no longer counts.
+    [s] in increasing order; a row is scanned up to its first member of
+    [t].  [t] may be [s] itself, in which case a member removed earlier
+    in the walk no longer counts.
     @raise Invalid_argument if [off] has fewer than [universe_size s + 1]
-    entries or a row leaves [adj] or [t]'s universe. *)
+    entries, before anything is removed; or if a non-empty row leaves
+    [adj] or, before its first hit, holds an id outside [t]'s universe,
+    after the members before it are judged. *)
 val keep_meeting : t -> off:int array -> adj:int array -> t -> bool
 
 (** [write_u32_le s b pos] writes the members in increasing order as
     u32 little-endian values into [b] from [pos], [4 * cardinal s] bytes,
-    and returns the position after them.  Allocates nothing.  Members
-    must fit in 32 bits.
-    @raise Invalid_argument if the bytes do not fit in [b]. *)
+    and returns the position after them.  Allocates nothing.  A member
+    is written as its low 32 bits.
+    @raise Invalid_argument if [pos < 0] or the bytes do not fit in [b];
+    nothing is written then. *)
 val write_u32_le : t -> Bytes.t -> int -> int
 
 (** [of_list capacity xs] is the set containing exactly [xs]. *)

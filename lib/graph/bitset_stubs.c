@@ -1,0 +1,162 @@
+/* The row kernels of Bitset: loops over the words of a bitset that jump
+   from member to member with a count-trailing-zeros instruction.
+
+   A bitset is the OCaml record { words : int array; size : int }.  Word
+   w holds members 63w .. 63w + 62 in bits 0..62 of an OCaml int, which
+   are bits 1..63 of the tagged value.  The kernels read and write those
+   words in place.  Every value they store is an immediate, so no write
+   barrier (caml_modify) is needed; none allocates or raises, so the
+   externals are [@@noalloc].  A failure is a negative result and the
+   OCaml wrapper raises:
+     -1       a row [off[h], off[h+1]) is not empty and leaves its array;
+     -2 - j   element j of the id array is outside the target's universe.
+   The wrappers check what a kernel relies on before the call (a slice
+   inside its array, [off] long enough); the kernels check each row and
+   each id before they read or add it. */
+
+#include <stdint.h>
+#include <caml/mlvalues.h>
+
+#define BITS 63
+
+#define SET_WORDS(s) Field(s, 0)
+#define SET_SIZE(s) ((uintnat)Long_val(Field(s, 1)))
+
+/* The members in word [w] of [words], as bits 0..62 (bit 63 clear). */
+static inline uint64_t word_bits(value words, uintnat w)
+{
+  return (uint64_t)Field(words, w) >> 1;
+}
+
+static inline int has(value words, uintnat i)
+{
+  return ((uint64_t)Field(words, i / BITS) >> (i % BITS + 1)) & 1;
+}
+
+static inline void set_bit(value words, uintnat i)
+{
+  uintnat w = i / BITS;
+  Field(words, w) = (value)((uintnat)Field(words, w)
+                            | ((uintnat)1 << (i % BITS + 1)));
+}
+
+static inline void clear_bit(value words, uintnat w, unsigned b)
+{
+  Field(words, w) = (value)((uintnat)Field(words, w)
+                            & ~((uintnat)1 << (b + 1)));
+}
+
+/* Branch-free SWAR popcount: the x86-64 baseline has no popcnt
+   instruction, and __builtin_popcountll would call into libgcc. */
+static inline uintnat popcount(uint64_t x)
+{
+  x = x - ((x >> 1) & 0x5555555555555555ULL);
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  return (uintnat)((x * 0x0101010101010101ULL) >> 56);
+}
+
+/* Whether [off[h], off[h+1]) is empty or inside an array of [n] cells;
+   the row is returned in [lo], [hi]. */
+static inline int row_ok(value off, uintnat h, uintnat n, intnat *lo,
+                         intnat *hi)
+{
+  *lo = Long_val(Field(off, h));
+  *hi = Long_val(Field(off, h + 1));
+  return *lo >= *hi || (*lo >= 0 && (uintnat)*hi <= n);
+}
+
+/* Bitset.add_slice: the wrapper checked 0 <= start, len > 0 and
+   start + len <= Array.length a. */
+CAMLprim value qpgc_bitset_add_slice(value s, value a, value vstart,
+                                     value vlen)
+{
+  value words = SET_WORDS(s);
+  uintnat size = SET_SIZE(s);
+  intnat stop = Long_val(vstart) + Long_val(vlen);
+  for (intnat j = Long_val(vstart); j < stop; j++) {
+    uintnat i = (uintnat)Long_val(Field(a, j));
+    if (i >= size) return Val_long(-2 - j);
+    set_bit(words, i);
+  }
+  return Val_long(0);
+}
+
+/* Bitset.union_rows: the wrapper checked that [off] has more than
+   [size sel] cells, so off[h + 1] is in bounds for every member h. */
+CAMLprim value qpgc_bitset_union_rows(value into, value off, value ids,
+                                      value sel)
+{
+  value iw = SET_WORDS(into), sw = SET_WORDS(sel);
+  uintnat isize = SET_SIZE(into), ssize = SET_SIZE(sel);
+  uintnat nids = Wosize_val(ids), nw = Wosize_val(sw);
+  for (uintnat w = 0; w < nw; w++) {
+    for (uint64_t x = word_bits(sw, w); x != 0; x &= x - 1) {
+      uintnat h = w * BITS + (uintnat)__builtin_ctzll(x);
+      intnat lo, hi;
+      if (h >= ssize) return Val_long(0); /* no member is past the size */
+      if (!row_ok(off, h, nids, &lo, &hi)) return Val_long(-1);
+      for (intnat j = lo; j < hi; j++) {
+        uintnat i = (uintnat)Long_val(Field(ids, j));
+        if (i >= isize) return Val_long(-2 - j);
+        set_bit(iw, i);
+      }
+    }
+  }
+  return Val_long(0);
+}
+
+/* Bitset.keep_meeting, under the same check on [off].  The walk reads a
+   copy of each word of [s] and clears members in [s] itself, so when
+   [t] is [s] a member removed earlier no longer counts as a hit. */
+CAMLprim value qpgc_bitset_keep_meeting(value s, value off, value adj,
+                                        value t)
+{
+  value sw = SET_WORDS(s), tw = SET_WORDS(t);
+  uintnat ssize = SET_SIZE(s), tsize = SET_SIZE(t);
+  uintnat nadj = Wosize_val(adj), nw = Wosize_val(sw);
+  int dropped = 0;
+  for (uintnat w = 0; w < nw; w++) {
+    for (uint64_t x = word_bits(sw, w); x != 0; x &= x - 1) {
+      unsigned b = (unsigned)__builtin_ctzll(x);
+      uintnat v = w * BITS + b;
+      intnat lo, hi, j;
+      if (v >= ssize) return Val_long(dropped);
+      if (!row_ok(off, v, nadj, &lo, &hi)) return Val_long(-1);
+      for (j = lo; j < hi; j++) {
+        uintnat i = (uintnat)Long_val(Field(adj, j));
+        if (i >= tsize) return Val_long(-2 - j);
+        if (has(tw, i)) break;
+      }
+      if (j >= hi) {
+        clear_bit(sw, w, b);
+        dropped = 1;
+      }
+    }
+  }
+  return Val_long(dropped);
+}
+
+/* Bitset.write_u32_le: counts the members first, so that a row that
+   does not fit writes nothing; -1 then. */
+CAMLprim value qpgc_bitset_write_u32_le(value s, value b, value vpos)
+{
+  value words = SET_WORDS(s);
+  uintnat nw = Wosize_val(words), len = caml_string_length(b), count = 0;
+  intnat pos = Long_val(vpos);
+  for (uintnat w = 0; w < nw; w++) count += popcount(word_bits(words, w));
+  if (pos < 0 || (uintnat)pos > len || count > (len - (uintnat)pos) / 4)
+    return Val_long(-1);
+  unsigned char *p = Bytes_val(b) + pos;
+  for (uintnat w = 0; w < nw; w++) {
+    for (uint64_t x = word_bits(words, w); x != 0; x &= x - 1) {
+      uint32_t id = (uint32_t)(w * BITS + (uintnat)__builtin_ctzll(x));
+      p[0] = (unsigned char)id;
+      p[1] = (unsigned char)(id >> 8);
+      p[2] = (unsigned char)(id >> 16);
+      p[3] = (unsigned char)(id >> 24);
+      p += 4;
+    }
+  }
+  return Val_long(pos + 4 * (intnat)count);
+}

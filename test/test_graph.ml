@@ -122,6 +122,229 @@ let bitset_props =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Row kernels against a per-member model *)
+
+(* [add_slice], [union_rows], [keep_meeting] and [write_u32_le] run in C
+   over the words of a set.  Each property replays its kernel with
+   [Bitset.add], [mem] and [remove], one member at a time, and asks for
+   the same outcome: the same result, or [Invalid_argument] on the same
+   input; then the same words in every set, the padding bits of the
+   last word included, and the same bytes.  So a rejection must leave
+   exactly what the model wrote before it, and nothing past it.
+   Universes straddle the word edges, ids at bit 62 (a word's sign bit)
+   come often, and some ids, rows, offset arrays, slices and positions
+   are invalid, so that rejections are drawn too. *)
+
+let kernel_universe = QCheck2.Gen.oneofl [ 0; 1; 62; 63; 64; 126; 127 ]
+
+(* An id of a universe of [n]: in range, often at a word edge or the
+   sign bit; with [~bad], one in about thirty outside it. *)
+let kernel_id ~bad n =
+  let open QCheck2.Gen in
+  let outside = oneofl [ -1; n; n + 1; max_int; min_int ] in
+  let edges =
+    List.filter (fun i -> i >= 0 && i < n) [ 0; 61; 62; 63; 124; 125; 126; n - 1 ]
+  in
+  if n = 0 then outside
+  else
+    frequency
+      ([ (20, int_range 0 (n - 1)); (8, oneofl edges) ]
+      @ if bad then [ (1, outside) ] else [])
+
+let kernel_members n =
+  let open QCheck2.Gen in
+  if n = 0 then pure [] else list_size (int_range 0 40) (kernel_id ~bad:false n)
+
+(* A CSR of [rows] rows over ids of a universe of [n].  One draw in ten
+   has a non-empty row that leaves [ids] (from -1, or past its end), one
+   in twenty an [off] with only [rows] cells. *)
+let kernel_csr rows n =
+  let open QCheck2.Gen in
+  let* lens = list_repeat rows (int_range 0 5) in
+  let* ids = array_repeat (List.fold_left ( + ) 0 lens) (kernel_id ~bad:true n) in
+  let+ fault =
+    frequency
+      [
+        (17, pure `None);
+        (2, map (fun h -> `Row h) (int_range 0 (Mono.imax 0 (rows - 1))));
+        (1, pure `Short);
+      ]
+  in
+  let off = Array.make (rows + 1) 0 in
+  List.iteri (fun h l -> off.(h + 1) <- off.(h) + l) lens;
+  match fault with
+  | `Row h when rows > 0 ->
+      if h mod 2 = 0 then off.(h) <- -1 else off.(h + 1) <- Array.length ids + 1;
+      (off, ids)
+  | `Short -> (Array.sub off 0 rows, ids)
+  | `None | `Row _ -> (off, ids)
+
+let ints a = "[" ^ String.concat ";" (List.map string_of_int a) ^ "]"
+let int_arr a = ints (Array.to_list a)
+
+let outcome f =
+  match f () with x -> Ok x | exception Invalid_argument _ -> Error ()
+
+(* [Bitset.add] of [a.(j) .. a.(hi - 1)], one at a time, up to the first
+   id outside [m]'s universe; [false] iff it stopped there. *)
+let rec model_add m a j hi =
+  j >= hi
+  ||
+  let i = a.(j) in
+  i >= 0 && i < Bitset.universe_size m && (Bitset.add m i; model_add m a (j + 1) hi)
+
+let row_leaves off ids h =
+  off.(h) < off.(h + 1) && (off.(h) < 0 || off.(h + 1) > Array.length ids)
+
+let kernel_add_slice =
+  let gen =
+    let open QCheck2.Gen in
+    let* n = kernel_universe in
+    let* init = kernel_members n in
+    let* a = array_size (int_range 0 12) (kernel_id ~bad:true n) in
+    let la = Array.length a in
+    let* start = frequency [ (9, int_range 0 la); (1, int_range (-2) (la + 2)) ] in
+    let+ len =
+      frequency
+        [ (9, int_range 0 (Mono.imax 0 (la - start))); (1, int_range (-2) (la + 2)) ]
+    in
+    (n, init, a, start, len)
+  in
+  qtest ~count:1000 "kernel add_slice matches per-member add"
+    ( gen,
+      fun (n, init, a, start, len) ->
+        Printf.sprintf "n=%d init=%s a=%s start=%d len=%d" n (ints init) (int_arr a)
+          start len )
+    (fun (n, init, a, start, len) ->
+      let s = Bitset.of_list n init and m = Bitset.of_list n init in
+      let got = outcome (fun () -> Bitset.add_slice s a start len) in
+      let want =
+        outcome (fun () ->
+            if len > 0 && (start < 0 || start + len > Array.length a) then
+              invalid_arg "slice";
+            if len > 0 && not (model_add m a start (start + len)) then
+              invalid_arg "id")
+      in
+      got = want && Bitset.equal s m)
+
+let kernel_union_rows =
+  let gen =
+    let open QCheck2.Gen in
+    let* n = kernel_universe and* rows = kernel_universe in
+    let* init = kernel_members n and* sel = kernel_members rows in
+    let+ off, ids = kernel_csr rows n in
+    (n, rows, init, sel, off, ids)
+  in
+  qtest ~count:1000 "kernel union_rows matches per-member add"
+    ( gen,
+      fun (n, rows, init, sel, off, ids) ->
+        Printf.sprintf "n=%d rows=%d into=%s sel=%s off=%s ids=%s" n rows (ints init)
+          (ints sel) (int_arr off) (int_arr ids) )
+    (fun (n, rows, init, sel, off, ids) ->
+      let into = Bitset.of_list n init and m = Bitset.of_list n init in
+      let sel = Bitset.of_list rows sel in
+      let sel0 = Bitset.copy sel in
+      let got = outcome (fun () -> Bitset.union_rows ~into ~off ~ids sel) in
+      let want =
+        outcome (fun () ->
+            if Array.length off <= rows then invalid_arg "off";
+            for h = 0 to rows - 1 do
+              if Bitset.mem sel h then begin
+                if row_leaves off ids h then invalid_arg "row";
+                if not (model_add m ids off.(h) off.(h + 1)) then invalid_arg "id"
+              end
+            done)
+      in
+      got = want && Bitset.equal into m && Bitset.equal sel sel0)
+
+(* One draw in three meets [s] against itself. *)
+let kernel_keep_meeting =
+  let gen =
+    let open QCheck2.Gen in
+    let* n = kernel_universe and* same = frequencyl [ (1, true); (2, false) ] in
+    let* nt = if same then pure n else kernel_universe in
+    let* s = kernel_members n and* t = kernel_members nt in
+    let+ off, adj = kernel_csr n nt in
+    (n, nt, same, s, t, off, adj)
+  in
+  qtest ~count:1000 "kernel keep_meeting matches per-member mem"
+    ( gen,
+      fun (n, nt, same, s, t, off, adj) ->
+        Printf.sprintf "n=%d nt=%d same=%b s=%s t=%s off=%s adj=%s" n nt same (ints s)
+          (ints t) (int_arr off) (int_arr adj) )
+    (fun (n, nt, same, s, t, off, adj) ->
+      let s = Bitset.of_list n s in
+      let t = if same then s else Bitset.of_list nt t in
+      let m = Bitset.copy s and walk = Bitset.copy s and t0 = Bitset.copy t in
+      let mt = if same then m else t0 in
+      let got = outcome (fun () -> Bitset.keep_meeting s ~off ~adj t) in
+      let rec hit v j =
+        j < off.(v + 1)
+        &&
+        let i = adj.(j) in
+        if i < 0 || i >= nt then invalid_arg "id";
+        Bitset.mem mt i || hit v (j + 1)
+      in
+      let want =
+        outcome (fun () ->
+            if Array.length off <= n then invalid_arg "off";
+            let dropped = ref false in
+            for v = 0 to n - 1 do
+              if Bitset.mem walk v then begin
+                if row_leaves off adj v then invalid_arg "row";
+                if not (hit v off.(v)) then begin
+                  Bitset.remove m v;
+                  dropped := true
+                end
+              end
+            done;
+            !dropped)
+      in
+      got = want && Bitset.equal s m && (same || Bitset.equal t t0))
+
+(* The bytes are filled with 0xa5 first, so a rejected write that
+   stored anything shows. *)
+let kernel_write_u32_le =
+  let gen =
+    let open QCheck2.Gen in
+    let* n = kernel_universe in
+    let* l = kernel_members n in
+    let count = List.length (List.sort_uniq Int.compare l) in
+    let* pos = frequency [ (9, int_range 0 6); (1, int_range (-3) (-1)) ] in
+    let+ slack = frequency [ (8, int_range 0 6); (2, int_range (-5) (-1)) ] in
+    (n, l, pos, Mono.imax 0 (Mono.imax 0 pos + (4 * count) + slack))
+  in
+  qtest ~count:1000 "kernel write_u32_le matches per-member mem"
+    ( gen,
+      fun (n, l, pos, len) ->
+        Printf.sprintf "n=%d s=%s pos=%d bytes=%d" n (ints l) pos len )
+    (fun (n, l, pos, len) ->
+      let s = Bitset.of_list n l in
+      let b = Bytes.make len '\xa5' in
+      let mb = Bytes.copy b in
+      let got = outcome (fun () -> Bitset.write_u32_le s b pos) in
+      let want =
+        outcome (fun () ->
+            let count = ref 0 in
+            for i = 0 to n - 1 do
+              if Bitset.mem s i then incr count
+            done;
+            if pos < 0 || pos + (4 * !count) > len then invalid_arg "fit";
+            let at = ref pos in
+            for i = 0 to n - 1 do
+              if Bitset.mem s i then begin
+                Bytes.set_int32_le mb !at (Int32.of_int i);
+                at := !at + 4
+              end
+            done;
+            !at)
+      in
+      got = want && Bytes.equal b mb)
+
+let kernel_props =
+  [ kernel_add_slice; kernel_union_rows; kernel_keep_meeting; kernel_write_u32_le ]
+
+(* ------------------------------------------------------------------ *)
 (* Digraph *)
 
 let digraph_basics () =
@@ -847,7 +1070,7 @@ let () =
           Alcotest.test_case "zero capacity" `Quick bitset_zero_capacity;
           Alcotest.test_case "every bit position" `Quick bitset_every_position;
         ]
-        @ bitset_props );
+        @ bitset_props @ kernel_props );
       ( "digraph",
         [
           Alcotest.test_case "basics" `Quick digraph_basics;
