@@ -37,8 +37,8 @@ type scratch = {
 let scratch c =
   { c; sim = Bounded_sim.scratch (Compressed.graph c); rows = [||] }
 
-let answer_into ?cache s p =
-  Bounded_sim.match_into ?cache s.sim p
+let answer_into s p =
+  Bounded_sim.match_into s.sim p
   &&
   let np = Pattern.node_count p and have = Array.length s.rows in
   if have < np then
@@ -54,15 +54,15 @@ let answer_into ?cache s p =
 
 let row s u = s.rows.(u)
 
-let answer ?cache p c =
+let answer p c =
   let s = scratch c in
-  if answer_into ?cache s p then
+  if answer_into s p then
     Some
       (Array.init (Pattern.node_count p) (fun u -> Bitset.to_array s.rows.(u)))
   else None
 
-let answer_boolean ?cache p c =
-  Bounded_sim.eval_boolean ?cache p (Compressed.graph c)
+let answer_boolean p c =
+  Bounded_sim.eval_boolean p (Compressed.graph c)
 
 let answer_regular p c =
   Compressed.expand_result c

@@ -21,11 +21,10 @@ val compress : ?pool:Pool.t -> Digraph.t -> Compressed.t
     a bisimulation partition; [compress] guarantees the {e maximum} one. *)
 val compress_of_partition : Digraph.t -> int array -> Compressed.t
 
-(** [answer ?cache p c] evaluates pattern [p] on the compressed graph with
+(** [answer p c] evaluates pattern [p] on the compressed graph with
     the stock {!Bounded_sim.eval} and expands the result through [P]:
-    equals [Bounded_sim.eval p g] on the original graph (Theorem 4).  The
-    optional cache must be built on [Compressed.graph c]. *)
-val answer : ?cache:Bounded_sim.cache -> Pattern.t -> Compressed.t -> Pattern.result
+    equals [Bounded_sim.eval p g] on the original graph (Theorem 4). *)
+val answer : Pattern.t -> Compressed.t -> Pattern.result
 
 (** {1 Answering into reused scratch}
 
@@ -42,19 +41,19 @@ type scratch
 
 val scratch : Compressed.t -> scratch
 
-(** [answer_into ?cache s p] evaluates [p] on [Gr] and expands the match
+(** [answer_into s p] evaluates [p] on [Gr] and expands the match
     through [P] into [s]; [true] iff every pattern node has a match,
     exactly when {!answer} is [Some].  Row [u < Pattern.node_count p] is
     then {!row} [s u], until the next call. *)
-val answer_into : ?cache:Bounded_sim.cache -> scratch -> Pattern.t -> bool
+val answer_into : scratch -> Pattern.t -> bool
 
 (** [row s u] is the original nodes matching pattern node [u] in the
     last answer, as a bitset over [V]. *)
 val row : scratch -> int -> Bitset.t
 
-(** [answer_boolean ?cache p c] decides [Qp ⊨ G] directly on [Gr]; no
+(** [answer_boolean p c] decides [Qp ⊨ G] directly on [Gr]; no
     post-processing involved. *)
-val answer_boolean : ?cache:Bounded_sim.cache -> Pattern.t -> Compressed.t -> bool
+val answer_boolean : Pattern.t -> Compressed.t -> bool
 
 (** [answer_regular p c] evaluates a regular pattern query (pattern edges
     carrying regular expressions, the other Sec 7 direction — see

@@ -110,10 +110,16 @@ let union_into ~into src =
 
 let inter_into ~into src =
   same_universe into src "inter_into";
+  let changed = ref false in
   let aw = into.words and bw = src.words in
   for i = 0 to Array.length aw - 1 do
-    aw.(i) <- aw.(i) land bw.(i)
-  done
+    let w = aw.(i) land bw.(i) in
+    if w <> aw.(i) then begin
+      aw.(i) <- w;
+      changed := true
+    end
+  done;
+  !changed
 
 let diff_into ~into src =
   same_universe into src "diff_into";

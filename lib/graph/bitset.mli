@@ -64,8 +64,9 @@ val equal : t -> t -> bool
     stabilisation without a separate comparison pass. *)
 val union_into : into:t -> t -> bool
 
-(** [inter_into ~into src] computes [into := into ∩ src] in place. *)
-val inter_into : into:t -> t -> unit
+(** [inter_into ~into src] computes [into := into ∩ src] in place and
+    returns [true] iff [into] changed, as {!union_into} does. *)
+val inter_into : into:t -> t -> bool
 
 (** [diff_into ~into src] computes [into := into \ src] in place. *)
 val diff_into : into:t -> t -> unit

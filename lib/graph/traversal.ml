@@ -40,43 +40,52 @@ let bfs_reaches_nonempty g u v =
 
 let descendants g u = bfs_generic g ~starts:[ u ] ~seed_visited:false
 
-let ancestors g u =
-  let visited = Bitset.create (Digraph.n g) in
-  let q = Queue.create () in
-  Queue.add u q;
-  while not (Queue.is_empty q) do
-    let x = Queue.pop q in
-    Digraph.iter_pred g x (fun p ->
-        if not (Bitset.mem visited p) then begin
-          Bitset.add visited p;
-          Queue.add p q
-        end)
-  done;
-  note_visited visited;
-  visited
+type queue = { cells : int array; mutable tail : int }
 
-let bounded_descendants g u k =
-  if k < 0 then invalid_arg "Traversal.bounded_descendants: negative bound";
-  let visited = Bitset.create (Digraph.n g) in
-  let frontier = ref [ u ] in
-  let depth = ref 0 in
-  while !frontier <> [] && !depth < k do
-    incr depth;
-    let next = ref [] in
-    List.iter
-      (fun x ->
-        Digraph.iter_succ g x (fun v ->
-            if not (Bitset.mem visited v) then begin
-              Bitset.add visited v;
-              next := v :: !next
-            end))
-      !frontier;
-    if Obs.metrics_on () then
-      Obs.observe h_frontier (float_of_int (List.length !next));
-    frontier := !next
-  done;
-  note_visited visited;
-  visited
+let queue n = { cells = Array.make n 0; tail = 0 }
+
+let push q v =
+  q.cells.(q.tail) <- v;
+  q.tail <- q.tail + 1
+
+let ancestors ?depth g q sources ~into =
+  let n = Digraph.n g in
+  if Bitset.universe_size sources <> n || Bitset.universe_size into <> n then
+    invalid_arg "Traversal.ancestors: set over another universe";
+  if into == sources then invalid_arg "Traversal.ancestors: into is sources";
+  if Array.length q.cells < n then
+    invalid_arg "Traversal.ancestors: queue too short";
+  let depth =
+    match depth with
+    | None -> max_int
+    | Some k when k < 0 -> invalid_arg "Traversal.ancestors: negative depth"
+    | Some k -> k
+  in
+  let in_off, in_adj = Digraph.in_csr g in
+  Bitset.clear into;
+  q.tail <- 0;
+  Bitset.iter_with push q sources;
+  (* [lo, hi) is the frontier at distance [level] from [sources].  A
+     source is expanded once, from level 0: when a path later marks it,
+     its predecessors are already marked, so it is not queued again and
+     every node enters the queue at most once. *)
+  let lo = ref 0 and level = ref 0 in
+  (while !lo < q.tail && !level < depth do
+     let hi = q.tail in
+     incr level;
+     while !lo < hi do
+       let x = q.cells.(!lo) in
+       incr lo;
+       for e = in_off.(x) to in_off.(x + 1) - 1 do
+         let y = in_adj.(e) in
+         if not (Bitset.mem into y) then begin
+           Bitset.add into y;
+           if not (Bitset.mem sources y) then push q y
+         end
+       done
+     done
+   done) [@lint.hot_loop];
+  note_visited into
 
 let bibfs_reaches g u v =
   if u = v then true

@@ -26,13 +26,29 @@ val dfs_reaches : Digraph.t -> int -> int -> bool
     path. *)
 val descendants : Digraph.t -> int -> Bitset.t
 
-(** [ancestors g u] is the set of nodes that reach [u] by a nonempty path. *)
-val ancestors : Digraph.t -> int -> Bitset.t
+(** {1 Multi-source backward search} *)
 
-(** [bounded_descendants g u k] is the set of nodes reachable from [u] by a
-    nonempty path of length at most [k].
-    @raise Invalid_argument if [k < 0]. *)
-val bounded_descendants : Digraph.t -> int -> int -> Bitset.t
+(** Work space for {!ancestors}: a FIFO of node ids, reused from call to
+    call. *)
+type queue
+
+(** [queue n] is a queue for graphs of at most [n] nodes. *)
+val queue : int -> queue
+
+(** [ancestors ?depth g q sources ~into] sets [into] to the nodes with a
+    nonempty path of at most [depth] edges (of any length without
+    [depth]) into a member of [sources]: one backward BFS over the
+    in-CSR from all of [sources] at once, whose first level is their
+    predecessors.  A source is marked only when such a path leaves it,
+    as any other node: a cycle through it, or a path into another
+    source.  O(|V|/63 + |V| + |E|), with nothing allocated on the flat
+    store; a mapped or varint graph materialises its in-CSR once
+    ({!Digraph.in_csr}).
+    @raise Invalid_argument if [depth < 0], if [q] was made for fewer
+    than [Digraph.n g] nodes, if [sources] or [into] has another
+    universe size, or if [into] is [sources]. *)
+val ancestors :
+  ?depth:int -> Digraph.t -> queue -> Bitset.t -> into:Bitset.t -> unit
 
 (** [bfs_order g roots] is all nodes reachable from [roots] (inclusive) in
     BFS discovery order. *)

@@ -29,7 +29,8 @@ val max_bisimulation_ranked : Digraph.t -> int array
 (** [refine_once g cur] performs one signature-refinement round: nodes stay
     together iff they share a block in [cur] and their successor-block sets
     agree.  One round from the label partition is 1-bisimulation; iterating
-    to fixpoint is {!max_bisimulation_naive}.  Exposed for {!Kbisim}. *)
+    to fixpoint is {!max_bisimulation_naive}.  Exposed for the A(k)-index
+    oracle, [Kbisim] in [test/oracles]. *)
 val refine_once : Digraph.t -> int array -> int array
 
 (** [is_stable_partition g assignment] checks the defining property directly:

@@ -1,68 +1,42 @@
-type cache = {
-  graph : Digraph.t;
-  (* bound -> per-node descendant bitsets; key -1 stands for [*]. *)
-  by_bound : Bitset.t array Mono.Itbl.t;
+(* Candidate bitsets over one data graph, and the space of the backward
+   search of a bound k or [*] edge, sized on first use so that bound-1
+   patterns pay nothing for it. *)
+type scratch = {
+  on : Digraph.t;
+  mutable sets : Bitset.t array;
+  mutable reach : Bitset.t;
+  mutable queue : Traversal.queue;
 }
 
-let make_cache g = { graph = g; by_bound = Mono.Itbl.create 4 }
+let scratch g =
+  { on = g; sets = [||]; reach = Bitset.create 0; queue = Traversal.queue 0 }
 
-let descendants_for cache key =
-  match Mono.Itbl.find_opt cache.by_bound key with
-  | Some sets -> sets
-  | None ->
-      let g = cache.graph in
-      let sets =
-        if key = -1 then Transitive.descendant_sets g
-        else
-          Array.init (Digraph.n g) (fun v -> Traversal.bounded_descendants g v key)
-      in
-      Mono.Itbl.replace cache.by_bound key sets;
-      sets
-
-let check_cache g = function
-  | Some c ->
-      if c.graph != g then
-        invalid_arg "Bounded_sim: cache built on a different graph";
-      c
-  | None -> make_cache g
-
-(* A bound k or [*] edge (u, u'): cand(u) keeps the nodes whose
-   memoised set [sets.(v)] meets cand(u').  The walk passes this record
-   and a toplevel function to [Bitset.iter_with], so it builds nothing
-   per candidate. *)
-type far = {
-  sets : Bitset.t array;
-  cu : Bitset.t;
-  cu' : Bitset.t;
-  mutable dropped : bool;
-}
-
-let keep_far e v =
-  if Bitset.disjoint e.sets.(v) e.cu' then begin
-    Bitset.remove e.cu v;
-    e.dropped <- true
-  end
-
-let[@lint.hot_loop] prune_far e = Bitset.iter_with keep_far e e.cu
+(* A bound k or [*] edge (u, u'): cand(u) keeps the nodes with a
+   nonempty path of at most k edges (any length for [*]) into cand(u'),
+   all marked by one backward search from cand(u'). *)
+let keep_ancestors ?depth s cu cu' =
+  let n = Digraph.n s.on in
+  if Bitset.universe_size s.reach <> n then begin
+    s.reach <- Bitset.create n;
+    s.queue <- Traversal.queue n
+  end;
+  Traversal.ancestors ?depth s.on s.queue cu' ~into:s.reach;
+  Bitset.inter_into ~into:cu s.reach
 
 (* Drop from [cu] the candidates without a witness in [cu'] along one
-   pattern edge: a successor for bound 1, a member of its memoised set
-   (looked up once per edge) for a bound k or [*].  [true] iff something
-   was dropped. *)
-let prune_edge cache g cu cu' = function
-  | Pattern.Bounded 1 -> Digraph.keep_with_succ_in g cu cu'
-  | b ->
-      let key = match b with Pattern.Bounded k -> k | Pattern.Unbounded -> -1 in
-      let e = { sets = descendants_for cache key; cu; cu'; dropped = false } in
-      prune_far e;
-      e.dropped
+   pattern edge: a successor for bound 1, a node of the backward search
+   for a bound k or [*].  [true] iff something was dropped. *)
+let prune_edge s cu cu' = function
+  | Pattern.Bounded 1 -> Digraph.keep_with_succ_in s.on cu cu'
+  | Pattern.Bounded k -> keep_ancestors ~depth:k s cu cu'
+  | Pattern.Unbounded -> keep_ancestors s cu cu'
 
-let rec prune_edges cache g cand cu edges dropped =
+let rec prune_edges s cand cu edges dropped =
   match edges with
   | [] -> dropped
   | (u', b) :: rest ->
-      let d = prune_edge cache g cu cand.(u') b in
-      prune_edges cache g cand cu rest (d || dropped)
+      let d = prune_edge s cu cand.(u') b in
+      prune_edges s cand cu rest (d || dropped)
 
 (* Kahn's algorithm: the pattern nodes with every parent before its
    children, or [None] when the pattern has a cycle (a self-loop is one). *)
@@ -92,13 +66,12 @@ let topo_order p =
 (* The removal fixpoint on [cand.(0 .. np - 1)] in place, where [cand]
    may be longer than the pattern; [true] iff every pattern node keeps a
    candidate.  The one kernel under [refine], [eval] and [match_into]. *)
-let fixpoint ?cache p g cand =
-  let cache = check_cache g cache in
+let fixpoint s p cand =
   let np = Pattern.node_count p in
   (* Drop from cand(u) every node lacking a witness for some out-edge of
      u; [true] iff something was dropped. *)
   let prune u =
-    prune_edges cache g cand cand.(u) (Pattern.out_edges p u) false
+    prune_edges s cand cand.(u) (Pattern.out_edges p u) false
   in
   (match topo_order p with
   | Some order ->
@@ -121,10 +94,10 @@ let fixpoint ?cache p g cand =
   in
   all_kept 0
 
-let refine ?cache p g ~cand =
+let refine p g ~cand =
   if Array.length cand <> Pattern.node_count p then
     invalid_arg "Bounded_sim.refine: candidate array length mismatch";
-  if fixpoint ?cache p g cand then Some (Array.map Bitset.to_array cand)
+  if fixpoint (scratch g) p cand then Some (Array.map Bitset.to_array cand)
   else None
 
 (* Reset [cand.(u)] to the nodes labelled [fv(u)], for each pattern node. *)
@@ -143,20 +116,16 @@ let label_candidates p g =
   fill_labels p g cand;
   cand
 
-let eval ?cache p g = refine ?cache p g ~cand:(label_candidates p g)
+let eval p g = refine p g ~cand:(label_candidates p g)
 
-type scratch = { on : Digraph.t; mutable sets : Bitset.t array }
-
-let scratch g = { on = g; sets = [||] }
-
-let match_into ?cache s p =
+let match_into s p =
   let np = Pattern.node_count p and have = Array.length s.sets in
   if have < np then
     s.sets <-
       Array.init np (fun u ->
           if u < have then s.sets.(u) else Bitset.create (Digraph.n s.on));
   fill_labels p s.on s.sets;
-  fixpoint ?cache p s.on s.sets
+  fixpoint s p s.sets
 
 let matched s u = s.sets.(u)
 
@@ -227,5 +196,5 @@ let eval_matrix p g =
     else Some (Array.map Bitset.to_array cand)
   end
 
-let eval_boolean ?cache p g =
-  match eval ?cache p g with Some _ -> true | None -> false
+let eval_boolean p g =
+  match eval p g with Some _ -> true | None -> false

@@ -32,14 +32,6 @@ let edges p = p.edges
 let out_edges p u = p.out_edges.(u)
 let in_edges p u = p.in_edges.(u)
 
-let max_bound p =
-  List.fold_left
-    (fun acc (_, _, b) -> match b with Bounded k -> Mono.imax acc k | Unbounded -> acc)
-    0 p.edges
-
-let has_unbounded p =
-  List.exists (fun (_, _, b) -> b = Unbounded) p.edges
-
 let all_bounds_one p =
   List.for_all (fun (_, _, b) -> b = Bounded 1) p.edges
 

@@ -31,12 +31,6 @@ val out_edges : t -> int -> (int * bound) list
 (** [in_edges p u'] lists [(u, bound)] for each pattern edge [(u, u')]. *)
 val in_edges : t -> int -> (int * bound) list
 
-(** [max_bound p] is the largest finite bound, 0 if none. *)
-val max_bound : t -> int
-
-(** [has_unbounded p] is [true] iff some edge carries [*]. *)
-val has_unbounded : t -> bool
-
 (** [all_bounds_one p] identifies plain-simulation patterns. *)
 val all_bounds_one : t -> bool
 

@@ -8,7 +8,7 @@
 
     {!Scheme} is the module type of such triples; {!Make} packages one into
     a prepared-once / query-many API and is what the preservation property
-    tests quantify over.  Three instances ship with the library:
+    tests quantify over.  Three instances are defined here:
     {!Reachability} (Sec 3), {!Patterns} (Sec 4) and {!Path_queries} (the
     Sec 7 extension). *)
 

@@ -93,9 +93,9 @@ let bitset_props =
         Bitset.to_list sa = module_of (a @ b));
     qtest "inter matches list model" arb_int_sets (fun (a, b) ->
         let sa = Bitset.of_list 100 a and sb = Bitset.of_list 100 b in
-        Bitset.inter_into ~into:sa sb;
-        Bitset.to_list sa
-        = List.filter (fun x -> List.mem x b) (module_of a));
+        let kept = List.filter (fun x -> List.mem x b) (module_of a) in
+        Bitset.inter_into ~into:sa sb = (kept <> module_of a)
+        && Bitset.to_list sa = kept);
     qtest "diff matches list model" arb_int_sets (fun (a, b) ->
         let sa = Bitset.of_list 100 a and sb = Bitset.of_list 100 b in
         Bitset.diff_into ~into:sa sb;
@@ -478,13 +478,48 @@ let traversal_unit () =
 
 let traversal_bounded () =
   let g = line_graph 6 in
-  let d2 = Traversal.bounded_descendants g 0 2 in
-  Alcotest.(check (list int)) "within 2" [ 1; 2 ] (Bitset.to_list d2);
-  let d0 = Traversal.bounded_descendants g 0 0 in
-  Alcotest.(check bool) "bound 0 empty" true (Bitset.is_empty d0);
-  Alcotest.check_raises "negative bound"
-    (Invalid_argument "Traversal.bounded_descendants: negative bound")
-    (fun () -> ignore (Traversal.bounded_descendants g 0 (-1)))
+  let anc ?depth vs = Bitset.to_list (Testutil.ancestors_of ?depth g vs) in
+  Alcotest.(check (list int)) "within 2" [ 3; 4 ] (anc ~depth:2 [ 5 ]);
+  Alcotest.(check (list int)) "depth 0 empty" [] (anc ~depth:0 [ 5 ]);
+  Alcotest.(check (list int)) "unbounded" [ 0; 1; 2; 3; 4 ] (anc [ 5 ]);
+  Alcotest.(check (list int)) "two sources, one level" [ 0; 1; 3 ]
+    (anc ~depth:1 [ 1; 2; 4 ]);
+  Alcotest.(check (list int)) "as deep as the farther source" [ 0; 1; 2 ]
+    (anc ~depth:2 [ 2; 3 ]);
+  Alcotest.(check (list int)) "no sources" [] (anc []);
+  let q = Traversal.queue 6 and into = Bitset.create 6 in
+  Alcotest.check_raises "negative depth"
+    (Invalid_argument "Traversal.ancestors: negative depth") (fun () ->
+      Traversal.ancestors ~depth:(-1) g q (Bitset.of_list 6 [ 5 ]) ~into);
+  Alcotest.check_raises "short queue"
+    (Invalid_argument "Traversal.ancestors: queue too short") (fun () ->
+      Traversal.ancestors g (Traversal.queue 5) (Bitset.of_list 6 [ 5 ]) ~into);
+  Alcotest.check_raises "other universe"
+    (Invalid_argument "Traversal.ancestors: set over another universe")
+    (fun () -> Traversal.ancestors g q (Bitset.of_list 7 [ 5 ]) ~into);
+  Alcotest.check_raises "into is sources"
+    (Invalid_argument "Traversal.ancestors: into is sources") (fun () ->
+      Traversal.ancestors g q into ~into)
+
+(* A path has to leave a source for the source to be marked: a source
+   with no cycle through it is not its own ancestor, one with a
+   self-loop is, at any depth of at least 1. *)
+let traversal_ancestors_nonempty () =
+  let chain = Digraph.make ~n:3 [ (0, 1); (1, 2) ] in
+  let anc ?depth g vs = Bitset.to_list (Testutil.ancestors_of ?depth g vs) in
+  Alcotest.(check (list int)) "no cycle, not marked" [ 0; 1 ] (anc chain [ 2 ]);
+  Alcotest.(check (list int)) "an edge into another source" [ 0; 1 ]
+    (anc chain [ 1; 2 ]);
+  let loop = Digraph.make ~n:3 [ (0, 1); (1, 2); (2, 2) ] in
+  Alcotest.(check (list int)) "self-loop, depth 1" [ 1; 2 ]
+    (anc ~depth:1 loop [ 2 ]);
+  Alcotest.(check (list int)) "self-loop, unbounded" [ 0; 1; 2 ]
+    (anc loop [ 2 ]);
+  let cyc = Digraph.make ~n:4 [ (0, 1); (1, 2); (2, 0); (3, 0) ] in
+  Alcotest.(check (list int)) "3-cycle, depth 2 misses the source" [ 1; 2; 3 ]
+    (anc ~depth:2 cyc [ 0 ]);
+  Alcotest.(check (list int)) "3-cycle, depth 3 finds it" [ 0; 1; 2; 3 ]
+    (anc ~depth:3 cyc [ 0 ])
 
 let traversal_budgeted () =
   let g = line_graph 50 in
@@ -516,26 +551,30 @@ let traversal_props =
         Bitset.mem (Traversal.descendants g u) v
         = Traversal.bfs_reaches_nonempty g u v);
     qtest "ancestors mirror descendants" arb_pair (fun (g, u, v) ->
-        Bitset.mem (Traversal.ancestors g v) u
+        Bitset.mem (Testutil.ancestors_of g [ v ]) u
         = Bitset.mem (Traversal.descendants g u) v);
     qtest "distance consistent with reach" arb_pair (fun (g, u, v) ->
         (Traversal.distance g u v <> None) = Traversal.bfs_reaches g u v);
+    (* The per-node oracle of the pattern tests and the backward search
+       from [v] cut at the same depth both follow distances. *)
     qtest "bounded_descendants matches distance" arb_pair (fun (g, u, v) ->
         let k = 3 in
-        Bitset.mem (Traversal.bounded_descendants g u k) v
-        =
-        match Traversal.distance g u v with
-        | Some d when d >= 1 && d <= k -> true
-        | Some _ | None ->
-            (* self within k via a cycle *)
-            u = v
-            &&
-            (let cyc = ref false in
-             Digraph.iter_succ g u (fun w ->
-                 match Traversal.distance g w u with
-                 | Some d when d + 1 <= k -> cyc := true
-                 | _ -> ());
-             !cyc));
+        let within = Bitset.mem (Testutil.bounded_descendants g u k) v in
+        within = Bitset.mem (Testutil.ancestors_of ~depth:k g [ v ]) u
+        && within
+           =
+           match Traversal.distance g u v with
+           | Some d when d >= 1 && d <= k -> true
+           | Some _ | None ->
+               (* self within k via a cycle *)
+               u = v
+               &&
+               (let cyc = ref false in
+                Digraph.iter_succ g u (fun w ->
+                    match Traversal.distance g w u with
+                    | Some d when d + 1 <= k -> cyc := true
+                    | _ -> ());
+                !cyc));
     qtest "budgeted settled answers agree with bfs" arb_pair (fun (g, u, v) ->
         match Traversal.budgeted_reaches g u v ~budget:1000 with
         | Some r -> r = Traversal.bfs_reaches_nonempty g u v
@@ -722,7 +761,7 @@ let transitive_props =
         let anc = Transitive.ancestor_sets g in
         let ok = ref true in
         for v = 0 to Digraph.n g - 1 do
-          if not (Bitset.equal anc.(v) (Traversal.ancestors g v)) then
+          if not (Bitset.equal anc.(v) (Testutil.ancestors_of g [ v ])) then
             ok := false
         done;
         !ok);
@@ -1083,6 +1122,8 @@ let () =
         [
           Alcotest.test_case "basics" `Quick traversal_unit;
           Alcotest.test_case "bounded" `Quick traversal_bounded;
+          Alcotest.test_case "ancestors need a nonempty path" `Quick
+            traversal_ancestors_nonempty;
           Alcotest.test_case "budgeted" `Quick traversal_budgeted;
         ]
         @ traversal_props );

@@ -163,8 +163,6 @@ let pattern_unit () =
   in
   Alcotest.(check int) "nodes" 2 (Pattern.node_count p);
   Alcotest.(check int) "edges" 2 (Pattern.edge_count p);
-  Alcotest.(check int) "max bound" 2 (Pattern.max_bound p);
-  Alcotest.(check bool) "has unbounded" true (Pattern.has_unbounded p);
   Alcotest.(check bool) "not all ones" false (Pattern.all_bounds_one p);
   let p1 = Pattern.with_all_bounds p (Pattern.Bounded 1) in
   Alcotest.(check bool) "all ones after rewrite" true (Pattern.all_bounds_one p1)
@@ -256,7 +254,7 @@ let bsim_nonempty_path_semantics () =
     (Bounded_sim.eval p g_loop <> None)
 
 (* ------------------------------------------------------------------ *)
-(* Simulation vs bounded simulation, caches, boolean *)
+(* Simulation vs bounded simulation, boolean *)
 
 let sim_props =
   let arb_gp_ones =
@@ -300,12 +298,6 @@ let sim_props =
     qtest ~count:300 "bound-1 witnesses at high out-degree"
       dense_bound1 (fun (g, p) ->
         Pattern.result_equal (Bounded_sim.eval p g) (Bounded_sim.eval_matrix p g));
-    qtest "cache does not change results" arb_gp (fun (g, p) ->
-        let cache = Bounded_sim.make_cache g in
-        let r1 = Bounded_sim.eval ~cache p g in
-        let r2 = Bounded_sim.eval p g in
-        let r3 = Bounded_sim.eval ~cache p g in
-        Pattern.result_equal r1 r2 && Pattern.result_equal r1 r3);
     qtest "boolean agrees with eval" arb_gp (fun (g, p) ->
         Bounded_sim.eval_boolean p g = (Bounded_sim.eval p g <> None));
     qtest "result is a valid match" arb_gp (fun (g, p) ->
@@ -327,7 +319,7 @@ let sim_props =
                               match b with
                               | Pattern.Bounded k ->
                                   Bitset.mem
-                                    (Traversal.bounded_descendants g v k)
+                                    (Testutil.bounded_descendants g v k)
                                     v'
                               | Pattern.Unbounded ->
                                   Traversal.bfs_reaches_nonempty g v v')
@@ -362,7 +354,7 @@ let sim_props =
                                    Traversal.bfs_reaches_nonempty g v v'
                                | Pattern.Bounded k ->
                                    Bitset.mem
-                                     (Traversal.bounded_descendants g v k)
+                                     (Testutil.bounded_descendants g v k)
                                      v')
                              m.(u')))
                       (Pattern.out_edges p u)
@@ -381,15 +373,6 @@ let sim_rejects_bounds () =
   Alcotest.check_raises "simulation needs bounds 1"
     (Invalid_argument "Simulation.eval: pattern has a bound other than 1")
     (fun () -> ignore (Simulation.eval p (Digraph.make ~n:1 ~labels:[| 0 |] [])))
-
-let cache_mismatch () =
-  let g1 = Digraph.make ~n:1 ~labels:[| 0 |] [] in
-  let g2 = Digraph.make ~n:1 ~labels:[| 0 |] [] in
-  let cache = Bounded_sim.make_cache g1 in
-  let p = Pattern.make ~n:1 ~labels:[| 0 |] ~edges:[] in
-  Alcotest.check_raises "cache tied to graph"
-    (Invalid_argument "Bounded_sim: cache built on a different graph")
-    (fun () -> ignore (Bounded_sim.eval ~cache p g2))
 
 (* ------------------------------------------------------------------ *)
 (* Pattern I/O *)
@@ -410,8 +393,10 @@ let pattern_io_roundtrip () =
 let pattern_io_parse () =
   let p = Pattern_io.of_string "n 2\nl 0 5\ne 0 1 *\ne 1 0 2 # cycle\n" in
   Alcotest.(check int) "label read" 5 (Pattern.label p 0);
-  Alcotest.(check bool) "star read" true (Pattern.has_unbounded p);
-  Alcotest.(check int) "bound read" 2 (Pattern.max_bound p)
+  Alcotest.(check bool) "star read" true
+    (List.mem (0, 1, Pattern.Unbounded) (Pattern.edges p));
+  Alcotest.(check bool) "bound read" true
+    (List.mem (1, 0, Pattern.Bounded 2) (Pattern.edges p))
 
 let pattern_io_errors () =
   let expect_err s =
@@ -553,6 +538,156 @@ let shaped_inc_match =
       Pattern.result_equal got (Bounded_sim.eval p (Inc_match.graph im)))
 
 (* ------------------------------------------------------------------ *)
+(* Bounds k and [*]: one backward search per edge, against the cubic
+   oracle *)
+
+(* Graphs of up to 40 nodes made mostly of long paths: one to four
+   chains of 4 to 12 random nodes and a few random edges, so that many
+   distances exceed 3 and a depth cut at 2 or 3 excludes nodes that [*]
+   keeps. *)
+let path_rich_gen =
+  let open QCheck2.Gen in
+  let* n = int_range 4 40 in
+  let* label_count = int_range 1 3 in
+  let* labels = array_size (pure n) (int_range 0 (label_count - 1)) in
+  let node = int_range 0 (n - 1) in
+  let* chains = list_size (int_range 1 4) (list_size (int_range 4 12) node) in
+  let* extra = list_size (int_range 0 (n / 4)) (pair node node) in
+  let rec links = function
+    | a :: (b :: _ as rest) -> (a, b) :: links rest
+    | [ _ ] | [] -> []
+  in
+  pure (Digraph.make ~n ~labels (List.concat_map links chains @ extra))
+
+let path_rich_shaped_gen =
+  let open QCheck2.Gen in
+  let* g = path_rich_gen in
+  let* shape, absent, p = shaped_pattern_gen g in
+  pure (g, shape, absent, p)
+
+let far_bounds = [ Pattern.Bounded 2; Pattern.Bounded 3; Pattern.Unbounded ]
+
+let rows np row = Array.init np (fun u -> Bitset.to_array (row u))
+
+(* The pattern as drawn (bounds 1, 2 and [*] mixed), then with every
+   edge at bound 2, at 3 and at [*]: [eval], [refine], [match_into] on
+   one reused scratch, and [Compress_bisim.answer_into] on Gr (Theorem
+   4) all give [eval_matrix]'s answer on G. *)
+let bounds_props =
+  [
+    qtest ~count:300 "eval equals eval_matrix for bounds 2, 3 and *"
+      (path_rich_shaped_gen, shaped_print) (fun (g, _, absent, p) ->
+        let s = Bounded_sim.scratch g in
+        let c = Compress_bisim.compress g in
+        let cs = Compress_bisim.scratch c in
+        let np = Pattern.node_count p in
+        List.for_all
+          (fun p ->
+            let oracle = Bounded_sim.eval_matrix p g in
+            let into =
+              if Bounded_sim.match_into s p then
+                Some (rows np (Bounded_sim.matched s))
+              else None
+            in
+            let on_gr =
+              if Compress_bisim.answer_into cs p then
+                Some (rows np (Compress_bisim.row cs))
+              else None
+            in
+            Pattern.result_equal (Bounded_sim.eval p g) oracle
+            && Pattern.result_equal
+                 (Bounded_sim.refine p g
+                    ~cand:(Bounded_sim.label_candidates p g))
+                 oracle
+            && Pattern.result_equal into oracle
+            && Pattern.result_equal on_gr oracle
+            && ((not absent) || oracle = None))
+          (p :: List.map (Pattern.with_all_bounds p) far_bounds));
+  ]
+
+(* Insertions grow the match along paths of any length into the
+   inserted edges' sources. *)
+let bounds_inc_match =
+  qtest ~count:200 "Inc_match equals eval_matrix over insertion batches"
+    ( (let open QCheck2.Gen in
+       let* ((g, _, _, _) as x) = path_rich_shaped_gen in
+       let node = int_range 0 (Digraph.n g - 1) in
+       let insert = map2 (fun u v -> Edge_update.Insert (u, v)) node node in
+       let* batches =
+         list_size (int_range 1 3) (list_size (int_range 1 6) insert)
+       in
+       pure (x, batches)),
+      fun (x, batches) ->
+        Format.asprintf "%s@.batches: %a" (shaped_print x)
+          (Format.pp_print_list ~pp_sep:Format.pp_print_space Edge_update.pp)
+          (List.concat batches) )
+    (fun ((g, _, _, p), batches) ->
+      List.for_all
+        (fun b ->
+          let p = Pattern.with_all_bounds p b in
+          let im = Inc_match.create p g in
+          List.for_all
+            (fun batch ->
+              let got = Inc_match.apply im batch in
+              Pattern.result_equal got
+                (Bounded_sim.eval_matrix p (Inc_match.graph im)))
+            batches)
+        far_bounds)
+
+(* On a path, bound 2 stops short of the B two edges on, 3 reaches it,
+   and [*] reaches the B after it too. *)
+let bsim_depth_cut () =
+  let g =
+    Digraph.make ~n:5 ~labels:[| 0; 2; 2; 1; 1 |]
+      [ (0, 1); (1, 2); (2, 3); (3, 4) ]
+  in
+  let check name want edges =
+    Alcotest.(check (option (array (array int)))) name want
+      (Bounded_sim.eval (Pattern.make ~n:2 ~labels:[| 0; 1 |] ~edges) g)
+  in
+  check "bound 2" None [ (0, 1, Pattern.Bounded 2) ];
+  let a_and_bs = Some [| [| 0 |]; [| 3; 4 |] |] in
+  check "bound 3" a_and_bs [ (0, 1, Pattern.Bounded 3) ];
+  check "bound *" a_and_bs [ (0, 1, Pattern.Unbounded) ];
+  (* With a B -> B edge, the last B has no B after it, so the B before
+     it loses its witness too. *)
+  check "self-loop pattern, bound 3" None
+    [ (0, 1, Pattern.Bounded 3); (1, 1, Pattern.Bounded 3) ]
+
+(* A bound k or [*] edge takes space linear in the graph: on 20,000
+   nodes one [eval] allocates a few words per node and edge, where a
+   descendant bitset per node would take |V|^2/8 bytes, 50 MB; and
+   [match_into] on a scratch that has met the pattern allocates a few
+   dozen words per query (the fixpoint's own), none per node. *)
+let bsim_linear_space () =
+  let rng = Random.State.make [| 24 |] in
+  let g =
+    Generators.with_random_labels rng
+      (Generators.erdos_renyi rng ~n:20_000 ~m:60_000)
+      ~label_count:2
+  in
+  let linear = 8 * (Digraph.n g + Digraph.m g) in
+  let s = Bounded_sim.scratch g in
+  List.iter
+    (fun b ->
+      let p = Pattern.make ~n:2 ~labels:[| 0; 1 |] ~edges:[ (0, 1, b) ] in
+      let before = Gc.allocated_bytes () in
+      let r = Bounded_sim.eval p g in
+      let used = Gc.allocated_bytes () -. before in
+      Alcotest.(check bool) "matches" true (r <> None);
+      if used >= 4. *. float_of_int linear then
+        Alcotest.failf "eval allocated %.0f bytes, 4 x 8(|V| + |E|) is %d" used
+          (4 * linear);
+      ignore (Bounded_sim.match_into s p : bool);
+      let before = Gc.minor_words () in
+      ignore (Bounded_sim.match_into s p : bool);
+      let words = Gc.minor_words () -. before in
+      if words >= 1000. then
+        Alcotest.failf "match_into allocated %.0f words on %d nodes" words
+          (Digraph.n g))
+    [ Pattern.Bounded 3; Pattern.Unbounded ]
+
+(* ------------------------------------------------------------------ *)
 (* Incremental match *)
 
 let inc_match_props =
@@ -607,7 +742,11 @@ let pattern_gen_props =
           in
           Pattern.node_count p = 4
           && Pattern.edge_count p >= 3
-          && Pattern.max_bound p <= 3
+          && List.for_all
+               (function
+                 | _, _, Pattern.Bounded k -> k <= 3
+                 | _, _, Pattern.Unbounded -> true)
+               (Pattern.edges p)
         end);
     qtest "anchored patterns always match" arb_g (fun g ->
         if Digraph.n g = 0 then true
@@ -661,9 +800,11 @@ let () =
           Alcotest.test_case "recommendation (Example 1)" `Quick bsim_recommendation;
           Alcotest.test_case "nonempty path semantics" `Quick bsim_nonempty_path_semantics;
           Alcotest.test_case "simulation rejects bounds" `Quick sim_rejects_bounds;
-          Alcotest.test_case "cache mismatch" `Quick cache_mismatch;
+          Alcotest.test_case "depth cut on a path" `Quick bsim_depth_cut;
+          Alcotest.test_case "linear space for bounds 3 and *" `Quick
+            bsim_linear_space;
         ]
-        @ sim_props @ one_pass_props );
+        @ sim_props @ one_pass_props @ bounds_props );
       ( "pattern_io",
         [
           Alcotest.test_case "roundtrip" `Quick pattern_io_roundtrip;
@@ -671,6 +812,6 @@ let () =
           Alcotest.test_case "errors" `Quick pattern_io_errors;
         ]
         @ pattern_io_props );
-      ("inc_match", inc_match_props @ [ shaped_inc_match ]);
+      ("inc_match", inc_match_props @ [ shaped_inc_match; bounds_inc_match ]);
       ("pattern_gen", pattern_gen_props);
     ]

@@ -270,6 +270,36 @@ let arbitrary_graph_pattern ?max_n () =
 let edges_list g =
   List.rev (Digraph.fold_edges g (fun acc u v -> (u, v) :: acc) [])
 
+(* The nodes reachable from [u] by a nonempty path of at most [k] edges,
+   by one forward BFS from [u]: the per-node oracle for the multi-source
+   backward search of [Traversal.ancestors].
+   @raise Invalid_argument if [k < 0]. *)
+let bounded_descendants g u k =
+  if k < 0 then invalid_arg "Testutil.bounded_descendants: negative bound";
+  let visited = Bitset.create (Digraph.n g) in
+  let frontier = ref [ u ] and depth = ref 0 in
+  while !frontier <> [] && !depth < k do
+    incr depth;
+    let next = ref [] in
+    List.iter
+      (fun x ->
+        Digraph.iter_succ g x (fun v ->
+            if not (Bitset.mem visited v) then begin
+              Bitset.add visited v;
+              next := v :: !next
+            end))
+      !frontier;
+    frontier := !next
+  done;
+  visited
+
+(* [Traversal.ancestors] from the sources [vs], into a fresh set. *)
+let ancestors_of ?depth g vs =
+  let n = Digraph.n g in
+  let into = Bitset.create n in
+  Traversal.ancestors ?depth g (Traversal.queue n) (Bitset.of_list n vs) ~into;
+  into
+
 (* Register a qcheck property as an alcotest case. *)
 let qtest ?(count = 200) name (gen, print) prop =
   QCheck_alcotest.to_alcotest
