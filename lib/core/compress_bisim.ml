@@ -4,10 +4,27 @@ let compress_of_partition g assignment =
     invalid_arg "Compress_bisim: assignment length mismatch";
   if n = 0 then Compressed.v ~graph:Digraph.empty ~node_map:[||]
   else begin
-    let assignment = Partition.normalize_assignment assignment in
-    let k = Array.fold_left (fun acc b -> Mono.imax acc (b + 1)) 0 assignment in
-    let labels = Array.make k 0 in
-    Array.iteri (fun v b -> labels.(b) <- Digraph.label g v) assignment;
+    let first = Partition.normalize_assignment assignment in
+    let k = Array.fold_left (fun acc b -> Mono.imax acc (b + 1)) 0 first in
+    let first_labels = Array.make k 0 in
+    Array.iteri (fun v b -> first_labels.(b) <- Digraph.label g v) first;
+    (* Renumber the classes in ascending label order, by first occurrence
+       within a label: a stable counting sort, so each label's
+       hypernodes form one id range of Gr. *)
+    let nl = Digraph.label_count g in
+    let start = Array.make (nl + 1) 0 in
+    Array.iter (fun l -> start.(l + 1) <- start.(l + 1) + 1) first_labels;
+    for l = 1 to nl do
+      start.(l) <- start.(l) + start.(l - 1)
+    done;
+    let renum = Array.make k 0 and labels = Array.make k 0 in
+    Array.iteri
+      (fun b l ->
+        renum.(b) <- start.(l);
+        labels.(start.(l)) <- l;
+        start.(l) <- start.(l) + 1)
+      first_labels;
+    let assignment = Array.map (fun b -> renum.(b)) first in
     let seen = Mono.Ptbl.create 1024 in
     let edges = ref [] in
     Digraph.iter_edges g (fun u v ->

@@ -18,7 +18,13 @@ val compress : ?pool:Pool.t -> Digraph.t -> Compressed.t
 
 (** [compress_of_partition g assignment] builds [Gr] from a given stable
     partition (shared with the incremental layer).  The assignment must be
-    a bisimulation partition; [compress] guarantees the {e maximum} one. *)
+    a bisimulation partition; [compress] guarantees the {e maximum} one.
+
+    Hypernodes are numbered in ascending label order, and within one
+    label by the first member in [V]: [Digraph.label] is non-decreasing
+    in hypernode id, so the hypernodes of each label form one id range
+    of [Gr], the starting candidate set of a pattern node there
+    ({!Bounded_sim}).  O(|V| + |E| + L) for [L] labels. *)
 val compress_of_partition : Digraph.t -> int array -> Compressed.t
 
 (** [answer p c] evaluates pattern [p] on the compressed graph with

@@ -6,9 +6,10 @@
     graph-sized universes cost [capacity/63] word operations.
 
     The row kernels of the pattern path ({!add_slice}, {!union_rows},
-    {!keep_meeting}, {!write_u32_le}) are C over the same words: each
-    jumps from member to member with a count-trailing-zeros instruction,
-    with no callback and no allocation.  Each checks its arguments before
+    {!keep_meeting}, {!write_u32_le}) and {!cardinal} are C over the
+    same words: each jumps from member to member with a
+    count-trailing-zeros instruction, or counts them, with no callback
+    and no allocation.  Each checks its arguments before
     it reads or writes through them, and a rejected call writes nothing
     past the point of rejection. *)
 
@@ -31,6 +32,12 @@ val add : t -> int -> unit
     are added. *)
 val add_slice : t -> int array -> int -> int -> unit
 
+(** [add_range s lo hi] adds [lo .. hi - 1], whole words at a time.  A
+    [hi <= lo] adds nothing.
+    @raise Invalid_argument if [lo < 0] or [hi > universe_size s] for a
+    non-empty range, before anything is added. *)
+val add_range : t -> int -> int -> unit
+
 (** [remove s i] clears bit [i]. *)
 val remove : t -> int -> unit
 
@@ -43,7 +50,8 @@ val mem : t -> int -> bool
     @raise Invalid_argument if an element it reads is out of range. *)
 val meets_slice : t -> int array -> int -> int -> bool
 
-(** [cardinal s] is the number of set bits (popcount over all words). *)
+(** [cardinal s] is the number of set bits: a popcount over all words,
+    in C, allocating nothing. *)
 val cardinal : t -> int
 
 (** [is_empty s] is [true] iff no bit is set. *)
@@ -116,8 +124,11 @@ val union_rows : into:t -> off:int array -> ids:int array -> t -> unit
     CSR row [adj.(off.(v)) .. adj.(off.(v + 1) - 1)] has no member of
     [t], and is [true] iff it removed one.  One walk over the words of
     [s] in increasing order; a row is scanned up to its first member of
-    [t].  [t] may be [s] itself, in which case a member removed earlier
-    in the walk no longer counts.
+    [t].  The lowest and highest members of [t] are read once per call,
+    and an id outside them is judged without a load of [t]'s words, so a
+    [t] that spans a narrow id range costs little per id; rows need not
+    be sorted.  [t] may be [s] itself, in which case a member removed
+    earlier in the walk no longer counts.
     @raise Invalid_argument if [off] has fewer than [universe_size s + 1]
     entries, before anything is removed; or if a non-empty row leaves
     [adj] or, before its first hit, holds an id outside [t]'s universe,

@@ -106,16 +106,37 @@ CAMLprim value qpgc_bitset_union_rows(value into, value off, value ids,
   return Val_long(0);
 }
 
+/* The lowest and highest members of a bitset with words [words], in
+   [lo] and [hi]; [lo > hi] when it is empty. */
+static void member_range(value words, uintnat *lo, uintnat *hi)
+{
+  uintnat nw = Wosize_val(words), first = 0, last = nw;
+  while (first < nw && word_bits(words, first) == 0) first++;
+  if (first == nw) {
+    *lo = 1;
+    *hi = 0;
+    return;
+  }
+  while (word_bits(words, last - 1) == 0) last--;
+  *lo = first * BITS + (uintnat)__builtin_ctzll(word_bits(words, first));
+  *hi = (last - 1) * BITS + 63 - (uintnat)__builtin_clzll(word_bits(words, last - 1));
+}
+
 /* Bitset.keep_meeting, under the same check on [off].  The walk reads a
    copy of each word of [s] and clears members in [s] itself, so when
-   [t] is [s] a member removed earlier no longer counts as a hit. */
+   [t] is [s] a member removed earlier no longer counts as a hit.  The
+   members of [t] lie in [tlo, thi], read once per call: an id outside
+   it is checked against [t]'s universe but needs no load of [t]'s
+   words.  When [t] is [s], removals only shrink the true range, so
+   the one read at the start still covers it. */
 CAMLprim value qpgc_bitset_keep_meeting(value s, value off, value adj,
                                         value t)
 {
   value sw = SET_WORDS(s), tw = SET_WORDS(t);
   uintnat ssize = SET_SIZE(s), tsize = SET_SIZE(t);
-  uintnat nadj = Wosize_val(adj), nw = Wosize_val(sw);
+  uintnat nadj = Wosize_val(adj), nw = Wosize_val(sw), tlo, thi;
   int dropped = 0;
+  member_range(tw, &tlo, &thi);
   for (uintnat w = 0; w < nw; w++) {
     for (uint64_t x = word_bits(sw, w); x != 0; x &= x - 1) {
       unsigned b = (unsigned)__builtin_ctzll(x);
@@ -126,7 +147,7 @@ CAMLprim value qpgc_bitset_keep_meeting(value s, value off, value adj,
       for (j = lo; j < hi; j++) {
         uintnat i = (uintnat)Long_val(Field(adj, j));
         if (i >= tsize) return Val_long(-2 - j);
-        if (has(tw, i)) break;
+        if (i >= tlo && i <= thi && has(tw, i)) break;
       }
       if (j >= hi) {
         clear_bit(sw, w, b);
@@ -137,14 +158,27 @@ CAMLprim value qpgc_bitset_keep_meeting(value s, value off, value adj,
   return Val_long(dropped);
 }
 
+static uintnat count_members(value words)
+{
+  uintnat nw = Wosize_val(words), count = 0;
+  for (uintnat w = 0; w < nw; w++) count += popcount(word_bits(words, w));
+  return count;
+}
+
+/* Bitset.cardinal. */
+CAMLprim value qpgc_bitset_cardinal(value s)
+{
+  return Val_long(count_members(SET_WORDS(s)));
+}
+
 /* Bitset.write_u32_le: counts the members first, so that a row that
    does not fit writes nothing; -1 then. */
 CAMLprim value qpgc_bitset_write_u32_le(value s, value b, value vpos)
 {
   value words = SET_WORDS(s);
-  uintnat nw = Wosize_val(words), len = caml_string_length(b), count = 0;
+  uintnat nw = Wosize_val(words), len = caml_string_length(b);
+  uintnat count = count_members(words);
   intnat pos = Long_val(vpos);
-  for (uintnat w = 0; w < nw; w++) count += popcount(word_bits(words, w));
   if (pos < 0 || (uintnat)pos > len || count > (len - (uintnat)pos) / 4)
     return Val_long(-1);
   unsigned char *p = Bytes_val(b) + pos;

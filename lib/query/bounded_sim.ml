@@ -38,61 +38,35 @@ let rec prune_edges s cand cu edges dropped =
       let d = prune_edge s cu cand.(u') b in
       prune_edges s cand cu rest (d || dropped)
 
-(* Kahn's algorithm: the pattern nodes with every parent before its
-   children, or [None] when the pattern has a cycle (a self-loop is one). *)
-let topo_order p =
-  let np = Pattern.node_count p in
-  let indeg = Array.make np 0 in
-  List.iter (fun (_, u', _) -> indeg.(u') <- indeg.(u') + 1) (Pattern.edges p);
-  let order = Array.make np 0 and tail = ref 0 in
-  let push u =
-    order.(!tail) <- u;
-    incr tail
-  in
-  for u = 0 to np - 1 do
-    if indeg.(u) = 0 then push u
-  done;
-  let head = ref 0 in
-  while !head < !tail do
-    List.iter
-      (fun (u', _) ->
-        indeg.(u') <- indeg.(u') - 1;
-        if indeg.(u') = 0 then push u')
-      (Pattern.out_edges p order.(!head));
-    incr head
-  done;
-  if !tail = np then Some order else None
+(* Drop from cand(u) every node lacking a witness for some out-edge of
+   u; [true] iff something was dropped. *)
+let prune s p cand u = prune_edges s cand cand.(u) (Pattern.out_edges p u) false
+
+let rec all_kept cand np u =
+  u >= np || ((not (Bitset.is_empty cand.(u))) && all_kept cand np (u + 1))
 
 (* The removal fixpoint on [cand.(0 .. np - 1)] in place, where [cand]
    may be longer than the pattern; [true] iff every pattern node keeps a
    candidate.  The one kernel under [refine], [eval] and [match_into]. *)
 let fixpoint s p cand =
   let np = Pattern.node_count p in
-  (* Drop from cand(u) every node lacking a witness for some out-edge of
-     u; [true] iff something was dropped. *)
-  let prune u =
-    prune_edges s cand cand.(u) (Pattern.out_edges p u) false
-  in
-  (match topo_order p with
-  | Some order ->
-      (* Children before parents: when u is pruned its children's sets
-         are already final, and pruning u only affects u's parents, so
-         this single pass is the greatest fixpoint for every bound. *)
-      for i = np - 1 downto 0 do
-        ignore (prune order.(i) : bool)
+  if Pattern.is_acyclic p then
+    (* Children before parents: when u is pruned its children's sets
+       are already final, and pruning u only affects u's parents, so
+       this single pass is the greatest fixpoint for every bound. *)
+    for i = np - 1 downto 0 do
+      ignore (prune s p cand (Pattern.topo_node p i) : bool)
+    done
+  else begin
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      for u = 0 to np - 1 do
+        if prune s p cand u then changed := true
       done
-  | None ->
-      let changed = ref true in
-      while !changed do
-        changed := false;
-        for u = 0 to np - 1 do
-          if prune u then changed := true
-        done
-      done);
-  let rec all_kept u =
-    u >= np || ((not (Bitset.is_empty cand.(u))) && all_kept (u + 1))
-  in
-  all_kept 0
+    done
+  end;
+  all_kept cand np 0
 
 let refine p g ~cand =
   if Array.length cand <> Pattern.node_count p then
@@ -100,13 +74,22 @@ let refine p g ~cand =
   if fixpoint (scratch g) p cand then Some (Array.map Bitset.to_array cand)
   else None
 
+(* Reset [c] to [ids.(start) .. ids.(start + len - 1)], which ascend
+   strictly: when the last is the first plus [len - 1] they are every id
+   between the two, and whole words are set at once.  On a Gr built by
+   Compress_bisim, which numbers hypernodes by label, every label is
+   such a range; elsewhere the ids are added one by one. *)
+let[@lint.hot_loop] fill_label c ids start len =
+  Bitset.clear c;
+  if len > 0 && ids.(start + len - 1) - ids.(start) = len - 1 then
+    Bitset.add_range c ids.(start) (ids.(start + len - 1) + 1)
+  else Bitset.add_slice c ids start len
+
 (* Reset [cand.(u)] to the nodes labelled [fv(u)], for each pattern node. *)
 let fill_labels p g cand =
   for u = 0 to Pattern.node_count p - 1 do
-    let c = cand.(u) in
-    Bitset.clear c;
     let ids, start, len = Digraph.label_slice g (Pattern.label p u) in
-    Bitset.add_slice c ids start len
+    fill_label cand.(u) ids start len
   done
 
 let label_candidates p g =

@@ -7,15 +7,20 @@
     nonempty path of length ≤ k (or any length) to a matched node.
 
     Computed as a greatest-fixpoint refinement of label-based candidate
-    sets.  An acyclic pattern is refined in one pass, each pattern node
-    pruned once with its children first; a pattern with a cycle or a
+    sets.  cand(u) starts as the nodes labelled [fv(u)]; when their ids
+    are one contiguous range, as every label's are on a [Gr] built by
+    [Compress_bisim], whole words are set at once.  An acyclic pattern
+    is refined in one pass, each pattern node pruned once with its
+    children first ({!Pattern.topo_node}); a pattern with a cycle or a
     self-loop repeats passes until nothing changes.  Each pruning step
     takes one pattern edge [(u, u')]: a bound-1 edge keeps the
     candidates of [u] with a successor in cand(u'), scanning the
-    out-CSR; a bound k or [*] edge keeps those that one backward BFS
-    from cand(u') marks within k levels (any number for [*]),
-    {!Traversal.ancestors}.  That is O(|V| + |E|) time and one bitset
-    and one queue of space per graph, whatever the bound.
+    out-CSR and loading cand(u')'s words only for successors between
+    its lowest and highest member; a bound k or [*] edge keeps those
+    that one backward BFS from cand(u') marks within k levels (any
+    number for [*]), {!Traversal.ancestors}.  That is O(|V| + |E|) time
+    and one bitset and one queue of space per graph, whatever the bound.
+    The answer does not depend on how the graph's nodes are numbered.
 
     {!eval}, {!refine} and {!match_into} share one kernel: the fixpoint
     prunes the candidate bitsets in place, and only {!eval} and

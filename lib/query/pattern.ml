@@ -6,7 +6,31 @@ type t = {
   edges : (int * int * bound) list;
   out_edges : (int * bound) list array;
   in_edges : (int * bound) list array;
+  topo : int array option;
 }
+
+(* Kahn's algorithm: the pattern nodes with every parent before its
+   children, or [None] when the pattern has a cycle (a self-loop is one). *)
+let topo_sort n out_edges in_edges =
+  let indeg = Array.map List.length in_edges in
+  let order = Array.make n 0 and tail = ref 0 in
+  let push u =
+    order.(!tail) <- u;
+    incr tail
+  in
+  for u = 0 to n - 1 do
+    if indeg.(u) = 0 then push u
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    List.iter
+      (fun (u', _) ->
+        indeg.(u') <- indeg.(u') - 1;
+        if indeg.(u') = 0 then push u')
+      out_edges.(order.(!head));
+    incr head
+  done;
+  if !tail = n then Some order else None
 
 let make ~n ~labels ~edges =
   if n < 0 then invalid_arg "Pattern.make: negative node count";
@@ -23,7 +47,14 @@ let make ~n ~labels ~edges =
       out_edges.(u) <- (v, b) :: out_edges.(u);
       in_edges.(v) <- (u, b) :: in_edges.(v))
     edges;
-  { n; labels = Array.copy labels; edges; out_edges; in_edges }
+  {
+    n;
+    labels = Array.copy labels;
+    edges;
+    out_edges;
+    in_edges;
+    topo = topo_sort n out_edges in_edges;
+  }
 
 let node_count p = p.n
 let edge_count p = List.length p.edges
@@ -31,6 +62,13 @@ let label p u = p.labels.(u)
 let edges p = p.edges
 let out_edges p u = p.out_edges.(u)
 let in_edges p u = p.in_edges.(u)
+let is_acyclic p = Option.is_some p.topo
+
+let topo_node p i =
+  match p.topo with
+  | Some order when i >= 0 && i < p.n -> order.(i)
+  | Some _ -> invalid_arg "Pattern.topo_node: index out of range"
+  | None -> invalid_arg "Pattern.topo_node: the pattern has a cycle"
 
 let all_bounds_one p =
   List.for_all (fun (_, _, b) -> b = Bounded 1) p.edges

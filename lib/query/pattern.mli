@@ -31,6 +31,15 @@ val out_edges : t -> int -> (int * bound) list
 (** [in_edges p u'] lists [(u, bound)] for each pattern edge [(u, u')]. *)
 val in_edges : t -> int -> (int * bound) list
 
+(** [is_acyclic p] is [true] iff [p] has no cycle (a self-loop is one). *)
+val is_acyclic : t -> bool
+
+(** [topo_node p i] is the [i]th of [p]'s nodes in a topological order,
+    every parent before its children, for [0 <= i < node_count p].  The
+    order is computed once, by {!make}.
+    @raise Invalid_argument if [p] has a cycle or [i] is out of range. *)
+val topo_node : t -> int -> int
+
 (** [all_bounds_one p] identifies plain-simulation patterns. *)
 val all_bounds_one : t -> bool
 

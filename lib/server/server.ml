@@ -813,27 +813,27 @@ let serve_loop st stop usr1 =
     if st.draining && st.conns = [] && st.hconns = [] then ()
     else begin
       let backlog = List.exists (pending_frame st) st.conns in
-      let readable_conns conns =
-        List.filter_map
-          (fun c ->
-            if
-              (not c.closing) && (not st.draining)
-              && out_pending c < out_high_water
-            then Some c.fd
-            else None)
-          conns
+      let add_readable acc c =
+        if
+          (not c.closing) && (not st.draining)
+          && out_pending c < out_high_water
+        then c.fd :: acc
+        else acc
       in
+      let add_writable acc c = if out_pending c > 0 then c.fd :: acc else acc in
       let listening =
         st.accept_retry_ns = 0 || Obs.Clock.now_ns () >= st.accept_retry_ns
       in
       let rfds =
-        (if listening then st.lfds @ st.http_lfds else [])
-        @ readable_conns st.conns @ readable_conns st.hconns
+        List.fold_left add_readable
+          (List.fold_left add_readable [] st.conns)
+          st.hconns
       in
+      let rfds = if listening then st.lfds @ st.http_lfds @ rfds else rfds in
       let wfds =
-        List.filter_map
-          (fun c -> if out_pending c > 0 then Some c.fd else None)
-          (st.conns @ st.hconns)
+        List.fold_left add_writable
+          (List.fold_left add_writable [] st.conns)
+          st.hconns
       in
       let timeout = if backlog then 0.0 else if st.draining then 0.05 else 0.25 in
       let fed =
@@ -866,7 +866,8 @@ let serve_loop st stop usr1 =
       Obs.Window.tick st.w_queries;
       Obs.Window.tick st.w_latency;
       Obs.set_gauge g_conns (float_of_int (List.length st.conns));
-      List.iter flush_conn (st.conns @ st.hconns);
+      List.iter flush_conn st.conns;
+      List.iter flush_conn st.hconns;
       if st.draining then begin
         List.iter
           (fun c -> if not (pending_frame st c) then c.closing <- true)

@@ -124,8 +124,9 @@ let bitset_props =
 (* ------------------------------------------------------------------ *)
 (* Row kernels against a per-member model *)
 
-(* [add_slice], [union_rows], [keep_meeting] and [write_u32_le] run in C
-   over the words of a set.  Each property replays its kernel with
+(* [add_slice], [union_rows], [keep_meeting], [write_u32_le] and
+   [cardinal] run in C over the words of a set, and [add_range] sets
+   whole words.  Each property replays its kernel with
    [Bitset.add], [mem] and [remove], one member at a time, and asks for
    the same outcome: the same result, or [Invalid_argument] on the same
    input; then the same words in every set, the padding bits of the
@@ -257,6 +258,42 @@ let kernel_union_rows =
       in
       got = want && Bitset.equal into m && Bitset.equal sel sel0)
 
+(* [keep_meeting] of [s] against [t] ([s] itself when [same]) replays as
+   [mem] over each row of a member, in increasing order. *)
+let keep_meeting_print (n, nt, same, s, t, off, adj) =
+  Printf.sprintf "n=%d nt=%d same=%b s=%s t=%s off=%s adj=%s" n nt same (ints s)
+    (ints t) (int_arr off) (int_arr adj)
+
+let keep_meeting_agrees (n, nt, same, s, t, off, adj) =
+  let s = Bitset.of_list n s in
+  let t = if same then s else Bitset.of_list nt t in
+  let m = Bitset.copy s and walk = Bitset.copy s and t0 = Bitset.copy t in
+  let mt = if same then m else t0 in
+  let got = outcome (fun () -> Bitset.keep_meeting s ~off ~adj t) in
+  let rec hit v j =
+    j < off.(v + 1)
+    &&
+    let i = adj.(j) in
+    if i < 0 || i >= nt then invalid_arg "id";
+    Bitset.mem mt i || hit v (j + 1)
+  in
+  let want =
+    outcome (fun () ->
+        if Array.length off <= n then invalid_arg "off";
+        let dropped = ref false in
+        for v = 0 to n - 1 do
+          if Bitset.mem walk v then begin
+            if row_leaves off adj v then invalid_arg "row";
+            if not (hit v off.(v)) then begin
+              Bitset.remove m v;
+              dropped := true
+            end
+          end
+        done;
+        !dropped)
+  in
+  got = want && Bitset.equal s m && (same || Bitset.equal t t0)
+
 (* One draw in three meets [s] against itself. *)
 let kernel_keep_meeting =
   let gen =
@@ -268,39 +305,78 @@ let kernel_keep_meeting =
     (n, nt, same, s, t, off, adj)
   in
   qtest ~count:1000 "kernel keep_meeting matches per-member mem"
+    (gen, keep_meeting_print) keep_meeting_agrees
+
+(* [t] spans a narrow range, at most four ids from [lo], often at a word
+   edge, and the rows hold ids below it, inside it and above it, and now
+   and then outside [t]'s universe: the kernel judges the ids outside
+   the range without reading [t], and must still reject a bad one. *)
+let kernel_keep_meeting_narrow =
+  let gen =
+    let open QCheck2.Gen in
+    let* n = oneofl [ 1; 63; 64; 127 ] and* nt = oneofl [ 64; 127; 130; 200 ] in
+    let* lo = oneof [ oneofl [ 0; 61; 62; 63; 124; 125; 126 ]; int_range 0 (nt - 1) ] in
+    let* width = int_range 0 3 in
+    let lo = Mono.imin lo (nt - 1) in
+    let hi = Mono.imin (nt - 1) (lo + width) in
+    let* t = list_size (int_range 0 4) (int_range lo hi) in
+    let* s = kernel_members n in
+    let* lens = list_repeat n (int_range 0 5) in
+    let id =
+      frequency
+        [
+          (4, int_range 0 (Mono.imax 0 (lo - 1)));
+          (4, int_range lo hi);
+          (4, int_range (Mono.imin (nt - 1) (hi + 1)) (nt - 1));
+          (1, oneofl [ -1; nt; max_int ]);
+        ]
+    in
+    let+ adj = array_repeat (List.fold_left ( + ) 0 lens) id in
+    let off = Array.make (n + 1) 0 in
+    List.iteri (fun h l -> off.(h + 1) <- off.(h) + l) lens;
+    (n, nt, false, s, t, off, adj)
+  in
+  qtest ~count:1000 "kernel keep_meeting against a narrow range"
+    (gen, keep_meeting_print) keep_meeting_agrees
+
+(* Ranges start and end at the word edges, some are empty or reversed,
+   and some leave the universe, which must be rejected before anything
+   is added. *)
+let kernel_add_range =
+  let gen =
+    let open QCheck2.Gen in
+    let* n = kernel_universe in
+    let* init = kernel_members n in
+    let bound =
+      frequency
+        [
+          (4, oneofl [ 0; 62; 63; 126; 127; n ]);
+          (4, int_range 0 n);
+          (1, oneofl [ -1; n + 1 ]);
+        ]
+    in
+    let+ lo = bound and+ hi = bound in
+    (n, init, lo, hi)
+  in
+  qtest ~count:1000 "kernel add_range matches per-member add"
     ( gen,
-      fun (n, nt, same, s, t, off, adj) ->
-        Printf.sprintf "n=%d nt=%d same=%b s=%s t=%s off=%s adj=%s" n nt same (ints s)
-          (ints t) (int_arr off) (int_arr adj) )
-    (fun (n, nt, same, s, t, off, adj) ->
-      let s = Bitset.of_list n s in
-      let t = if same then s else Bitset.of_list nt t in
-      let m = Bitset.copy s and walk = Bitset.copy s and t0 = Bitset.copy t in
-      let mt = if same then m else t0 in
-      let got = outcome (fun () -> Bitset.keep_meeting s ~off ~adj t) in
-      let rec hit v j =
-        j < off.(v + 1)
-        &&
-        let i = adj.(j) in
-        if i < 0 || i >= nt then invalid_arg "id";
-        Bitset.mem mt i || hit v (j + 1)
-      in
+      fun (n, init, lo, hi) ->
+        Printf.sprintf "n=%d init=%s lo=%d hi=%d" n (ints init) lo hi )
+    (fun (n, init, lo, hi) ->
+      let s = Bitset.of_list n init and m = Bitset.of_list n init in
+      let got = outcome (fun () -> Bitset.add_range s lo hi) in
       let want =
         outcome (fun () ->
-            if Array.length off <= n then invalid_arg "off";
-            let dropped = ref false in
-            for v = 0 to n - 1 do
-              if Bitset.mem walk v then begin
-                if row_leaves off adj v then invalid_arg "row";
-                if not (hit v off.(v)) then begin
-                  Bitset.remove m v;
-                  dropped := true
-                end
-              end
-            done;
-            !dropped)
+            if lo < hi && (lo < 0 || hi > n) then invalid_arg "range";
+            for i = lo to hi - 1 do
+              Bitset.add m i
+            done)
       in
-      got = want && Bitset.equal s m && (same || Bitset.equal t t0))
+      let count = ref 0 in
+      for i = 0 to n - 1 do
+        if Bitset.mem s i then incr count
+      done;
+      got = want && Bitset.equal s m && Bitset.cardinal s = !count)
 
 (* The bytes are filled with 0xa5 first, so a rejected write that
    stored anything shows. *)
@@ -342,7 +418,14 @@ let kernel_write_u32_le =
       got = want && Bytes.equal b mb)
 
 let kernel_props =
-  [ kernel_add_slice; kernel_union_rows; kernel_keep_meeting; kernel_write_u32_le ]
+  [
+    kernel_add_slice;
+    kernel_add_range;
+    kernel_union_rows;
+    kernel_keep_meeting;
+    kernel_keep_meeting_narrow;
+    kernel_write_u32_le;
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* Digraph *)

@@ -146,8 +146,22 @@ let inc_reach_scc_formation () =
 (* ------------------------------------------------------------------ *)
 (* incPCM *)
 
+(* [Digraph.label] is non-decreasing in hypernode id. *)
+let label_ordered c =
+  let gr = Compressed.graph c in
+  let rec from h =
+    h >= Digraph.n gr || (Digraph.label gr (h - 1) <= Digraph.label gr h && from (h + 1))
+  in
+  from 1
+
 let inc_bisim_props =
   [
+    qtest ~count:300 "compressB and incPCM number hypernodes by label" arb_gu
+      (fun (g, updates) ->
+        let inc = Inc_bisim.create g in
+        label_ordered (Compress_bisim.compress g)
+        && label_ordered (Inc_bisim.compressed inc)
+        && label_ordered (Inc_bisim.apply inc updates));
     qtest ~count:400 "incPCM equals batch (mixed)" arb_gu (fun (g, updates) ->
         let inc = Inc_bisim.create g in
         let fresh = Inc_bisim.apply inc updates in
