@@ -25,16 +25,9 @@ let compress_of_partition g assignment =
         start.(l) <- start.(l) + 1)
       first_labels;
     let assignment = Array.map (fun b -> renum.(b)) first in
-    let seen = Mono.Ptbl.create 1024 in
-    let edges = ref [] in
-    Digraph.iter_edges g (fun u v ->
-        let e = (assignment.(u), assignment.(v)) in
-        if not (Mono.Ptbl.mem seen e) then begin
-          Mono.Ptbl.replace seen e ();
-          edges := e :: !edges
-        end);
-    let graph = Digraph.make ~n:k ~labels !edges in
-    Compressed.v ~graph ~node_map:assignment
+    Compressed.v ~node_map:assignment
+      ~graph:
+        (Digraph.quotient ~labels ~self_loops:true ~class_of:assignment ~k g)
   end
 
 let compress ?pool g =

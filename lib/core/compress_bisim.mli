@@ -24,7 +24,8 @@ val compress : ?pool:Pool.t -> Digraph.t -> Compressed.t
     label by the first member in [V]: [Digraph.label] is non-decreasing
     in hypernode id, so the hypernodes of each label form one id range
     of [Gr], the starting candidate set of a pattern node there
-    ({!Bounded_sim}).  O(|V| + |E| + L) for [L] labels. *)
+    ({!Bounded_sim}).  [Gr] is {!Digraph.quotient} of [g] by those ids,
+    self-loops kept.  O(|V| + |E| + L) for [L] labels. *)
 val compress_of_partition : Digraph.t -> int array -> Compressed.t
 
 (** [answer p c] evaluates pattern [p] on the compressed graph with

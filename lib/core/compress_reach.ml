@@ -9,16 +9,8 @@ let compress_of_equiv ?pool g re =
        transitive reduction. *)
     let quotient =
       Obs.span "compressR.quotient" (fun () ->
-          let seen = Mono.Ptbl.create 1024 in
-          let edges = ref [] in
-          Digraph.iter_edges g (fun u v ->
-              let cu = re.Reach_equiv.class_of.(u)
-              and cv = re.Reach_equiv.class_of.(v) in
-              if cu <> cv && not (Mono.Ptbl.mem seen (cu, cv)) then begin
-                Mono.Ptbl.replace seen (cu, cv) ();
-                edges := (cu, cv) :: !edges
-              end);
-          Digraph.make ~n:k !edges)
+          Digraph.quotient ~self_loops:false ~class_of:re.Reach_equiv.class_of
+            ~k g)
     in
     let reduced =
       Obs.span "compressR.reduce" (fun () ->

@@ -68,13 +68,13 @@ type t = {
 let compute_label_count labels =
   Array.fold_left (fun acc l -> if l >= acc then l + 1 else acc) 1 labels
 
-let check_labels n = function
+let check_labels ~fn n = function
   | None -> Array.make n 0
   | Some l ->
       if Array.length l <> n then
-        invalid_arg "Digraph.make: label array length mismatch";
+        invalid_arg (fn ^ ": label array length mismatch");
       Array.iter
-        (fun x -> if x < 0 then invalid_arg "Digraph.make: negative label")
+        (fun x -> if x < 0 then invalid_arg (fn ^ ": negative label"))
         l;
       Array.copy l
 
@@ -100,12 +100,11 @@ let mk_flat ~n ~labels ~out_off ~out_adj ~in_off ~in_adj =
     bwd = flat_side in_off in_adj;
   }
 
-(* CSR construction by two stable counting sorts: sorting the edge array by
-   destination and then (stably) by source leaves it in (src, dst)
-   lexicographic order in O(n + m) with no comparison sort; duplicates are
-   then adjacent and collapse in one compaction pass. *)
-let csr_of_edges ~n (src : int array) (dst : int array) =
-  let m0 = Array.length src in
+(* CSR construction by two stable counting sorts of the first [m0] edges:
+   sorting by destination and then (stably) by source leaves them in (src,
+   dst) lexicographic order in O(n + m) with no comparison sort; duplicates
+   are then adjacent and collapse in one compaction pass. *)
+let csr_of_edges ~n ~m0 (src : int array) (dst : int array) =
   (* Pass 1: stable counting sort by dst. *)
   let cnt = Array.make (n + 1) 0 in
   for i = 0 to m0 - 1 do
@@ -182,14 +181,14 @@ let mirror_csr ~n (out_off : int array) (out_adj : int array) =
   done;
   (in_off, in_adj)
 
-let of_edge_arrays ~n ~labels src dst =
-  let out_off, out_adj = csr_of_edges ~n src dst in
+let of_edge_arrays ~n ~m ~labels src dst =
+  let out_off, out_adj = csr_of_edges ~n ~m0:m src dst in
   let in_off, in_adj = mirror_csr ~n out_off out_adj in
   mk_flat ~n ~labels ~out_off ~out_adj ~in_off ~in_adj
 
 let make_arrays ~n ?labels edges =
   if n < 0 then invalid_arg "Digraph.make: negative node count";
-  let labels = check_labels n labels in
+  let labels = check_labels ~fn:"Digraph.make" n labels in
   let m0 = Array.length edges in
   let src = Array.make m0 0 and dst = Array.make m0 0 in
   Array.iteri
@@ -200,7 +199,7 @@ let make_arrays ~n ?labels edges =
       src.(i) <- u;
       dst.(i) <- v)
     edges;
-  of_edge_arrays ~n ~labels src dst
+  of_edge_arrays ~n ~m:m0 ~labels src dst
 
 let make ~n ?labels edges = make_arrays ~n ?labels (Array.of_list edges)
 let empty = make ~n:0 []
@@ -627,7 +626,7 @@ let append_edges g extra =
       dst.(!i) <- v;
       incr i)
     extra;
-  of_edge_arrays ~n:g.n ~labels:(Array.copy (labels g)) src dst
+  of_edge_arrays ~n:g.n ~m:(g.m + k) ~labels:(Array.copy (labels g)) src dst
 
 let add_edges g es =
   List.iter
@@ -653,8 +652,7 @@ let filter_rebuild g ~removed ~extra =
       dst.(!i) <- v;
       incr i)
     extra;
-  of_edge_arrays ~n:g.n ~labels:(Array.copy (labels g)) (Array.sub src 0 !i)
-    (Array.sub dst 0 !i)
+  of_edge_arrays ~n:g.n ~m:!i ~labels:(Array.copy (labels g)) src dst
 
 let remove_edges g es =
   let removed = Mono.Ptbl.create ((List.length es * 2) + 1) in
@@ -706,7 +704,28 @@ let induced g nodes =
               incr i
           | None -> ()))
     nodes;
-  (of_edge_arrays ~n:k ~labels:sub_labels src dst, Array.copy nodes)
+  (of_edge_arrays ~n:k ~m:!count ~labels:sub_labels src dst, Array.copy nodes)
+
+let quotient ?labels ~self_loops ~class_of ~k g =
+  if Array.length class_of <> g.n then
+    invalid_arg "Digraph.quotient: class map length mismatch";
+  Array.iter
+    (fun c ->
+      if c < 0 || c >= k then
+        invalid_arg
+          (Printf.sprintf "Digraph.quotient: class %d out of range [0,%d)" c k))
+    class_of;
+  let labels = check_labels ~fn:"Digraph.quotient" k labels in
+  let src = Array.make g.m 0 and dst = Array.make g.m 0 in
+  let i = ref 0 in
+  iter_edges g (fun u v ->
+      let cu = class_of.(u) and cv = class_of.(v) in
+      if self_loops || cu <> cv then begin
+        src.(!i) <- cu;
+        dst.(!i) <- cv;
+        incr i
+      end);
+  of_edge_arrays ~n:k ~m:!i ~labels src dst
 
 (* ------------------------------------------------------------------ *)
 (* Backend conversions *)

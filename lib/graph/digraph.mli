@@ -235,6 +235,22 @@ val edit : t -> add:(int * int) list -> remove:(int * int) list -> t
     from new ids to old ids. *)
 val induced : t -> int array -> t * int array
 
+(** [quotient ?labels ~self_loops ~class_of ~k g] is the quotient of [g]
+    by the class map [class_of]: nodes [0 .. k-1], one per class (a class
+    no node maps to is an isolated node), and an edge [(a, b)] iff some
+    edge [(u, v)] of [g] has [class_of.(u) = a] and [class_of.(v) = b].
+    With [~self_loops:false] the pairs with [a = b] are dropped; with
+    [true] they are kept.  Labels default to all-0, as in {!make}.  Rows
+    are sorted and deduplicated by {!make}'s counting sorts, with no
+    table of pairs; O(n + m + k).  The result is on the flat backend.
+    This is the one builder behind compressR's and compressB's Gr and
+    {!Scc.condensation}.
+    @raise Invalid_argument if [class_of] does not have length [n g], a
+    class lies outside [[0, k)], or [labels] does not have length [k] or
+    holds a negative label; nothing is built then. *)
+val quotient :
+  ?labels:int array -> self_loops:bool -> class_of:int array -> k:int -> t -> t
+
 (** {1 Comparison and printing} *)
 
 (** [equal a b] is structural equality: same [n], labels and edge sets —

@@ -92,10 +92,6 @@ let compute g =
   { count; comp; members; nontrivial }
 
 let condensation g scc =
-  let edges = ref [] in
-  Digraph.iter_edges g (fun u v ->
-      let cu = scc.comp.(u) and cv = scc.comp.(v) in
-      if cu <> cv then edges := (cu, cv) :: !edges);
-  Digraph.make ~n:scc.count !edges
+  Digraph.quotient ~self_loops:false ~class_of:scc.comp ~k:scc.count g
 
 let same_scc scc u v = scc.comp.(u) = scc.comp.(v)

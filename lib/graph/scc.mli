@@ -25,7 +25,9 @@ val compute : Digraph.t -> t
 (** [condensation g scc] is the SCC graph [Gscc]: one node per SCC, an edge
     [(a, b)] iff some member edge crosses from SCC [a] to SCC [b] with
     [a ≠ b] (no self-loops, per the paper's definition).  Labels of the
-    condensation are all 0: reachability ignores labels. *)
+    condensation are all 0: reachability ignores labels.  It is
+    {!Digraph.quotient} by [scc.comp] without self-loops, so its rows are
+    sorted and deduplicated; O(|V| + |E|). *)
 val condensation : Digraph.t -> t -> Digraph.t
 
 (** [same_scc scc u v] is [true] iff [u] and [v] are in one SCC. *)

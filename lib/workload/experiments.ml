@@ -790,13 +790,10 @@ module Ablation = struct
         in
         (* Hypernode edges without the redundant-edge rule: distinct class
            pairs linked by a member edge. *)
-        let re = Reach_equiv.compute g in
-        let seen = Hashtbl.create 1024 in
-        Digraph.iter_edges g (fun u v ->
-            let cu = re.Reach_equiv.class_of.(u)
-            and cv = re.Reach_equiv.class_of.(v) in
-            if cu <> cv then Hashtbl.replace seen (cu, cv) ());
-        let quotient_edges = Hashtbl.length seen in
+        let { Reach_equiv.class_of; count; _ } = Reach_equiv.compute g in
+        let quotient_edges =
+          Digraph.m (Digraph.quotient ~self_loops:false ~class_of ~k:count g)
+        in
         (* Update-reduction effectiveness on a random insertion batch. *)
         let rng = Random.State.make [| opts.seed; 4242 |] in
         let batch = Update_gen.insertions rng g ~count:200 in

@@ -2,7 +2,7 @@ let compute g ~k =
   if k < 0 then invalid_arg "Kbisim.compute: negative k";
   let cur = ref (Partition.normalize_assignment (Array.copy (Digraph.labels g))) in
   for _ = 1 to k do
-    cur := Bisimulation.refine_once g !cur
+    cur := Bisim_oracle.refine_once g !cur
   done;
   Partition.normalize_assignment !cur
 
@@ -12,10 +12,8 @@ let quotient_of g assignment =
   let blocks = Array.fold_left (fun acc b -> Mono.imax acc (b + 1)) 1 assignment in
   let labels = Array.make blocks 0 in
   Array.iteri (fun v b -> labels.(b) <- Digraph.label g v) assignment;
-  let edges = ref [] in
-  Digraph.iter_edges g (fun u v ->
-      edges := (assignment.(u), assignment.(v)) :: !edges);
-  (Digraph.make ~n:blocks ~labels !edges, assignment)
+  ( Digraph.quotient ~labels ~self_loops:true ~class_of:assignment ~k:blocks g,
+    assignment )
 
 let index_graph g ~k = quotient_of g (compute g ~k)
 let index_graph_backward g ~k = quotient_of g (compute_backward g ~k)
@@ -35,7 +33,7 @@ let compute_dk g ~k_of =
     let partitions = Array.make (kmax + 1) [||] in
     partitions.(0) <- Partition.normalize_assignment (Array.copy (Digraph.labels g));
     for k = 1 to kmax do
-      partitions.(k) <- Bisimulation.refine_once rev partitions.(k - 1)
+      partitions.(k) <- Bisim_oracle.refine_once rev partitions.(k - 1)
     done;
     (* group by the pair (own k, class at that k) *)
     (* keyed grouping by (k, class) pair — not on the refinement hot path *)

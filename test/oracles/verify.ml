@@ -40,7 +40,7 @@ let is_reach_equivalence g c =
   Partition.equivalent reference.Reach_equiv.class_of (partition_of_compressed c)
 
 let is_max_bisimulation g c =
-  let reference = Bisimulation.max_bisimulation_naive g in
+  let reference = Bisim_oracle.max_bisimulation_naive g in
   Partition.equivalent reference (partition_of_compressed c)
 
 let same_compression a b =

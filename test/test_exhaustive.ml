@@ -46,11 +46,11 @@ let exhaustive_3_labeled () =
           Alcotest.failf "Re classes wrong on mask %d" mask;
         (* bisimulation algorithms agree *)
         let pt = Bisimulation.max_bisimulation g in
-        if not (Partition.equivalent pt (Bisimulation.max_bisimulation_naive g))
+        if not (Partition.equivalent pt (Bisim_oracle.max_bisimulation_naive g))
         then Alcotest.failf "PT <> naive on mask %d" mask;
         if
           not
-            (Partition.equivalent pt (Bisimulation.max_bisimulation_ranked g))
+            (Partition.equivalent pt (Bisim_oracle.max_bisimulation_ranked g))
         then Alcotest.failf "PT <> ranked on mask %d" mask;
         (* Theorem 4 on a fixed pattern *)
         let bc = Compress_bisim.compress g in

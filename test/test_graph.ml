@@ -477,6 +477,83 @@ let digraph_induced () =
   Alcotest.(check (array int)) "mapping" [| 1; 2; 3 |] mapping;
   Digraph.validate sub
 
+(* The quotient by definition: map both ends of every edge, drop the
+   equal-end pairs when asked, and let [make] sort and deduplicate. *)
+let naive_quotient ?labels ~self_loops ~class_of ~k g =
+  Testutil.edges_list g
+  |> List.map (fun (u, v) -> (class_of.(u), class_of.(v)))
+  |> List.filter (fun (a, b) -> self_loops || a <> b)
+  |> Digraph.make ~n:k ?labels
+
+let digraph_quotient () =
+  (* Nodes 0, 1 and 3 form class 2, node 2 is class 0; classes 1 and 3
+     are empty.  Three edges land on (2, 2), two on (2, 0). *)
+  let g =
+    Digraph.make ~n:4 [ (0, 1); (1, 0); (0, 2); (1, 2); (2, 2); (3, 0) ]
+  in
+  let class_of = [| 2; 2; 0; 2 |] and labels = [| 5; 0; 1; 0 |] in
+  let q = Digraph.quotient ~labels ~self_loops:true ~class_of ~k:4 g in
+  Alcotest.(check int) "one node per class" 4 (Digraph.n q);
+  Alcotest.(check (list (pair int int)))
+    "distinct pairs, loops kept" [ (0, 0); (2, 0); (2, 2) ]
+    (Testutil.edges_list q);
+  Alcotest.(check int) "labels carried" 5 (Digraph.label q 0);
+  let q = Digraph.quotient ~self_loops:false ~class_of ~k:4 g in
+  Alcotest.(check (list (pair int int)))
+    "loops dropped" [ (2, 0) ] (Testutil.edges_list q);
+  Alcotest.(check int) "labels default to 0" 1 (Digraph.label_count q);
+  Digraph.validate q;
+  let e = Digraph.quotient ~self_loops:true ~class_of:[||] ~k:2 Digraph.empty in
+  Alcotest.(check int) "empty graph, two classes" 2 (Digraph.n e);
+  Alcotest.(check int) "no edges" 0 (Digraph.m e)
+
+let digraph_quotient_errors () =
+  let g = Digraph.make ~n:3 [ (0, 1); (1, 2) ] in
+  let quotient ?labels class_of =
+    ignore (Digraph.quotient ?labels ~self_loops:true ~class_of ~k:2 g)
+  in
+  Alcotest.check_raises "class map too short"
+    (Invalid_argument "Digraph.quotient: class map length mismatch")
+    (fun () -> quotient [| 0; 1 |]);
+  Alcotest.check_raises "class map too long"
+    (Invalid_argument "Digraph.quotient: class map length mismatch")
+    (fun () -> quotient [| 0; 1; 1; 0 |]);
+  Alcotest.check_raises "class k"
+    (Invalid_argument "Digraph.quotient: class 2 out of range [0,2)")
+    (fun () -> quotient [| 0; 1; 2 |]);
+  Alcotest.check_raises "negative class"
+    (Invalid_argument "Digraph.quotient: class -1 out of range [0,2)")
+    (fun () -> quotient [| 0; -1; 1 |]);
+  Alcotest.check_raises "labels of the wrong length"
+    (Invalid_argument "Digraph.quotient: label array length mismatch")
+    (fun () -> quotient ~labels:[| 0; 0; 0 |] [| 0; 1; 1 |])
+
+(* Graphs with self-loops (n = 0 included); a class map onto [0, used)
+   that may leave classes empty and sends many edges to one pair; k up to
+   three above [used]; labels on the classes, or none. *)
+let quotient_case_gen =
+  let open QCheck2.Gen in
+  let* n = int_range 0 12 in
+  let node = int_range 0 (max 0 (n - 1)) in
+  let* edges =
+    if n = 0 then pure [] else list_size (int_range 0 (3 * n)) (pair node node)
+  in
+  let* loops = if n = 0 then pure [] else list_size (int_range 0 3) node in
+  let* used = if n = 0 then pure 0 else int_range 1 4 in
+  let* class_of = array_size (pure n) (int_range 0 (max 0 (used - 1))) in
+  let* k = map (( + ) used) (int_range 0 3) in
+  let* labels = option (array_size (pure k) (int_range 0 3)) in
+  let* self_loops = bool in
+  let g = Digraph.make ~n (List.map (fun v -> (v, v)) loops @ edges) in
+  pure (g, class_of, k, labels, self_loops)
+
+let quotient_case_print (g, class_of, k, labels, self_loops) =
+  let ints a = String.concat ";" (Array.to_list (Array.map string_of_int a)) in
+  Printf.sprintf "%s\nclass_of [|%s|] k %d labels %s self_loops %b"
+    (Testutil.digraph_print g) (ints class_of) k
+    (match labels with Some l -> "[|" ^ ints l ^ "|]" | None -> "none")
+    self_loops
+
 let arb_g = Testutil.arbitrary_digraph ()
 
 let digraph_props =
@@ -490,6 +567,12 @@ let digraph_props =
     qtest "validate accepts all built graphs" arb_g (fun g ->
         Digraph.validate g;
         true);
+    qtest ~count:500 "quotient equals the naive edge-list quotient"
+      (quotient_case_gen, quotient_case_print)
+      (fun (g, class_of, k, labels, self_loops) ->
+        let q = Digraph.quotient ?labels ~self_loops ~class_of ~k g in
+        Digraph.validate q;
+        Digraph.equal q (naive_quotient ?labels ~self_loops ~class_of ~k g));
     qtest "edges round-trips through make" arb_g (fun g ->
         Digraph.equal g
           (Digraph.make ~n:(Digraph.n g) ~labels:(Digraph.labels g)
@@ -1199,6 +1282,8 @@ let () =
           Alcotest.test_case "errors" `Quick digraph_errors;
           Alcotest.test_case "edit" `Quick digraph_edit;
           Alcotest.test_case "induced" `Quick digraph_induced;
+          Alcotest.test_case "quotient" `Quick digraph_quotient;
+          Alcotest.test_case "quotient errors" `Quick digraph_quotient_errors;
         ]
         @ digraph_props );
       ( "traversal",

@@ -97,10 +97,10 @@ let pt_props =
     qtest ~count:300 "PT equals naive refinement" arb_g (fun g ->
         Partition.equivalent
           (Bisimulation.max_bisimulation g)
-          (Bisimulation.max_bisimulation_naive g));
+          (Bisim_oracle.max_bisimulation_naive g));
     qtest ~count:300 "rank-stratified DPP equals PT" arb_g (fun g ->
         Partition.equivalent
-          (Bisimulation.max_bisimulation_ranked g)
+          (Bisim_oracle.max_bisimulation_ranked g)
           (Bisimulation.max_bisimulation g));
     qtest "PT output is stable" arb_g (fun g ->
         Bisimulation.is_stable_partition g (Bisimulation.max_bisimulation g));
@@ -279,7 +279,7 @@ let flat_engine_props =
   [
     qtest ~count:300 "flat engine matches naive oracle (domains 1,2,4)" arb_g
       (fun g ->
-        let naive = Bisimulation.max_bisimulation_naive g in
+        let naive = Bisim_oracle.max_bisimulation_naive g in
         List.for_all
           (fun (_, pool) ->
             Partition.equivalent (Bisimulation.max_bisimulation ~pool g) naive)
