@@ -124,9 +124,20 @@ let graph_arg =
     & pos 0 (some file) None
     & info [] ~docv:"GRAPH" ~doc:"Graph file (see README for the format).")
 
+(* The last file an --mmap load opened, if any.  Opening checks a mapped
+   file only as far as its headers, so a corrupt section shows up later,
+   as an [Invalid_argument] from the work that reads it; the command then
+   takes the error exit naming this file (see the end of this file), as
+   it would have at load time without --mmap. *)
+let mapped_input = ref None
+
+let load ~mmap path f =
+  if mmap then mapped_input := Some path;
+  or_exit path f
+
 (* [Graph_io.load] sniffs the snapshot magic, so every subcommand accepts
    text and binary graph files interchangeably. *)
-let load_graph ~mmap path = or_exit path (fun () -> Graph_io.load ~mmap path)
+let load_graph ~mmap path = load ~mmap path (fun () -> Graph_io.load ~mmap path)
 
 (* GRAPH and --mmap: the graph, loaded through the error exit. *)
 let graph_term =
@@ -135,7 +146,7 @@ let graph_term =
 
 (* A saved index snapshot, checked against the graph it answers for. *)
 let load_index ~mmap g path =
-  let idx = or_exit path (fun () -> Reach_index_io.load ~mmap path) in
+  let idx = load ~mmap path (fun () -> Reach_index_io.load ~mmap path) in
   if Reach_index.original_n idx <> Digraph.n g then
     die "index answers for %d node(s) but the graph has %d"
       (Reach_index.original_n idx) (Digraph.n g);
@@ -550,7 +561,7 @@ let cquery_cmd =
     Arg.(required & pos 2 (some int) None & info [] ~docv:"TARGET" ~doc:"Target node (original id).")
   in
   let run () mmap path source target =
-    let c = or_exit path (fun () -> Compressed_io.load ~mmap path) in
+    let c = load ~mmap path (fun () -> Compressed_io.load ~mmap path) in
     check_nodes (Compressed.original_n c) [ source; target ];
     Printf.printf "QR(%d, %d) = %b   (answered on Gr alone: %d hypernodes)\n"
       source target
@@ -1208,11 +1219,21 @@ let top_cmd =
 let () =
   let doc = "query preserving graph compression (Fan et al., SIGMOD 2012)" in
   let info = Cmd.info "qpgc" ~version:"1.0.0" ~doc in
+  let cmd =
+    Cmd.group info
+      [
+        generate_cmd; stats_cmd; compress_cmd; index_cmd; query_cmd;
+        cquery_cmd; match_cmd; rpq_cmd; workload_cmd; dot_cmd; convert_cmd;
+        datasets_cmd; serve_cmd; loadgen_cmd; top_cmd;
+      ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            generate_cmd; stats_cmd; compress_cmd; index_cmd; query_cmd;
-            cquery_cmd; match_cmd; rpq_cmd; workload_cmd; dot_cmd;
-            convert_cmd; datasets_cmd; serve_cmd; loadgen_cmd; top_cmd;
-          ]))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception e -> (
+        match (e, !mapped_input) with
+        | Invalid_argument msg, Some path -> die "%s:0: %s" path msg
+        | _ ->
+            Printf.eprintf "qpgc: internal error, uncaught exception:\n  %s\n%!"
+              (Printexc.to_string e);
+            Cmd.Exit.internal_error))

@@ -91,13 +91,13 @@ let compute g =
       let process c =
         let base, start, len = slice c in
         if len = 0 && not cyclic.(c) then seal c empty empty_hash
-        else if len = 1 && (not cyclic.(c)) && cyclic.(base.(start)) then
-          seal c sets.(base.(start)) hashes.(base.(start))
+        else if len = 1 && (not cyclic.(c)) && cyclic.(base.{start}) then
+          seal c sets.(base.{start}) hashes.(base.{start})
         else begin
           Bitset.clear scratch;
           if cyclic.(c) then Bitset.add scratch c;
           for i = start to start + len - 1 do
-            let c' = base.(i) in
+            let c' = base.{i} in
             (* The sets are transitively closed, so once c' is a member an
                earlier neighbour has absorbed its whole set: skip the
                O(k/63) union sweep.  When the union does run, its changed

@@ -36,19 +36,6 @@ let mem s i =
   let w = i / bits_per_word in
   Array.unsafe_get s.words w land (1 lsl (i - (w * bits_per_word))) <> 0
 
-(* [mem] inline over a slice, stopping at the first hit: one toplevel
-   recursion, no call per element. *)
-let rec meets_from s a i stop =
-  i < stop
-  &&
-  let x = a.(i) in
-  if x < 0 || x >= s.size then out_of_range s x;
-  let w = x / bits_per_word in
-  Array.unsafe_get s.words w land (1 lsl (x - (w * bits_per_word))) <> 0
-  || meets_from s a (i + 1) stop
-
-let meets_slice s a start len = meets_from s a start (start + len)
-
 (* Whole words at a time: a mask for the first and the last word of the
    range, every bit of the words between.  [-1] is all 63 bits, and
    [-1 lsl 63] is 0. *)
@@ -240,36 +227,42 @@ external union_rows_c : t -> int array -> int array -> t -> int
   = "qpgc_bitset_union_rows"
 [@@noalloc]
 
-external keep_meeting_c : t -> int array -> int array -> t -> int
+external keep_meeting_c :
+  t ->
+  (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  t ->
+  int
   = "qpgc_bitset_keep_meeting"
 [@@noalloc]
 
 external write_u32_le_c : t -> Bytes.t -> int -> int = "qpgc_bitset_write_u32_le"
 [@@noalloc]
 
-let row_error op target ids code =
+let row_error op target id code =
   if code = -1 then invalid_arg ("Bitset." ^ op ^ ": a row leaves its array")
-  else out_of_range target ids.(-2 - code)
+  else out_of_range target (id (-2 - code))
 
 let add_slice s a start len =
   if len > 0 then begin
     if start < 0 || start > Array.length a - len then
       invalid_arg "Bitset.add_slice: slice out of bounds";
     let r = add_slice_c s a start len in
-    if r < 0 then row_error "add_slice" s a r
+    if r < 0 then row_error "add_slice" s (Array.get a) r
   end
 
 let union_rows ~into ~off ~ids sel =
   if Array.length off <= sel.size then
     invalid_arg "Bitset.union_rows: offsets too short";
   let r = union_rows_c into off ids sel in
-  if r < 0 then row_error "union_rows" into ids r
+  if r < 0 then row_error "union_rows" into (Array.get ids) r
 
 let keep_meeting s ~off ~adj t =
-  if Array.length off <= s.size then
+  if Bigarray.Array1.dim off <= s.size then
     invalid_arg "Bitset.keep_meeting: offsets too short";
   let r = keep_meeting_c s off adj t in
-  if r < 0 then row_error "keep_meeting" t adj r else r = 1
+  if r < 0 then row_error "keep_meeting" t (Bigarray.Array1.get adj) r
+  else r = 1
 
 let write_u32_le s b pos =
   let r = write_u32_le_c s b pos in

@@ -44,12 +44,6 @@ val remove : t -> int -> unit
 (** [mem s i] is [true] iff bit [i] is set. *)
 val mem : t -> int -> bool
 
-(** [meets_slice s a start len] is [true] iff some of [a.(start) .. a.(start
-    + len - 1)] is a member of [s]: {!mem} over an array slice in one
-    tight loop, stopping at the first hit.
-    @raise Invalid_argument if an element it reads is out of range. *)
-val meets_slice : t -> int array -> int -> int -> bool
-
 (** [cardinal s] is the number of set bits: a popcount over all words,
     in C, allocating nothing. *)
 val cardinal : t -> int
@@ -121,19 +115,26 @@ val iter_with : ('a -> int -> unit) -> 'a -> t -> unit
 val union_rows : into:t -> off:int array -> ids:int array -> t -> unit
 
 (** [keep_meeting s ~off ~adj t] removes from [s] every member [v] whose
-    CSR row [adj.(off.(v)) .. adj.(off.(v + 1) - 1)] has no member of
+    CSR row [adj.{off.{v}} .. adj.{off.{v + 1} - 1}] has no member of
     [t], and is [true] iff it removed one.  One walk over the words of
     [s] in increasing order; a row is scanned up to its first member of
     [t].  The lowest and highest members of [t] are read once per call,
     and an id outside them is judged without a load of [t]'s words, so a
     [t] that spans a narrow id range costs little per id; rows need not
     be sorted.  [t] may be [s] itself, in which case a member removed
-    earlier in the walk no longer counts.
+    earlier in the walk no longer counts.  [off] and [adj] are the
+    Bigarrays of a {!Digraph} CSR store, on the heap or over a mapped
+    file that may be corrupt, so every row and every id is checked.
     @raise Invalid_argument if [off] has fewer than [universe_size s + 1]
     entries, before anything is removed; or if a non-empty row leaves
     [adj] or, before its first hit, holds an id outside [t]'s universe,
     after the members before it are judged. *)
-val keep_meeting : t -> off:int array -> adj:int array -> t -> bool
+val keep_meeting :
+  t ->
+  off:(int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  adj:(int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t ->
+  t ->
+  bool
 
 (** [write_u32_le s b pos] writes the members in increasing order as
     u32 little-endian values into [b] from [pos], [4 * cardinal s] bytes,

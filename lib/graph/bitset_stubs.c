@@ -16,6 +16,7 @@
 
 #include <stdint.h>
 #include <caml/mlvalues.h>
+#include <caml/bigarray.h>
 
 #define BITS 63
 
@@ -56,14 +57,10 @@ static inline uintnat popcount(uint64_t x)
   return (uintnat)((x * 0x0101010101010101ULL) >> 56);
 }
 
-/* Whether [off[h], off[h+1]) is empty or inside an array of [n] cells;
-   the row is returned in [lo], [hi]. */
-static inline int row_ok(value off, uintnat h, uintnat n, intnat *lo,
-                         intnat *hi)
+/* Whether the row [lo, hi) is empty or inside an array of [n] cells. */
+static inline int row_ok(intnat lo, intnat hi, uintnat n)
 {
-  *lo = Long_val(Field(off, h));
-  *hi = Long_val(Field(off, h + 1));
-  return *lo >= *hi || (*lo >= 0 && (uintnat)*hi <= n);
+  return lo >= hi || (lo >= 0 && (uintnat)hi <= n);
 }
 
 /* Bitset.add_slice: the wrapper checked 0 <= start, len > 0 and
@@ -93,9 +90,9 @@ CAMLprim value qpgc_bitset_union_rows(value into, value off, value ids,
   for (uintnat w = 0; w < nw; w++) {
     for (uint64_t x = word_bits(sw, w); x != 0; x &= x - 1) {
       uintnat h = w * BITS + (uintnat)__builtin_ctzll(x);
-      intnat lo, hi;
       if (h >= ssize) return Val_long(0); /* no member is past the size */
-      if (!row_ok(off, h, nids, &lo, &hi)) return Val_long(-1);
+      intnat lo = Long_val(Field(off, h)), hi = Long_val(Field(off, h + 1));
+      if (!row_ok(lo, hi, nids)) return Val_long(-1);
       for (intnat j = lo; j < hi; j++) {
         uintnat i = (uintnat)Long_val(Field(ids, j));
         if (i >= isize) return Val_long(-2 - j);
@@ -122,30 +119,36 @@ static void member_range(value words, uintnat *lo, uintnat *hi)
   *hi = (last - 1) * BITS + 63 - (uintnat)__builtin_clzll(word_bits(words, last - 1));
 }
 
-/* Bitset.keep_meeting, under the same check on [off].  The walk reads a
-   copy of each word of [s] and clears members in [s] itself, so when
-   [t] is [s] a member removed earlier no longer counts as a hit.  The
-   members of [t] lie in [tlo, thi], read once per call: an id outside
-   it is checked against [t]'s universe but needs no load of [t]'s
-   words.  When [t] is [s], removals only shrink the true range, so
-   the one read at the start still covers it. */
-CAMLprim value qpgc_bitset_keep_meeting(value s, value off, value adj,
+/* Bitset.keep_meeting, under the same check on [off].  [off] and [adj]
+   are the int Bigarrays of a CSR store, read as untagged intnat; they
+   may be mapped from a corrupt file, so every row and every id is
+   checked here too.  The walk reads a copy of each word of [s] and
+   clears members in [s] itself, so when [t] is [s] a member removed
+   earlier no longer counts as a hit.  The members of [t] lie in
+   [tlo, thi], read once per call: an id outside it is checked against
+   [t]'s universe but needs no load of [t]'s words.  When [t] is [s],
+   removals only shrink the true range, so the one read at the start
+   still covers it. */
+CAMLprim value qpgc_bitset_keep_meeting(value s, value voff, value vadj,
                                         value t)
 {
   value sw = SET_WORDS(s), tw = SET_WORDS(t);
+  const intnat *off = (const intnat *)Caml_ba_data_val(voff);
+  const intnat *adj = (const intnat *)Caml_ba_data_val(vadj);
   uintnat ssize = SET_SIZE(s), tsize = SET_SIZE(t);
-  uintnat nadj = Wosize_val(adj), nw = Wosize_val(sw), tlo, thi;
+  uintnat nadj = (uintnat)Caml_ba_array_val(vadj)->dim[0];
+  uintnat nw = Wosize_val(sw), tlo, thi;
   int dropped = 0;
   member_range(tw, &tlo, &thi);
   for (uintnat w = 0; w < nw; w++) {
     for (uint64_t x = word_bits(sw, w); x != 0; x &= x - 1) {
       unsigned b = (unsigned)__builtin_ctzll(x);
       uintnat v = w * BITS + b;
-      intnat lo, hi, j;
       if (v >= ssize) return Val_long(dropped);
-      if (!row_ok(off, v, nadj, &lo, &hi)) return Val_long(-1);
+      intnat lo = off[v], hi = off[v + 1], j;
+      if (!row_ok(lo, hi, nadj)) return Val_long(-1);
       for (j = lo; j < hi; j++) {
-        uintnat i = (uintnat)Long_val(Field(adj, j));
+        uintnat i = (uintnat)adj[j];
         if (i >= tsize) return Val_long(-2 - j);
         if (i >= tlo && i <= thi && has(tw, i)) break;
       }

@@ -1,22 +1,25 @@
-(* Backend-polymorphic compressed-sparse-row storage.
+(* Compressed-sparse-row graph storage.
 
    Logically every graph is the same structure: per-node successor slices,
-   strictly sorted and deduplicated, plus the mirrored in-adjacency.  The
-   physical representation is pluggable per direction:
+   strictly sorted and deduplicated, plus the mirrored in-adjacency.  Each
+   direction is held by one of two stores:
 
-   - [Sflat]    heap int arrays (the original CSR): one flat adjacency
-                array indexed by an [n+1]-entry offset array;
-   - [Smapped]  the same two arrays as [Bigarray] views over an mmap'd
-                'M' snapshot — zero-copy, O(1) load, page-cache resident;
+   - [Scsr]     an [n+1]-entry offset array over one flat adjacency array,
+                both [int] Bigarrays; the labels are a third.  A graph
+                built in memory allocates them off the OCaml heap; an mmap
+                load of an 'M' snapshot maps them over the file's pages,
+                zero-copy and O(1) in the graph size.  The two differ only
+                in where the arrays live, which [t.mapped] records;
    - [Svarint]  gap+LEB128 delta-encoded adjacency: a per-node int32
                 byte-offset index into one byte stream holding
                 [degree, first, gap, gap, ...] per node.
 
-   All consumers go through the accessors below; the raw-array surface
-   ([out_csr]/[in_csr], [succ_slice]) is preserved by materialising a
-   cached "dense view" on non-flat backends, or by decoding into a
-   per-domain scratch buffer for slices.  [reverse] stays O(1): the two
-   direction records swap roles. *)
+   All consumers go through the accessors below.  On the CSR store a slice
+   is a view into the graph's own arrays and [out_csr]/[in_csr] are those
+   arrays.  Only the varint store decodes: slices into a per-domain scratch
+   buffer, [out_csr]/[in_csr] into a cached dense copy, and
+   [keep_with_succ_in] through the [keep] record.  [reverse] stays O(1):
+   the two direction stores swap roles. *)
 
 type int_ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -25,31 +28,30 @@ type int32_ba =
 
 type backend = Flat | Mapped | Varint
 
-type store =
-  | Sflat of { off : int array; adj : int array }
-  | Smapped of { off : int_ba; adj : int_ba }
-  | Svarint of { idx : int32_ba; data : string }
-
-(* One direction of adjacency.  [dense] caches the materialised flat view
-   for non-flat stores (for [Sflat] it aliases the store itself and costs
-   nothing); it is an [Atomic] because pool workers may force it
+(* One direction of adjacency.  A varint store caches its materialised
+   CSR in [dense], an [Atomic] because pool workers may force it
    concurrently — both compute identical immutable arrays, so whichever
-   publication wins is correct.  [scratch] is the per-domain slice-decode
-   buffer, present iff the store is not flat; keying by [Domain.DLS] keeps
-   concurrent slice decodes from different pool workers from trampling
-   each other. *)
-type side = {
-  store : store;
-  dense : (int array * int array) option Atomic.t;
-  scratch : int array ref Domain.DLS.key option;
-}
+   publication wins is correct — and decodes slices into the per-domain
+   buffer under [scratch], so that concurrent decodes from different pool
+   workers do not trample each other. *)
+type store =
+  | Scsr of (int_ba * int_ba) (* offsets, adjacency *)
+  | Svarint of {
+      idx : int32_ba;
+      data : string;
+      dense : (int_ba * int_ba) option Atomic.t;
+      scratch : int_ba ref Domain.DLS.key;
+    }
 
-type labels_store = Lheap of int array | Lmapped of int_ba | L32 of int32_ba
+(* The labels: a third array of the CSR store, or the varint backend's
+   int32 array. *)
+type labels_store = Lcsr of int_ba | L32 of int32_ba
 
-(* [by_label] caches the label index: the nodes grouped by label as a CSR
-   of [label_count + 1] offsets over ascending ids.  Built on first use;
-   an [Atomic] for the same reason as [side.dense].  It lives with the
-   labels, so [with_labels] starts a fresh one. *)
+(* [dense_labels] caches the heap array {!labels} returns and [by_label]
+   the label index: the nodes grouped by label as a CSR of
+   [label_count + 1] offsets over ascending ids.  Both are built on first
+   use, in an [Atomic] for the same reason as a varint store's [dense].
+   They live with the labels, so [with_labels] starts fresh ones. *)
 type lab = {
   ls : labels_store;
   dense_labels : int array option Atomic.t;
@@ -60,45 +62,48 @@ type t = {
   n : int;
   m : int;
   label_count : int;
+  mapped : bool; (* the CSR store is a view over an 'M' file *)
   lab : lab;
-  fwd : side; (* out-adjacency *)
-  bwd : side; (* in-adjacency *)
+  fwd : store; (* out-adjacency *)
+  bwd : store; (* in-adjacency *)
 }
 
-let compute_label_count labels =
-  Array.fold_left (fun acc l -> if l >= acc then l + 1 else acc) 1 labels
+let dim = Bigarray.Array1.dim
+let ba_create n : int_ba = Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
+
+let ba_copy (a : int_ba) =
+  let c = ba_create (dim a) in
+  Bigarray.Array1.blit a c;
+  c
+
+(* [Bigarray.Array1.of_array] makes one C call per element. *)
+let ba_of_array (a : int array) =
+  let c = ba_create (Array.length a) in
+  Array.iteri (fun i x -> c.{i} <- x) a;
+  c
+
+let label_count_of (labels : int_ba) =
+  let k = ref 1 in
+  for v = 0 to dim labels - 1 do
+    if labels.{v} >= !k then k := labels.{v} + 1
+  done;
+  !k
 
 let check_labels ~fn n = function
-  | None -> Array.make n 0
+  | None ->
+      let a = ba_create n in
+      Bigarray.Array1.fill a 0;
+      a
   | Some l ->
       if Array.length l <> n then
         invalid_arg (fn ^ ": label array length mismatch");
       Array.iter
         (fun x -> if x < 0 then invalid_arg (fn ^ ": negative label"))
         l;
-      Array.copy l
+      ba_of_array l
 
-let mk_lab ls ~dense =
-  { ls; dense_labels = Atomic.make dense; by_label = Atomic.make None }
-
-let flat_side off adj =
-  {
-    store = Sflat { off; adj };
-    dense = Atomic.make (Some (off, adj));
-    scratch = None;
-  }
-
-let scratch_key () = Some (Domain.DLS.new_key (fun () -> ref [||]))
-
-let mk_flat ~n ~labels ~out_off ~out_adj ~in_off ~in_adj =
-  {
-    n;
-    m = Array.length out_adj;
-    label_count = compute_label_count labels;
-    lab = mk_lab (Lheap labels) ~dense:(Some labels);
-    fwd = flat_side out_off out_adj;
-    bwd = flat_side in_off in_adj;
-  }
+let mk_lab ls =
+  { ls; dense_labels = Atomic.make None; by_label = Atomic.make None }
 
 (* CSR construction by two stable counting sorts of the first [m0] edges:
    sorting by destination and then (stably) by source leaves them in (src,
@@ -141,11 +146,11 @@ let csr_of_edges ~n ~m0 (src : int array) (dst : int array) =
     cursor.(u) <- p + 1;
     d2.(p) <- d1.(i)
   done;
-  (* Compact adjacent duplicates, rebuilding the offsets. *)
-  let out_off = Array.make (n + 1) 0 in
+  (* Compact adjacent duplicates, writing the offsets into the store. *)
+  let out_off = ba_create (n + 1) in
   let k = ref 0 in
   for u = 0 to n - 1 do
-    out_off.(u) <- !k;
+    out_off.{u} <- !k;
     let lo = off.(u) and hi = off.(u + 1) in
     for i = lo to hi - 1 do
       if i = lo || d2.(i) <> d2.(i - 1) then begin
@@ -154,37 +159,58 @@ let csr_of_edges ~n ~m0 (src : int array) (dst : int array) =
       end
     done
   done;
-  out_off.(n) <- !k;
-  let out_adj = if !k = m0 then d2 else Array.sub d2 0 !k in
+  out_off.{n} <- !k;
+  let out_adj = ba_create !k in
+  for i = 0 to !k - 1 do
+    out_adj.{i} <- d2.(i)
+  done;
   (out_off, out_adj)
 
 (* Mirror a CSR: counting sort of the (u, v) pairs by v.  Scanning u in
    ascending order keeps each in-slice sorted. *)
-let mirror_csr ~n (out_off : int array) (out_adj : int array) =
-  let m = Array.length out_adj in
-  let in_off = Array.make (n + 1) 0 in
+let mirror_csr ~n (out_off : int_ba) (out_adj : int_ba) =
+  let m = dim out_adj in
+  let in_off = ba_create (n + 1) in
+  Bigarray.Array1.fill in_off 0;
   for i = 0 to m - 1 do
-    in_off.(out_adj.(i) + 1) <- in_off.(out_adj.(i) + 1) + 1
+    in_off.{out_adj.{i} + 1} <- in_off.{out_adj.{i} + 1} + 1
   done;
   for v = 0 to n - 1 do
-    in_off.(v + 1) <- in_off.(v + 1) + in_off.(v)
+    in_off.{v + 1} <- in_off.{v + 1} + in_off.{v}
   done;
-  let cursor = Array.sub in_off 0 n in
-  let in_adj = Array.make m 0 in
+  let cursor = Array.init n (fun v -> in_off.{v}) in
+  let in_adj = ba_create m in
   for u = 0 to n - 1 do
-    for i = out_off.(u) to out_off.(u + 1) - 1 do
-      let v = out_adj.(i) in
+    for i = out_off.{u} to out_off.{u + 1} - 1 do
+      let v = out_adj.{i} in
       let p = cursor.(v) in
       cursor.(v) <- p + 1;
-      in_adj.(p) <- u
+      in_adj.{p} <- u
     done
   done;
   (in_off, in_adj)
 
+(* The one trusted constructor of a CSR-store graph: the builders below,
+   the 'G' loader and both 'M' loaders end here. *)
+let of_csr_unchecked ?(mapped = false) ?label_count ?in_csr ~n ~labels
+    ~out_off ~out_adj () =
+  let in_csr =
+    match in_csr with Some c -> c | None -> mirror_csr ~n out_off out_adj
+  in
+  {
+    n;
+    m = dim out_adj;
+    label_count =
+      (match label_count with Some k -> k | None -> label_count_of labels);
+    mapped;
+    lab = mk_lab (Lcsr labels);
+    fwd = Scsr (out_off, out_adj);
+    bwd = Scsr in_csr;
+  }
+
 let of_edge_arrays ~n ~m ~labels src dst =
   let out_off, out_adj = csr_of_edges ~n ~m0:m src dst in
-  let in_off, in_adj = mirror_csr ~n out_off out_adj in
-  mk_flat ~n ~labels ~out_off ~out_adj ~in_off ~in_adj
+  of_csr_unchecked ~n ~labels ~out_off ~out_adj ()
 
 let make_arrays ~n ?labels edges =
   if n < 0 then invalid_arg "Digraph.make: negative node count";
@@ -204,28 +230,10 @@ let make_arrays ~n ?labels edges =
 let make ~n ?labels edges = make_arrays ~n ?labels (Array.of_list edges)
 let empty = make ~n:0 []
 
-(* Trusted constructor for I/O paths that already hold a canonical CSR
-   (strictly sorted, deduplicated slices): skips the counting sorts and
-   only rebuilds the mirror.  Caller-checked; [validate] re-verifies. *)
-let of_csr_unchecked ~n ~labels ~out_off ~out_adj =
-  let in_off, in_adj = mirror_csr ~n out_off out_adj in
-  mk_flat ~n ~labels ~out_off ~out_adj ~in_off ~in_adj
+let scratch_key () = Domain.DLS.new_key (fun () -> ref (ba_create 0))
 
-(* Trusted constructor for the 'M' snapshot loader: both mirrors are
-   already materialised in the mapped file, so building the value is O(1)
-   regardless of graph size. *)
-let of_mapped_unchecked ~n ~m ~label_count ~labels ~out_off ~out_adj ~in_off
-    ~in_adj =
-  {
-    n;
-    m;
-    label_count;
-    lab = mk_lab (Lmapped labels) ~dense:None;
-    fwd = { store = Smapped { off = out_off; adj = out_adj }; dense = Atomic.make None;
-            scratch = scratch_key () };
-    bwd = { store = Smapped { off = in_off; adj = in_adj }; dense = Atomic.make None;
-            scratch = scratch_key () };
-  }
+let varint_store idx data =
+  Svarint { idx; data; dense = Atomic.make None; scratch = scratch_key () }
 
 (* Trusted constructor for the 'V' snapshot loader; the caller has already
    run the checked decode over both streams. *)
@@ -235,11 +243,10 @@ let of_varint_unchecked ~n ~m ~label_count ~labels ~out_idx ~out_data ~in_idx
     n;
     m;
     label_count;
-    lab = mk_lab (L32 labels) ~dense:None;
-    fwd = { store = Svarint { idx = out_idx; data = out_data }; dense = Atomic.make None;
-            scratch = scratch_key () };
-    bwd = { store = Svarint { idx = in_idx; data = in_data }; dense = Atomic.make None;
-            scratch = scratch_key () };
+    mapped = false;
+    lab = mk_lab (L32 labels);
+    fwd = varint_store out_idx out_data;
+    bwd = varint_store in_idx in_data;
   }
 
 let n g = g.n
@@ -247,10 +254,9 @@ let m g = g.m
 let size g = g.n + g.m
 
 let backend g =
-  match g.fwd.store with
-  | Sflat _ -> Flat
-  | Smapped _ -> Mapped
+  match g.fwd with
   | Svarint _ -> Varint
+  | Scsr _ -> if g.mapped then Mapped else Flat
 
 let backend_name g =
   match backend g with Flat -> "flat" | Mapped -> "mmap" | Varint -> "varint"
@@ -259,24 +265,19 @@ let backend_name g =
 (* Per-direction dispatch *)
 
 let side_degree sd v =
-  match sd.store with
-  | Sflat { off; _ } -> off.(v + 1) - off.(v)
-  | Smapped { off; _ } -> off.{v + 1} - off.{v}
-  | Svarint { idx; data } ->
+  match sd with
+  | Scsr (off, _) -> off.{v + 1} - off.{v}
+  | Svarint { idx; data; _ } ->
       let pos = ref (Int32.to_int idx.{v}) in
       Varint.read_trusted data pos
 
 let side_iter sd v f =
-  match sd.store with
-  | Sflat { off; adj } ->
-      for i = off.(v) to off.(v + 1) - 1 do
-        f adj.(i)
-      done
-  | Smapped { off; adj } ->
+  match sd with
+  | Scsr (off, adj) ->
       for i = off.{v} to off.{v + 1} - 1 do
         f adj.{i}
       done
-  | Svarint { idx; data } ->
+  | Svarint { idx; data; _ } ->
       let pos = ref (Int32.to_int idx.{v}) in
       let deg = Varint.read_trusted data pos in
       let x = ref 0 in
@@ -286,56 +287,35 @@ let side_iter sd v f =
         f !x
       done
 
-(* Grow-on-demand per-domain decode buffer.  Only non-flat sides carry a
-   key, so flat graphs never touch DLS. *)
-let scratch_for sd deg =
-  match sd.scratch with
-  | None -> [||] (* unreachable: flat slices never decode *)
-  | Some key ->
-      let cell = Domain.DLS.get key in
-      if Array.length !cell < deg then begin
-        let len = ref (Mono.imax 8 (Array.length !cell)) in
-        while !len < deg do
-          len := 2 * !len
-        done;
-        cell := Array.make !len 0
-      end;
-      !cell
+(* Grow-on-demand per-domain decode buffer of a varint store. *)
+let scratch_for key deg =
+  let cell = Domain.DLS.get key in
+  if dim !cell < deg then begin
+    let len = ref (Mono.imax 8 (dim !cell)) in
+    while !len < deg do
+      len := 2 * !len
+    done;
+    cell := ba_create !len
+  end;
+  !cell
 
 let side_slice sd v =
-  match sd.store with
-  | Sflat { off; adj } -> (adj, off.(v), off.(v + 1) - off.(v))
-  | Smapped { off; adj } ->
-      let lo = off.{v} in
-      let deg = off.{v + 1} - lo in
-      let buf = scratch_for sd deg in
-      for i = 0 to deg - 1 do
-        buf.(i) <- adj.{lo + i}
-      done;
-      (buf, 0, deg)
-  | Svarint { idx; data } ->
+  match sd with
+  | Scsr (off, adj) -> (adj, off.{v}, off.{v + 1} - off.{v})
+  | Svarint { idx; data; scratch; _ } ->
       let pos = ref (Int32.to_int idx.{v}) in
       let deg = Varint.read_trusted data pos in
-      let buf = scratch_for sd deg in
+      let buf = scratch_for scratch deg in
       let x = ref 0 in
       for i = 0 to deg - 1 do
         let d = Varint.read_trusted data pos in
         x := (if i = 0 then d else !x + d);
-        buf.(i) <- !x
+        buf.{i} <- !x
       done;
       (buf, 0, deg)
 
-(* Binary search for [x] in the slice [a.(lo) .. a.(hi-1)]. *)
-let mem_slice (a : int array) lo hi (x : int) =
-  let limit = hi in
-  let lo = ref lo and hi = ref hi in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if a.(mid) < x then lo := mid + 1 else hi := mid
-  done;
-  !lo < limit && a.(!lo) = x
-
-let ba_mem_slice (a : int_ba) lo hi (x : int) =
+(* Binary search for [x] in the slice [a.{lo} .. a.{hi-1}]. *)
+let mem_slice (a : int_ba) lo hi (x : int) =
   let limit = hi in
   let lo = ref lo and hi = ref hi in
   while !lo < !hi do
@@ -345,10 +325,9 @@ let ba_mem_slice (a : int_ba) lo hi (x : int) =
   !lo < limit && a.{!lo} = x
 
 let side_mem sd v x =
-  match sd.store with
-  | Sflat { off; adj } -> mem_slice adj off.(v) off.(v + 1) x
-  | Smapped { off; adj } -> ba_mem_slice adj off.{v} off.{v + 1} x
-  | Svarint { idx; data } ->
+  match sd with
+  | Scsr (off, adj) -> mem_slice adj off.{v} off.{v + 1} x
+  | Svarint { idx; data; _ } ->
       (* Decode-scan with early exit: slices are sorted, so stop at the
          first value ≥ x. *)
       let pos = ref (Int32.to_int idx.{v}) in
@@ -365,12 +344,6 @@ let side_mem sd v x =
       done;
       !found
 
-(* Successor scans for the stores that are not flat arrays, stopping at
-   the first successor in [set], each a toplevel recursion so that no
-   call allocates. *)
-let rec mapped_meets set (adj : int_ba) i stop =
-  i < stop && (Bitset.mem set adj.{i} || mapped_meets set adj (i + 1) stop)
-
 (* The varint at [pos] with [acc]/[shift] the bits read so far. *)
 let rec varint_at data pos acc shift =
   let b = Char.code (String.get data pos) in
@@ -378,7 +351,8 @@ let rec varint_at data pos acc shift =
   if b < 0x80 then acc else varint_at data (pos + 1) acc (shift + 7)
 
 (* [left] successors from [pos], gap-coded after [x] (0 before the
-   first, which is stored as is), one byte per step. *)
+   first, which is stored as is), one byte per step, stopping at the
+   first in [set]: a toplevel recursion, so that no call allocates. *)
 let rec varint_meets set data pos left x acc shift =
   left > 0
   &&
@@ -389,82 +363,83 @@ let rec varint_meets set data pos left x acc shift =
     Bitset.mem set (x + acc)
     || varint_meets set data (pos + 1) (left - 1) (x + acc) 0 0
 
-let side_meets sd v set =
-  match sd.store with
-  | Sflat { off; adj } ->
-      Bitset.meets_slice set adj off.(v) (off.(v + 1) - off.(v))
-  | Smapped { off; adj } -> mapped_meets set adj off.{v} off.{v + 1}
-  | Svarint { idx; data } ->
-      let pos = Int32.to_int idx.{v} in
-      let deg = varint_at data pos 0 0 in
-      (* Encodings are minimal, so the degree's length is its own. *)
-      varint_meets set data (pos + Varint.byte_length deg) deg 0 0 0
-
-(* One [keep_with_succ_in] over a store that is not flat: the walk
-   passes this record and a toplevel function to [Bitset.iter_with]. *)
+(* One [keep_with_succ_in] over a varint store: the walk passes this
+   record and a toplevel function to [Bitset.iter_with]. *)
 type keep = {
-  side : side;
+  idx : int32_ba;
+  data : string;
   from : Bitset.t;
   into : Bitset.t;
   mutable dropped : bool;
 }
 
 let keep_one k v =
-  if not (side_meets k.side v k.into) then begin
+  let pos = Int32.to_int k.idx.{v} in
+  let deg = varint_at k.data pos 0 0 in
+  (* Encodings are minimal, so the degree's length is its own. *)
+  if not (varint_meets k.into k.data (pos + Varint.byte_length deg) deg 0 0 0)
+  then begin
     Bitset.remove k.from v;
     k.dropped <- true
   end
 
 let side_keep sd s t =
-  match sd.store with
-  | Sflat { off; adj } -> Bitset.keep_meeting s ~off ~adj t
-  | Smapped _ | Svarint _ ->
-      let k = { side = sd; from = s; into = t; dropped = false } in
+  match sd with
+  | Scsr (off, adj) -> Bitset.keep_meeting s ~off ~adj t
+  | Svarint { idx; data; _ } ->
+      let k = { idx; data; from = s; into = t; dropped = false } in
       Bitset.iter_with keep_one k s;
       k.dropped
 
-(* Materialise (and cache) the flat view of a non-flat side.  Concurrent
-   forcing from two domains duplicates work but stays correct: both
-   compute identical immutable arrays and one atomic publication wins. *)
-let force_dense n sd =
-  match Atomic.get sd.dense with
-  | Some d -> d
-  | None ->
-      let off = Array.make (n + 1) 0 in
-      for v = 0 to n - 1 do
-        off.(v + 1) <- off.(v) + side_degree sd v
-      done;
-      let adj = Array.make off.(n) 0 in
-      let k = ref 0 in
-      for v = 0 to n - 1 do
-        side_iter sd v (fun w ->
-            adj.(!k) <- w;
-            incr k)
-      done;
-      let d = (off, adj) in
-      Atomic.set sd.dense (Some d);
-      d
+(* Materialise (and cache) the CSR of a varint store.  Concurrent forcing
+   from two domains duplicates work but stays correct: both compute
+   identical immutable arrays and one atomic publication wins. *)
+let force_dense n sd dense =
+  let off = ba_create (n + 1) in
+  off.{0} <- 0;
+  for v = 0 to n - 1 do
+    off.{v + 1} <- off.{v} + side_degree sd v
+  done;
+  let adj = ba_create off.{n} in
+  let k = ref 0 in
+  for v = 0 to n - 1 do
+    side_iter sd v (fun w ->
+        adj.{!k} <- w;
+        incr k)
+  done;
+  let d = (off, adj) in
+  Atomic.set dense (Some d);
+  d
+
+let side_csr n sd =
+  match sd with
+  | Scsr csr -> csr
+  | Svarint { dense; _ } -> (
+      match Atomic.get dense with Some d -> d | None -> force_dense n sd dense)
 
 (* ------------------------------------------------------------------ *)
 (* Accessors *)
 
 let label g v =
-  match g.lab.ls with
-  | Lheap a -> a.(v)
-  | Lmapped ba -> ba.{v}
-  | L32 ba -> Int32.to_int ba.{v}
+  match g.lab.ls with Lcsr a -> a.{v} | L32 a -> Int32.to_int a.{v}
 
 let labels g =
   match Atomic.get g.lab.dense_labels with
   | Some a -> a
   | None ->
-      let a =
-        match g.lab.ls with
-        | Lheap a -> a
-        | Lmapped ba -> Array.init g.n (fun v -> ba.{v})
-        | L32 ba -> Array.init g.n (fun v -> Int32.to_int ba.{v})
-      in
+      let a = Array.init g.n (label g) in
       Atomic.set g.lab.dense_labels (Some a);
+      a
+
+(* A fresh copy of [g]'s labels, in the CSR store's form. *)
+let labels_ba g =
+  match g.lab.ls with
+  | Lcsr a -> ba_copy a
+  | L32 _ ->
+      let a = ba_create g.n in
+      for v = 0 to g.n - 1 do
+        a.{v} <- label g v
+      done;
       a
 
 let label_count g = g.label_count
@@ -492,17 +467,23 @@ let label_index g =
       Atomic.set g.lab.by_label (Some ix);
       ix
 
-let label_slice g l =
-  let off, ids = label_index g in
-  if l < 0 || l >= g.label_count then (ids, 0, 0)
-  else (ids, off.(l), off.(l + 1) - off.(l))
+let label_ids g = snd (label_index g)
+
+let label_first g l =
+  if l < 0 || l >= g.label_count then 0 else (fst (label_index g)).(l)
+
+let label_len g l =
+  if l < 0 || l >= g.label_count then 0
+  else
+    let off = fst (label_index g) in
+    off.(l + 1) - off.(l)
 
 let out_degree g v = side_degree g.fwd v
 let in_degree g v = side_degree g.bwd v
 let succ_slice g v = side_slice g.fwd v
 let pred_slice g v = side_slice g.bwd v
-let out_csr g = force_dense g.n g.fwd
-let in_csr g = force_dense g.n g.bwd
+let out_csr g = side_csr g.n g.fwd
+let in_csr g = side_csr g.n g.bwd
 let mem_edge g u v = side_mem g.fwd u v
 let keep_with_succ_in g s t = side_keep g.fwd s t
 let iter_succ g v f = side_iter g.fwd v f
@@ -519,15 +500,15 @@ let fold_pred g v f init =
   !acc
 
 let iter_edges g f =
-  match g.fwd.store with
-  | Sflat { off; adj } ->
+  match g.fwd with
+  | Scsr (off, adj) ->
       (* Fast path: no per-node closure. *)
       for u = 0 to g.n - 1 do
-        for i = off.(u) to off.(u + 1) - 1 do
-          f u adj.(i)
+        for i = off.{u} to off.{u + 1} - 1 do
+          f u adj.{i}
         done
       done
-  | _ ->
+  | Svarint _ ->
       for u = 0 to g.n - 1 do
         side_iter g.fwd u (fun v -> f u v)
       done
@@ -548,47 +529,36 @@ let edge_array g =
 (* ------------------------------------------------------------------ *)
 (* Memory accounting (one word = 8 bytes).
 
-   Flat reproduces the historical formula exactly: five flat int arrays
-   with one header word each plus a 9-word record.  Mapped counts the
-   mapped byte ranges (page-cache resident, not heap).  Varint counts the
-   int32 index bigarrays and the byte streams.  A forced dense view or a
-   materialised label array on a non-flat backend is extra resident memory
-   and is included when present. *)
+   The CSR store counts its arrays with one header word each, plus a
+   9-word record, whether the arrays are heap or mapped (page-cache
+   resident) memory.  Varint counts the int32 index bigarrays and the
+   byte streams.  A forced dense view of a varint store, the heap label
+   array of {!labels} and the label index are extra resident memory and
+   are included once built. *)
 
-let side_bytes sd =
-  let store =
-    match sd.store with
-    | Sflat { off; adj } -> 8 * (Array.length off + Array.length adj + 2)
-    | Smapped { off; adj } ->
-        8 * (Bigarray.Array1.dim off + Bigarray.Array1.dim adj)
-    | Svarint { idx; data } ->
-        (4 * Bigarray.Array1.dim idx) + String.length data + 16
-  in
-  let extra =
-    match (sd.store, Atomic.get sd.dense) with
-    | Sflat _, _ | _, None -> 0
-    | _, Some (off, adj) -> 8 * (Array.length off + Array.length adj + 2)
-  in
-  store + extra
+let csr_bytes (off, adj) = 8 * (dim off + dim adj + 2)
+
+let side_bytes = function
+  | Scsr csr -> csr_bytes csr
+  | Svarint { idx; data; dense; _ } ->
+      (4 * dim idx) + String.length data + 16
+      + Option.fold ~none:0 ~some:csr_bytes (Atomic.get dense)
 
 let labels_bytes g =
   let store =
-    match g.lab.ls with
-    | Lheap a -> 8 * (Array.length a + 1)
-    | Lmapped ba -> 8 * Bigarray.Array1.dim ba
-    | L32 ba -> (4 * Bigarray.Array1.dim ba) + 8
+    match g.lab.ls with Lcsr a -> 8 * (dim a + 1) | L32 a -> (4 * dim a) + 8
   in
-  let extra =
-    match (g.lab.ls, Atomic.get g.lab.dense_labels) with
-    | Lheap _, _ | _, None -> 0
-    | _, Some a -> 8 * (Array.length a + 1)
+  let dense =
+    match Atomic.get g.lab.dense_labels with
+    | None -> 0
+    | Some a -> 8 * (Array.length a + 1)
   in
   let index =
     match Atomic.get g.lab.by_label with
     | None -> 0
     | Some (off, ids) -> 8 * (Array.length off + Array.length ids + 2)
   in
-  store + extra + index
+  store + dense + index
 
 let memory_bytes g = side_bytes g.fwd + side_bytes g.bwd + labels_bytes g + 72
 
@@ -596,19 +566,15 @@ let memory_bytes g = side_bytes g.fwd + side_bytes g.bwd + labels_bytes g + 72
 (* Derived graphs *)
 
 (* The in-CSR of [g] is exactly the out-CSR of the reversed graph, so
-   reversing is just swapping the two direction records — no copying; the
+   reversing is just swapping the two direction stores — no copying; the
    dense caches and scratch buffers travel with their side. *)
 let reverse g = { g with fwd = g.bwd; bwd = g.fwd }
 
 let with_labels g labels =
   if Array.length labels <> g.n then
     invalid_arg "Digraph.with_labels: length mismatch";
-  let labels = Array.copy labels in
-  {
-    g with
-    lab = mk_lab (Lheap labels) ~dense:(Some labels);
-    label_count = compute_label_count labels;
-  }
+  let labels = ba_of_array labels in
+  { g with lab = mk_lab (Lcsr labels); label_count = label_count_of labels }
 
 let append_edges g extra =
   (* Existing edges are already (src, dst)-sorted and deduplicated, so the
@@ -626,7 +592,7 @@ let append_edges g extra =
       dst.(!i) <- v;
       incr i)
     extra;
-  of_edge_arrays ~n:g.n ~m:(g.m + k) ~labels:(Array.copy (labels g)) src dst
+  of_edge_arrays ~n:g.n ~m:(g.m + k) ~labels:(labels_ba g) src dst
 
 let add_edges g es =
   List.iter
@@ -652,8 +618,7 @@ let filter_rebuild g ~removed ~extra =
       dst.(!i) <- v;
       incr i)
     extra;
-  of_edge_arrays ~n:g.n ~m:!i ~labels:(Array.copy (labels g)) src dst
-
+  of_edge_arrays ~n:g.n ~m:!i ~labels:(labels_ba g) src dst
 let remove_edges g es =
   let removed = Mono.Ptbl.create ((List.length es * 2) + 1) in
   List.iter (fun (u, v) -> Mono.Ptbl.replace removed (u, v) ()) es;
@@ -685,7 +650,8 @@ let induced g nodes =
         invalid_arg "Digraph.induced: duplicate node";
       Mono.Itbl.replace old_to_new v i)
     nodes;
-  let sub_labels = Array.map (fun v -> label g v) nodes in
+  let sub_labels = ba_create k in
+  Array.iteri (fun i v -> sub_labels.{i} <- label g v) nodes;
   (* Count, then fill: no intermediate boxing. *)
   let count = ref 0 in
   Array.iter
@@ -731,19 +697,19 @@ let quotient ?labels ~self_loops ~class_of ~k g =
 (* Backend conversions *)
 
 let to_flat g =
-  match (g.fwd.store, g.bwd.store, g.lab.ls) with
-  | Sflat _, Sflat _, Lheap _ -> g
-  | _ ->
-      let out_off, out_adj = force_dense g.n g.fwd in
-      let in_off, in_adj = force_dense g.n g.bwd in
-      let labels = labels g in
+  match backend g with
+  | Flat -> g
+  | Mapped | Varint ->
+      let heap = function
+        | Scsr (off, adj) -> Scsr (ba_copy off, ba_copy adj)
+        | Svarint _ as sd -> Scsr (side_csr g.n sd)
+      in
       {
-        n = g.n;
-        m = g.m;
-        label_count = g.label_count;
-        lab = mk_lab (Lheap labels) ~dense:(Some labels);
-        fwd = flat_side out_off out_adj;
-        bwd = flat_side in_off in_adj;
+        g with
+        mapped = false;
+        lab = mk_lab (Lcsr (labels_ba g));
+        fwd = heap g.fwd;
+        bwd = heap g.bwd;
       }
 
 let max_int32 = 0x7fffffff
@@ -765,16 +731,12 @@ let encode_varint_side n sd =
   if Buffer.length buf > max_int32 then
     invalid_arg "Digraph.to_varint: adjacency stream exceeds 2 GiB";
   idx.{n} <- Int32.of_int (Buffer.length buf);
-  {
-    store = Svarint { idx; data = Buffer.contents buf };
-    dense = Atomic.make None;
-    scratch = scratch_key ();
-  }
+  varint_store idx (Buffer.contents buf)
 
 let to_varint g =
-  match (g.fwd.store, g.bwd.store) with
-  | Svarint _, Svarint _ -> g
-  | _ ->
+  match g.fwd with
+  | Svarint _ -> g
+  | Scsr _ ->
       if g.n > max_int32 then invalid_arg "Digraph.to_varint: too many nodes";
       let l32 = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout g.n in
       for v = 0 to g.n - 1 do
@@ -783,10 +745,9 @@ let to_varint g =
         l32.{v} <- Int32.of_int l
       done;
       {
-        n = g.n;
-        m = g.m;
-        label_count = g.label_count;
-        lab = mk_lab (L32 l32) ~dense:None;
+        g with
+        mapped = false;
+        lab = mk_lab (L32 l32);
         fwd = encode_varint_side g.n g.fwd;
         bwd = encode_varint_side g.n g.bwd;
       }
@@ -797,14 +758,14 @@ let to_varint g =
 let succ_equal a b v =
   side_degree a.fwd v = side_degree b.fwd v
   &&
-  (* Decode a's slice first; iterating b's side below touches only b's own
+  (* Take a's slice first; iterating b's side below touches only b's own
      scratch (or none), so the two cannot alias destructively even when
      [a == b]. *)
   let base, start, _ = side_slice a.fwd v in
   let i = ref start and ok = ref true in
   side_iter b.fwd v (fun w ->
       if !ok then begin
-        if base.(!i) <> w then ok := false;
+        if base.{!i} <> w then ok := false;
         incr i
       end);
   !ok
@@ -834,10 +795,8 @@ let pp ppf g =
 
 let validate g =
   let fail fmt = Format.kasprintf failwith fmt in
-  (match g.lab.ls with
-  | Lheap a -> if Array.length a <> g.n then fail "labels length"
-  | Lmapped ba -> if Bigarray.Array1.dim ba <> g.n then fail "labels length"
-  | L32 ba -> if Bigarray.Array1.dim ba <> g.n then fail "labels length");
+  let labels_len = match g.lab.ls with Lcsr a -> dim a | L32 a -> dim a in
+  if labels_len <> g.n then fail "labels length";
   for v = 0 to g.n - 1 do
     let l = label g v in
     if l < 0 || l >= g.label_count then
@@ -845,30 +804,18 @@ let validate g =
   done;
   let check_side name sd =
     (* Offset/index structural checks per store. *)
-    (match sd.store with
-    | Sflat { off; adj } ->
-        if Array.length off <> g.n + 1 then fail "%s offsets length" name;
-        if Array.length off > 0 && off.(0) <> 0 then
-          fail "%s offsets do not start at 0" name;
-        for v = 0 to g.n - 1 do
-          if off.(v) > off.(v + 1) then
-            fail "%s offsets not monotone at %d" name v
-        done;
-        if off.(g.n) <> Array.length adj then
-          fail "%s offsets/adjacency mismatch" name;
-        if Array.length adj <> g.m then fail "%s edge count" name
-    | Smapped { off; adj } ->
-        if Bigarray.Array1.dim off <> g.n + 1 then fail "%s offsets length" name;
+    (match sd with
+    | Scsr (off, adj) ->
+        if dim off <> g.n + 1 then fail "%s offsets length" name;
         if off.{0} <> 0 then fail "%s offsets do not start at 0" name;
         for v = 0 to g.n - 1 do
           if off.{v} > off.{v + 1} then
             fail "%s offsets not monotone at %d" name v
         done;
-        if off.{g.n} <> Bigarray.Array1.dim adj then
-          fail "%s offsets/adjacency mismatch" name;
-        if Bigarray.Array1.dim adj <> g.m then fail "%s edge count" name
-    | Svarint { idx; data } ->
-        if Bigarray.Array1.dim idx <> g.n + 1 then fail "%s index length" name;
+        if off.{g.n} <> dim adj then fail "%s offsets/adjacency mismatch" name;
+        if dim adj <> g.m then fail "%s edge count" name
+    | Svarint { idx; data; _ } ->
+        if dim idx <> g.n + 1 then fail "%s index length" name;
         if idx.{0} <> 0l then fail "%s index does not start at 0" name;
         if Int32.to_int idx.{g.n} <> String.length data then
           fail "%s index/stream length mismatch" name;

@@ -5,17 +5,17 @@
     {!Graph_io.Label_table} at the I/O boundary, so the core algorithms stay
     allocation-free).  The structure is immutable once built.
 
-    Storage is backend-polymorphic behind one accessor surface.  Logically
-    every graph is a compressed-sparse-row structure — per-node successor
+    Storage is one compressed-sparse-row layout — per-node successor
     slices, strictly sorted and deduplicated, mirrored for predecessors —
-    physically held by one of three backends:
+    with an optional encoding on top:
 
-    - {b flat}: heap int arrays, one shared adjacency array indexed by an
-      [n+1]-entry offset array per direction.  The default; what {!make}
-      and the builders produce.
-    - {b mmap}: the same arrays as [Bigarray] views over an mmap'd 'M'
-      snapshot file.  Zero-copy and O(1) to open regardless of graph size;
-      resident cost is page-cache, not heap.
+    - {b CSR store}: [int] Bigarrays, one shared adjacency array indexed
+      by an [n+1]-entry offset array per direction, plus the labels.  A
+      graph built in memory ({!make} and every builder) allocates them
+      off the OCaml heap: the {b flat} backend.  An mmap load of an 'M'
+      snapshot maps the same arrays over the file's pages, zero-copy and
+      O(1) to open regardless of graph size: the {b mmap} backend.  Both
+      are read by the same code.
     - {b varint}: gap + LEB128 delta-encoded adjacency — a per-node int32
       byte-offset index into one byte stream per direction.  3–5× smaller
       than flat on sparse graphs; slices decode into a per-domain scratch
@@ -23,13 +23,13 @@
 
     Adjacency is exposed as allocation-free iteration/folds and slice
     views — never as freshly materialised per-node arrays.  Algorithms
-    that genuinely need indexed random access over raw arrays use the
-    {!out_csr}/{!in_csr} dense-view escape hatch (lint rule CSR02 keeps
-    that set explicit). *)
+    that index the CSR by absolute edge position use {!out_csr}/{!in_csr},
+    the store's own arrays; only on the varint backend do they
+    materialise a copy (lint rule CSR02 keeps that set explicit). *)
 
 type t
 
-(** Bigarray views used by the mmap and varint backends. *)
+(** The arrays of the CSR store, and of the varint index and labels. *)
 type int_ba = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type int32_ba =
@@ -51,28 +51,25 @@ val make_arrays : n:int -> ?labels:int array -> (int * int) array -> t
 (** [empty] is the graph with no nodes and no edges. *)
 val empty : t
 
-(** [of_csr_unchecked ~n ~labels ~out_off ~out_adj] wraps an
-    already-canonical out-CSR (offsets monotone from 0, slices strictly
-    sorted and deduplicated) without re-sorting, deriving the in-mirror.
-    Trusted constructor for the binary snapshot loader; the caller owns the
-    canonicity proof ({!validate} re-checks it).  The arrays are taken over,
-    not copied. *)
+(** [of_csr_unchecked ?mapped ?label_count ?in_csr ~n ~labels ~out_off
+    ~out_adj ()] wraps an already-canonical out-CSR (offsets monotone from
+    0, slices strictly sorted and deduplicated) without re-sorting: the
+    one trusted constructor of a CSR-store graph, for the binary snapshot
+    loaders.  [in_csr] is the stored in-mirror, derived (O(n + m)) when
+    absent; [label_count] defaults to [1 + max label] (O(n)); [mapped]
+    (default [false]) says the arrays are views over an mmap'd file, so
+    {!backend} is [Mapped].  With [label_count] and [in_csr] given,
+    construction is O(1) in the graph size.  The caller owns the canonicity proof ({!validate}
+    re-checks it).  The arrays are taken over, not copied. *)
 val of_csr_unchecked :
-  n:int -> labels:int array -> out_off:int array -> out_adj:int array -> t
-
-(** [of_mapped_unchecked] wraps Bigarray views over an mmap'd 'M' snapshot
-    — both mirrors come from the file, so construction is O(1) in the
-    graph size.  Trusted constructor for {!Graph_io}; the loader performs
-    the O(1) structural checks and {!validate} the deep ones. *)
-val of_mapped_unchecked :
+  ?mapped:bool ->
+  ?label_count:int ->
+  ?in_csr:int_ba * int_ba ->
   n:int ->
-  m:int ->
-  label_count:int ->
   labels:int_ba ->
   out_off:int_ba ->
   out_adj:int_ba ->
-  in_off:int_ba ->
-  in_adj:int_ba ->
+  unit ->
   t
 
 (** [of_varint_unchecked] wraps already-validated varint adjacency
@@ -94,14 +91,15 @@ val of_varint_unchecked :
 
 type backend = Flat | Mapped | Varint
 
-(** [backend g] identifies the physical storage backing [g]. *)
+(** [backend g] identifies the physical storage backing [g]: [Flat] and
+    [Mapped] are the same CSR store, on the heap or over a mapped file. *)
 val backend : t -> backend
 
 (** [backend_name g] is ["flat"], ["mmap"] or ["varint"]; what
     [qpgc stats] and the storage bench report. *)
 val backend_name : t -> string
 
-(** [to_flat g] is [g] rematerialised on the heap-array backend ([g]
+(** [to_flat g] is [g] with its CSR store copied onto the heap ([g]
     itself when already flat).  O(n + m). *)
 val to_flat : t -> t
 
@@ -122,31 +120,36 @@ val m : t -> int
 val size : t -> int
 
 (** [memory_bytes g] is the resident size of the storage backing [g]:
-    heap words for the flat backend, mapped (page-cache) bytes for mmap,
-    index + stream bytes for varint — plus any dense view or label array
-    that has been forced on a non-flat backend, and the label index once
-    {!label_slice} has built it.  Used for the
-    Fig 12(d)-style memory comparisons and the bytes-per-edge figures in
+    the CSR store's arrays, each with one header word, whether they are
+    heap or mapped (page-cache) memory; index + stream bytes for varint —
+    plus a dense view forced on varint, the array of {!labels} once
+    built, and the label index once {!label_ids} has built it.  Used for
+    the Fig 12(d)-style memory comparisons and the bytes-per-edge figures in
     [qpgc stats] and the storage bench. *)
 val memory_bytes : t -> int
 
 (** [label g v] is [L(v)]. *)
 val label : t -> int -> int
 
-(** [labels g] is the label array (do not mutate).  On non-flat backends
-    the array is materialised on first use and cached. *)
+(** [labels g] is the labels as a heap array (do not mutate),
+    materialised on first use and cached.  Cold paths only; {!label}
+    reads the store. *)
 val labels : t -> int array
 
 (** [label_count g] is [1 + max label] (at least 1 even for empty graphs). *)
 val label_count : t -> int
 
-(** [label_slice g l] is the view [(base, start, len)] of the nodes
-    labelled [l], in ascending order: [base.(start) .. base.(start + len -
-    1)].  Empty when [l < 0] or [l >= label_count g].  Read from a label
-    index (nodes grouped by label, [label_count + 1] offsets over [n] ids)
-    built on first use and cached on [g]; {!with_labels} starts a fresh
-    one.  Do not mutate [base]. *)
-val label_slice : t -> int -> int array * int * int
+(** The label index: the nodes grouped by label, in ascending order
+    within each label.  Label [l]'s nodes are [label_ids g] from
+    [label_first g l], [label_len g l] of them; the range is empty when
+    [l < 0] or [l >= label_count g].  The index ([label_count + 1]
+    offsets over [n] ids) is built on first use and cached on [g];
+    {!with_labels} starts a fresh one.  None of the three allocates once
+    it is built.  Do not mutate the array. *)
+val label_ids : t -> int array
+
+val label_first : t -> int -> int
+val label_len : t -> int -> int
 
 val out_degree : t -> int -> int
 val in_degree : t -> int -> int
@@ -157,39 +160,40 @@ val mem_edge : t -> int -> int -> bool
 
 (** {1 Adjacency views}
 
-    The slice accessors return O(1)-ish views [(base, start, len)]: the
-    neighbours of [v] are [base.(start) .. base.(start + len - 1)],
-    strictly sorted.  On the flat backend [base] is the shared adjacency
-    array.  On mmap/varint backends the slice is decoded into a
-    {e per-domain scratch buffer}: it stays valid only until the next
-    [succ_slice] (resp. [pred_slice]) call on the same graph, same
-    direction and same domain — copy it out if you need it longer.  Do
-    not mutate [base], and do not read outside the slice. *)
+    The slice accessors return O(1) views [(base, start, len)]: the
+    neighbours of [v] are [base.{start} .. base.{start + len - 1}],
+    strictly sorted.  On the CSR store (flat and mmap) [base] is the
+    graph's own adjacency array and nothing is copied, so any number of
+    slices stay valid together.  On the varint backend the slice is
+    decoded into a {e per-domain scratch buffer}: it stays valid only
+    until the next [succ_slice] (resp. [pred_slice]) call on the same
+    graph, same direction and same domain — copy it out if you need it
+    longer.  Do not mutate [base], and do not read outside the slice. *)
 
-val succ_slice : t -> int -> int array * int * int
-val pred_slice : t -> int -> int array * int * int
+val succ_slice : t -> int -> int_ba * int * int
+val pred_slice : t -> int -> int_ba * int * int
 
 (** [keep_with_succ_in g s t] removes from [s] every node with no
     successor in [t], and is [true] iff it removed one: the bound-1
     pruning step of pattern matching.  [t] may be [s] itself.  Reads
-    the store in place on every backend; on the flat one it is a single
-    walk ({!Bitset.keep_meeting}) with no callback per node, and it
+    the store in place on every backend; on the CSR store it is a single
+    walk in C ({!Bitset.keep_meeting}) with no callback per node, and it
     allocates nothing per node on any backend. *)
 val keep_with_succ_in : t -> Bitset.t -> Bitset.t -> bool
 
-(** [out_csr g] is the dense [(offsets, adjacency)] view of the out-CSR:
+(** [out_csr g] is the [(offsets, adjacency)] arrays of the out-CSR:
     [offsets] has [n+1] entries and the successors of [v] occupy
-    [adjacency.(offsets.(v)) .. adjacency.(offsets.(v+1) - 1)].  On the
-    flat backend these are the storage arrays themselves; on mmap/varint
-    backends the first call materialises (and caches) heap copies —
-    an O(n + m) escape hatch for kernels that need indexed random access.
+    [adjacency.{offsets.{v}} .. adjacency.{offsets.{v+1} - 1}].  On the
+    CSR store (flat and mmap) these are the store's own arrays; on the
+    varint backend the first call materialises (and caches) a copy — an
+    O(n + m) escape hatch for kernels that need indexed random access.
     Fetch once per kernel.  Do not mutate.  New call sites outside
     [lib/graph] trip lint rule CSR02 and need a justified
     [[@lint.allow "CSR02"]]. *)
-val out_csr : t -> int array * int array
+val out_csr : t -> int_ba * int_ba
 
 (** [in_csr g] is the in-mirror of {!out_csr}. *)
-val in_csr : t -> int array * int array
+val in_csr : t -> int_ba * int_ba
 
 val iter_succ : t -> int -> (int -> unit) -> unit
 val iter_pred : t -> int -> (int -> unit) -> unit
@@ -214,8 +218,8 @@ val edge_array : t -> (int * int) array
     direction records swap roles, no arrays are copied or re-encoded. *)
 val reverse : t -> t
 
-(** [with_labels g labels] is [g] with its label array replaced (heap
-    labels, storage backend unchanged). *)
+(** [with_labels g labels] is [g] with its labels replaced (a copy on
+    the heap, storage backend unchanged). *)
 val with_labels : t -> int array -> t
 
 (** [add_edges g es] is [g] plus the extra edges (endpoints must exist).

@@ -204,13 +204,21 @@ let i32_array c count what =
   let s = c.s in
   Array.init count (fun j -> Int32.to_int (String.get_int32_le s (i + (4 * j))))
 
-let i64_array c count what =
-  let i = take c ~width:8 count what in
-  let s = c.s in
-  Array.init count (fun j ->
-      let x = Int64.to_int (String.get_int64_le s (i + (8 * j))) in
-      if x < 0 then bad "negative %s in binary snapshot" what;
-      x)
+(* [count] int32 or int64 entries ([width] 4 or 8) into an int Bigarray
+   of a CSR store; none may be negative. *)
+let ints_ba c ~width count what : Digraph.int_ba =
+  let i = take c ~width count what in
+  let s = c.s and a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout count in
+  for j = 0 to count - 1 do
+    let p = i + (width * j) in
+    let x =
+      if width = 4 then Int32.to_int (String.get_int32_le s p)
+      else Int64.to_int (String.get_int64_le s p)
+    in
+    if x < 0 then bad "negative %s in binary snapshot" what;
+    a.{j} <- x
+  done;
+  a
 
 let bytes c k what =
   let i = take c ~width:1 k what in
@@ -250,10 +258,11 @@ let read_names c =
   done;
   table
 
-(* The loaded out-CSR, re-validated. *)
-let of_csr what ~n ~labels ~out_off ~out_adj =
+(* The loaded CSR, re-validated: the in-mirror, when stored, must agree
+   with the out-CSR edge for edge. *)
+let of_csr what ?in_csr ~n ~labels ~out_off ~out_adj () =
   let g =
-    match Digraph.of_csr_unchecked ~n ~labels ~out_off ~out_adj with
+    match Digraph.of_csr_unchecked ?in_csr ~n ~labels ~out_off ~out_adj () with
     | g -> g
     | exception Invalid_argument msg -> bad "%s" msg
   in
@@ -261,6 +270,13 @@ let of_csr what ~n ~labels ~out_off ~out_adj =
   | () -> ()
   | exception Failure msg -> bad "invalid CSR in %s: %s" what msg);
   g
+
+(* The entries of a CSR array as int32 or int64 values. *)
+let add_ints buf ~width (a : Digraph.int_ba) =
+  for i = 0 to Bigarray.Array1.dim a - 1 do
+    if width = 8 then Buffer.add_int64_le buf (Int64.of_int a.{i})
+    else Buffer.add_int32_le buf (Int32.of_int a.{i})
+  done
 
 (* ------------------------------------------------------------------ *)
 (* 'G': the flat snapshot.
@@ -286,9 +302,11 @@ let add_graph_blob buf ?labels g =
   Buffer.add_int64_le buf (Int64.of_int n);
   Buffer.add_int64_le buf (Int64.of_int m);
   let out_off, out_adj = Digraph.out_csr g in
-  Array.iter (fun o -> Buffer.add_int64_le buf (Int64.of_int o)) out_off;
-  Array.iter (fun v -> Buffer.add_int32_le buf (Int32.of_int v)) out_adj;
-  Array.iter (fun l -> Buffer.add_int32_le buf (Int32.of_int l)) (Digraph.labels g);
+  add_ints buf ~width:8 out_off;
+  add_ints buf ~width:4 out_adj;
+  for v = 0 to n - 1 do
+    Buffer.add_int32_le buf (Int32.of_int (Digraph.label g v))
+  done;
   add_names buf labels
 
 let to_binary_string ?labels g =
@@ -300,12 +318,11 @@ let flat_blob c =
   read_header c 'G' ~versions:(version, version);
   let n = i64 c "node count" in
   let m = i64 c "edge count" in
-  let out_off = i64_array c (n + 1) "offsets" in
-  let out_adj = i32_array c m "adjacency" in
-  let labels = i32_array c n "labels" in
-  if Array.exists (fun l -> l < 0) labels then bad "negative label";
+  let out_off = ints_ba c ~width:8 (n + 1) "offsets" in
+  let out_adj = ints_ba c ~width:4 m "adjacency" in
+  let labels = ints_ba c ~width:4 n "labels" in
   let table = read_names c in
-  (of_csr "binary snapshot" ~n ~labels ~out_off ~out_adj, table)
+  (of_csr "binary snapshot" ~n ~labels ~out_off ~out_adj (), table)
 
 (* ------------------------------------------------------------------ *)
 (* 'M': the zero-copy mapped snapshot.
@@ -368,10 +385,7 @@ let add_mapped_blob buf ?labels g =
   Buffer.add_int64_le buf (Int64.of_int total_len);
   let out_off, out_adj = Digraph.out_csr g in
   let in_off, in_adj = Digraph.in_csr g in
-  Array.iter (fun o -> Buffer.add_int64_le buf (Int64.of_int o)) out_off;
-  Array.iter (fun v -> Buffer.add_int64_le buf (Int64.of_int v)) out_adj;
-  Array.iter (fun o -> Buffer.add_int64_le buf (Int64.of_int o)) in_off;
-  Array.iter (fun v -> Buffer.add_int64_le buf (Int64.of_int v)) in_adj;
+  List.iter (add_ints buf ~width:8) [ out_off; out_adj; in_off; in_adj ];
   for v = 0 to n - 1 do
     Buffer.add_int64_le buf (Int64.of_int (Digraph.label g v))
   done;
@@ -406,27 +420,23 @@ let map_sections ic ~start ~n ~m ~label_count =
     if in_off.{0} <> 0 || in_off.{n} <> m then
       bad "mapped in-offsets do not span [0,m]"
   end;
-  Digraph.of_mapped_unchecked ~n ~m ~label_count ~labels ~out_off ~out_adj
-    ~in_off ~in_adj
+  Digraph.of_csr_unchecked ~mapped:true ~label_count ~in_csr:(in_off, in_adj)
+    ~n ~labels ~out_off ~out_adj ()
 
-(* Eager parse onto the flat backend, checking everything: the stored
-   in-mirror must agree with the one derived from the out-CSR. *)
+(* Eager parse onto the flat backend, checking everything. *)
 let parse_sections c ~n ~m ~label_count =
-  let out_off = i64_array c (n + 1) "offsets" in
-  let out_adj = i64_array c m "adjacency" in
-  let in_off = i64_array c (n + 1) "in-offsets" in
-  let in_adj = i64_array c m "in-adjacency" in
-  let labels = i64_array c n "labels" in
-  let g = of_csr "mapped snapshot" ~n ~labels ~out_off ~out_adj in
+  let section count what = ints_ba c ~width:8 count what in
+  let out_off = section (n + 1) "offsets" in
+  let out_adj = section m "adjacency" in
+  let in_off = section (n + 1) "in-offsets" in
+  let in_adj = section m "in-adjacency" in
+  let labels = section n "labels" in
+  let g =
+    of_csr "mapped snapshot" ~in_csr:(in_off, in_adj) ~n ~labels ~out_off
+      ~out_adj ()
+  in
   if Digraph.label_count g <> label_count then
     bad "label count field disagrees with label section";
-  let d_in_off, d_in_adj = Digraph.in_csr g in
-  let mirror_ok =
-    let rec go_off v = v > n || (d_in_off.(v) = in_off.(v) && go_off (v + 1)) in
-    let rec go_adj i = i >= m || (d_in_adj.(i) = in_adj.(i) && go_adj (i + 1)) in
-    go_off 0 && go_adj 0
-  in
-  if not mirror_ok then bad "stored in-mirror disagrees with out-CSR";
   g
 
 (* An 'M' blob maps in place when the cursor reads a file (an mmap load)

@@ -32,7 +32,7 @@ let compute g =
     stack.(!sp) <- v;
     incr sp;
     frame_v.(!fp) <- v;
-    frame_e.(!fp) <- out_off.(v);
+    frame_e.(!fp) <- out_off.{v};
     incr fp
   in
   let start root =
@@ -40,8 +40,8 @@ let compute g =
     while !fp > 0 do
       let top = !fp - 1 in
       let v = frame_v.(top) and e = frame_e.(top) in
-      if e < out_off.(v + 1) then begin
-        let w = out_adj.(e) in
+      if e < out_off.{v + 1} then begin
+        let w = out_adj.{e} in
         frame_e.(top) <- e + 1;
         if index.(w) < 0 then visit w
         else if comp.(w) < 0 && index.(w) < lowlink.(v) then

@@ -92,9 +92,9 @@ let reduction_dag ?pool dag =
       let covered = Bitset.create n in
       for u = lo to hi - 1 do
         let base, start, len = Digraph.succ_slice dag u in
-        if len = 1 then keep.(u) <- [ (u, base.(start)) ]
+        if len = 1 then keep.(u) <- [ (u, base.{start}) ]
         else if len > 1 then begin
-          let succ = Array.sub base start len in
+          let succ = Array.init len (fun i -> base.{start + i}) in
           Array.sort (fun a b -> Mono.icompare comp.(b) comp.(a)) succ;
           Bitset.clear covered;
           keep.(u) <-

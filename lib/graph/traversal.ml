@@ -76,8 +76,8 @@ let ancestors ?depth g q sources ~into =
      while !lo < hi do
        let x = q.cells.(!lo) in
        incr lo;
-       for e = in_off.(x) to in_off.(x + 1) - 1 do
-         let y = in_adj.(e) in
+       for e = in_off.{x} to in_off.{x + 1} - 1 do
+         let y = in_adj.{e} in
          if not (Bitset.mem into y) then begin
            Bitset.add into y;
            if not (Bitset.mem sources y) then push q y
@@ -110,8 +110,8 @@ let bibfs_reaches g u v =
     (* Expansion cost of each frontier = its degree sum (edges that the
        next level must scan), maintained incrementally at discovery so
        side selection is O(1).  Frontier node counts undersell hubs. *)
-    let fcost = ref (out_off.(u + 1) - out_off.(u)) in
-    let bcost = ref (in_off.(v + 1) - in_off.(v)) in
+    let fcost = ref (out_off.{u + 1} - out_off.{u}) in
+    let bcost = ref (in_off.{v + 1} - in_off.{v}) in
     let found = ref false in
     (* An empty side is an exhausted search: its reachable set is complete
        and meet-free, so the answer is already "no" — stop rather than let
@@ -125,14 +125,14 @@ let bibfs_reaches g u v =
          while (not !found) && !flo < hi do
            let x = fq.(!flo) in
            incr flo;
-           for e = out_off.(x) to out_off.(x + 1) - 1 do
-             let y = out_adj.(e) in
+           for e = out_off.{x} to out_off.{x + 1} - 1 do
+             let y = out_adj.{e} in
              if Bitset.mem bwd y then found := true
              else if not (Bitset.mem fwd y) then begin
                Bitset.add fwd y;
                fq.(!fhi) <- y;
                incr fhi;
-               fcost := !fcost + (out_off.(y + 1) - out_off.(y))
+               fcost := !fcost + (out_off.{y + 1} - out_off.{y})
              end
            done
          done
@@ -143,14 +143,14 @@ let bibfs_reaches g u v =
          while (not !found) && !blo < hi do
            let x = bq.(!blo) in
            incr blo;
-           for e = in_off.(x) to in_off.(x + 1) - 1 do
-             let y = in_adj.(e) in
+           for e = in_off.{x} to in_off.{x + 1} - 1 do
+             let y = in_adj.{e} in
              if Bitset.mem fwd y then found := true
              else if not (Bitset.mem bwd y) then begin
                Bitset.add bwd y;
                bq.(!bhi) <- y;
                incr bhi;
-               bcost := !bcost + (in_off.(y + 1) - in_off.(y))
+               bcost := !bcost + (in_off.{y + 1} - in_off.{y})
              end
            done
          done

@@ -45,11 +45,12 @@ let coarsest_stable_refinement ?pool g ~initial =
     let pool = match pool with Some p -> p | None -> Pool.default () in
     (* Dense CSR justified: the refinement rounds index the counter pool by
        absolute CSR edge position and binary-search offset arrays, which
-       slices cannot provide; one up-front materialisation, reused across
-       every round. *)
+       slices cannot provide.  On the CSR store (flat or mmap) these are
+       the graph's own arrays; a varint graph materialises them once, and
+       every round reuses them. *)
     let out_off, _ = Digraph.out_csr g (* lint: allow CSR02 *) in
     let in_off, in_adj = Digraph.in_csr g (* lint: allow CSR02 *) in
-    let m = Array.length in_adj in
+    let m = Bigarray.Array1.dim in_adj in
     (* Pre-split every initial class on "has a successor", which makes the
        partition stable w.r.t. the universe block.  Per-node key
        computation is embarrassingly parallel (disjoint writes), so the
@@ -60,7 +61,7 @@ let coarsest_stable_refinement ?pool g ~initial =
           Pool.parallel_for pool ~n (fun v ->
               keys.(v) <-
                 (initial.(v) * 2)
-                + if out_off.(v + 1) > out_off.(v) then 1 else 0);
+                + if out_off.{v + 1} > out_off.{v} then 1 else 0);
           Partition.create_with keys)
     in
     (* Super-blocks: contiguous element ranges.  At most one super-block per
@@ -94,7 +95,7 @@ let coarsest_stable_refinement ?pool g ~initial =
     let cnt_of_edge = Array.make (Mono.imax 1 m) 0 in
     Obs.span "compressB.init_counters" (fun () ->
         for u = 0 to n - 1 do
-          let d = out_off.(u + 1) - out_off.(u) in
+          let d = out_off.{u + 1} - out_off.{u} in
           if d > 0 then begin
             let c = alloc_slot () in
             cval.(c) <- d;
@@ -102,7 +103,7 @@ let coarsest_stable_refinement ?pool g ~initial =
           end
         done;
         Pool.parallel_for pool ~n:m (fun e ->
-            cnt_of_edge.(e) <- node_cnt.(in_adj.(e))));
+            cnt_of_edge.(e) <- node_cnt.(in_adj.{e})));
     (* Per-round scratch: E⁻¹(B) and each member's old/new counter slot. *)
     let preds = Array.make n 0 in
     let old_cnt = Array.make n 0 in
@@ -134,8 +135,8 @@ let coarsest_stable_refinement ?pool g ~initial =
        phase-2 "no edge left into S \ B" test.  Captures only
        loop-invariant state, so one closure serves every round. *)
     let move_counts v =
-      for e = in_off.(v) to in_off.(v + 1) - 1 do
-        let u = in_adj.(e) in
+      for e = in_off.{v} to in_off.{v + 1} - 1 do
+        let u = in_adj.{e} in
         let c = cnt_of_edge.(e) in
         let cn =
           let cn = new_cnt.(u) in

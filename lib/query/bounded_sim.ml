@@ -87,9 +87,10 @@ let[@lint.hot_loop] fill_label c ids start len =
 
 (* Reset [cand.(u)] to the nodes labelled [fv(u)], for each pattern node. *)
 let fill_labels p g cand =
+  let ids = Digraph.label_ids g in
   for u = 0 to Pattern.node_count p - 1 do
-    let ids, start, len = Digraph.label_slice g (Pattern.label p u) in
-    fill_label cand.(u) ids start len
+    let l = Pattern.label p u in
+    fill_label cand.(u) ids (Digraph.label_first g l) (Digraph.label_len g l)
   done
 
 let label_candidates p g =

@@ -43,8 +43,8 @@ val eval_boolean : Pattern.t -> Digraph.t -> bool
 val eval_matrix : Pattern.t -> Digraph.t -> Pattern.result
 
 (** [label_candidates p g] is, per pattern node [u], the bitset of data
-    nodes labelled [fv(u)], read from {!Digraph.label_slice}: the
-    starting sets of {!eval}. *)
+    nodes labelled [fv(u)], read from the label index
+    ({!Digraph.label_ids}): the starting sets of {!eval}. *)
 val label_candidates : Pattern.t -> Digraph.t -> Bitset.t array
 
 (** [refine p g ~cand] runs the removal fixpoint starting from the

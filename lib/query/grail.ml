@@ -29,7 +29,7 @@ let label_once rng cond =
   done;
   let shuffled_succ v =
     let base, start, len = Digraph.succ_slice cond v in
-    let a = Array.sub base start len in
+    let a = Array.init len (fun i -> base.{start + i}) in
     for i = Array.length a - 1 downto 1 do
       let j = Random.State.int rng (i + 1) in
       let t = a.(i) in

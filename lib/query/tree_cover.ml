@@ -36,9 +36,9 @@ let build g =
   (* spanning forest post-order: DFS over the condensation following tree
      children in adjacency order *)
   (* Dense CSR justified: the iterative DFS keeps per-frame cursors into
-     the adjacency by absolute edge index across pushes and pops — a
-     scratch-backed slice would be invalidated by the nested visits.  The
-     condensation is freshly built and flat, so this is a no-op view. *)
+     the adjacency by absolute edge index across pushes and pops.  The
+     condensation is freshly built on the CSR store, so these are its own
+     arrays and nothing is copied. *)
   let cond_off, cond_adj = Digraph.out_csr cond (* lint: allow CSR02 *) in
   let post = Array.make k (-1) in
   let next = ref 0 in
@@ -49,9 +49,9 @@ let build g =
       Stack.push (root, 0) frames;
       while not (Stack.is_empty frames) do
         let v, i = Stack.pop frames in
-        if cond_off.(v) + i < cond_off.(v + 1) then begin
+        if cond_off.{v} + i < cond_off.{v + 1} then begin
           Stack.push (v, i + 1) frames;
-          let w = cond_adj.(cond_off.(v) + i) in
+          let w = cond_adj.{cond_off.{v} + i} in
           if post.(w) = -1 then begin
             post.(w) <- -2;
             Stack.push (w, 0) frames

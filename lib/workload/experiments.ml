@@ -446,7 +446,7 @@ module Fig12c = struct
             let out =
               Array.init n (fun v ->
                   let base, start, len = Digraph.succ_slice g v in
-                  Array.sub base start len)
+                  Array.init len (fun i -> base.{start + i}))
             in
             for _ = 1 to n / 2 do
               let v = Random.State.int rng2 n in

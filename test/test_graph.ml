@@ -269,7 +269,10 @@ let keep_meeting_agrees (n, nt, same, s, t, off, adj) =
   let t = if same then s else Bitset.of_list nt t in
   let m = Bitset.copy s and walk = Bitset.copy s and t0 = Bitset.copy t in
   let mt = if same then m else t0 in
-  let got = outcome (fun () -> Bitset.keep_meeting s ~off ~adj t) in
+  let ba = Bigarray.Array1.of_array Bigarray.int Bigarray.c_layout in
+  let got =
+    outcome (fun () -> Bitset.keep_meeting s ~off:(ba off) ~adj:(ba adj) t)
+  in
   let rec hit v j =
     j < off.(v + 1)
     &&

@@ -756,7 +756,8 @@ let bsim_linear_space () =
       let before = Gc.minor_words () in
       ignore (Bounded_sim.match_into s p : bool);
       let words = Gc.minor_words () -. before in
-      if words >= 32. then
+      (* Measured: 12 words for bound 3 and 10 for [*]. *)
+      if words >= 16. then
         Alcotest.failf "match_into allocated %.0f words on %d nodes" words
           (Digraph.n g))
     [ Pattern.Bounded 3; Pattern.Unbounded ]

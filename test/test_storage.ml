@@ -259,7 +259,7 @@ let backends_of g =
 let slices_equal (base_a, start_a, len_a) (base_b, start_b, len_b) =
   len_a = len_b
   && (let rec go i =
-        i >= len_a || (base_a.(start_a + i) = base_b.(start_b + i) && go (i + 1))
+        i >= len_a || (base_a.{start_a + i} = base_b.{start_b + i} && go (i + 1))
       in
       go 0)
 
@@ -314,7 +314,7 @@ let accessor_equiv_prop g =
           QCheck2.Test.fail_reportf "%s: out_degree %d differs" name v;
         if Digraph.in_degree gb v <> Digraph.in_degree reference v then
           QCheck2.Test.fail_reportf "%s: in_degree %d differs" name v;
-        (* succ_slice on the backend is decoded into scratch; the
+        (* succ_slice on the varint backend is decoded into scratch; the
            reference slice lives in the flat array, so comparing the two
            views directly is safe. *)
         if not (slices_equal (Digraph.succ_slice gb v) (Digraph.succ_slice reference v))
@@ -350,7 +350,8 @@ let check_label_index name g =
   let n = Digraph.n g and lc = Digraph.label_count g in
   let seen = Array.make n 0 in
   for l = 0 to lc - 1 do
-    let ids, start, len = Digraph.label_slice g l in
+    let ids = Digraph.label_ids g in
+    let start = Digraph.label_first g l and len = Digraph.label_len g l in
     for i = start to start + len - 1 do
       let v = ids.(i) in
       if i > start && ids.(i - 1) >= v then
@@ -367,7 +368,7 @@ let check_label_index name g =
     seen;
   List.iter
     (fun l ->
-      let _, _, len = Digraph.label_slice g l in
+      let len = Digraph.label_len g l in
       if len <> 0 then
         QCheck2.Test.fail_reportf "%s: label %d outside the range has %d nodes"
           name l len)
@@ -389,11 +390,9 @@ let label_index_prop g =
   true
 
 let label_index_empty () =
-  let ids, _, len = Digraph.label_slice Digraph.empty 0 in
-  Alcotest.(check int) "no nodes" 0 len;
-  Alcotest.(check int) "no ids" 0 (Array.length ids);
-  let _, _, len = Digraph.label_slice Digraph.empty 1 in
-  Alcotest.(check int) "label past the count" 0 len
+  Alcotest.(check int) "no nodes" 0 (Digraph.label_len Digraph.empty 0);
+  Alcotest.(check int) "no ids" 0 (Array.length (Digraph.label_ids Digraph.empty));
+  Alcotest.(check int) "label past the count" 0 (Digraph.label_len Digraph.empty 1)
 
 let bfs_equiv_prop g =
   let n = Digraph.n g in
@@ -443,7 +442,7 @@ let parallel_scratch_prop (g, domains) =
     let expected =
       Array.init n (fun v ->
           let base, start, len = Digraph.succ_slice reference v in
-          Array.sub base start len)
+          Array.init len (fun i -> base.{start + i}))
     in
     let rounds = 64 in
     let bad = Atomic.make (-1) in
@@ -455,7 +454,7 @@ let parallel_scratch_prop (g, domains) =
               len = Array.length expected.(v)
               && (let rec go j =
                     j >= len
-                    || (base.(start + j) = expected.(v).(j) && go (j + 1))
+                    || (base.{start + j} = expected.(v).(j) && go (j + 1))
                   in
                   go 0)
             in
@@ -465,6 +464,61 @@ let parallel_scratch_prop (g, domains) =
         (Atomic.get bad);
     true
   end
+
+(* One graph on each store: the heap graph, its 'M' snapshot mapped and
+   parsed eagerly, and its 'V' snapshot.  The first three are the one
+   CSR store, on the heap or over the file; a mapped graph's slices and
+   [keep_with_succ_in] read the file's pages in place, the latter through
+   the same C kernel as the heap graph. *)
+let stores_of g =
+  let m = Graph_io.to_snapshot_string ~format:Digraph.Mapped g in
+  let mapped =
+    with_tmp_file (fun path ->
+        write_file path m;
+        fst (Graph_io.load ~mmap:true path))
+  in
+  let varint = Graph_io.to_snapshot_string ~format:Digraph.Varint g in
+  [
+    ("heap", Digraph.Flat, g);
+    ("mmap", Digraph.Mapped, mapped);
+    ("eager 'M'", Digraph.Flat, fst (Graph_io.of_binary_string m));
+    ("varint", Digraph.Varint, fst (Graph_io.of_binary_string varint));
+  ]
+
+let slice_list (base, start, len) = List.init len (fun i -> base.{start + i})
+
+let shared_store_prop (g, p) =
+  let answer = Bounded_sim.eval p g in
+  List.iter
+    (fun (name, backend, gb) ->
+      if Digraph.backend gb <> backend then
+        QCheck2.Test.fail_reportf "%s: loaded on the %s backend" name
+          (Digraph.backend_name gb);
+      for v = 0 to Digraph.n g - 1 do
+        if slice_list (Digraph.succ_slice gb v) <> slice_list (Digraph.succ_slice g v)
+        then QCheck2.Test.fail_reportf "%s: succ_slice %d differs" name v;
+        if slice_list (Digraph.pred_slice gb v) <> slice_list (Digraph.pred_slice g v)
+        then QCheck2.Test.fail_reportf "%s: pred_slice %d differs" name v
+      done;
+      check_keep name gb g;
+      if not (Pattern.result_equal (Bounded_sim.eval p gb) answer) then
+        QCheck2.Test.fail_reportf "%s: Bounded_sim.eval differs" name)
+    (stores_of g);
+  true
+
+(* A mapped graph's slices are views into the file's pages, so two of
+   them stay valid together. *)
+let mapped_slices_live_together () =
+  let g = Digraph.make ~n:4 [ (0, 1); (0, 2); (1, 3); (2, 3); (3, 0) ] in
+  with_tmp_file (fun path ->
+      Graph_io.save_binary ~format:Digraph.Mapped path g;
+      let gm, _ = Graph_io.load ~mmap:true path in
+      let s0 = Digraph.succ_slice gm 0 and s1 = Digraph.succ_slice gm 1 in
+      let p3 = Digraph.pred_slice gm 3 and p0 = Digraph.pred_slice gm 0 in
+      Alcotest.(check (list int)) "succ 0" [ 1; 2 ] (slice_list s0);
+      Alcotest.(check (list int)) "succ 1" [ 3 ] (slice_list s1);
+      Alcotest.(check (list int)) "pred 3" [ 1; 2 ] (slice_list p3);
+      Alcotest.(check (list int)) "pred 0" [ 3 ] (slice_list p0))
 
 (* ------------------------------------------------------------------ *)
 
@@ -537,6 +591,10 @@ let equivalence_props =
       arb_graph_domains compress_equiv_prop;
     Testutil.qtest ~count:20 "parallel slice decode is domain-safe"
       arb_graph_domains parallel_scratch_prop;
+    Testutil.qtest ~count:100
+      "heap, mapped, eager 'M' and varint stores agree on slices, keep and eval"
+      (Testutil.arbitrary_graph_pattern ~max_n:16 ())
+      shared_store_prop;
   ]
 
 let () =
@@ -558,6 +616,8 @@ let () =
         @ [
             Alcotest.test_case "keep_with_succ_in over multi-byte varints"
               `Quick keep_with_succ_in_wide;
+            Alcotest.test_case "two live slices of a mapped graph" `Quick
+              mapped_slices_live_together;
           ] );
       ("label_index", [ Alcotest.test_case "empty graph" `Quick label_index_empty ]);
     ]

@@ -348,39 +348,39 @@ let obs01 =
         };
   }
 
-(* The pluggable-backend refactor turned [Digraph.out_csr] / [in_csr] into
-   an escape hatch: on the mapped and varint backends each call forces (and
-   caches) a flat heap copy of the whole adjacency, silently defeating
-   zero-copy mmap loading and the compact encoding.  The storage layer
-   itself (lib/graph) owns the representation and may use them freely;
-   everywhere else -- cold front ends included, since one cold call on a
-   mapped graph pulls the whole adjacency onto the heap -- iterates through
-   the backend-polymorphic accessors, and the few kernels that genuinely
-   need dense arrays carry a justified `lint: allow CSR02`. *)
+(* [Digraph.out_csr] / [in_csr] are an escape hatch.  On the CSR store
+   (flat and mmap) they return the graph's own arrays, but on the varint
+   backend the first call materialises (and caches) a heap copy of the
+   whole adjacency, silently defeating the compact encoding.  The storage
+   layer itself (lib/graph) owns the representation and may use them
+   freely; everywhere else -- cold front ends included, since one cold
+   call on a varint graph decodes the whole adjacency onto the heap --
+   iterates through the backend-polymorphic accessors, and the few kernels
+   that genuinely need the arrays carry a justified `lint: allow CSR02`. *)
 let csr02 =
   {
     id = "CSR02";
     scope = Outside "lib/graph";
     doc =
       "Dense CSR views (Digraph.out_csr, Digraph.in_csr) outside lib/graph: \
-       on the mapped and varint storage backends each call forces and \
-       caches a flat heap copy of the entire adjacency, defeating zero-copy \
-       mmap loading and the compact encoding. Iterate with Digraph.iter_succ \
-       / fold_succ / succ_slice (and the *_pred mirrors), which dispatch per \
-       backend without materializing; a kernel that genuinely needs the \
-       dense arrays suppresses with `lint: allow CSR02` plus a \
-       justification.";
+       the flat and mmap backends return their own arrays, but on the varint \
+       backend the first call materializes and caches a heap copy of the \
+       entire adjacency, defeating the compact encoding. Iterate with \
+       Digraph.iter_succ / fold_succ / succ_slice (and the *_pred mirrors), \
+       which dispatch per backend without materializing; a kernel that \
+       genuinely needs the dense arrays suppresses with `lint: allow CSR02` \
+       plus a justification.";
     check =
       Banned
         {
           matches = names [ "Digraph.out_csr"; "Digraph.in_csr" ];
           message =
             Printf.sprintf
-              "`%s` materializes the dense CSR outside lib/graph, forcing a \
-               full heap copy on the mapped and varint backends; iterate \
-               with Digraph.iter_succ / fold_succ / succ_slice (or *_pred), \
-               or suppress with `lint: allow CSR02` where the dense arrays \
-               are genuinely required";
+              "`%s` exposes the dense CSR outside lib/graph, forcing a \
+               full heap copy on the varint backend; iterate with \
+               Digraph.iter_succ / fold_succ / succ_slice (or *_pred), or \
+               suppress with `lint: allow CSR02` where the dense arrays are \
+               genuinely required";
         };
   }
 
