@@ -488,7 +488,9 @@ let run_reach opts () =
     let idx, build_s =
       time (fun () -> Compress_reach.index ~algorithm:algo c)
     in
-    let answers, batch_s = time (fun () -> Reach_index.query_batch idx pairs) in
+    let answers, batch_s =
+      time (fun () -> Reach_query.eval_pairs (Reach_index.query_into idx) pairs)
+    in
     verify name answers;
     let qps = float_of_int batch /. batch_s in
     let lat = latencies (fun ~source ~target -> Reach_index.query idx ~source ~target) in
@@ -500,7 +502,9 @@ let run_reach opts () =
     match index_rows with (_, _, _, _, _, idx) :: _ -> idx | [] -> assert false
   in
   let pl, plan_s = time (fun () -> Planner.create ~index:tree_idx g) in
-  let answers, batch_s = time (fun () -> Planner.eval_batch pl pairs) in
+  let answers, batch_s =
+    time (fun () -> Reach_query.eval_pairs (Planner.eval_into pl) pairs)
+  in
   verify "planner" answers;
   let planner_qps = float_of_int batch /. batch_s in
   let planner_lat =

@@ -58,4 +58,5 @@ let () =
       if via_index <> answers_g.(i) then ok := false)
     pairs;
   Printf.printf "2-hop-on-Gr answers all 500 original queries correctly: %b\n"
-    !ok
+    !ok;
+  if not !ok then exit 1

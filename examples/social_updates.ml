@@ -53,6 +53,7 @@ let () =
       pairs
   in
   Printf.printf "\nmaintained Gr answers 200 random queries correctly: %b\n" ok;
+  if not ok then exit 1;
 
   (* the pattern-preserving compression is maintained the same way *)
   let gi =

@@ -111,6 +111,7 @@ let of_cursor c =
   let graph, _table = Graph_io.graph_blob c in
   let original_n = Graph_io.i64 c "original count" in
   let node_map = Graph_io.i32_array c original_n "node map" in
+  Graph_io.expect_end c;
   match Compressed.v ~graph ~node_map with
   | c -> c
   | exception Invalid_argument msg -> fail 0 "%s" msg

@@ -29,7 +29,8 @@ val of_string : string -> Compressed.t
 
 val to_binary_string : ?graph_format:Digraph.backend -> Compressed.t -> string
 
-(** @raise Graph_io.Parse_error on a corrupt or truncated snapshot. *)
+(** @raise Graph_io.Parse_error on a corrupt or truncated snapshot, or
+    one with trailing bytes. *)
 val of_binary_string : string -> Compressed.t
 
 val save_binary : ?graph_format:Digraph.backend -> string -> Compressed.t -> unit

@@ -235,8 +235,8 @@ let scratch_key () = Domain.DLS.new_key (fun () -> ref (ba_create 0))
 let varint_store idx data =
   Svarint { idx; data; dense = Atomic.make None; scratch = scratch_key () }
 
-(* Trusted constructor for the 'V' snapshot loader; the caller has already
-   run the checked decode over both streams. *)
+(* Trusted constructor for the 'V' snapshot loader, which runs [validate]
+   (the checked decode of both streams) on the result. *)
 let of_varint_unchecked ~n ~m ~label_count ~labels ~out_idx ~out_data ~in_idx
     ~in_data =
   {
@@ -714,7 +714,9 @@ let to_flat g =
 
 let max_int32 = 0x7fffffff
 
-let encode_varint_side n sd =
+(* The one gap+LEB128 encoder (see [varint_rows]); the [Svarint] arm of
+   [validate] is its one checked decoder. *)
+let encode_rows n sd =
   let buf = Buffer.create 1024 in
   let idx = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (n + 1) in
   let prev = ref 0 and i = ref 0 in
@@ -729,9 +731,16 @@ let encode_varint_side n sd =
         incr i)
   done;
   if Buffer.length buf > max_int32 then
-    invalid_arg "Digraph.to_varint: adjacency stream exceeds 2 GiB";
+    invalid_arg "Digraph.varint_rows: adjacency stream exceeds 2 GiB";
   idx.{n} <- Int32.of_int (Buffer.length buf);
-  varint_store idx (Buffer.contents buf)
+  (idx, Buffer.contents buf)
+
+let varint_rows g =
+  let rows = function
+    | Svarint { idx; data; _ } -> (idx, data)
+    | Scsr _ as sd -> encode_rows g.n sd
+  in
+  (rows g.fwd, rows g.bwd)
 
 let to_varint g =
   match g.fwd with
@@ -744,12 +753,13 @@ let to_varint g =
         if l > max_int32 then invalid_arg "Digraph.to_varint: label too large";
         l32.{v} <- Int32.of_int l
       done;
+      let (out_idx, out_data), (in_idx, in_data) = varint_rows g in
       {
         g with
         mapped = false;
         lab = mk_lab (L32 l32);
-        fwd = encode_varint_side g.n g.fwd;
-        bwd = encode_varint_side g.n g.bwd;
+        fwd = varint_store out_idx out_data;
+        bwd = varint_store in_idx in_data;
       }
 
 (* ------------------------------------------------------------------ *)

@@ -72,10 +72,10 @@ val of_csr_unchecked :
   unit ->
   t
 
-(** [of_varint_unchecked] wraps already-validated varint adjacency
-    streams: [idx] holds byte offsets of each node's
-    [degree, first, gap, ...] block in [data].  Trusted constructor for
-    the 'V' snapshot loader, which runs the checked decode first. *)
+(** [of_varint_unchecked] wraps varint adjacency streams as
+    {!varint_rows} lays them out, without checking them.  Trusted
+    constructor for the 'V' snapshot loader, which runs {!validate} — the
+    one checked decoder of these streams — on the result. *)
 val of_varint_unchecked :
   n:int ->
   m:int ->
@@ -107,6 +107,14 @@ val to_flat : t -> t
     itself when already varint).  O(n + m); labels move to an int32
     array. *)
 val to_varint : t -> t
+
+(** [varint_rows g] is the out- and in-adjacency of [g] as gap+varint
+    streams [(idx, data)], the encoding of the varint store and the 'V'
+    snapshot: per node, minimal LEB128 [degree, first, gap, ...] in
+    [data], its byte offset in [idx].  A varint graph's own streams,
+    O(n + m) to encode otherwise.
+    @raise Invalid_argument when a stream would exceed 2 GiB. *)
+val varint_rows : t -> (int32_ba * string) * (int32_ba * string)
 
 (** {1 Accessors} *)
 

@@ -153,6 +153,12 @@ let cursor s = { s; off = 0; pos = 0; len = String.length s; file = None }
 
 let remaining c = c.len - c.pos
 
+(* A snapshot is read whole.  A top-level reader checks this after its
+   last read and before it builds its value, so that the input string,
+   reachable only from [c], can be freed while it builds. *)
+let expect_end c =
+  if remaining c <> 0 then bad "%d trailing bytes after snapshot" (remaining c)
+
 let truncated what = bad "binary snapshot truncated reading %s" what
 
 (* Moves past [count] items of [width] bytes and returns the index in
@@ -187,11 +193,16 @@ let u8 c what =
   let i = take c ~width:1 1 what in
   Char.code c.s.[i]
 
+(* [Int64.to_int] drops bit 63, so a word is in range only when it
+   converts back to itself.  Inlined, so that [w] stays unboxed. *)
+let[@inline] int_of_word w what =
+  let x = Int64.to_int w in
+  if x < 0 || Int64.of_int x <> w then bad "%s out of range in binary snapshot" what;
+  x
+
 let i64 c what =
   let i = take c ~width:8 1 what in
-  let x = Int64.to_int (String.get_int64_le c.s i) in
-  if x < 0 then bad "negative %s in binary snapshot" what;
-  x
+  int_of_word (String.get_int64_le c.s i) what
 
 let i32 c what =
   let i = take c ~width:4 1 what in
@@ -205,7 +216,8 @@ let i32_array c count what =
   Array.init count (fun j -> Int32.to_int (String.get_int32_le s (i + (4 * j))))
 
 (* [count] int32 or int64 entries ([width] 4 or 8) into an int Bigarray
-   of a CSR store; none may be negative. *)
+   of a CSR store; none may be negative or, as int64, outside the int
+   range. *)
 let ints_ba c ~width count what : Digraph.int_ba =
   let i = take c ~width count what in
   let s = c.s and a = Bigarray.Array1.create Bigarray.int Bigarray.c_layout count in
@@ -213,10 +225,19 @@ let ints_ba c ~width count what : Digraph.int_ba =
     let p = i + (width * j) in
     let x =
       if width = 4 then Int32.to_int (String.get_int32_le s p)
-      else Int64.to_int (String.get_int64_le s p)
+      else int_of_word (String.get_int64_le s p) what
     in
     if x < 0 then bad "negative %s in binary snapshot" what;
     a.{j} <- x
+  done;
+  a
+
+(* [count] int32 entries, any sign, into an int32 Bigarray. *)
+let int32s c count what : Digraph.int32_ba =
+  let i = take c ~width:4 count what in
+  let s = c.s and a = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout count in
+  for j = 0 to count - 1 do
+    a.{j} <- String.get_int32_le s (i + (4 * j))
   done;
   a
 
@@ -224,13 +245,20 @@ let bytes c k what =
   let i = take c ~width:1 k what in
   String.sub c.s i k
 
+(* [k] bytes of padding, which writers fill with zeros. *)
+let zeros c k what =
+  if String.exists (fun ch -> ch <> '\000') (bytes c k what) then
+    bad "nonzero %s in binary snapshot" what
+
 let read_header c kind ~versions:(lo, hi) =
   let i = take c ~width:1 8 "header" in
   if String.sub c.s i 4 <> magic then bad "bad magic: not a qpgc binary snapshot";
   if c.s.[i + 4] <> kind then
     bad "wrong snapshot kind '%c' (expected '%c')" c.s.[i + 4] kind;
   let v = Char.code c.s.[i + 5] in
-  if v < lo || v > hi then bad "unsupported snapshot version %d" v
+  if v < lo || v > hi then bad "unsupported snapshot version %d" v;
+  if c.s.[i + 6] <> '\000' || c.s.[i + 7] <> '\000' then
+    bad "nonzero reserved header bytes"
 
 (* Shared by the three graph kinds: the label-name table is an int64
    count [k] followed by [k] names (int32 length + bytes), ids 0..k-1 in
@@ -322,7 +350,7 @@ let flat_blob c =
   let out_adj = ints_ba c ~width:4 m "adjacency" in
   let labels = ints_ba c ~width:4 n "labels" in
   let table = read_names c in
-  (of_csr "binary snapshot" ~n ~labels ~out_off ~out_adj (), table)
+  fun () -> (of_csr "binary snapshot" ~n ~labels ~out_off ~out_adj (), table)
 
 (* ------------------------------------------------------------------ *)
 (* 'M': the zero-copy mapped snapshot.
@@ -431,13 +459,14 @@ let parse_sections c ~n ~m ~label_count =
   let in_off = section (n + 1) "in-offsets" in
   let in_adj = section m "in-adjacency" in
   let labels = section n "labels" in
-  let g =
-    of_csr "mapped snapshot" ~in_csr:(in_off, in_adj) ~n ~labels ~out_off
-      ~out_adj ()
-  in
-  if Digraph.label_count g <> label_count then
-    bad "label count field disagrees with label section";
-  g
+  fun () ->
+    let g =
+      of_csr "mapped snapshot" ~in_csr:(in_off, in_adj) ~n ~labels ~out_off
+        ~out_adj ()
+    in
+    if Digraph.label_count g <> label_count then
+      bad "label count field disagrees with label section";
+    g
 
 (* An 'M' blob maps in place when the cursor reads a file (an mmap load)
    and the blob sits at an 8-aligned offset of it; otherwise it parses.
@@ -457,17 +486,18 @@ let mapped_blob c =
   if n > total_len / 8 || m > total_len / 8
      || total_len <> align8 (names0 + names_len)
   then bad "mapped snapshot section table does not tile the blob";
-  let g =
+  let build =
     match c.file with
-    | Some ic when start land 7 = 0 -> map_sections ic ~start ~n ~m ~label_count
+    | Some ic when start land 7 = 0 ->
+        fun () -> map_sections ic ~start ~n ~m ~label_count
     | _ -> parse_sections c ~n ~m ~label_count
   in
   c.pos <- start + names0;
   let table = read_names c in
-  if c.pos > start + names0 + names_len then
-    bad "name table overruns its declared length";
-  c.pos <- start + total_len;
-  (g, table)
+  let names_end = start + names0 + names_len in
+  if c.pos <> names_end then bad "name table does not fill its declared length";
+  zeros c (start + total_len - names_end) "blob padding";
+  fun () -> (build (), table)
 
 (* ------------------------------------------------------------------ *)
 (* 'V': gap + LEB128 varint adjacency snapshot.
@@ -488,38 +518,20 @@ let mapped_blob c =
      ...     4*n        labels (int32)
      ...                label-name table
 
-   The encoder is minimal-form LEB128 and the loader re-decodes every
-   block with the checked reader, so the format is canonical: loading and
+   The index and stream pairs are [Digraph.varint_rows], the varint
+   store's own encoding, and the loaded store goes through
+   [Digraph.validate], its checked decoder: minimal-form LEB128 re-decoded
+   block by block, so the format is canonical -- loading and
    re-serialising any accepted file is bit-identical. *)
-
-let max_stream_len = 0x7fffffff
-
-let encode_varint_dir ~n degree iter =
-  let data = Buffer.create 1024 in
-  let idx = Buffer.create (4 * (n + 1)) in
-  let prev = ref 0 and i = ref 0 in
-  for v = 0 to n - 1 do
-    Buffer.add_int32_le idx (Int32.of_int (Buffer.length data));
-    Varint.add data (degree v);
-    prev := 0;
-    i := 0;
-    iter v (fun w ->
-        Varint.add data (if !i = 0 then w else w - !prev);
-        prev := w;
-        incr i)
-  done;
-  if Buffer.length data > max_stream_len then
-    bad "varint adjacency stream exceeds 2 GiB";
-  Buffer.add_int32_le idx (Int32.of_int (Buffer.length data));
-  (Buffer.contents idx, Buffer.contents data)
 
 let add_varint_blob buf ?labels g =
   let n = Digraph.n g and m = Digraph.m g in
-  let out_idx, out_data =
-    encode_varint_dir ~n (Digraph.out_degree g) (Digraph.iter_succ g)
-  in
-  let in_idx, in_data =
-    encode_varint_dir ~n (Digraph.in_degree g) (Digraph.iter_pred g)
+  let (out_idx, out_data), (in_idx, in_data) = Digraph.varint_rows g in
+  let add_rows idx data =
+    for i = 0 to Bigarray.Array1.dim idx - 1 do
+      Buffer.add_int32_le buf idx.{i}
+    done;
+    Buffer.add_string buf data
   in
   add_header buf 'V' varint_version;
   Buffer.add_int64_le buf (Int64.of_int n);
@@ -527,49 +539,12 @@ let add_varint_blob buf ?labels g =
   Buffer.add_int64_le buf (Int64.of_int (Digraph.label_count g));
   Buffer.add_int64_le buf (Int64.of_int (String.length out_data));
   Buffer.add_int64_le buf (Int64.of_int (String.length in_data));
-  Buffer.add_string buf out_idx;
-  Buffer.add_string buf out_data;
-  Buffer.add_string buf in_idx;
-  Buffer.add_string buf in_data;
+  add_rows out_idx out_data;
+  add_rows in_idx in_data;
   for v = 0 to n - 1 do
     Buffer.add_int32_le buf (Int32.of_int (Digraph.label g v))
   done;
   add_names buf labels
-
-(* Checked decode of one direction: index monotone from 0 to [data_len],
-   every block re-decodes canonically, strictly ascending, in range, and
-   ends exactly at the next index entry; degrees must sum to [m]. *)
-let check_varint_dir ~what ~n ~m data idx =
-  if idx.(0) <> 0 then bad "%s index does not start at 0" what;
-  if idx.(n) <> String.length data then bad "%s index/stream mismatch" what;
-  let total = ref 0 in
-  for v = 0 to n - 1 do
-    let lo = idx.(v) and hi = idx.(v + 1) in
-    if lo > hi then bad "%s index not monotone at node %d" what v;
-    match
-      let deg, p = Varint.read data lo in
-      let p = ref p and x = ref 0 in
-      for i = 1 to deg do
-        let d, p' = Varint.read data !p in
-        if i > 1 && d = 0 then raise (Varint.Error "zero gap");
-        x := (if i = 1 then d else !x + d);
-        if !x >= n then raise (Varint.Error "neighbour out of range");
-        p := p'
-      done;
-      if !p <> hi then raise (Varint.Error "block length mismatch");
-      total := !total + deg
-    with
-    | () -> ()
-    | exception Varint.Error msg -> bad "%s stream at node %d: %s" what v msg
-  done;
-  if !total <> m then bad "%s stream edge count disagrees with header" what
-
-let ba32_of_ints a : Digraph.int32_ba =
-  let ba =
-    Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (Array.length a)
-  in
-  Array.iteri (fun i x -> ba.{i} <- Int32.of_int x) a;
-  ba
 
 let varint_blob c =
   read_header c 'V' ~versions:(varint_version, varint_version);
@@ -578,38 +553,38 @@ let varint_blob c =
   let label_count = i64 c "label count" in
   let out_len = i64 c "out-stream length" in
   let in_len = i64 c "in-stream length" in
-  let out_idx = i32_array c (n + 1) "out index" in
+  let out_idx = int32s c (n + 1) "out index" in
   let out_data = bytes c out_len "out stream" in
-  let in_idx = i32_array c (n + 1) "in index" in
+  let in_idx = int32s c (n + 1) "in index" in
   let in_data = bytes c in_len "in stream" in
-  let labels = i32_array c n "labels" in
+  let labels = int32s c n "labels" in
   let table = read_names c in
-  check_varint_dir ~what:"out" ~n ~m out_data out_idx;
-  check_varint_dir ~what:"in" ~n ~m in_data in_idx;
-  let computed_label_count =
-    Array.fold_left (fun acc l -> if l >= acc then l + 1 else acc) 1 labels
-  in
-  if computed_label_count <> label_count then
-    bad "label count field disagrees with label section";
-  let g =
-    Digraph.of_varint_unchecked ~n ~m ~label_count ~labels:(ba32_of_ints labels)
-      ~out_idx:(ba32_of_ints out_idx) ~out_data ~in_idx:(ba32_of_ints in_idx)
-      ~in_data
-  in
-  (match Digraph.validate g with
-  | () -> ()
-  | exception Failure msg -> bad "invalid varint snapshot: %s" msg);
-  (g, table)
+  fun () ->
+    let g =
+      Digraph.of_varint_unchecked ~n ~m ~label_count ~labels ~out_idx ~out_data
+        ~in_idx ~in_data
+    in
+    (match Digraph.validate g with
+    | () -> ()
+    | exception Failure msg -> bad "invalid varint snapshot: %s" msg);
+    let top = ref 0 in
+    for v = 0 to n - 1 do top := Mono.imax !top (Int32.to_int labels.{v}) done;
+    if !top + 1 <> label_count then bad "label count field disagrees with label section";
+    (g, table)
 
 (* ------------------------------------------------------------------ *)
-(* Nested blobs, kind dispatch and file loading *)
+(* Nested blobs, kind dispatch and file loading
 
-let graph_blob c =
+   Each kind's reader above reads its whole blob and returns the build
+   of the graph, so that a top-level load checks the input ends there
+   ([expect_end]) before it builds: the input string is then garbage. *)
+
+let read_graph_blob c =
   (* 'M' blobs nested at unaligned positions are preceded by zero
      padding; magic never starts with '\000', so one byte tells. *)
   if c.pos < c.len then begin
     let i = peek c 1 in
-    if c.s.[i] = '\000' then c.pos <- Mono.imin (align8 c.pos) c.len
+    if c.s.[i] = '\000' then zeros c (align8 c.pos - c.pos) "blob padding"
   end;
   let i = peek c 8 in
   match c.s.[i + 4] with
@@ -617,6 +592,8 @@ let graph_blob c =
   | 'M' -> mapped_blob c
   | 'V' -> varint_blob c
   | k -> bad "unknown snapshot kind '%c'" k
+
+let graph_blob c = read_graph_blob c ()
 
 let add_any_blob buf ?labels ~(format : Digraph.backend) g =
   match format with
@@ -629,7 +606,12 @@ let to_snapshot_string ?labels ?(format = Digraph.Flat) g =
   add_any_blob buf ?labels ~format g;
   Buffer.contents buf
 
-let of_binary_string s = graph_blob (cursor s)
+let whole_graph c =
+  let build = read_graph_blob c in
+  expect_end c;
+  build ()
+
+let of_binary_string s = whole_graph (cursor s)
 
 let save_binary ?labels ?format path g =
   let oc = open_out_bin path in
@@ -658,7 +640,7 @@ let load_file ?(mmap = false) ?text path binary =
             { s = ""; off = 0; pos = 0; len = in_channel_length ic; file = Some ic }
       | _ -> binary (cursor (In_channel.input_all ic)))
 
-let load ?mmap path = load_file ?mmap ~text:of_string path graph_blob
+let load ?mmap path = load_file ?mmap ~text:of_string path whole_graph
 
 let to_dot ?labels ?(name = "g") ?cluster g =
   let buf = Buffer.create 1024 in

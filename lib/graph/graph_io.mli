@@ -72,8 +72,9 @@ val to_snapshot_string :
   ?labels:Label_table.t -> ?format:Digraph.backend -> Digraph.t -> string
 
 (** [of_binary_string s] parses a binary snapshot of any graph kind.  The
-    loaded structure is re-validated, so corrupt or truncated input fails
-    with {!Parse_error} (line 0) rather than undefined behaviour. *)
+    loaded structure is re-validated, so corrupt, truncated or
+    non-canonical input (trailing bytes included) fails with
+    {!Parse_error} (line 0) rather than undefined behaviour. *)
 val of_binary_string : string -> Digraph.t * Label_table.t
 
 (** [save_binary ?labels ?format path g] writes the binary snapshot of
@@ -117,8 +118,8 @@ type cursor
 val cursor : string -> cursor
 
 (** [read_header c kind ~versions:(lo, hi)] reads the 8-byte header and
-    checks the magic, that the kind byte is [kind] and that the version
-    byte lies in [lo..hi]. *)
+    checks the magic, that the kind byte is [kind], that the version
+    byte lies in [lo..hi] and that the reserved bytes are zero. *)
 val read_header : cursor -> char -> versions:int * int -> unit
 
 (** One unsigned byte. *)
@@ -127,7 +128,7 @@ val u8 : cursor -> string -> int
 (** A non-negative int32. *)
 val i32 : cursor -> string -> int
 
-(** A non-negative int64. *)
+(** A non-negative int64 within the OCaml int range. *)
 val i64 : cursor -> string -> int
 
 (** [i32_array c count what] reads [count] int32 entries (any sign). *)
@@ -135,6 +136,11 @@ val i32_array : cursor -> int -> string -> int array
 
 (** Bytes left in the input. *)
 val remaining : cursor -> int
+
+(** [expect_end c] fails with {!Parse_error} unless [c] has read its
+    whole input.  Every top-level snapshot reader calls it after its last
+    read, so no snapshot has trailing bytes. *)
+val expect_end : cursor -> unit
 
 (** [graph_blob c] reads a nested graph blob of any kind ('G', 'M' or
     'V'), skipping the zero padding {!add_any_blob} writes before an 'M'

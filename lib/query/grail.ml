@@ -3,8 +3,8 @@ type t = {
   cond : Digraph.t;
   (* intervals.(i).(c) = (low, post) for condensation node c, traversal i *)
   intervals : (int * int) array array;
-  (* Atomic: query runs inside parallel batch closures (Planner.eval_batch,
-     Reach_index.query_batch), so a plain mutable field would drop
+  (* Atomic: query runs inside parallel batch closures (Planner.eval_into,
+     Reach_index.query_into), so a plain mutable field would drop
      concurrent increments. *)
   fallback_count : int Atomic.t;
 }

@@ -34,7 +34,7 @@ val memory_bytes : t -> int
     intervals alone and needed the DFS fallback; exposed so benchmarks and
     the {!Planner} can estimate the pruning power.  Also surfaced as the
     [grail.fallbacks] {!Obs} counter.  The count is atomic, so it is
-    exact under a concurrent [query_batch] too. *)
+    exact under a concurrent [Reach_index.query_into] too. *)
 val fallbacks : t -> int
 
 (** {1 Representation access (serialization)}

@@ -173,5 +173,3 @@ let eval_into ?pool t ~src ~dst ~off ~len out =
           done;
           Obs.add c_trivial !trivials;
           count_engine t (hi - lo - !trivials)))
-
-let eval_batch ?pool t pairs = Reach_query.eval_pairs (eval_into ?pool t) pairs

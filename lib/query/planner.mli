@@ -5,7 +5,7 @@
     size, DAG-ness, and the reachability density sampled through GRAIL's
     fallback rate — and commits to an engine; [eval] then adds per-query
     O(1) short-circuits (reflexive hits, dead sources / unreachable
-    targets) in front of it.  [eval_batch] amortises that one planning
+    targets) in front of it.  [eval_into] amortises that one planning
     pass across an arbitrarily large batch, which is where the
     compress-then-index pipeline earns its orders of magnitude.
 
@@ -65,7 +65,3 @@ val eval : t -> source:int -> target:int -> bool
 val eval_into :
   ?pool:Pool.t -> t -> src:int array -> dst:int array -> off:int -> len:int ->
   Bytes.t -> unit
-
-(** [eval_batch t pairs] is {!eval_into} over a tuple batch: every pair
-    answered, in order. *)
-val eval_batch : ?pool:Pool.t -> t -> (int * int) array -> bool array

@@ -124,7 +124,6 @@ let query_into ?pool t ~src ~dst ~off ~len out =
               (if answer t src.(i) dst.(i) then '\001' else '\000')
           done))
 
-let query_batch ?pool t pairs = Reach_query.eval_pairs (query_into ?pool t) pairs
 
 let memory_bytes t =
   let backend_bytes =

@@ -61,10 +61,6 @@ val query_into :
   ?pool:Pool.t -> t -> src:int array -> dst:int array -> off:int -> len:int ->
   Bytes.t -> unit
 
-(** [query_batch t pairs] is {!query_into} over a tuple batch: every
-    pair answered, in order. *)
-val query_batch : ?pool:Pool.t -> t -> (int * int) array -> bool array
-
 val algorithm : t -> algorithm
 
 (** [indexed_n t] is the node count of the indexed graph ([|Vr|] when built

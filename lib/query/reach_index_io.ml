@@ -92,6 +92,10 @@ let of_cursor c =
   let has_map = Graph_io.u8 c "node-map flag" in
   if has_map > 1 then bad "bad node-map flag %d" has_map;
   let graph_n = Graph_io.i64 c "indexed node count" in
+  (* Each indexed node takes at least one int32 of the payload below, so
+     the input bounds the count before anything is sized by it. *)
+  if graph_n > Graph_io.remaining c / 4 then
+    bad "indexed node count %d exceeds the snapshot" graph_n;
   let node_map =
     if has_map = 0 then None
     else begin
@@ -151,8 +155,7 @@ let of_cursor c =
         | gl -> Reach_index.Grl gl
         | exception Invalid_argument msg -> bad "%s" msg)
   in
-  if Graph_io.remaining c <> 0 then
-    bad "trailing %d bytes after index snapshot" (Graph_io.remaining c);
+  Graph_io.expect_end c;
   match Reach_index.v ~graph_n ?node_map ~self_loops ~backend () with
   | t -> t
   | exception Invalid_argument msg -> bad "%s" msg

@@ -90,7 +90,7 @@ let index_empty_graph () =
       Alcotest.(check int) "no nodes" 0 (Reach_index.indexed_n idx);
       Alcotest.(check (array bool))
         "empty batch" [||]
-        (Reach_index.query_batch idx [||]))
+        (Reach_query.eval_pairs (Reach_index.query_into idx) [||]))
     Reach_index.all_algorithms
 
 let index_build_rejects_bad_map () =
@@ -128,7 +128,8 @@ let index_props =
             List.for_all
               (fun domains ->
                 Pool.with_pool ~domains (fun pool ->
-                    Reach_index.query_batch ~pool idx pairs = expected))
+                    Reach_query.eval_pairs (Reach_index.query_into ~pool idx) pairs
+                    = expected))
               [ 1; 2; 4 ]));
     qtest
       "query_into at an offset equals per-query answers for every domain count"
@@ -254,6 +255,11 @@ let io_corruption () =
   expect "unsupported version" (patch 5 '\007');
   expect "unknown algorithm tag" (patch 8 '\007');
   expect "trailing bytes" (s ^ "\000");
+  (* An indexed node count (bytes 10-17) far beyond what the input holds
+     fails before anything is sized by it. *)
+  let huge = Bytes.of_string s in
+  Bytes.set_int64_le huge 10 (Int64.shift_left 1L 40);
+  expect "indexed node count beyond the input" (Bytes.to_string huge);
   (* node-map entry patched out of range: map entries start at byte 26
      (8 header + 1 tag + 1 flag + 8 indexed-n + 8 original-n) *)
   expect "map entry out of range"
@@ -330,7 +336,7 @@ let planner_large_graph () =
 
 let planner_empty_graph () =
   let pl = Planner.create Digraph.empty in
-  Alcotest.(check (array bool)) "empty batch" [||] (Planner.eval_batch pl [||])
+  Alcotest.(check (array bool)) "empty batch" [||] (Reach_query.eval_pairs (Planner.eval_into pl) [||])
 
 let planner_props =
   [
@@ -354,7 +360,7 @@ let planner_props =
         List.for_all
           (fun domains ->
             Pool.with_pool ~domains (fun pool ->
-                Planner.eval_batch ~pool pl pairs = expected))
+                Reach_query.eval_pairs (Planner.eval_into ~pool pl) pairs = expected))
           [ 1; 2; 4 ]);
     qtest
       "planner eval_into at an offset equals per-query eval for every domain \

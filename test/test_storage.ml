@@ -243,6 +243,89 @@ let varint_corruption () =
   expect_parse_error "overlong" (fun () ->
       Graph_io.of_binary_string (set_byte s (data0 + 1) '\128'))
 
+(* One mutation of a valid snapshot of a random labelled graph -- 'G',
+   'M' or 'V', or a 'C' or 'I' over it with each embedded kind -- a bit
+   flip, a 4- or 8-byte word set to 0, -1, 2^31 - 1 or 2^62, or appended
+   bytes, either fails with Parse_error or loads a value that re-encodes
+   to the mutated bytes: an eager load accepts no malformed and no
+   non-canonical snapshot. *)
+let eager_mutations () =
+  let rand = Random.State.make [| 2718 |] in
+  let gen = Testutil.digraph_gen ~max_n:12 ~max_labels:4 () in
+  let words = [ 0L; -1L; 0x7fff_ffffL; Int64.shift_left 1L 62 ] in
+  let mutate s =
+    let b = Bytes.of_string s and len = String.length s in
+    match Random.State.int rand 3 with
+    | 0 ->
+        let i = Random.State.int rand len in
+        let bit = 1 lsl Random.State.int rand 8 in
+        Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor bit);
+        Bytes.to_string b
+    | 1 ->
+        let width = if Random.State.bool rand then 4 else 8 in
+        let i = Random.State.int rand (len - width + 1) in
+        let w = List.nth words (Random.State.int rand (List.length words)) in
+        if width = 4 then Bytes.set_int32_le b i (Int64.to_int32 w)
+        else Bytes.set_int64_le b i w;
+        Bytes.to_string b
+    | _ ->
+        s ^ String.init (1 + Random.State.int rand 8) (fun _ ->
+                Char.chr (Random.State.int rand 256))
+  in
+  let check name count s reencode_load =
+    for _ = 1 to count do
+      let bad = mutate s in
+      match reencode_load bad with
+      | exception Graph_io.Parse_error _ -> ()
+      | s' ->
+          if s' <> bad then
+            Alcotest.failf "%s: accepted a non-canonical mutation" name
+    done
+  in
+  for _ = 1 to 100 do
+    let g = QCheck2.Gen.generate1 ~rand gen in
+    let labels =
+      if Random.State.bool rand then None
+      else begin
+        let t = Graph_io.Label_table.create () in
+        for l = 0 to Digraph.label_count g - 1 do
+          ignore (Graph_io.Label_table.intern t (Printf.sprintf "label%d" l))
+        done;
+        Some t
+      end
+    in
+    let c = Compress_reach.compress g in
+    List.iter
+      (fun format ->
+        let name = format_of_backend format in
+        check name 30 (Graph_io.to_snapshot_string ?labels ~format g) (fun bad ->
+            let g', labels = Graph_io.of_binary_string bad in
+            let kind =
+              match bad.[4] with
+              | 'M' -> Digraph.Mapped
+              | 'V' -> Digraph.Varint
+              | _ -> Digraph.Flat
+            in
+            Digraph.validate g';
+            Graph_io.to_snapshot_string ~labels ~format:kind g');
+        let graph_format = format in
+        check ("'C' over " ^ name) 10
+          (Compressed_io.to_binary_string ~graph_format c) (fun bad ->
+            Compressed_io.to_binary_string ~graph_format
+              (Compressed_io.of_binary_string bad));
+        List.iter
+          (fun algorithm ->
+            check
+              ("'I' " ^ Reach_index.algorithm_name algorithm ^ " over " ^ name)
+              5
+              (Reach_index_io.to_binary_string ~graph_format
+                 (Reach_index.build ~algorithm g)) (fun bad ->
+                Reach_index_io.to_binary_string ~graph_format
+                  (Reach_index_io.of_binary_string bad)))
+          Reach_index.all_algorithms)
+      [ Digraph.Flat; Digraph.Mapped; Digraph.Varint ]
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Backend equivalence *)
 
@@ -609,6 +692,8 @@ let () =
         [
           Alcotest.test_case "mapped snapshot" `Quick mapped_corruption;
           Alcotest.test_case "varint snapshot" `Quick varint_corruption;
+          Alcotest.test_case "eager loads reject every mutation but canonical ones"
+            `Quick eager_mutations;
         ] );
       ("format_props", format_props);
       ( "equivalence",

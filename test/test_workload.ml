@@ -192,8 +192,8 @@ let experiments_determinism () =
 (* ------------------------------------------------------------------ *)
 (* Whole-library consistency: on a realistic stand-in, every reachability
    machine in the repository must give identical answers — BFS, BiBFS,
-   DFS, 2-hop, GRAIL, tree cover, the compression, the paper-verbatim
-   compression, and the distributed evaluator over both G and Gr. *)
+   DFS, 2-hop, GRAIL, tree cover, the compression and the paper-verbatim
+   compression. *)
 
 let consistency () =
   let spec = Datasets.find "P2P" in
@@ -203,14 +203,6 @@ let consistency () =
   let th = Two_hop.build g in
   let grail = Grail.build g in
   let tc = Tree_cover.build g in
-  let dist =
-    Dist_reach.build (Fragmentation.make g ~fragments:3 ~strategy:Fragmentation.Bfs)
-  in
-  let gr = Compressed.graph rc in
-  let dist_gr =
-    Dist_reach.build
-      (Fragmentation.make gr ~fragments:3 ~strategy:Fragmentation.Bfs)
-  in
   let rng = Random.State.make [| 1234 |] in
   let pairs = Reach_query.random_pairs rng g ~count:500 in
   Array.iter
@@ -227,13 +219,7 @@ let consistency () =
       check "tree_cover" (Tree_cover.query tc u v);
       check "compression" (Compress_reach.answer rc ~source:u ~target:v);
       check "compression (Fig 5)"
-        (Compress_reach.answer rc_paper ~source:u ~target:v);
-      check "distributed" (Dist_reach.query dist u v);
-      let s, t = Compress_reach.rewrite rc ~source:u ~target:v in
-      check "distributed over Gr"
-        (if u = v then true
-         else if s = t then Digraph.mem_edge gr s s
-         else Dist_reach.query dist_gr s t))
+        (Compress_reach.answer rc_paper ~source:u ~target:v))
     pairs
 
 let pattern_consistency () =
