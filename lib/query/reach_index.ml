@@ -85,27 +85,33 @@ let build ?pool ?(algorithm = Tree_cover) ?node_map g =
       in
       { graph_n = n; node_map; self_loops; backend })
 
-(* One probe, uncounted: [query] counts it, [query_into] counts its
-   whole slice at once. *)
-let[@lint.hot_loop] answer t source target =
-  if source = target then true
-  else begin
-    (* Two separate matches rather than one binding a pair: a fresh (s, d)
-       tuple would be allocated on every query. *)
-    let s = match t.node_map with None -> source | Some m -> m.(source) in
-    let d = match t.node_map with None -> target | Some m -> m.(target) in
-    if s = d then Bitset.mem t.self_loops s
-    else
-      match t.backend with
-      | Tree tc -> Tree_cover.query tc s d
-      | Hop th -> Two_hop.query th s d
-      | Grl gl ->
-          (* lint: allow ALLOC02 — GRAIL's interval miss falls back to a
-             pruned DFS that allocates a visited bitset by design; the
-             planner only picks GRAIL when the sampled fallback rate is
-             low, so the common path stays allocation-free. *)
-          Grail.query gl s d
-  end
+(* One probe, uncounted, as 0 or 1: [query] counts it, [query_into]
+   counts its whole slice at once. *)
+let[@lint.hot_loop] [@inline] probe t source target =
+  (* Two separate matches rather than one binding a pair: a fresh (s, d)
+     tuple would be allocated on every query. *)
+  let s = match t.node_map with None -> source | Some m -> m.(source) in
+  let d = match t.node_map with None -> target | Some m -> m.(target) in
+  match t.backend with
+  | Tree tc ->
+      (* (source = target) ∨ (s = d ∧ loop s) ∨ (s ≠ d ∧ s ⇝ d), in
+         integer arithmetic: no branch depends on the pair.  Distinct
+         hypernodes of one component reach each other through the probe,
+         since every row holds its own post rank. *)
+      let same = Bool.to_int (s = d) in
+      Bool.to_int (source = target)
+      lor (same land Bool.to_int (Bitset.mem t.self_loops s))
+      lor ((1 - same) land Bool.to_int (Tree_cover.query tc s d))
+  | Hop th when s <> d -> Bool.to_int (Two_hop.query th s d)
+  | Grl gl when s <> d ->
+      (* lint: allow ALLOC02 — GRAIL's interval miss falls back to a
+         pruned DFS that allocates a visited bitset by design; the
+         planner only picks GRAIL when the sampled fallback rate is
+         low, so the common path stays allocation-free. *)
+      Bool.to_int (Grail.query gl s d)
+  | Hop _ | Grl _ -> Bool.to_int (source = target || Bitset.mem t.self_loops s)
+
+let answer t source target = probe t source target = 1
 
 let count_queries k = Obs.add c_queries k
 
@@ -120,8 +126,7 @@ let query_into ?pool t ~src ~dst ~off ~len out =
       count_queries len;
       Pool.parallel_for_ranges pool ~n:len (fun lo hi ->
           for i = off + lo to off + hi - 1 do
-            Bytes.set out i
-              (if answer t src.(i) dst.(i) then '\001' else '\000')
+            Bytes.set_uint8 out i (probe t src.(i) dst.(i))
           done))
 
 

@@ -33,21 +33,14 @@ let to_binary_string ?(graph_format = Digraph.Flat) t =
   in
   (match Reach_index.backend t with
   | Reach_index.Tree tc ->
-      let post = Tree_cover.post tc and intervals = Tree_cover.intervals tc in
+      let post = Tree_cover.post tc and offsets = Tree_cover.offsets tc in
       Buffer.add_int64_le buf (Int64.of_int (Array.length post));
       add_i32_array (Tree_cover.comp tc);
       add_i32_array post;
-      Array.iter
-        (fun ivs -> Buffer.add_int32_le buf (Int32.of_int (Array.length ivs)))
-        intervals;
-      Array.iter
-        (fun ivs ->
-          Array.iter
-            (fun (lo, hi) ->
-              Buffer.add_int32_le buf (Int32.of_int lo);
-              Buffer.add_int32_le buf (Int32.of_int hi))
-            ivs)
-        intervals
+      for c = 0 to Array.length post - 1 do
+        Buffer.add_int32_le buf (Int32.of_int (offsets.(c + 1) - offsets.(c)))
+      done;
+      add_i32_array (Tree_cover.pairs tc)
   | Reach_index.Hop th ->
       let lout, lin = Two_hop.labels th in
       let add_labels side =
@@ -120,9 +113,12 @@ let of_cursor c =
         let k = Graph_io.i64 c "condensation size" in
         let comp = Graph_io.i32_array c graph_n "component map" in
         let post = Graph_io.i32_array c k "post ranks" in
-        let counts = Graph_io.i32_array c k "interval counts" in
-        let intervals = Array.map (fun n -> i32_pairs c n "intervals") counts in
-        (match Tree_cover.of_parts ~comp ~post ~intervals with
+        let offsets = Array.make (k + 1) 0 in
+        for r = 0 to k - 1 do
+          offsets.(r + 1) <- offsets.(r) + Graph_io.i32 c "interval count"
+        done;
+        let pairs = Graph_io.i32_array c (2 * offsets.(k)) "intervals" in
+        (match Tree_cover.of_parts ~comp ~post ~offsets ~pairs with
         | tc -> Reach_index.Tree tc
         | exception Invalid_argument msg -> bad "%s" msg)
     | 1 ->

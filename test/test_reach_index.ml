@@ -99,6 +99,124 @@ let index_build_rejects_bad_map () =
   | _ -> Alcotest.fail "expected Invalid_argument"
   | exception Invalid_argument _ -> ()
 
+(* Two copies of one shape, numbered in opposite orders so that the
+   post-order forest fragments a hub's row whichever way the DFS meets it:
+   a hub [u] reaches 16 sinks [x i], each also the only child of its own
+   source [y i], so the sinks' post ranks interleave with the sources'.
+   [v1 <-> v2 -> u] adds a nontrivial SCC, and [a1], [a2] and [y 0] reach
+   exactly [x 0]: one acyclic hypernode of compressR. *)
+let wide_rows () =
+  let half ~u ~v1 ~v2 ~a1 ~a2 ~x ~y =
+    List.concat (List.init 16 (fun i -> [ (y i, x i); (u, x i) ]))
+    @ [ (v1, v2); (v2, v1); (v1, u); (a1, x 0); (a2, x 0) ]
+  in
+  Digraph.make ~n:74
+    (half ~u:0 ~v1:1 ~v2:2 ~a1:3 ~a2:4
+       ~x:(fun i -> 5 + i)
+       ~y:(fun i -> 21 + i)
+    @ half ~u:69 ~v1:70 ~v2:71 ~a1:72 ~a2:73
+        ~x:(fun i -> 37 + i)
+        ~y:(fun i -> 53 + i))
+
+let tree_of idx =
+  match Reach_index.backend idx with
+  | Reach_index.Tree tc -> tc
+  | _ -> Alcotest.fail "expected a tree-cover backend"
+
+let widest_row tc =
+  let off = Tree_cover.offsets tc in
+  let w = ref 0 in
+  for c = 0 to Array.length off - 2 do
+    w := max !w (off.(c + 1) - off.(c))
+  done;
+  !w
+
+(* The tree-cover probe's edges: rows long enough that the search halves
+   at least three times, over the graph itself (an identity map with
+   nontrivial SCCs) and over compressR, with the single-probe and the
+   flat entry point checked against BFS on every pair. *)
+let tree_cover_wide_rows () =
+  let g = wide_rows () in
+  let n = Digraph.n g in
+  let direct = Reach_index.build g in
+  let compressed = Compress_reach.index (Compress_reach.compress g) in
+  List.iter
+    (fun (name, idx) ->
+      let tc = tree_of idx in
+      Alcotest.(check bool)
+        (name ^ ": a row holds at least 8 intervals")
+        true
+        (widest_row tc >= 8);
+      let bfs ~source ~target = Traversal.bfs_reaches g source target in
+      Alcotest.(check bool)
+        (name ^ ": query matches BFS on all pairs")
+        true
+        (all_pairs_agree ~name g (Reach_index.query idx));
+      Alcotest.(check bool)
+        (name ^ ": query_into matches BFS on all pairs")
+        true
+        (flat_agrees ~off:2 g (Reach_index.query_into idx) bfs))
+    [ ("identity", direct); ("compressR", compressed) ];
+  let tc = tree_of direct in
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      if Tree_cover.query tc u v <> Traversal.bfs_reaches g u v then
+        Alcotest.failf "Tree_cover.query disagrees with BFS on (%d, %d)" u v
+    done
+  done
+
+(* Distinct originals inside one hypernode: an acyclic one answers false
+   both ways, a cyclic one true, and every node reaches itself. *)
+let tree_cover_one_hypernode () =
+  let g = wide_rows () in
+  let idx = Compress_reach.index (Compress_reach.compress g) in
+  let r = Option.get (Reach_index.node_map idx) in
+  let reach source target = Reach_index.query idx ~source ~target in
+  Alcotest.(check bool) "a1, a2, y 0 share a hypernode" true
+    (r.(3) = r.(4) && r.(4) = r.(21));
+  Alcotest.(check bool) "v1, v2 share a hypernode" true (r.(1) = r.(2));
+  Alcotest.(check bool) "a1 -/-> a2" false (reach 3 4);
+  Alcotest.(check bool) "a2 -/-> y 0" false (reach 4 21);
+  Alcotest.(check bool) "v1 ~> v2" true (reach 1 2);
+  Alcotest.(check bool) "v2 ~> v1" true (reach 2 1);
+  for v = 0 to Digraph.n g - 1 do
+    if not (reach v v) then Alcotest.failf "QR(%d, %d) is false" v v
+  done
+
+(* One 256-pair [query_into] call at one domain allocates only its
+   closures (the span and the range body): 21 minor words, measured in
+   the dev and release profiles.  A probe that allocates costs at least
+   256 more. *)
+let query_into_budget = 24
+
+let query_into_allocation () =
+  let rng = Random.State.make [| 5 |] in
+  let g = Generators.erdos_renyi rng ~n:3000 ~m:4500 in
+  let n = Digraph.n g in
+  let src = Array.init 256 (fun _ -> Random.State.int rng n) in
+  let dst = Array.init 256 (fun _ -> Random.State.int rng n) in
+  let out = Bytes.create 256 in
+  List.iter
+    (fun (name, idx) ->
+      Pool.with_pool ~domains:1 (fun pool ->
+          let call () =
+            Reach_index.query_into ~pool idx ~src ~dst ~off:0 ~len:256 out
+          in
+          call ();
+          let calls = 100 in
+          let before = Gc.minor_words () in
+          for _ = 1 to calls do
+            call ()
+          done;
+          let per_call = (Gc.minor_words () -. before) /. float_of_int calls in
+          if per_call > float_of_int query_into_budget then
+            Alcotest.failf "%s: %.1f minor words per call, budget %d" name
+              per_call query_into_budget))
+    [
+      ("identity", Reach_index.build g);
+      ("compressR", Compress_reach.index (Compress_reach.compress g));
+    ]
+
 let index_props =
   [
     qtest "every index over G matches BFS on all pairs" arb_g (fun g ->
@@ -265,6 +383,74 @@ let io_corruption () =
   expect "map entry out of range"
     (String.sub s 0 26 ^ "\255\255\255\255"
     ^ String.sub s 30 (String.length s - 30))
+  ;
+  (* Tree-cover rows: a tag-0 snapshot ends with the post ranks and the
+     per-row interval counts (k int32s each), then the intervals as int32
+     (lo, hi) pairs.  The search relies on each row being nonempty,
+     ascending, disjoint and holding its own post rank, so a row that
+     breaks that must not load, even though it re-encodes to its own
+     bytes. *)
+  let idx = Compress_reach.index (Compress_reach.compress (wide_rows ())) in
+  let tc = tree_of idx in
+  let s = Reach_index_io.to_binary_string idx in
+  let off = Tree_cover.offsets tc in
+  let post = Tree_cover.post tc and pairs = Tree_cover.pairs tc in
+  let k = Array.length post in
+  let pairs_at = String.length s - (8 * off.(k)) in
+  let counts_at = pairs_at - (4 * k) in
+  let post_at = counts_at - (4 * k) in
+  let patch writes =
+    let b = Bytes.of_string s in
+    List.iter
+      (fun (pos, x) -> Bytes.set_int32_le b pos (Int32.of_int x))
+      writes;
+    Bytes.to_string b
+  in
+  let wide = ref 0 in
+  while off.(!wide + 1) - off.(!wide) < 2 do
+    incr wide
+  done;
+  (* the first two intervals of a row with two or more, by word index *)
+  let first = 2 * off.(!wide) in
+  let at i = pairs_at + (4 * i) in
+  expect "two intervals of a row swapped"
+    (patch
+       (List.init 4 (fun j ->
+            (at (first + j), pairs.(first + ((j + 2) mod 4))))));
+  expect "overlapping intervals"
+    (patch [ (at (first + 1), pairs.(first + 2)) ]);
+  (* the wide row's post rank set to one its row reaches: a duplicate *)
+  let other =
+    if pairs.(first + 1) < post.(!wide) then first else first + 2
+  in
+  expect "duplicate post rank"
+    (patch [ (post_at + (4 * !wide), pairs.(other)) ]);
+  expect "post rank out of range" (patch [ (post_at, k) ]);
+  expect "post rank negative" (patch [ (post_at, -1) ]);
+  expect "interval beyond the post ranks"
+    (patch [ (String.length s - 4, k) ]);
+  let count c = off.(c + 1) - off.(c) in
+  expect "a row's intervals counted in the row before it"
+    (patch
+       [
+         (counts_at + (4 * (k - 2)), count (k - 2) + count (k - 1));
+         (counts_at + (4 * (k - 1)), 0);
+       ]);
+  (* Two sinks' post ranks swapped: still a permutation, each row still
+     well formed, but neither holds its own post rank. *)
+  match
+    List.filter
+      (fun c ->
+        count c = 1
+        && pairs.(2 * off.(c)) = post.(c)
+        && pairs.((2 * off.(c)) + 1) = post.(c))
+      (List.init k Fun.id)
+  with
+  | c1 :: c2 :: _ ->
+      expect "two sinks' post ranks swapped"
+        (patch
+           [ (post_at + (4 * c1), post.(c2)); (post_at + (4 * c2), post.(c1)) ])
+  | _ -> Alcotest.fail "expected two sinks"
 
 let io_save_load () =
   let g = Testutil.recommendation () in
@@ -413,6 +599,12 @@ let () =
           Alcotest.test_case "empty graph" `Quick index_empty_graph;
           Alcotest.test_case "bad node map rejected" `Quick
             index_build_rejects_bad_map;
+          Alcotest.test_case "tree cover: wide rows match BFS" `Quick
+            tree_cover_wide_rows;
+          Alcotest.test_case "tree cover: members of one hypernode" `Quick
+            tree_cover_one_hypernode;
+          Alcotest.test_case "query_into allocation budget" `Quick
+            query_into_allocation;
         ]
         @ index_props );
       ( "reach_index_io",
