@@ -8,8 +8,9 @@
 
     The query rewriting function [F] is the identity: any pattern query
     runs on [Gr] as is.  The post-processing function [P] replaces each
-    matched hypernode by its members ({!Compressed.expand_result}),
-    O(|V|/63 + |output|) per row; Boolean pattern queries skip [P]. *)
+    matched hypernode by its members ({!Compressed.expand_result},
+    O(|V|/63 + |output|) per row; {!write_row} on the daemon's path);
+    Boolean pattern queries skip [P]. *)
 
 (** [compress ?pool g] computes [Gr = R(G)] in O(|E| log |V|) via
     Paige–Tarjan on the flat refinement engine; [pool] parallelises the
@@ -28,35 +29,56 @@ val compress : ?pool:Pool.t -> Digraph.t -> Compressed.t
     self-loops kept.  O(|V| + |E| + L) for [L] labels. *)
 val compress_of_partition : Digraph.t -> int array -> Compressed.t
 
-(** [answer p c] evaluates pattern [p] on the compressed graph with
-    the stock {!Bounded_sim.eval} and expands the result through [P]:
-    equals [Bounded_sim.eval p g] on the original graph (Theorem 4). *)
+(** [answer p c] evaluates pattern [p] on the compressed graph
+    ({!Bounded_sim.match_into} on a fresh scratch) and expands each row
+    through [P] ({!Compressed.expand_into}): equals
+    [Bounded_sim.eval p g] on the original graph (Theorem 4). *)
 val answer : Pattern.t -> Compressed.t -> Pattern.result
 
 (** {1 Answering into reused scratch}
 
     The daemon's path: match on [Gr] into reused candidate bitsets
-    ({!Bounded_sim.match_into}), then run [P] into reused bitsets over
-    [V], from which each reply row is written straight out
-    ({!Bitset.write_u32_le}).  {!answer} is the same kernel with the
-    rows copied out into arrays. *)
+    ({!Bounded_sim.match_into}), count each row, then write each reply
+    row straight out of the match.  Every hypernode matched for pattern
+    node [u] carries [fv(u)], so row [u] is the nodes of [V] whose
+    hypernode has label [fv(u)] and is matched: {!write_row} scans that
+    label's block of [V], kept in label-major order
+    ({!Bitset.write_selected}), or, when the block is much longer than
+    the row, expands the match into a bitset over [V]
+    ({!Compressed.expand_into}, {!Bitset.write_u32_le}). *)
 
-(** Candidate bitsets over [Gr] and answer rows over [V], kept from
-    query to query; they grow to the widest pattern met.  Not safe to
-    share between domains. *)
+(** The match's candidate bitsets over [Gr], the row lengths, [V] in
+    label-major order (built on the first pattern answered: 8 bytes a
+    node) and one bitset over [V] (made on the first row that expands),
+    kept from query to query; they grow to the widest pattern met.  Not
+    safe to share between domains. *)
 type scratch
 
 val scratch : Compressed.t -> scratch
 
-(** [answer_into s p] evaluates [p] on [Gr] and expands the match
-    through [P] into [s]; [true] iff every pattern node has a match,
-    exactly when {!answer} is [Some].  Row [u < Pattern.node_count p] is
-    then {!row} [s u], until the next call. *)
+(** [answer_into s p] evaluates [p] on [Gr] and counts each row of its
+    expansion through [P]; [true] iff every pattern node has a match,
+    exactly when {!answer} is [Some].  Rows [u < Pattern.node_count p]
+    are then {!row_length} and {!write_row}, until the next call.
+    Allocates nothing once [s] has met a pattern as wide and a bound-1
+    pattern. *)
 val answer_into : scratch -> Pattern.t -> bool
 
-(** [row s u] is the original nodes matching pattern node [u] in the
-    last answer, as a bitset over [V]. *)
-val row : scratch -> int -> Bitset.t
+(** [row_length s u] is the number of original nodes matching pattern
+    node [u] in the last answer. *)
+val row_length : scratch -> int -> int
+
+(** [write_row s u b pos] writes those nodes in increasing order as u32
+    little-endian values into [b] from [pos], [4 * row_length s u]
+    bytes, and returns the position after them.  Allocates nothing once
+    the bitset over [V] exists.
+    @raise Invalid_argument if they do not fit in [b]. *)
+val write_row : scratch -> int -> Bytes.t -> int -> int
+
+(** [scans s u] is whether {!write_row} [s u] scans the label's block:
+    when the block holds at most three times the row's length plus
+    twice [|V| / 63], the words of a bitset over [V]. *)
+val scans : scratch -> int -> bool
 
 (** [answer_boolean p c] decides [Qp ⊨ G] directly on [Gr]; no
     post-processing involved. *)

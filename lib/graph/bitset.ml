@@ -31,7 +31,7 @@ let remove s i =
   Array.unsafe_set s.words w
     (Array.unsafe_get s.words w land lnot (1 lsl (i - (w * bits_per_word))))
 
-let mem s i =
+let[@inline] mem s i =
   if i < 0 || i >= s.size then out_of_range s i;
   let w = i / bits_per_word in
   Array.unsafe_get s.words w land (1 lsl (i - (w * bits_per_word))) <> 0
@@ -85,10 +85,13 @@ let ctz x = Array.unsafe_get ctz_table (((x land -x) mod 67) + 67)
    serve-pattern reply, which shows end to end (DESIGN §2.3). *)
 external cardinal : t -> int = "qpgc_bitset_cardinal" [@@noalloc]
 
-let is_empty s =
-  let n = Array.length s.words in
-  let rec go i = i >= n || (s.words.(i) = 0 && go (i + 1)) in
-  go 0
+(* Toplevel recursion, as [disjoint_from] below: a local [let rec] over
+   [s] would be a closure allocated on every call, and the pattern
+   fixpoint asks once per pattern node. *)
+let rec zero_from words i =
+  i >= Array.length words || (words.(i) = 0 && zero_from words (i + 1))
+
+let is_empty s = zero_from s.words 0
 
 let clear s = Array.fill s.words 0 (Array.length s.words) 0
 let copy s = { words = Array.copy s.words; size = s.size }
@@ -239,6 +242,13 @@ external keep_meeting_c :
 external write_u32_le_c : t -> Bytes.t -> int -> int = "qpgc_bitset_write_u32_le"
 [@@noalloc]
 
+external weight_c : t -> int array -> int = "qpgc_bitset_weight" [@@noalloc]
+
+external write_selected_c :
+  t -> Bytes.t -> int -> int -> Bytes.t -> int -> int -> int
+  = "qpgc_bitset_write_selected_byte" "qpgc_bitset_write_selected"
+[@@noalloc]
+
 let row_error op target id code =
   if code = -1 then invalid_arg ("Bitset." ^ op ^ ": a row leaves its array")
   else out_of_range target (id (-2 - code))
@@ -268,6 +278,29 @@ let write_u32_le s b pos =
   let r = write_u32_le_c s b pos in
   if r < 0 then invalid_arg "Bitset.write_u32_le: the members do not fit";
   r
+
+let weight s ~off =
+  if Array.length off <= s.size then invalid_arg "Bitset.weight: offsets too short";
+  weight_c s off
+
+let write_selected sel ~pairs ~lo ~hi ~count b pos =
+  if count < 0 || pos < 0 || pos > Bytes.length b
+     || count > (Bytes.length b - pos) / 4
+  then invalid_arg "Bitset.write_selected: the ids do not fit";
+  let stop = pos + (4 * count) in
+  let r = write_selected_c sel pairs lo hi b pos stop in
+  if r = -1 then invalid_arg "Bitset.write_selected: the range leaves its array"
+  else if r < 0 then begin
+    let i = -2 - r in
+    invalid_arg
+      (Printf.sprintf "Bitset.write_selected: the %s of entry %d is outside [0,%d)"
+         (if i mod 2 = 0 then "id" else "key")
+         (i / 2)
+         (if i mod 2 = 0 then Bytes.length pairs / 8 else sel.size))
+  end
+  else if r <> stop then
+    invalid_arg "Bitset.write_selected: fewer selected ids than the count"
+  else r
 
 let of_list size xs =
   let s = create size in

@@ -6,10 +6,11 @@
     graph-sized universes cost [capacity/63] word operations.
 
     The row kernels of the pattern path ({!add_slice}, {!union_rows},
-    {!keep_meeting}, {!write_u32_le}) and {!cardinal} are C over the
-    same words: each jumps from member to member with a
-    count-trailing-zeros instruction, or counts them, with no callback
-    and no allocation.  Each checks its arguments before
+    {!keep_meeting}, {!write_u32_le}, {!weight}, {!write_selected}) and
+    {!cardinal} are C over the same words: each jumps from member to
+    member with a count-trailing-zeros instruction, counts them, or
+    tests one bit per scanned entry, with no callback and no
+    allocation.  Each checks its arguments before
     it reads or writes through them, and a rejected call writes nothing
     past the point of rejection. *)
 
@@ -143,6 +144,31 @@ val keep_meeting :
     @raise Invalid_argument if [pos < 0] or the bytes do not fit in [b];
     nothing is written then. *)
 val write_u32_le : t -> Bytes.t -> int -> int
+
+(** [weight s ~off] is the total length of the CSR rows [s] selects,
+    the sum of [off.(h + 1) - off.(h)] over the members [h] of [s]: one
+    walk over the words of [s], allocating nothing.
+    @raise Invalid_argument if [off] has fewer than [universe_size s + 1]
+    entries. *)
+val weight : t -> off:int array -> int
+
+(** [write_selected sel ~pairs ~lo ~hi ~count b pos] writes, as u32
+    little-endian values into [b] from [pos], the ids of the entries
+    [lo <= j < hi] of [pairs] whose key is a member of [sel], in entry
+    order, and returns the position after them.  Entry [j] is the 8
+    bytes from [8j]: the id, then its key, each a u32 little-endian.
+    [count] is how many there are: the scan stores every id and moves
+    on 4 bytes only past a selected one, with no branch on the member
+    test, and stops at the [count]-th, so nothing is written past
+    [pos + 4 * count].  An id must be below the number of entries (the
+    entries hold a permutation of that universe, each id with its key).
+    Allocates nothing.
+    @raise Invalid_argument if the [count] ids do not fit in [b], before
+    anything is written; if [lo, hi) leaves the entries or a scanned
+    entry holds an id or a key outside its universe; or if fewer than
+    [count] entries are selected. *)
+val write_selected :
+  t -> pairs:Bytes.t -> lo:int -> hi:int -> count:int -> Bytes.t -> int -> int
 
 (** [of_list capacity xs] is the set containing exactly [xs]. *)
 val of_list : int -> int list -> t

@@ -15,6 +15,7 @@
    each id before they read or add it. */
 
 #include <stdint.h>
+#include <string.h>
 #include <caml/mlvalues.h>
 #include <caml/bigarray.h>
 
@@ -55,6 +56,32 @@ static inline uintnat popcount(uint64_t x)
   x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
   x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
   return (uintnat)((x * 0x0101010101010101ULL) >> 56);
+}
+
+/* One little-endian u32 load and store: plain ones on a little-endian
+   host. */
+static inline uint32_t load_u32_le(const unsigned char *p)
+{
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  uint32_t x;
+  memcpy(&x, p, 4);
+  return x;
+#else
+  return (uint32_t)p[0] | (uint32_t)p[1] << 8 | (uint32_t)p[2] << 16
+         | (uint32_t)p[3] << 24;
+#endif
+}
+
+static inline void store_u32_le(unsigned char *p, uint32_t x)
+{
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
+  memcpy(p, &x, 4);
+#else
+  p[0] = (unsigned char)x;
+  p[1] = (unsigned char)(x >> 8);
+  p[2] = (unsigned char)(x >> 16);
+  p[3] = (unsigned char)(x >> 24);
+#endif
 }
 
 /* Whether the row [lo, hi) is empty or inside an array of [n] cells. */
@@ -196,4 +223,71 @@ CAMLprim value qpgc_bitset_write_u32_le(value s, value b, value vpos)
     }
   }
   return Val_long(pos + 4 * (intnat)count);
+}
+
+/* Bitset.weight: the wrapper checked that [off] has more than [size s]
+   cells.  A run of members [h, h + t) of one word weighs
+   off[h + t] - off[h], two loads whatever its length. */
+CAMLprim value qpgc_bitset_weight(value s, value off)
+{
+  value words = SET_WORDS(s);
+  uintnat size = SET_SIZE(s), nw = Wosize_val(words);
+  intnat total = 0;
+  for (uintnat w = 0; w < nw; w++) {
+    uint64_t x = word_bits(words, w);
+    while (x != 0) {
+      unsigned b = (unsigned)__builtin_ctzll(x);
+      /* Bit 63 of x is clear, so the run ends by bit 62. */
+      unsigned t = (unsigned)__builtin_ctzll(~(x >> b));
+      uintnat h = w * BITS + b;
+      if (h >= size) return Val_long(total); /* no member is past the size */
+      if (t > size - h) t = (unsigned)(size - h);
+      total += Long_val(Field(off, h + t)) - Long_val(Field(off, h));
+      x &= ~(((UINT64_C(1) << t) - 1) << b);
+    }
+  }
+  return Val_long(total);
+}
+
+/* Bitset.write_selected: [pairs] is bytes of 8-byte entries, a u32
+   little-endian id then its u32 little-endian key.  The scan over
+   entries [lo, hi) stores each id at [p] and adds 4 to [p] when bit
+   [key] of [sel] is set, so the ids whose key is a member pack from
+   [pos] on with no branch on the member test; it stops once [p] reaches
+   [stop], the end the caller counted, so no store lands past it.  Ids
+   are checked against the number of entries, keys against [sel]'s
+   universe; the u32 fields count as one array, id j at 2j and key j at
+   2j + 1, for the -2 - i code.  The wrapper checked that [pos .. stop)
+   is inside [b].  A
+   key's word is its high product by ceil(2^64 / 63), exact for every
+   key below 2^58. */
+CAMLprim value qpgc_bitset_write_selected(value sel, value pairs, value vlo,
+                                          value vhi, value b, value vpos,
+                                          value vstop)
+{
+  value sw = SET_WORDS(sel);
+  uintnat ssize = SET_SIZE(sel), npairs = caml_string_length(pairs) / 8;
+  intnat lo = Long_val(vlo), hi = Long_val(vhi), j;
+  if (!row_ok(lo, hi, npairs)) return Val_long(-1);
+  const unsigned char *in = Bytes_val(pairs);
+  unsigned char *out = Bytes_val(b);
+  uintnat p = (uintnat)Long_val(vpos), stop = (uintnat)Long_val(vstop);
+  for (j = lo; j < hi && p < stop; j++) {
+    uint32_t id = load_u32_le(in + 8 * j);
+    uintnat key = load_u32_le(in + 8 * j + 4);
+    if ((id >= npairs) | (key >= ssize))
+      return Val_long(id >= npairs ? -2 - 2 * j : -3 - 2 * j);
+    uintnat w = (uintnat)(((unsigned __int128)key * 0x0410410410410411ULL) >> 64);
+    uintnat bit = ((uintnat)Field(sw, w) >> (key - w * BITS + 1)) & 1;
+    store_u32_le(out + p, id);
+    p += 4 * bit;
+  }
+  return Val_long((intnat)p);
+}
+
+CAMLprim value qpgc_bitset_write_selected_byte(value *argv, int argn)
+{
+  (void)argn;
+  return qpgc_bitset_write_selected(argv[0], argv[1], argv[2], argv[3],
+                                    argv[4], argv[5], argv[6]);
 }

@@ -111,7 +111,7 @@ let intervals t = t.intervals
 (* Toplevel recursion rather than [Array.for_all (fun ...)]: containment
    runs on every query, and the predicate closure would be allocated each
    time. *)
-let rec contained_from ivss cu cv i =
+let rec contained_from (ivss : (int * int) array array) cu cv i =
   i >= Array.length ivss
   ||
   let iv = ivss.(i) in

@@ -2,7 +2,7 @@ exception Parse_error of int * string
 
 let fail line fmt = Format.kasprintf (fun s -> raise (Parse_error (line, s))) fmt
 
-let of_string s =
+let of_string ?(max_nodes = max_int) s =
   let n = ref (-1) in
   let labels = ref [||] in
   let edges = ref [] in
@@ -34,6 +34,8 @@ let of_string s =
           if !n >= 0 then fail lineno "duplicate node-count line";
           let c = int_of count in
           if c < 0 then fail lineno "negative node count";
+          if c > max_nodes then
+            fail lineno "node count %d exceeds the limit of %d" c max_nodes;
           n := c;
           labels := Array.make c 0
       | [ "l"; v; l ] ->

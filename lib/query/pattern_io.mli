@@ -9,8 +9,10 @@
 (** Raised with a 1-based line number and message. *)
 exception Parse_error of int * string
 
-(** [of_string s] parses a pattern.  @raise Parse_error on bad input. *)
-val of_string : string -> Pattern.t
+(** [of_string ?max_nodes s] parses a pattern.  A node count above
+    [max_nodes] (no limit by default) is rejected before anything is
+    sized by it.  @raise Parse_error on bad input. *)
+val of_string : ?max_nodes:int -> string -> Pattern.t
 
 (** [to_string p] prints a pattern in the format above. *)
 val to_string : Pattern.t -> string

@@ -6,7 +6,7 @@ type t = {
 (* Toplevel recursion, not a local [let rec]: a local recursive helper
    captures its environment and is allocated on every call, and query
    runs tens of millions of times per second. *)
-let rec intersect_from a b i j =
+let rec intersect_from (a : int array) (b : int array) i j =
   i < Array.length a
   && j < Array.length b
   && (a.(i) = b.(j)
@@ -16,7 +16,7 @@ let rec intersect_from a b i j =
 
 let sorted_intersects a b = intersect_from a b 0 0
 
-let rec array_mem_from a x i =
+let rec array_mem_from (a : int array) x i =
   i < Array.length a && (a.(i) = x || array_mem_from a x (i + 1))
 
 let[@lint.hot_loop] query t u w =

@@ -55,8 +55,8 @@ type engine = {
   node_bound : int;
   eval_into : Reach_query.flat_eval;
   patterns : Compress_bisim.scratch Lazy.t option;
-      (* Match on Gr and P into bitsets reused across queries: only the
-         select loop touches them, one pattern at a time. *)
+      (* The match on Gr and the rows of P, reused across queries: only
+         the select loop touches them, one pattern at a time. *)
 }
 
 let engine_info e = e.info
@@ -507,10 +507,8 @@ let pattern_reply st c p =
           Some
             {
               SP.rows = Pattern.node_count p;
-              row_length = (fun u -> Bitset.cardinal (Compress_bisim.row s u));
-              write_row =
-                (fun u b pos ->
-                  Bitset.write_u32_le (Compress_bisim.row s u) b pos);
+              row_length = Compress_bisim.row_length s;
+              write_row = Compress_bisim.write_row s;
             }
         else None
       with

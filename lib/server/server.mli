@@ -22,9 +22,10 @@
 
     Pattern frames are flat too: each is evaluated when its turn in the
     reply order comes ({!Compress_bisim.answer_into}), matching on [Gr]
-    and expanding through [P] into bitsets the engine owns and reuses,
-    and its ['H'] frame is written from those bitsets straight into the
-    connection's output queue ({!Server_protocol.write_matches}).  A
+    into bitsets the engine owns and reuses, and its ['H'] frame is
+    written from the match through [P] straight into the connection's
+    output queue ({!Compress_bisim.write_row},
+    {!Server_protocol.write_matches}).  A
     reply over the frame cap is refused with an ['E'] frame, counted in
     [server.oversize_replies] and logged, and the daemon keeps serving.
     An engine's pattern scratch belongs to the one loop serving it: run

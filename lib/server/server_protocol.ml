@@ -158,6 +158,10 @@ let write_matches b pos m =
 
 let matches_fit len = len - 4 <= default_max_frame
 
+(* Every row of an 'H' reply takes at least its 4-byte count, after 7
+   bytes of version, tag, flag and row count. *)
+let max_pattern_nodes = (default_max_frame - 7) / 4
+
 (* The one 'A' encoder: the answer bytes already are the wire body. *)
 let add_answers buf answers ~off ~len =
   if off < 0 || len < 0 || off > Bytes.length answers - len then
@@ -290,7 +294,7 @@ let parse_other s ~limit tag pos =
   if tag = Char.code 'P' then begin
     let text, at = parse_text s ~limit p "pattern text" in
     let pat =
-      try Pattern_io.of_string text
+      try Pattern_io.of_string ~max_nodes:max_pattern_nodes text
       with Pattern_io.Parse_error (line, msg) ->
         bad p (Printf.sprintf "bad pattern (line %d): %s" line msg)
     in

@@ -107,6 +107,12 @@ val matches_frame_length : match_rows option -> int
     included, is within {!default_max_frame}. *)
 val matches_fit : int -> bool
 
+(** [max_pattern_nodes] is the most pattern nodes an ['H'] reply can
+    carry within {!default_max_frame}: each row takes at least its 4-byte
+    count.  A ['P'] frame whose pattern declares more is malformed, and
+    is rejected before anything is sized by that count. *)
+val max_pattern_nodes : int
+
 (** [write_matches b pos m] writes the ['H'] frame for [m] into [b] from
     [pos], which must have {!matches_frame_length} bytes of room, and
     returns the position after it.  The row counts and the length prefix

@@ -420,6 +420,131 @@ let kernel_write_u32_le =
       in
       got = want && Bytes.equal b mb)
 
+let kernel_weight =
+  let gen =
+    let open QCheck2.Gen in
+    let* rows = kernel_universe in
+    let* sel = kernel_members rows in
+    let+ off, _ = kernel_csr rows 1 in
+    (rows, sel, off)
+  in
+  qtest ~count:1000 "kernel weight matches per-member sum"
+    ( gen,
+      fun (rows, sel, off) ->
+        Printf.sprintf "rows=%d sel=%s off=%s" rows (ints sel) (int_arr off) )
+    (fun (rows, sel, off) ->
+      let s = Bitset.of_list rows sel in
+      let got = outcome (fun () -> Bitset.weight s ~off) in
+      let want =
+        outcome (fun () ->
+            if Array.length off <= rows then invalid_arg "off";
+            let total = ref 0 in
+            for h = 0 to rows - 1 do
+              if Bitset.mem s h then total := !total + off.(h + 1) - off.(h)
+            done;
+            !total)
+      in
+      got = want)
+
+(* [write_selected] replays as a scan that stores each id and moves on
+   past a selected one, stopping at the counted end.  Ids, keys, ranges,
+   counts and positions are now and then invalid (an id or a key is a
+   u32, so an invalid one is at or past its universe); the bytes start
+   as 0xa5, so every store, kept or overwritten, rejected or not,
+   shows. *)
+let u32_id n =
+  let open QCheck2.Gen in
+  let outside = oneofl [ n; n + 1; 0xFFFF_FFFF ] in
+  if n = 0 then outside
+  else frequency [ (20, int_range 0 (n - 1)); (1, outside) ]
+
+let entries ids keys =
+  let b = Bytes.create (8 * Array.length ids) in
+  Array.iteri
+    (fun j id ->
+      Bytes.set_int32_le b (8 * j) (Int32.of_int id);
+      Bytes.set_int32_le b ((8 * j) + 4) (Int32.of_int keys.(j)))
+    ids;
+  b
+
+let kernel_write_selected =
+  let gen =
+    let open QCheck2.Gen in
+    let* np = oneofl [ 0; 1; 5; 63; 64 ] and* nk = kernel_universe in
+    let* ids = array_repeat np (u32_id np) and* keys = array_repeat np (u32_id nk) in
+    let* sel = kernel_members nk in
+    let bound = frequency [ (9, int_range 0 np); (1, oneofl [ -1; np + 1 ]) ] in
+    let* lo = bound and* hi = bound in
+    let s = Bitset.of_list nk sel in
+    let exact = ref 0 in
+    for j = Mono.imax 0 lo to Mono.imin np hi - 1 do
+      if keys.(j) < nk && Bitset.mem s keys.(j) then incr exact
+    done;
+    let* count = frequency [ (8, pure !exact); (1, oneofl [ !exact - 1; !exact + 1 ]) ] in
+    let* pos = frequency [ (9, int_range 0 6); (1, int_range (-3) (-1)) ] in
+    let+ slack = frequency [ (8, int_range 0 6); (2, int_range (-5) (-1)) ] in
+    ( nk, sel, ids, keys, lo, hi, count, pos,
+      Mono.imax 0 (Mono.imax 0 pos + (4 * count) + slack) )
+  in
+  qtest ~count:2000 "kernel write_selected matches a per-entry scan"
+    ( gen,
+      fun (nk, sel, ids, keys, lo, hi, count, pos, len) ->
+        Printf.sprintf "nk=%d sel=%s ids=%s keys=%s lo=%d hi=%d count=%d pos=%d bytes=%d"
+          nk (ints sel) (int_arr ids) (int_arr keys) lo hi count pos len )
+    (fun (nk, sel, ids, keys, lo, hi, count, pos, len) ->
+      let s = Bitset.of_list nk sel and np = Array.length ids in
+      let b = Bytes.make len '\xa5' in
+      let mb = Bytes.copy b in
+      let got =
+        outcome (fun () ->
+            Bitset.write_selected s ~pairs:(entries ids keys) ~lo ~hi ~count b pos)
+      in
+      let want =
+        outcome (fun () ->
+            if count < 0 || pos < 0 || pos + (4 * count) > len then invalid_arg "fit";
+            if lo < hi && (lo < 0 || hi > np) then invalid_arg "range";
+            let stop = pos + (4 * count) in
+            let p = ref pos and j = ref lo in
+            while !j < hi && !p < stop do
+              if ids.(!j) >= np || keys.(!j) >= nk then invalid_arg "id";
+              Bytes.set_int32_le mb !p (Int32.of_int ids.(!j));
+              if Bitset.mem s keys.(!j) then p := !p + 4;
+              incr j
+            done;
+            if !p <> stop then invalid_arg "count";
+            !p)
+      in
+      got = want && Bytes.equal b mb)
+
+(* An id past the entries' universe and a key past the set's are each
+   rejected, naming the entry, and a count the range does not hold is
+   rejected too. *)
+let write_selected_rejects () =
+  let sel = Bitset.of_list 4 [ 0; 1; 2; 3 ] and b = Bytes.create 64 in
+  let write ids keys ~hi ~count () =
+    ignore
+      (Bitset.write_selected sel ~pairs:(entries ids keys) ~lo:0 ~hi ~count b 0
+        : int)
+  in
+  Alcotest.check_raises "key outside the set"
+    (Invalid_argument "Bitset.write_selected: the key of entry 2 is outside [0,4)")
+    (write [| 0; 1; 2 |] [| 0; 1; 5 |] ~hi:3 ~count:3);
+  Alcotest.check_raises "id outside the entries"
+    (Invalid_argument "Bitset.write_selected: the id of entry 1 is outside [0,2)")
+    (write [| 0; 7 |] [| 0; 1 |] ~hi:2 ~count:2);
+  Alcotest.check_raises "the top u32 id"
+    (Invalid_argument "Bitset.write_selected: the id of entry 0 is outside [0,2)")
+    (write [| 0xFFFF_FFFF; 1 |] [| 0; 1 |] ~hi:2 ~count:2);
+  Alcotest.check_raises "range past the entries"
+    (Invalid_argument "Bitset.write_selected: the range leaves its array")
+    (write [| 0; 1 |] [| 0; 1 |] ~hi:3 ~count:2);
+  Alcotest.check_raises "count above the selected"
+    (Invalid_argument "Bitset.write_selected: fewer selected ids than the count")
+    (write [| 0; 1 |] [| 0; 1 |] ~hi:2 ~count:3);
+  Alcotest.check_raises "bytes too short"
+    (Invalid_argument "Bitset.write_selected: the ids do not fit")
+    (write [| 0; 1 |] [| 0; 1 |] ~hi:2 ~count:17)
+
 let kernel_props =
   [
     kernel_add_slice;
@@ -428,6 +553,8 @@ let kernel_props =
     kernel_keep_meeting;
     kernel_keep_meeting_narrow;
     kernel_write_u32_le;
+    kernel_weight;
+    kernel_write_selected;
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -1277,6 +1404,7 @@ let () =
           Alcotest.test_case "bounds" `Quick bitset_bounds;
           Alcotest.test_case "zero capacity" `Quick bitset_zero_capacity;
           Alcotest.test_case "every bit position" `Quick bitset_every_position;
+          Alcotest.test_case "write_selected rejects" `Quick write_selected_rejects;
         ]
         @ bitset_props @ kernel_props );
       ( "digraph",

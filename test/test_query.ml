@@ -409,7 +409,12 @@ let pattern_io_errors () =
   expect_err "n 1\ne 0 0 0\n";
   expect_err "n 1\ne 0 0 -3\n";
   expect_err "n 1\ne 0 0 five\n";
-  expect_err "n 1\nx 0\n"
+  expect_err "n 1\nx 0\n";
+  Alcotest.check_raises "node count over the limit"
+    (Pattern_io.Parse_error (1, "node count 100000000000 exceeds the limit of 4"))
+    (fun () -> ignore (Pattern_io.of_string ~max_nodes:4 "n 100000000000"));
+  Testutil.check_int "node count at the limit" 4
+    (Pattern.node_count (Pattern_io.of_string ~max_nodes:4 "n 4"))
 
 let pattern_io_props =
   [
@@ -593,6 +598,26 @@ let far_bounds = [ Pattern.Bounded 2; Pattern.Bounded 3; Pattern.Unbounded ]
 
 let rows np row = Array.init np (fun u -> Bitset.to_array (row u))
 
+(* The rows [Compress_bisim.write_row] writes for the last answer, read
+   back from their u32 bytes; each must fill exactly [row_length], at an
+   offset, and leave the sentinel bytes around it as they were. *)
+let written_rows cs np =
+  Array.init np (fun u ->
+      let k = Compress_bisim.row_length cs u in
+      let b = Bytes.make ((4 * k) + 11) '\xa5' in
+      let stop = Compress_bisim.write_row cs u b 3 in
+      if stop <> 3 + (4 * k) then
+        Alcotest.failf "row %d: wrote %d bytes for %d ids" u (stop - 3) k;
+      if Bytes.sub_string b 0 3 <> "\xa5\xa5\xa5"
+         || Bytes.sub_string b stop 8 <> String.make 8 '\xa5'
+      then Alcotest.failf "row %d: a byte outside the row changed" u;
+      Array.init k (fun i -> Int32.to_int (Bytes.get_int32_le b (3 + (4 * i)))))
+
+let answer_on_gr cs p =
+  if Compress_bisim.answer_into cs p then
+    Some (written_rows cs (Pattern.node_count p))
+  else None
+
 (* The pattern as drawn (bounds 1, 2 and [*] mixed), then with every
    edge at bound 2, at 3 and at [*]: [eval], [refine], [match_into] on
    one reused scratch, and [Compress_bisim.answer_into] on Gr (Theorem
@@ -613,11 +638,7 @@ let bounds_props =
                 Some (rows np (Bounded_sim.matched s))
               else None
             in
-            let on_gr =
-              if Compress_bisim.answer_into cs p then
-                Some (rows np (Compress_bisim.row cs))
-              else None
-            in
+            let on_gr = answer_on_gr cs p in
             Pattern.result_equal (Bounded_sim.eval p g) oracle
             && Pattern.result_equal
                  (Bounded_sim.refine p g
@@ -656,27 +677,136 @@ let permuted_gr c seed =
     ~graph:(Digraph.make ~n:k ~labels edges)
     ~node_map:(Array.init (Compressed.original_n c) (fun v -> perm.(Compressed.hypernode c v)))
 
+(* Every data node relabelled 0: each label's block is all of V, so a
+   row under half of V takes the expanding path. *)
+let one_label g =
+  Digraph.make ~n:(Digraph.n g) ~labels:(Array.make (Digraph.n g) 0)
+    (Testutil.edges_list g)
+
+let one_label_gen =
+  let open QCheck2.Gen in
+  let* one = bool in
+  let* g = path_rich_gen >|= fun g -> if one then one_label g else g in
+  let* shape, absent, p = shaped_pattern_gen g in
+  let+ seed = int_range 0 10_000 in
+  ((g, shape, absent, p), seed)
+
+(* The rows written on the label-ordered and on a permuted Gr, for the
+   pattern as drawn and at every bound 1, 2, 3 and [*], equal
+   [Compressed.expand_result] of the match on Gr and [eval_matrix] on G;
+   [None] (some pattern node unmatched) included.  Counts the rows each
+   path of [write_row] wrote. *)
+let gr_rows_prop ~scanned ~expanded ((g, _, _, p), seed) =
+  let c = Compress_bisim.compress g in
+  let scratches =
+    [ Compress_bisim.scratch c; Compress_bisim.scratch (permuted_gr c seed) ]
+  in
+  List.for_all
+    (fun p ->
+      let oracle = Bounded_sim.eval_matrix p g in
+      Pattern.result_equal
+        (Compressed.expand_result c (Bounded_sim.eval p (Compressed.graph c)))
+        oracle
+      && List.for_all
+           (fun cs ->
+             let got = answer_on_gr cs p in
+             if got <> None then
+               for u = 0 to Pattern.node_count p - 1 do
+                 incr (if Compress_bisim.scans cs u then scanned else expanded)
+               done;
+             Pattern.result_equal got oracle)
+           scratches)
+    (p :: List.map (Pattern.with_all_bounds p) (Pattern.Bounded 1 :: far_bounds))
+
+let gr_rows_print (x, seed) = Printf.sprintf "%s\nseed %d" (shaped_print x) seed
+
 let permuted_props =
   qtest ~count:300 "pattern rows on a permuted Gr equal the label-ordered Gr and G"
     ( (let open QCheck2.Gen in
        pair path_rich_shaped_gen (int_range 0 10_000)),
-      fun (x, seed) -> Printf.sprintf "%s\nseed %d" (shaped_print x) seed )
-    (fun ((g, _, _, p), seed) ->
-      let c = Compress_bisim.compress g in
-      let ordered = Compress_bisim.scratch c
-      and permuted = Compress_bisim.scratch (permuted_gr c seed) in
-      let np = Pattern.node_count p in
-      let answer s p =
-        if Compress_bisim.answer_into s p then Some (rows np (Compress_bisim.row s))
-        else None
-      in
-      List.for_all
-        (fun p ->
-          let oracle = Bounded_sim.eval_matrix p g in
-          let on_ordered = answer ordered p in
-          Pattern.result_equal on_ordered oracle
-          && Pattern.result_equal (answer permuted p) on_ordered)
-        (p :: List.map (Pattern.with_all_bounds p) (Pattern.Bounded 1 :: far_bounds)))
+      gr_rows_print )
+    (gr_rows_prop ~scanned:(ref 0) ~expanded:(ref 0))
+
+(* ------------------------------------------------------------------ *)
+(* P on the daemon's path: rows written from the match *)
+
+let p_rows_both_paths () =
+  let scanned = ref 0 and expanded = ref 0 in
+  QCheck2.Test.check_exn ~rand:(Random.State.make [| 30 |])
+    (QCheck2.Test.make ~count:300
+       ~name:"written rows equal expand_result and eval_matrix"
+       ~print:gr_rows_print one_label_gen
+       (gr_rows_prop ~scanned ~expanded));
+  if !scanned = 0 || !expanded = 0 then
+    Alcotest.failf "rows scanned %d, expanded %d: both paths must run" !scanned
+      !expanded
+
+(* A star, one label: the centre alone has a successor, so row 0 is one
+   id of a ten-id block and expands, while row 1 is all ten and scans;
+   smaller stars pin the crossover.  Then a block that ends at the last
+   id of V and at the last pair: the scan writes up to there and not a
+   byte past. *)
+let p_rows_edges () =
+  let check name cs p want =
+    Alcotest.(check (option (array (array int)))) name want (answer_on_gr cs p)
+  in
+  let star = Digraph.make ~n:10 (List.init 9 (fun i -> (0, i + 1))) in
+  let cs = Compress_bisim.scratch (Compress_bisim.compress star) in
+  let edge = Pattern.make ~n:2 ~labels:[| 0; 0 |] ~edges:[ (0, 1, Pattern.Bounded 1) ] in
+  check "star" cs edge (Some [| [| 0 |]; Array.init 10 Fun.id |]);
+  Alcotest.(check (list bool)) "row 0 expands, row 1 scans" [ false; true ]
+    [ Compress_bisim.scans cs 0; Compress_bisim.scans cs 1 ];
+  (* The crossover, on fewer than 63 ids, so no word term: a one-id
+     row scans a block of 3 and expands one of 4. *)
+  List.iter
+    (fun (n, want) ->
+      let g = Digraph.make ~n (List.init (n - 1) (fun i -> (0, i + 1))) in
+      let cs = Compress_bisim.scratch (Compress_bisim.compress g) in
+      ignore (answer_on_gr cs edge : Pattern.result);
+      Alcotest.(check bool)
+        (Printf.sprintf "one id in a block of %d scans" n)
+        want (Compress_bisim.scans cs 0))
+    [ (3, true); (4, false) ];
+  let g = Digraph.make ~n:5 ~labels:[| 0; 1; 0; 1; 1 |] [ (0, 1); (2, 4); (3, 4) ] in
+  let cs = Compress_bisim.scratch (Compress_bisim.compress g) in
+  let node l = Pattern.make ~n:1 ~labels:[| l |] ~edges:[] in
+  check "last block" cs (node 1) (Some [| [| 1; 3; 4 |] |]);
+  Alcotest.(check bool) "it scans" true (Compress_bisim.scans cs 0);
+  check "first block" cs (node 0) (Some [| [| 0; 2 |] |]);
+  check "absent label" cs (node 2) None;
+  check "no witness" cs
+    (Pattern.make ~n:2 ~labels:[| 1; 0 |] ~edges:[ (0, 1, Pattern.Bounded 1) ])
+    None
+
+(* Once the scratch has met the patterns, answering one and writing its
+   rows allocates nothing: the daemon's pattern path between decode and
+   the socket.  Bound-1 patterns, as the daemon serves. *)
+let p_rows_no_alloc () =
+  let rng = Random.State.make [| 30 |] in
+  let g =
+    Generators.with_random_labels rng
+      (Generators.erdos_renyi rng ~n:3_000 ~m:12_000)
+      ~label_count:6
+  in
+  let c = Compress_bisim.compress g in
+  let cs = Compress_bisim.scratch c in
+  let patterns =
+    List.init 40 (fun _ -> Pattern_gen.anchored rng g ~nodes:4 ~edges:3 ~max_bound:1)
+  in
+  let b = Bytes.create (4 * Compressed.original_n c) in
+  let answer p =
+    if Compress_bisim.answer_into cs p then
+      for u = 0 to Pattern.node_count p - 1 do
+        ignore (Compress_bisim.write_row cs u b 0 : int)
+      done
+  in
+  List.iter answer patterns;
+  let before = Gc.minor_words () in
+  List.iter answer patterns;
+  let words = Gc.minor_words () -. before in
+  if words > 0. then
+    Alcotest.failf "%.0f minor words for %d warm patterns" words
+      (List.length patterns)
 
 (* Insertions grow the match along paths of any length into the
    inserted edges' sources. *)
@@ -730,9 +860,9 @@ let bsim_depth_cut () =
 (* A bound k or [*] edge takes space linear in the graph: on 20,000
    nodes one [eval] allocates a few words per node and edge, where a
    descendant bitset per node would take |V|^2/8 bytes, 50 MB; and
-   [match_into] on a scratch that has met the pattern allocates under
-   two dozen words per query (18 and 20 measured), none per node and no
-   array: the topological order is the pattern's own. *)
+   [match_into] on a scratch that has met the pattern allocates a few
+   words per query at most, none per node and no array: the topological
+   order is the pattern's own. *)
 let bsim_linear_space () =
   let rng = Random.State.make [| 24 |] in
   let g =
@@ -756,7 +886,8 @@ let bsim_linear_space () =
       let before = Gc.minor_words () in
       ignore (Bounded_sim.match_into s p : bool);
       let words = Gc.minor_words () -. before in
-      (* Measured: 12 words for bound 3 and 10 for [*]. *)
+      (* Measured: 2 words for bound 3, its optional depth, and 0 for
+         [*]. *)
       if words >= 16. then
         Alcotest.failf "match_into allocated %.0f words on %d nodes" words
           (Digraph.n g))
@@ -880,6 +1011,15 @@ let () =
             bsim_linear_space;
         ]
         @ sim_props @ one_pass_props @ bounds_props @ [ permuted_props ] );
+      ( "post-processing",
+        [
+          Alcotest.test_case "written rows, both paths, against G" `Quick
+            p_rows_both_paths;
+          Alcotest.test_case "row edges: paths, last block, no match" `Quick
+            p_rows_edges;
+          Alcotest.test_case "warm pattern allocates nothing" `Quick
+            p_rows_no_alloc;
+        ] );
       ( "pattern_io",
         [
           Alcotest.test_case "roundtrip" `Quick pattern_io_roundtrip;

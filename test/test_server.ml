@@ -223,6 +223,31 @@ let test_corruption_cases () =
        (0, "declared frame length 2147483647 exceeds the 16777216-byte cap"))
     (fun () -> ignore (decode_req oversized))
 
+(* A 'P' frame around raw pattern text, so the text need not parse. *)
+let raw_pattern_frame text =
+  let b = Buffer.create 64 in
+  Buffer.add_int32_le b (Int32.of_int (String.length text + 6));
+  Buffer.add_uint8 b SP.version;
+  Buffer.add_char b 'P';
+  Buffer.add_int32_le b (Int32.of_int (String.length text));
+  Buffer.add_string b text;
+  Buffer.contents b
+
+(* A node count an 'H' reply could not carry is malformed, rejected
+   before anything is sized by it; one row fewer than that bound needs
+   only a count slot each, and a small pattern decodes. *)
+let test_pattern_node_cap () =
+  Testutil.check_int "4 bytes a row after the 7-byte header"
+    ((SP.default_max_frame - 7) / 4)
+    SP.max_pattern_nodes;
+  expect_malformed "a hundred billion nodes" (raw_pattern_frame "n 100000000000");
+  expect_malformed "one past the cap"
+    (raw_pattern_frame (Printf.sprintf "n %d" (SP.max_pattern_nodes + 1)));
+  match decode_req (raw_pattern_frame "n 3\ne 0 1 1\n") with
+  | Some (SP.Frame (SP.Match p), _) ->
+      Testutil.check_int "nodes" 3 (Pattern.node_count p)
+  | _ -> Alcotest.fail "a three-node pattern did not decode"
+
 let test_frame_ready () =
   let frame_ready s ~pos =
     SP.frame_ready (Bytes.of_string s) ~pos ~len:(String.length s)
@@ -1097,6 +1122,8 @@ let () =
           Alcotest.test_case "matches one-pass encoding" `Quick
             test_matches_codec;
           Alcotest.test_case "corruption verdicts" `Quick test_corruption_cases;
+          Alcotest.test_case "pattern node count over the reply cap" `Quick
+            test_pattern_node_cap;
           Alcotest.test_case "frame_ready" `Quick test_frame_ready;
           Alcotest.test_case "multi-frame stream" `Quick test_stream_decode;
           qcheck_roundtrip_request;

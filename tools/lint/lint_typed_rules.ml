@@ -20,6 +20,9 @@
    - ALLOC02  allocation (tuples, closures, boxing, allocating stdlib
               calls, transitively through helpers) reachable from a
               region marked [@lint.hot_loop].
+   - POLY02   polymorphic comparison (compare, =, <, ... at a type that
+              is neither immediate nor float, transitively through
+              helpers) reachable from a region marked [@lint.hot_loop].
    - SPAN01   [Obs.begin_span]/[end_span] pairing on all paths: branch
               arms must agree on the open-span count, loop bodies must be
               neutral, functions must exit balanced, and a raise must not
@@ -664,18 +667,31 @@ let is_raise_apply scope e =
   | Texp_assert _ -> true
   | _ -> false
 
-(* Does executing this (already-stripped) body allocate?  Error paths
-   (always-raising applications) and metrics-gated branches are skipped:
-   raising is already the slow path, and [if Obs.metrics_on () then ...]
-   only runs with observability switched on. *)
-let alloc_scan prog scope ~get bodies =
+(* A hot-loop rule: what it finds at one node of a body ([local]), what
+   it finds in a call to a named function outside the program ([call]),
+   and how it reports a finding inside a marked region ([message]).
+   ALLOC02 and POLY02 share the reachability below: a per-definition
+   summary over the call graph, then a walk of each marked region. *)
+type hot_rule = {
+  hot_id : string;
+  local : expression -> string option;
+  call : string -> string option;
+  message : string -> string;
+}
+
+(* Does executing this (already-stripped) body reach a finding?  Error
+   paths (always-raising applications) and metrics-gated branches are
+   skipped: raising is already the slow path, and
+   [if Obs.metrics_on () then ...] only runs with observability switched
+   on. *)
+let hot_scan hr prog scope ~get bodies =
   let found = ref None in
   let note w = if !found = None then found := Some w in
   let rec walk e =
     if !found = None then begin
       if is_raise_apply scope e then ()
       else
-        match alloc_witness_of_construct e with
+        match hr.local e with
         | Some w -> note (Printf.sprintf "%s at line %d" w (line_of e.exp_loc))
         | None -> (
             match e.exp_desc with
@@ -692,10 +708,11 @@ let alloc_scan prog scope ~get bodies =
                 if !found = None then (
                   match P.head_name scope f with
                   | Some name when P.sanctioned_callee name -> ()
-                  | Some name when allocating_external name ->
-                      note
-                        (Printf.sprintf "call to `%s` (allocates) at line %d"
-                           (P.normalize name) (line_of e.exp_loc))
+                  | Some name when hr.call name <> None ->
+                      Option.iter
+                        (fun w ->
+                          note (Printf.sprintf "%s at line %d" w (line_of e.exp_loc)))
+                        (hr.call name)
                   | Some name when P.def_of prog name <> None -> (
                       match get name with
                       | Some w ->
@@ -708,15 +725,15 @@ let alloc_scan prog scope ~get bodies =
   List.iter walk bodies;
   !found
 
-let alloc_transfer prog (d : P.def) ~get =
+let hot_transfer hr prog (d : P.def) ~get =
   if P.exempt_unit d then None
-  else alloc_scan prog (P.scope_of prog d) ~get d.bodies
+  else hot_scan hr prog (P.scope_of prog d) ~get d.bodies
 
-(* Report every allocation inside a marked region.  Local helper
-   functions defined in the enclosing definition (outside the region) are
-   analyzed through [local_fns]; module-level callees through the global
+(* Report every finding inside a marked region.  Local helper functions
+   defined in the enclosing definition (outside the region) are analyzed
+   through [local_fns]; module-level callees through the global
    summaries. *)
-let alloc_check ctx summaries (d : P.def) =
+let hot_check hr ctx summaries (d : P.def) =
   let scope = P.scope_of ctx.prog d in
   let local_fns : (string, expression) Hashtbl.t = Hashtbl.create 16 in
   let local_summary_cache : (string, string option) Hashtbl.t =
@@ -733,7 +750,7 @@ let alloc_check ctx summaries (d : P.def) =
           match Hashtbl.find_opt local_fns uname with
           | Some rhs ->
               let _, _, bodies = P.split_params rhs in
-              alloc_scan ctx.prog scope
+              hot_scan hr ctx.prog scope
                 ~get:(fun n -> get_global n)
                 bodies
           | None -> None
@@ -742,20 +759,14 @@ let alloc_check ctx summaries (d : P.def) =
         s
   in
   let flag ~loc w =
-    report ctx ~file:d.unit_display ~loc ~rule:"ALLOC02"
-      (Printf.sprintf
-         "allocation in a [@lint.hot_loop] region: %s; hot loops are \
-          contractually allocation-free — hoist the allocation out of the \
-          loop, use flat arrays / toplevel recursion, or suppress with \
-          `lint: allow ALLOC02` with a justification"
-         w)
+    report ctx ~file:d.unit_display ~loc ~rule:hr.hot_id (hr.message w)
   in
   let rec walk ~marked e =
     let marked = marked || P.has_attr P.hot_loop_attr e.exp_attributes in
     if marked then begin
       if is_raise_apply scope e then ()
       else begin
-        (match alloc_witness_of_construct e with
+        (match hr.local e with
         | Some w -> flag ~loc:e.exp_loc w
         | None -> ());
         match e.exp_desc with
@@ -772,10 +783,8 @@ let alloc_check ctx summaries (d : P.def) =
             List.iter (fun (_, a) -> Option.iter (walk ~marked) a) args;
             (match P.head_name scope f with
             | Some name when P.sanctioned_callee name -> ()
-            | Some name when allocating_external name ->
-                flag ~loc:e.exp_loc
-                  (Printf.sprintf "call to `%s` (allocates)"
-                     (P.normalize name))
+            | Some name when hr.call name <> None ->
+                Option.iter (flag ~loc:e.exp_loc) (hr.call name)
             | Some name when P.def_of ctx.prog name <> None -> (
                 match get_global name with
                 | Some w -> flag ~loc:e.exp_loc (Printf.sprintf "via %s: %s" name w)
@@ -821,7 +830,37 @@ let alloc_check ctx summaries (d : P.def) =
   let def_marked = P.has_attr P.hot_loop_attr d.vb_attrs in
   List.iter (walk ~marked:def_marked) d.bodies
 
+let hot_rule_check hr ctx =
+  let summaries =
+    Lint_dataflow.fixpoint ~keys:(P.def_keys ctx.prog)
+      ~deps:(fun k -> P.callees ctx.prog k)
+      ~init:(fun _ -> None)
+      ~transfer:(fun k ~get ->
+        match P.def_of ctx.prog k with
+        | Some d -> hot_transfer hr ctx.prog d ~get
+        | None -> None)
+      ~equal:(fun a b -> (a = None) = (b = None))
+  in
+  P.iter_defs ctx.prog (fun d -> hot_check hr ctx summaries d)
+
 let alloc02 =
+  let hr =
+    {
+      hot_id = "ALLOC02";
+      local = alloc_witness_of_construct;
+      call =
+        (fun name ->
+          if allocating_external name then
+            Some (Printf.sprintf "call to `%s` (allocates)" (P.normalize name))
+          else None);
+      message =
+        Printf.sprintf
+          "allocation in a [@lint.hot_loop] region: %s; hot loops are \
+           contractually allocation-free — hoist the allocation out of the \
+           loop, use flat arrays / toplevel recursion, or suppress with \
+           `lint: allow ALLOC02` with a justification";
+    }
+  in
   {
     id = "ALLOC02";
     doc =
@@ -833,19 +872,72 @@ let alloc02 =
        allocates. Error paths (raise/failwith/invalid_arg) and \
        metrics-gated branches (if Obs.metrics_on () then ...) are \
        exempt.";
-    check =
-      (fun ctx ->
-        let summaries =
-          Lint_dataflow.fixpoint ~keys:(P.def_keys ctx.prog)
-            ~deps:(fun k -> P.callees ctx.prog k)
-            ~init:(fun _ -> None)
-            ~transfer:(fun k ~get ->
-              match P.def_of ctx.prog k with
-              | Some d -> alloc_transfer ctx.prog d ~get
-              | None -> None)
-            ~equal:(fun a b -> (a = None) = (b = None))
-        in
-        P.iter_defs ctx.prog (fun d -> alloc_check ctx summaries d));
+    check = hot_rule_check hr;
+  }
+
+(* ================================================================== *)
+(* POLY02: polymorphic comparison reachable from [@lint.hot_loop]      *)
+
+let comparison_names = [ "compare"; "="; "<>"; "<"; "<="; ">"; ">=" ]
+
+(* The types at which ocamlopt compiles a comparison to an inline
+   integer or float test: [int], [char], [bool], [unit], [float], and a
+   type whose declaration is immediate.  Anything else — a type variable
+   above all, as in a helper left polymorphic — goes through
+   [caml_compare] or one of its siblings, a C call per test. *)
+let specialised_at (e : expression) ty =
+  let ty = try Ctype.expand_head e.exp_env ty with _ -> ty in
+  match Types.get_desc ty with
+  | Tconstr (p, [], _) -> (
+      List.exists (Path.same p)
+        [ Predef.path_int; Predef.path_char; Predef.path_bool;
+          Predef.path_unit; Predef.path_float ]
+      ||
+      match Env.find_type p e.exp_env with
+      | decl -> decl.type_immediate <> Type_immediacy.Unknown
+      | exception _ -> false)
+  | _ -> false
+
+let poly_comparison_witness (e : expression) =
+  match e.exp_desc with
+  | Texp_ident (p, _, _) -> (
+      match P.split_name (P.normalize (Path.name p)) with
+      | [ op ] when List.mem op comparison_names -> (
+          match Types.get_desc e.exp_type with
+          | Tarrow (_, arg, _, _) when not (specialised_at e arg) ->
+              Some
+                (Format.asprintf "`%s` at type %a" op Printtyp.type_expr arg)
+          | _ -> None)
+      | _ -> None)
+  | _ -> None
+
+let poly02 =
+  let hr =
+    {
+      hot_id = "POLY02";
+      local = poly_comparison_witness;
+      call = (fun _ -> None);
+      message =
+        Printf.sprintf
+          "polymorphic comparison in a [@lint.hot_loop] region: %s; it \
+           compiles to a runtime call (caml_compare or a sibling) per test — \
+           give the operands an immediate or float type (annotate the \
+           helper's parameters), or suppress with `lint: allow POLY02` with \
+           a justification";
+    }
+  in
+  {
+    id = "POLY02";
+    doc =
+      "Polymorphic comparison reachable from a region marked \
+       [@lint.hot_loop]: compare, =, <>, <, <=, > or >= instantiated at a \
+       type that is not immediate (int, char, bool, unit, a constant-only \
+       variant) or float, found directly and — through the same \
+       per-function summaries as ALLOC02 — in any helper the region calls. \
+       A helper whose parameters were left unannotated is generalised, and \
+       its comparisons then call caml_compare on every test. Error paths \
+       and metrics-gated branches are exempt.";
+    check = hot_rule_check hr;
   }
 
 (* ================================================================== *)
@@ -1009,4 +1101,4 @@ let span01 =
 
 let all_rules () =
   List.sort (fun a b -> String.compare a.id b.id)
-    [ para02; bounds01; alloc02; span01 ]
+    [ para02; bounds01; alloc02; poly02; span01 ]

@@ -1,6 +1,6 @@
 (* Clean fixture for the typed tier: exercises the idioms near every
    typed rule without violating any, and must stay clean under the full
-   eleven-rule run (both tiers).  Self-contained so it typechecks against
+   run of both tiers.  Self-contained so it typechecks against
    the stdlib alone. *)
 
 module Pool = struct
@@ -35,8 +35,9 @@ let word (s : string) off =
   need s off 8;
   String.get_int64_le s off
 
-(* ALLOC02-adjacent: marked region built from toplevel recursion. *)
-let rec scan a x i =
+(* ALLOC02- and POLY02-adjacent: marked region built from toplevel
+   recursion over an int array, so its [=] is an integer test. *)
+let rec scan (a : int array) x i =
   i < Array.length a && (a.(i) = x || scan a x (i + 1))
 
 let[@lint.hot_loop] member a x = scan a x 0

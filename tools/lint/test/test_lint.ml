@@ -271,6 +271,14 @@ let test_alloc02 () =
     ]
     (typed_lint ~only:[ "ALLOC02" ] "bad_alloc02.ml")
 
+(* The unannotated lower-bound search of a tree-cover probe, a string
+   [compare] and an int-list [=] through a local helper; none of the
+   int, float, char, bool or constant-variant comparisons. *)
+let test_poly02 () =
+  check_diags "bad_poly02"
+    [ (23, "POLY02"); (28, "POLY02"); (33, "POLY02") ]
+    (typed_lint ~only:[ "POLY02" ] "bad_poly02.ml")
+
 let test_span01 () =
   check_diags "bad_span01"
     [ (12, "SPAN01"); (19, "SPAN01"); (25, "SPAN01"); (33, "SPAN01") ]
@@ -283,7 +291,7 @@ let test_suppressed_typed () =
   check_diags "suppressed_typed" [] (typed_lint "suppressed_typed.ml")
 
 (* A self-contained clean file must stay clean under the full typed run
-   (all twelve rules, both tiers). *)
+   (all thirteen rules, both tiers). *)
 let test_typed_clean () =
   check_diags "clean_typed" [] (typed_lint "clean_typed.ml")
 
@@ -341,6 +349,7 @@ let () =
             test_para01_cases_hot;
           Alcotest.test_case "BOUNDS01 fixture" `Quick test_bounds01;
           Alcotest.test_case "ALLOC02 fixture" `Quick test_alloc02;
+          Alcotest.test_case "POLY02 fixture" `Quick test_poly02;
           Alcotest.test_case "SPAN01 fixture" `Quick test_span01;
           Alcotest.test_case "clean file (typed)" `Quick test_typed_clean;
           Alcotest.test_case "call graph edges" `Quick test_callgraph;
