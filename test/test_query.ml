@@ -1011,7 +1011,7 @@ let () =
             bsim_linear_space;
         ]
         @ sim_props @ one_pass_props @ bounds_props @ [ permuted_props ] );
-      ( "post-processing",
+      ( "post_proc",
         [
           Alcotest.test_case "written rows, both paths, against G" `Quick
             p_rows_both_paths;
