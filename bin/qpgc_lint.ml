@@ -41,10 +41,7 @@ let () =
   Arg.parse (Arg.align spec) (fun p -> paths := p :: !paths) usage;
   if !list_rules then begin
     List.iter
-      (fun (r : Lint_rules.rule) ->
-        Printf.printf "%s%s\n  %s\n" r.id
-          (if r.scope = Hot then " (hot-path modules only)" else "")
-          r.doc)
+      (fun (r : Lint_rules.rule) -> Printf.printf "%s\n  %s\n" r.id r.doc)
       (Lint_rules.all_rules ());
     List.iter
       (fun (r : Lint_typed_rules.rule) ->

@@ -153,10 +153,6 @@ let answer p c =
 let answer_boolean p c =
   Bounded_sim.eval_boolean p (Compressed.graph c)
 
-let answer_regular p c =
-  Compressed.expand_result c
-    (Regular_pattern.eval p (Compressed.graph c))
-
 let answer_rpq r c =
   Compressed.expand_nodes c
     (Bitset.to_array (Rpq.matches r (Compressed.graph c)))

@@ -84,14 +84,6 @@ val scans : scratch -> int -> bool
     post-processing involved. *)
 val answer_boolean : Pattern.t -> Compressed.t -> bool
 
-(** [answer_regular p c] evaluates a regular pattern query (pattern edges
-    carrying regular expressions, the other Sec 7 direction — see
-    {!Regular_pattern}) on the compressed graph and expands the result
-    through [P]: equals [Regular_pattern.eval p g] on the original graph.
-    The witness conditions consult only label paths, which bisimulation
-    quotients preserve exactly. *)
-val answer_regular : Regular_pattern.t -> Compressed.t -> Pattern.result
-
 (** [answer_rpq r c] evaluates a regular path query (the paper's Sec 7
     future work, see {!Rpq}) on the compressed graph and expands the
     answer: the sorted original nodes with an outgoing path spelling a word

@@ -77,7 +77,3 @@ let expand_result t = function
       let hyper = Bitset.create (Digraph.n t.graph)
       and mark = Bitset.create (original_n t) in
       Some (Array.map (expand_row t ~hyper ~mark) rows)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>compressed |Vr|=%d |Er|=%d of |V|=%d@,%a@]"
-    (Digraph.n t.graph) (Digraph.m t.graph) (original_n t) Digraph.pp t.graph

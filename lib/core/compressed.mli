@@ -63,5 +63,3 @@ val expand_nodes : t -> int array -> int array
     reused across rows.  Each row costs O(|V|/63 + |output|); [None] stays
     [None]. *)
 val expand_result : t -> Pattern.result -> Pattern.result
-
-val pp : Format.formatter -> t -> unit

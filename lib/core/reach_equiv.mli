@@ -35,13 +35,3 @@ val compute : Digraph.t -> t
 
 (** [equivalent t u v] whether [(u,v) ∈ Re]. *)
 val equivalent : t -> int -> int -> bool
-
-(** [compute_naive g] computes the same partition directly from the
-    per-node ancestor/descendant sets of {!Transitive} — the O(|V|²)-space
-    oracle the tests compare against. *)
-val compute_naive : Digraph.t -> t
-
-(** [group_by_signature keys] groups equal keys into dense classes in order
-    of first appearance, returning (class per item, class count) — 0 classes
-    for an empty array.  Helper for {!compute_naive}, exposed for tests. *)
-val group_by_signature : 'a array -> int array * int

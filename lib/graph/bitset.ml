@@ -322,10 +322,3 @@ let hash s =
     if w <> 0 then h := (!h * 31) lxor w lxor i
   done;
   !h land max_int
-
-let pp ppf s =
-  Format.fprintf ppf "{@[%a@]}"
-    (Format.pp_print_list
-       ~pp_sep:(fun ppf () -> Format.fprintf ppf ",@ ")
-       Format.pp_print_int)
-    (to_list s)

@@ -179,6 +179,3 @@ val choose : t -> int option
 (** [hash s] is a content hash, suitable for hash tables keyed by set value.
     Equal sets hash equally. *)
 val hash : t -> int
-
-(** [pp] prints as [{1, 5, 9}]. *)
-val pp : Format.formatter -> t -> unit

@@ -1,5 +1,5 @@
 (* Monomorphic replacements for the polymorphic-compare stdlib entry
-   points that qpgc-lint's POLY01/CMP01 rules ban from hot-path modules.
+   points that qpgc-lint's POLY02 bans from hot-path modules.
 
    [Stdlib.min]/[max] and friends dispatch through the generic
    [caml_compare] runtime walk on every call (they are ordinary

@@ -1,9 +1,10 @@
 (** Monomorphic replacements for polymorphic-compare stdlib entry points.
 
-    qpgc-lint's POLY01/CMP01 rules ban [Stdlib.min]/[max], first-class
-    [compare], [Hashtbl.hash] and polymorphic [Hashtbl]s from hot-path
-    modules; these are the drop-in typed versions the diagnostics point
-    at.  All are direct machine comparisons -- no [caml_compare] walk. *)
+    qpgc-lint's POLY02 bans [Stdlib.min]/[max], a [compare] passed as a
+    value at a structured type, [Hashtbl.hash] and the generic
+    [Hashtbl.create] from hot-path modules; these are the drop-in typed
+    versions the diagnostics point at.  All are direct machine
+    comparisons -- no [caml_compare] walk. *)
 
 val imin : int -> int -> int
 val imax : int -> int -> int

@@ -11,7 +11,6 @@ module Window = Obs_window
 let time = Obs_clock.time
 
 (* Switches *)
-let tracing = Obs_state.tracing
 let metrics_on = Obs_state.metrics
 let enabled () = Obs_state.tracing () || Obs_state.metrics ()
 let set_tracing = Obs_state.set_tracing

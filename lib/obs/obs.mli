@@ -26,7 +26,6 @@ val time : (unit -> 'a) -> 'a * float
 
 (** {1 Switches} *)
 
-val tracing : unit -> bool
 val metrics_on : unit -> bool
 
 (** [enabled ()] — is either tracing or metrics on?  For hoisting a

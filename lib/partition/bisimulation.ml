@@ -1,10 +1,6 @@
 let max_bisimulation ?pool g =
   Paige_tarjan.coarsest_stable_refinement ?pool g ~initial:(Digraph.labels g)
 
-(* The stability checker is a one-shot oracle over the whole graph, off the
-   compressB hot path ([max_bisimulation] above allocates no tables). *)
-[@@@lint.allow "ALLOC01"]
-
 let is_stable_partition g assignment =
   let n = Digraph.n g in
   if Array.length assignment <> n then false

@@ -46,7 +46,7 @@ let create_with keys =
   let n = Array.length keys in
   let cap = block_capacity n in
   (* Dense block id per distinct key, ordered by first appearance. *)
-  let tbl = Mono.Itbl.create (2 * n + 1) (* lint: allow ALLOC01 *) in
+  let tbl = Mono.Itbl.create (2 * n + 1) in
   let node_blk = Array.make n 0 in
   let count = ref 0 in
   for v = 0 to n - 1 do
@@ -186,7 +186,7 @@ let[@lint.hot_loop] split_marked p f =
 let assignment p = Array.copy p.node_blk
 
 let normalize_assignment a =
-  let tbl = Mono.Itbl.create (2 * Array.length a + 1) (* lint: allow ALLOC01 *) in
+  let tbl = Mono.Itbl.create (2 * Array.length a + 1) in
   let next = ref 0 in
   Array.map
     (fun b ->

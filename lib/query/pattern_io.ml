@@ -77,9 +77,3 @@ let load path =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> of_string (In_channel.input_all ic))
-
-let save path p =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string p))

@@ -17,7 +17,5 @@ val of_string : ?max_nodes:int -> string -> Pattern.t
 (** [to_string p] prints a pattern in the format above. *)
 val to_string : Pattern.t -> string
 
-(** [load path] / [save path p] are the file variants. *)
+(** [load path] is the file variant of {!of_string}. *)
 val load : string -> Pattern.t
-
-val save : string -> Pattern.t -> unit

@@ -22,10 +22,6 @@ module Nfa = struct
     accept : int;
   }
 
-  let states t = t.states
-  let start t = t.start
-  let accept t = t.accept
-
   let compile r =
     let count = ref 0 in
     let eps_edges = ref [] and sym_edges = ref [] in

@@ -41,27 +41,6 @@ val satisfies : t -> Digraph.t -> int -> bool
     the test suite; {e not} preserved by compression (see above). *)
 val pairs : t -> Digraph.t -> source:int -> Bitset.t
 
-(** The Thompson NFA both evaluators run, shared with {!Regular_pattern}.
-    States are [0 .. states t - 1]; a state set is a {!Bitset.t} over
-    them, and every transition consumes one node's label. *)
-module Nfa : sig
-  type regex := t
-  type t
-
-  val compile : regex -> t
-  val states : t -> int
-  val start : t -> int
-  val accept : t -> int
-
-  (** [closure t set] adds every state reachable from [set] by epsilon
-      moves, in place, and returns [set]. *)
-  val closure : t -> Bitset.t -> Bitset.t
-
-  (** [step t set l] is the epsilon-closed set of states reachable from
-      [set] by consuming one node labelled [l]; a fresh set. *)
-  val step : t -> Bitset.t -> int -> Bitset.t
-end
-
 (** [pp] prints in a conventional syntax: [l3], [.], [ab], [a|b], [a*],
     [a+], [a?]. *)
 val pp : Format.formatter -> t -> unit

@@ -17,8 +17,6 @@
 
 type opts = { seed : int; scale : float }
 
-val default_opts : opts
-
 (** Table 1 — reachability preserving compression ratios. *)
 module Table1 : sig
   type row = {

@@ -37,7 +37,7 @@ let compute_dk g ~k_of =
     done;
     (* group by the pair (own k, class at that k) *)
     (* keyed grouping by (k, class) pair — not on the refinement hot path *)
-    let tbl = Mono.Ptbl.create (2 * n + 1) (* lint: allow ALLOC01 *) in
+    let tbl = Mono.Ptbl.create (2 * n + 1) in
     let next = ref 0 in
     Array.init n (fun v ->
         let key = (ks.(v), partitions.(ks.(v)).(v)) in

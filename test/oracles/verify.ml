@@ -36,7 +36,7 @@ let partition_of_compressed c =
   Array.init (Compressed.original_n c) (fun v -> Compressed.hypernode c v)
 
 let is_reach_equivalence g c =
-  let reference = Reach_equiv.compute_naive g in
+  let reference = Reach_oracle.compute_naive g in
   Partition.equivalent reference.Reach_equiv.class_of (partition_of_compressed c)
 
 let is_max_bisimulation g c =

@@ -27,10 +27,10 @@ let reach_equiv_recommendation () =
 (* Regression: an empty signature array has zero classes — [imax 1] used to
    force a phantom class for zero items. *)
 let group_by_signature_empty () =
-  let class_of, count = Reach_equiv.group_by_signature [||] in
+  let class_of, count = Reach_oracle.group_by_signature [||] in
   Alcotest.(check int) "zero classes" 0 count;
   Alcotest.(check (array int)) "no items" [||] class_of;
-  let class_of, count = Reach_equiv.group_by_signature [| "a"; "b"; "a" |] in
+  let class_of, count = Reach_oracle.group_by_signature [| "a"; "b"; "a" |] in
   Alcotest.(check int) "two classes" 2 count;
   Alcotest.(check (array int)) "first-appearance ids" [| 0; 1; 0 |] class_of
 
@@ -38,7 +38,7 @@ let group_by_signature_empty () =
    numbers classes exactly: scanning SCC ids in descending order, each new
    class id is one more than the largest seen so far. *)
 let reach_equiv_matches_naive g =
-  let a = Reach_equiv.compute g and b = Reach_equiv.compute_naive g in
+  let a = Reach_equiv.compute g and b = Reach_oracle.compute_naive g in
   let same_cyclic =
     List.for_all
       (fun v ->

@@ -159,80 +159,25 @@ let parse_errors () =
   expect "l1 l2";
   expect "x3"
 
-(* ------------------------------------------------------------------ *)
-(* Regular pattern queries (pattern edges carrying regexes) *)
-
-let regular_unit () =
-  (* A[l0] -[l1*]-> B[l2]: a path from an l0-node to an l2-node whose
-     intermediates are all l1 *)
-  let p =
-    Regular_pattern.make ~n:2 ~labels:[| 0; 2 |]
-      ~edges:[ (0, 1, Rpq.Star (Rpq.Label 1)) ]
+(* A root with two bisimilar l1 -> l2 branches: compressB merges each
+   pair of twins into one hypernode, and answer_rpq expands a matched
+   hypernode back to both members. *)
+let compressed_twins () =
+  let g =
+    Digraph.make ~n:5 ~labels:[| 0; 1; 1; 2; 2 |]
+      [ (0, 1); (0, 2); (1, 3); (2, 4) ]
   in
-  let good = Digraph.make ~n:4 ~labels:[| 0; 1; 1; 2 |] [ (0, 1); (1, 2); (2, 3) ] in
-  (match Regular_pattern.eval p good with
-  | Some m ->
-      Alcotest.(check (array int)) "sources" [| 0 |] m.(0);
-      Alcotest.(check (array int)) "targets" [| 3 |] m.(1)
-  | None -> Alcotest.fail "expected match");
-  (* an intermediate with the wrong label breaks it *)
-  let bad = Digraph.make ~n:4 ~labels:[| 0; 1; 9; 2 |] [ (0, 1); (1, 2); (2, 3) ] in
-  Alcotest.(check bool) "wrong intermediate" true
-    (Regular_pattern.eval p bad = None);
-  (* direct edge spells epsilon, accepted by the star *)
-  let direct = Digraph.make ~n:2 ~labels:[| 0; 2 |] [ (0, 1) ] in
-  Alcotest.(check bool) "direct edge" true (Regular_pattern.eval p direct <> None)
-
-let regular_exact_length () =
-  (* exactly one intermediate of label 7 *)
-  let p =
-    Regular_pattern.make ~n:2 ~labels:[| 0; 2 |] ~edges:[ (0, 1, Rpq.Label 7) ]
-  in
-  let direct = Digraph.make ~n:2 ~labels:[| 0; 2 |] [ (0, 1) ] in
-  Alcotest.(check bool) "direct edge rejected" true
-    (Regular_pattern.eval p direct = None);
-  let one = Digraph.make ~n:3 ~labels:[| 0; 7; 2 |] [ (0, 1); (1, 2) ] in
-  Alcotest.(check bool) "one intermediate accepted" true
-    (Regular_pattern.eval p one <> None);
-  let two =
-    Digraph.make ~n:4 ~labels:[| 0; 7; 7; 2 |] [ (0, 1); (1, 2); (2, 3) ]
-  in
-  Alcotest.(check bool) "two intermediates rejected" true
-    (Regular_pattern.eval p two = None)
-
-let regular_props =
-  [
-    qtest ~count:300 "of_pattern agrees with bounded simulation"
-      (Testutil.arbitrary_graph_pattern ())
-      (fun (g, p) ->
-        Pattern.result_equal
-          (Regular_pattern.eval (Regular_pattern.of_pattern p) g)
-          (Bounded_sim.eval p g));
-    qtest ~count:200 "preserved by pattern compression"
-      ( (let open QCheck2.Gen in
-         let* g = Testutil.digraph_gen ~max_labels:3 () in
-         let* nodes = int_range 1 3 in
-         let* r1 = regex_gen 2 in
-         let* r2 = regex_gen 2 in
-         let* seed = int_range 0 1000 in
-         let rng = Random.State.make [| seed |] in
-         let labels =
-           Array.init nodes (fun _ ->
-               Digraph.label g (Random.State.int rng (Digraph.n g)))
-         in
-         let edges =
-           if nodes = 1 then [ (0, 0, r1) ]
-           else [ (0, nodes - 1, r1); (nodes - 1, 0, r2) ]
-         in
-         pure (g, Regular_pattern.make ~n:nodes ~labels ~edges)),
-        fun (g, p) ->
-          Format.asprintf "%a@.%a" Digraph.pp g Regular_pattern.pp p )
-      (fun (g, p) ->
-        let c = Compress_bisim.compress g in
-        Pattern.result_equal
-          (Compress_bisim.answer_regular p c)
-          (Regular_pattern.eval p g));
-  ]
+  let c = Compress_bisim.compress g in
+  Alcotest.(check int) "twins merged" 3 (Digraph.n (Compressed.graph c));
+  List.iter
+    (fun (q, expected) ->
+      let r = Rpq.parse q in
+      Alcotest.(check (array int)) q expected (Compress_bisim.answer_rpq r c);
+      Alcotest.(check (list int))
+        (q ^ " on G") (Array.to_list expected)
+        (Bitset.to_list (Rpq.matches r g)))
+    [ ("l0l1l2", [| 0 |]); ("l1l2", [| 1; 2 |]); ("l2", [| 3; 4 |]);
+      ("l1l1", [||]) ]
 
 let () =
   Alcotest.run "rpq"
@@ -252,10 +197,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick parse_unit;
           Alcotest.test_case "errors" `Quick parse_errors;
         ] );
-      ( "regular patterns",
-        [
-          Alcotest.test_case "star over intermediates" `Quick regular_unit;
-          Alcotest.test_case "exact length" `Quick regular_exact_length;
-        ]
-        @ regular_props );
+      ( "compressed graph",
+        [ Alcotest.test_case "answer_rpq expands twins" `Quick compressed_twins ]
+      );
     ]

@@ -5,7 +5,7 @@ type t = {
   file : string;  (* display path, e.g. "lib/graph/digraph.ml" *)
   line : int;  (* 1-based *)
   col : int;  (* 0-based, matching compiler convention *)
-  rule : string;  (* e.g. "POLY01" *)
+  rule : string;  (* e.g. "POLY02" *)
   msg : string;
 }
 

@@ -16,9 +16,8 @@ let contains_sub ~sub s =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   m = 0 || go 0
 
-let rec in_scope display = function
+let in_scope display = function
   | Lint_rules.Anywhere -> true
-  | Hot -> in_scope display (Under Lint_rules.hot_prefixes)
   | Under ps -> List.exists (fun p -> contains_sub ~sub:p display) ps
   | Outside p -> not (contains_sub ~sub:p display)
 

@@ -103,9 +103,6 @@ let split_params expr =
 
 let split_name n = String.split_on_char '.' n
 
-let last_component n =
-  match List.rev (split_name n) with x :: _ -> x | [] -> n
-
 (* Trailing "Module.fn" pair of a qualified name: the stable suffix that
    survives both external resolution ("Pool.parallel_for") and fixture
    nesting ("Bad_para02.Pool.parallel_for"). *)
@@ -174,6 +171,12 @@ let head_name scope e =
 (* ------------------------------------------------------------------ *)
 (* Building *)
 
+let rec alias_of me =
+  match me.mod_desc with
+  | Tmod_ident (p, _) -> Some p
+  | Tmod_constraint (me, _, _, _) -> alias_of me
+  | _ -> None
+
 let build (units : Lint_cmt.unit_info list) =
   let defs = Hashtbl.create 512 in
   let order = ref [] in
@@ -222,7 +225,13 @@ let build (units : Lint_cmt.unit_info list) =
         match mb.mb_id with
         | None -> ()
         | Some id ->
-            let mprefix = prefix ^ "." ^ Ident.name id in
+            (* An alias ([module H = Hashtbl]) denotes its target, so
+               [H.create] resolves to ["Hashtbl.create"]. *)
+            let mprefix =
+              match Option.bind (alias_of mb.mb_expr) (module_prefix env) with
+              | Some target -> target
+              | None -> prefix ^ "." ^ Ident.name id
+            in
             Hashtbl.replace env (Ident.unique_name id) (Mod mprefix);
             module_expr ~prefix:mprefix mb.mb_expr
       and module_expr ~prefix me =

@@ -22,7 +22,11 @@
               region marked [@lint.hot_loop].
    - POLY02   polymorphic comparison (compare, =, <, ... at a type that
               is neither immediate nor float, transitively through
-              helpers) reachable from a region marked [@lint.hot_loop].
+              helpers) reachable from a region marked [@lint.hot_loop];
+              and in the hot-path modules, [min] / [max] /
+              [Hashtbl.hash] / the generic [Hashtbl.create] by resolved
+              path, and a comparison escaping as a value at such a
+              type.
    - SPAN01   [Obs.begin_span]/[end_span] pairing on all paths: branch
               arms must agree on the open-span count, loop bodies must be
               neutral, functions must exit balanced, and a raise must not
@@ -911,6 +915,71 @@ let poly_comparison_witness (e : expression) =
       | _ -> None)
   | _ -> None
 
+(* The hot-module half of POLY02: in a unit under
+   [Lint_rules.hot_prefixes], the primitives that are polymorphic whatever
+   their operands, and a comparison that is not fully applied — it escapes
+   as a function value, so nothing specialises the calls it makes — at a
+   type [specialised_at] does not accept.  Names are resolved, so a module
+   alias or an [open] is seen through and a local rebinding is not
+   flagged. *)
+let hot_primitive_message = function
+  | ("min" | "max") as name ->
+      Some
+        (Printf.sprintf
+           "`%s` dispatches through polymorphic compare on every call (it is \
+            never specialised); use a typed version: Mono.i%s for ints, \
+            Float.%s for floats"
+           name name name)
+  | "Hashtbl.hash" | "Hashtbl.seeded_hash" ->
+      Some
+        "Hashtbl.hash is a polymorphic structure walk and its result varies \
+         across OCaml versions; hash the key monomorphically (e.g. an FNV-1a \
+         string hash, or the int itself)"
+  | "Hashtbl.create" ->
+      Some
+        "polymorphic `Hashtbl.create` in a hot-path module; use a keyed table \
+         with monomorphic hash/equal (Mono.Itbl, Mono.Ptbl, Mono.Stbl, or a \
+         local Hashtbl.Make)"
+  | _ -> None
+
+let hot_module_check ctx (u : Lint_cmt.unit_info) =
+  let scope = P.scope_of_unit ctx.prog u in
+  let check_ident e ~applied =
+    match e.exp_desc with
+    | Texp_ident (p, _, _) -> (
+        let flag msg =
+          report ctx ~file:u.display ~loc:e.exp_loc ~rule:"POLY02" msg
+        in
+        match P.resolve scope p with
+        | None -> ()
+        | Some name -> (
+            match hot_primitive_message name with
+            | Some msg -> flag msg
+            | None ->
+                if applied < 2 && List.mem name comparison_names then
+                  Option.iter
+                    (fun w ->
+                      flag
+                        (Printf.sprintf
+                           "%s escapes as a function value in a hot-path \
+                            module, so every call it makes runs caml_compare; \
+                            pass a monomorphic comparison (Int.compare, \
+                            String.equal, ...) instead"
+                           w))
+                    (poly_comparison_witness e)))
+    | _ -> ()
+  in
+  let expr it e =
+    match e.exp_desc with
+    | Texp_apply (({ exp_desc = Texp_ident _; _ } as f), args) ->
+        check_ident f ~applied:(List.length (positional_args args));
+        List.iter (fun (_, a) -> Option.iter (it.Tast_iterator.expr it) a) args
+    | Texp_ident _ -> check_ident e ~applied:0
+    | _ -> Tast_iterator.default_iterator.expr it e
+  in
+  let it = { Tast_iterator.default_iterator with expr } in
+  it.structure it u.str
+
 let poly02 =
   let hr =
     {
@@ -936,8 +1005,21 @@ let poly02 =
        per-function summaries as ALLOC02 — in any helper the region calls. \
        A helper whose parameters were left unannotated is generalised, and \
        its comparisons then call caml_compare on every test. Error paths \
-       and metrics-gated branches are exempt.";
-    check = hot_rule_check hr;
+       and metrics-gated branches are exempt. In a hot-path module ("
+      ^ String.concat ", " Lint_rules.hot_prefixes
+      ^ ") it also flags, by resolved path, min, max, Hashtbl.hash / \
+         seeded_hash and the generic Hashtbl.create (use Mono.imin, an \
+         FNV-1a hash, a keyed Hashtbl.Make table such as Mono.Itbl), and a \
+         comparison that escapes as a value (Array.sort compare, a partial \
+         application) at such a type.";
+    check =
+      (fun ctx ->
+        hot_rule_check hr ctx;
+        List.iter
+          (fun (u : Lint_cmt.unit_info) ->
+            if Lint_driver.in_scope u.display (Under Lint_rules.hot_prefixes)
+            then hot_module_check ctx u)
+          ctx.prog.units);
   }
 
 (* ================================================================== *)

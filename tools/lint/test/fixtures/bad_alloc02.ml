@@ -4,7 +4,7 @@
    - line 19: ref allocation via allocating stdlib call
    - line 26: tuple construction
    - line 33: transitive, via the local helper [boxed]
-   The clean cases below must produce nothing. *)
+   - lines 58-61: a hash table per round; the clean cases below: none *)
 
 (* 1. closure allocated per call in a marked binding *)
 let[@lint.hot_loop] hot_sum (a : int array) =
@@ -37,6 +37,29 @@ let[@lint.hot_loop] hot_via_helper (a : int array) =
     out.(i) <- box_it a.(i)
   done;
   out
+
+(* 5. hash tables created inside a marked loop: the stdlib's and keyed
+   [Hashtbl.Make] instances alike *)
+module Mono = struct
+  module Itbl = Hashtbl.Make (Int)
+
+  module Ptbl = Hashtbl.Make (struct
+    type t = int * int
+
+    let equal ((a, b) : t) (c, d) = a = c && b = d
+    let hash ((a, b) : t) = (a * 31) + b
+  end)
+end
+
+module Sig_tbl = Hashtbl.Make (String)
+
+let tables_per_round n =
+  (for _ = 1 to n do
+     ignore (Hashtbl.create n);
+     ignore (Mono.Itbl.create n);
+     ignore (Mono.Ptbl.create (2 * n));
+     ignore (Sig_tbl.create n)
+   done) [@lint.hot_loop]
 
 (* clean: toplevel recursion, flat arrays, no allocation *)
 let rec clean_scan a x i =

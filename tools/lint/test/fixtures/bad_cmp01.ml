@@ -1,4 +1,4 @@
-(* CMP01 fixture (checked as a hot-path module). *)
+(* CMP01's cases, checked by POLY02 in a hot-path module. *)
 
 let table () = Hashtbl.create 64
 (* line 3: polymorphic Hashtbl.create *)
@@ -7,3 +7,14 @@ let table () = Hashtbl.create 64
 module Itbl = Hashtbl.Make (Int)
 
 let keyed () = Itbl.create 64
+
+(* Resolved paths see through a module alias and an open. *)
+module H = Hashtbl
+
+let aliased () = H.create 64
+(* line 14: H is Hashtbl *)
+
+let opened () =
+  let open Hashtbl in
+  create 64
+(* line 19: create is Hashtbl.create *)

@@ -1,7 +1,7 @@
-(* POLY01 fixture (checked as a hot-path module). *)
+(* POLY01's cases, checked by POLY02 in a hot-path module. *)
 
 let sort_ids (a : int array) = Array.sort compare a
-(* line 3: compare escapes as a function argument *)
+(* line 3: clean -- compare escapes at int, compiled to compare_ints *)
 
 let widest xs = List.fold_left max 0 xs
 (* line 6: max escapes (and is polymorphic even applied) *)
@@ -13,7 +13,10 @@ let seed_of name = Hashtbl.hash name
 (* line 12: Hashtbl.hash *)
 
 let partial_cmp x = compare x
-(* line 15: partial application escapes *)
+(* line 15: partial application escapes at 'a *)
+
+let sort_pairs (a : (int * int) array) = Array.sort compare a
+(* line 18: compare escapes at int * int, a caml_compare call per test *)
 
 (* Not flagged: direct full applications specialise at known types, and a
    local monomorphic rebinding shadows the polymorphic one. *)

@@ -2,17 +2,17 @@
    report nothing for this file. *)
 
 (* Trailing same-line comment form. *)
-let t () = Hashtbl.create 64 (* lint: allow CMP01 *)
+let t () = Sys.time () (* lint: allow OBS01 *)
 
 (* Comment-above form, with justification prose around the directive. *)
-(* This table is tiny and cold by construction.  lint: allow CMP01 *)
-let t2 () = Hashtbl.create 4
+(* This clock read is cold by construction.  lint: allow OBS01 *)
+let t2 () = Sys.time ()
 
 (* Expression attribute form. *)
-let t3 () = (Hashtbl.create 8 [@lint.allow "CMP01"])
+let t3 l = (List.hd l [@lint.allow "PARTIAL01"])
 
 (* Structure-item attribute form covers the whole binding. *)
-let sorted a = Array.sort compare a [@@lint.allow "POLY01"]
+let first l = Option.get (List.nth_opt l 0) [@@lint.allow "PARTIAL01"]
 
 (* Multiple rules in one directive. *)
-let h name = (Hashtbl.hash name, List.hd [ name ]) (* lint: allow POLY01, PARTIAL01 *)
+let h l = (Sys.time (), List.hd l) (* lint: allow OBS01, PARTIAL01 *)

@@ -19,7 +19,25 @@ let line_rule = Alcotest.(pair int string)
 let check_diags name expected actual =
   Alcotest.check (Alcotest.list line_rule) name expected actual
 
-let test_cmp01 () = check_diags "bad_cmp01" [ (3, "CMP01") ] (lint "bad_cmp01.ml")
+(* The typed tier typechecks a fixture in-process against the stdlib, so
+   each typed fixture is self-contained (local Pool/Obs modules, local
+   Parse_error). *)
+let typed_lint ?only ?prefix name =
+  let path = fixture name in
+  let r = Lint_typed_driver.analyze ?only ?prefix [ path ] in
+  (match r.Lint_driver.errors with
+  | [] -> ()
+  | e :: _ -> Alcotest.failf "unexpected typed lint error on %s: %s" name e);
+  List.map (fun d -> (d.Lint_diag.line, d.Lint_diag.rule)) r.Lint_driver.diags
+
+(* bad_cmp01.ml and bad_poly01.ml keep the cases of the syntactic rules
+   CMP01 and POLY01, which POLY02 took over in the hot-path modules.  The
+   generic Hashtbl.create is flagged by resolved path, so through a module
+   alias (line 14) and an open (line 19) too. *)
+let test_cmp01 () =
+  check_diags "bad_cmp01"
+    [ (3, "POLY02"); (14, "POLY02"); (19, "POLY02") ]
+    (typed_lint ~only:[ "POLY02" ] ~prefix:"lib/core/" "bad_cmp01.ml")
 
 let test_partial01 () =
   check_diags "bad_partial01"
@@ -52,36 +70,8 @@ let test_csr02_in_scope () =
        (fun d -> (d.Lint_diag.line, d.Lint_diag.rule))
        r.Lint_driver.diags)
 
-(* ALLOC01 is scoped by display path, not by the hot classification: it
-   fires only when the linted file sits under lib/partition.  [only]
-   isolates it from CMP01, which also dislikes the Hashtbl.create line. *)
-let test_alloc01 () =
-  let r =
-    Lint_driver.lint_file ~only:[ "ALLOC01" ]
-      ~display:"lib/partition/bad_alloc01.ml"
-      (fixture "bad_alloc01.ml")
-  in
-  check_diags "bad_alloc01"
-    [ (3, "ALLOC01"); (5, "ALLOC01"); (7, "ALLOC01"); (9, "ALLOC01") ]
-    (List.map
-       (fun d -> (d.Lint_diag.line, d.Lint_diag.rule))
-       r.Lint_driver.diags)
-
-(* The same file outside lib/partition is clean: other hot directories use
-   keyed tables legitimately. *)
-let test_alloc01_out_of_scope () =
-  let r =
-    Lint_driver.lint_file ~only:[ "ALLOC01" ]
-      ~display:"lib/graph/bad_alloc01.ml"
-      (fixture "bad_alloc01.ml")
-  in
-  check_diags "bad_alloc01 out of scope" []
-    (List.map
-       (fun d -> (d.Lint_diag.line, d.Lint_diag.rule))
-       r.Lint_driver.diags)
-
-(* OBS01 is scoped like ALLOC01 but inverted: it fires everywhere except
-   under lib/obs.  The [lint] helper's display path (lib/core/...) is
+(* OBS01 is scoped by display path: it fires everywhere except under
+   lib/obs.  The [lint] helper's display path (lib/core/...) is
    outside lib/obs, so the findings fire. *)
 let test_obs01 () =
   check_diags "bad_obs01"
@@ -101,7 +91,7 @@ let test_obs01_in_scope () =
        (fun d -> (d.Lint_diag.line, d.Lint_diag.rule))
        r.Lint_driver.diags)
 
-(* SRV01 is scoped like ALLOC01: it fires only when the linted file sits
+(* SRV01 is scoped by display path: it fires only when the linted file sits
    under lib/server — the one layer whose event loop must never block. *)
 let test_srv01 () =
   let r =
@@ -158,20 +148,20 @@ let test_obs02_out_of_scope () =
   check_diags "bad_obs02 outside the daemon layers" []
     (lint ~only:[ "OBS02" ] "bad_obs02.ml")
 
+(* [Array.sort compare] is clean on an int array (line 3: ocamlopt
+   compiles the closure to compare_ints) and flagged on an (int * int)
+   array (line 18).  Lines 22-23 rebind [compare] monomorphically and then
+   use it: the use resolves to the local definition, not to Stdlib's. *)
 let test_poly01 () =
   check_diags "bad_poly01"
     [
-      (3, "POLY01");
-      (6, "POLY01");
-      (9, "POLY01");
-      (12, "POLY01");
-      (15, "POLY01");
+      (6, "POLY02");
+      (9, "POLY02");
+      (12, "POLY02");
+      (15, "POLY02");
+      (18, "POLY02");
     ]
-    (lint "bad_poly01.ml")
-
-(* Lines 22-23 of bad_poly01.ml rebind [compare] monomorphically and then
-   use it; the shadow exempts uses only from its line onward, so the
-   earlier escapes (lines 3 and 15) must still be present above. *)
+    (typed_lint ~only:[ "POLY02" ] ~prefix:"lib/core/" "bad_poly01.ml")
 
 let test_clean () = check_diags "clean" [] (lint "clean.ml")
 
@@ -180,17 +170,11 @@ let test_clean () = check_diags "clean" [] (lint "clean.ml")
    multi-rule directive); all must silence the finding. *)
 let test_suppressed () = check_diags "suppressed" [] (lint "suppressed.ml")
 
-(* The same violations outside the hot directories: hot-only rules
-   (POLY01, CMP01) must stay quiet, path-independent ones still fire. *)
+(* The same violations outside the hot directories: POLY02's hot-module
+   half stays quiet, and neither fixture marks a [@lint.hot_loop]. *)
 let test_cold () =
-  let r =
-    Lint_driver.lint_file ~display:"bad_poly01.ml"
-      (fixture "bad_poly01.ml")
-  in
-  check_diags "bad_poly01 cold" []
-    (List.map
-       (fun d -> (d.Lint_diag.line, d.Lint_diag.rule))
-       r.Lint_driver.diags)
+  check_diags "bad_poly01 cold" [] (typed_lint "bad_poly01.ml");
+  check_diags "bad_cmp01 cold" [] (typed_lint "bad_cmp01.ml")
 
 let test_parse_error () =
   let tmp = Filename.temp_file "lint_broken" ".ml" in
@@ -202,29 +186,20 @@ let test_parse_error () =
   Alcotest.(check bool) "parse error reported" true (r.Lint_driver.errors <> [])
 
 let test_json () =
-  let path = fixture "bad_cmp01.ml" in
-  let r = Lint_driver.lint_file ~display:("lib/core/" ^ path) path in
+  let r =
+    Lint_typed_driver.analyze ~prefix:"lib/core/" [ fixture "bad_cmp01.ml" ]
+  in
   let json = Lint_diag.list_to_json r.Lint_driver.diags in
   let has sub =
     let n = String.length json and m = String.length sub in
     let rec go i = i + m <= n && (String.sub json i m = sub || go (i + 1)) in
     go 0
   in
-  Alcotest.(check bool) "json has rule" true (has {|"rule":"CMP01"|});
+  Alcotest.(check bool) "json has rule" true (has {|"rule":"POLY02"|});
   Alcotest.(check bool) "json has line" true (has {|"line":3|})
 
 (* ------------------------------------------------------------------ *)
-(* Typed (whole-program) tier: fixtures are typechecked in-process
-   against the stdlib, so each is self-contained (local Pool/Obs modules,
-   local Parse_error). *)
-
-let typed_lint ?only ?prefix name =
-  let path = fixture name in
-  let r = Lint_typed_driver.analyze ?only ?prefix [ path ] in
-  (match r.Lint_driver.errors with
-  | [] -> ()
-  | e :: _ -> Alcotest.failf "unexpected typed lint error on %s: %s" name e);
-  List.map (fun d -> (d.Lint_diag.line, d.Lint_diag.rule)) r.Lint_driver.diags
+(* Typed (whole-program) tier *)
 
 let test_para02 () =
   check_diags "bad_para02"
@@ -246,7 +221,7 @@ let test_para01_cases () =
 let test_para01_cases_hot () =
   check_diags "bad_para01 under lib/core"
     (List.sort compare
-       ([ (17, "CMP01"); (36, "CMP01") ]
+       ([ (17, "POLY02"); (36, "POLY02") ]
        @ List.map (fun l -> (l, "PARA02")) para01_cases))
     (typed_lint ~prefix:"lib/core/" "bad_para01.ml")
 
@@ -255,6 +230,9 @@ let test_bounds01 () =
     [ (8, "BOUNDS01"); (14, "BOUNDS01") ]
     (typed_lint ~only:[ "BOUNDS01" ] "bad_bounds01.ml")
 
+(* Lines 58-61 are the tables the refinement engine keeps out of its
+   loops, generic and keyed alike: a creation inside a marked region is an
+   allocation like any other. *)
 let test_alloc02 () =
   check_diags "bad_alloc02"
     [
@@ -268,6 +246,10 @@ let test_alloc02 () =
       (27, "ALLOC02");
       (35, "ALLOC02");
       (37, "ALLOC02");
+      (58, "ALLOC02");
+      (59, "ALLOC02");
+      (60, "ALLOC02");
+      (61, "ALLOC02");
     ]
     (typed_lint ~only:[ "ALLOC02" ] "bad_alloc02.ml")
 
@@ -291,9 +273,11 @@ let test_suppressed_typed () =
   check_diags "suppressed_typed" [] (typed_lint "suppressed_typed.ml")
 
 (* A self-contained clean file must stay clean under the full typed run
-   (all thirteen rules, both tiers). *)
+   (all ten rules, both tiers), in a hot-path directory too. *)
 let test_typed_clean () =
-  check_diags "clean_typed" [] (typed_lint "clean_typed.ml")
+  check_diags "clean_typed" [] (typed_lint "clean_typed.ml");
+  check_diags "clean_typed under lib/core" []
+    (typed_lint ~prefix:"lib/core/" "clean_typed.ml")
 
 let test_callgraph () =
   let path = fixture "callgraph.ml" in
@@ -323,9 +307,6 @@ let () =
           Alcotest.test_case "CSR02 fixture" `Quick test_csr02;
           Alcotest.test_case "CSR02 exempts lib/graph" `Quick
             test_csr02_in_scope;
-          Alcotest.test_case "ALLOC01 fixture" `Quick test_alloc01;
-          Alcotest.test_case "ALLOC01 scoped to lib/partition" `Quick
-            test_alloc01_out_of_scope;
           Alcotest.test_case "OBS01 fixture" `Quick test_obs01;
           Alcotest.test_case "OBS01 exempts lib/obs" `Quick
             test_obs01_in_scope;
