@@ -70,6 +70,24 @@ let test_csr02_in_scope () =
        (fun d -> (d.Lint_diag.line, d.Lint_diag.rule))
        r.Lint_driver.diags)
 
+(* ALLOC01's four table creations (generic, [Mono.Itbl], [Mono.Ptbl],
+   [Sig_tbl]) now sit in the marked loop of bad_alloc02.ml, lines 58-61.
+   Linted with all rules under lib/partition, ALLOC01's old scope, each is
+   reported by ALLOC02, and the generic one by POLY02's hot-module half as
+   well; the table modules defined outside the loop are clean. *)
+let test_alloc01 () =
+  check_diags "bad_alloc01 cases"
+    [
+      (58, "ALLOC02");
+      (58, "POLY02");
+      (59, "ALLOC02");
+      (60, "ALLOC02");
+      (61, "ALLOC02");
+    ]
+    (List.filter
+       (fun (l, _) -> l >= 41 && l <= 62)
+       (typed_lint ~prefix:"lib/partition/" "bad_alloc02.ml"))
+
 (* OBS01 is scoped by display path: it fires everywhere except under
    lib/obs.  The [lint] helper's display path (lib/core/...) is
    outside lib/obs, so the findings fire. *)
@@ -307,6 +325,7 @@ let () =
           Alcotest.test_case "CSR02 fixture" `Quick test_csr02;
           Alcotest.test_case "CSR02 exempts lib/graph" `Quick
             test_csr02_in_scope;
+          Alcotest.test_case "ALLOC01 fixture" `Quick test_alloc01;
           Alcotest.test_case "OBS01 fixture" `Quick test_obs01;
           Alcotest.test_case "OBS01 exempts lib/obs" `Quick
             test_obs01_in_scope;
