@@ -47,15 +47,20 @@ type store =
    int32 array. *)
 type labels_store = Lcsr of int_ba | L32 of int32_ba
 
-(* [dense_labels] caches the heap array {!labels} returns and [by_label]
+(* [dense_labels] caches the heap array {!labels} returns, [by_label]
    the label index: the nodes grouped by label as a CSR of
-   [label_count + 1] offsets over ascending ids.  Both are built on first
-   use, in an [Atomic] for the same reason as a varint store's [dense].
-   They live with the labels, so [with_labels] starts fresh ones. *)
+   [label_count + 1] offsets over ascending ids, and [by_succ] the
+   successor-label filter: per label l, the nodes with a successor
+   labelled l, or [[||]] over the size cap.  All three are built on
+   first use, in an [Atomic] for the same reason as a varint store's
+   [dense].  They live with the labels, so [with_labels] starts fresh
+   ones; [by_succ] reads the out-adjacency too, so [reverse] starts a
+   fresh one of it. *)
 type lab = {
   ls : labels_store;
   dense_labels : int array option Atomic.t;
   by_label : (int array * int array) option Atomic.t;
+  by_succ : Bitset.t array option Atomic.t;
 }
 
 type t = {
@@ -103,7 +108,12 @@ let check_labels ~fn n = function
       ba_of_array l
 
 let mk_lab ls =
-  { ls; dense_labels = Atomic.make None; by_label = Atomic.make None }
+  {
+    ls;
+    dense_labels = Atomic.make None;
+    by_label = Atomic.make None;
+    by_succ = Atomic.make None;
+  }
 
 (* CSR construction by two stable counting sorts of the first [m0] edges:
    sorting by destination and then (stably) by source leaves them in (src,
@@ -469,6 +479,33 @@ let label_index g =
 
 let label_ids g = snd (label_index g)
 
+(* One pass over the out-adjacency: bit v of set l for each successor of
+   v labelled l.  A CSR store may be mapped from a corrupt file; every
+   read here is bounds-checked, so a row that leaves its array, or an id
+   outside [0, n), raises [Invalid_argument], as [keep_meeting] does. *)
+let build_succ_labelled g =
+  let sets = Array.init g.label_count (fun _ -> Bitset.create g.n) in
+  for v = 0 to g.n - 1 do
+    side_iter g.fwd v (fun w -> Bitset.add sets.(label g w) v)
+  done;
+  sets
+
+(* The words of a bitset over [n] nodes, as [Bitset.create] sizes it. *)
+let set_words n = Mono.imax 1 ((n + 62) / 63)
+
+(* Built only when its [label_count * set_words n] words are no more
+   than the out-CSR's [n + m + 1]. *)
+let succ_labelled g =
+  match Atomic.get g.lab.by_succ with
+  | Some sets -> sets
+  | None ->
+      let sets =
+        if g.label_count > (g.n + g.m + 1) / set_words g.n then [||]
+        else build_succ_labelled g
+      in
+      Atomic.set g.lab.by_succ (Some sets);
+      sets
+
 let label_first g l =
   if l < 0 || l >= g.label_count then 0 else (fst (label_index g)).(l)
 
@@ -558,7 +595,14 @@ let labels_bytes g =
     | None -> 0
     | Some (off, ids) -> 8 * (Array.length off + Array.length ids + 2)
   in
-  store + dense + index
+  let filter =
+    match Atomic.get g.lab.by_succ with
+    | None -> 0
+    | Some sets ->
+        (* each set: a two-field record and its words, with their headers *)
+        8 * ((Array.length sets * (set_words g.n + 4)) + 1)
+  in
+  store + dense + index + filter
 
 let memory_bytes g = side_bytes g.fwd + side_bytes g.bwd + labels_bytes g + 72
 
@@ -567,8 +611,11 @@ let memory_bytes g = side_bytes g.fwd + side_bytes g.bwd + labels_bytes g + 72
 
 (* The in-CSR of [g] is exactly the out-CSR of the reversed graph, so
    reversing is just swapping the two direction stores — no copying; the
-   dense caches and scratch buffers travel with their side. *)
-let reverse g = { g with fwd = g.bwd; bwd = g.fwd }
+   dense caches and scratch buffers travel with their side, and the
+   successor-label filter, built over [fwd], starts afresh. *)
+let reverse g =
+  let lab = { g.lab with by_succ = Atomic.make None } in
+  { g with fwd = g.bwd; bwd = g.fwd; lab }
 
 let with_labels g labels =
   if Array.length labels <> g.n then

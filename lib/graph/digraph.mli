@@ -131,7 +131,8 @@ val size : t -> int
     the CSR store's arrays, each with one header word, whether they are
     heap or mapped (page-cache) memory; index + stream bytes for varint —
     plus a dense view forced on varint, the array of {!labels} once
-    built, and the label index once {!label_ids} has built it.  Used for
+    built, the label index once {!label_ids} has built it, and the
+    filter once {!succ_labelled} has built it.  Used for
     the Fig 12(d)-style memory comparisons and the bytes-per-edge figures in
     [qpgc stats] and the storage bench. *)
 val memory_bytes : t -> int
@@ -158,6 +159,19 @@ val label_ids : t -> int array
 
 val label_first : t -> int -> int
 val label_len : t -> int -> int
+
+(** [succ_labelled g] is the successor-label filter: for each label
+    [l < label_count g], the set of nodes with a successor labelled [l],
+    a bitset over [n g].  It is built on first use, in one pass over the
+    out-adjacency (never the in-mirror), and cached on [g] like the
+    label index; {!reverse} and {!with_labels} start a fresh one.  The
+    array is empty, and nothing is built, when the [label_count g] sets
+    would take more words than the out-CSR's [n g + m g + 1].  It
+    allocates nothing once built.  Do not mutate the sets.
+    @raise Invalid_argument on a mapped CSR store whose out-adjacency
+    has a row outside its array or an id outside [0, n g), as
+    {!keep_with_succ_in} does. *)
+val succ_labelled : t -> Bitset.t array
 
 val out_degree : t -> int -> int
 val in_degree : t -> int -> int

@@ -67,8 +67,6 @@ let descendant_sets ?pool g =
       res.(v) <- s);
   res
 
-let ancestor_sets ?pool g = descendant_sets ?pool (Digraph.reverse g)
-
 let reduction_dag ?pool dag =
   let pool = get_pool pool in
   let scc = Scc.compute dag in

@@ -20,10 +20,6 @@
     case. *)
 val descendant_sets : ?pool:Pool.t -> Digraph.t -> Bitset.t array
 
-(** [ancestor_sets g] is [descendant_sets (reverse g)] done in one pass:
-    for each [v], the set of nodes that reach [v] by a nonempty path. *)
-val ancestor_sets : ?pool:Pool.t -> Digraph.t -> Bitset.t array
-
 (** [reduction_dag dag] is the unique transitive reduction of an acyclic
     graph: the minimal subgraph with the same reachability relation.  Edge
     [(u,v)] is kept iff no other successor of [u] reaches [v].  Each node's

@@ -1,15 +1,28 @@
 (* Candidate bitsets over one data graph, and the space of the backward
    search of a bound k or [*] edge, sized on first use so that bound-1
-   patterns pay nothing for it. *)
+   patterns pay nothing for it.  [by_succ] is the graph's
+   successor-label filter ({!Digraph.succ_labelled}) during a
+   [match_into], and [[||]] under [eval] and [refine], which then run
+   without it; [whole.(u)] says that cand(u) still holds every node
+   labelled fv(u). *)
 type scratch = {
   on : Digraph.t;
   mutable sets : Bitset.t array;
+  mutable whole : bool array;
+  mutable by_succ : Bitset.t array;
   mutable reach : Bitset.t;
   mutable queue : Traversal.queue;
 }
 
 let scratch g =
-  { on = g; sets = [||]; reach = Bitset.create 0; queue = Traversal.queue 0 }
+  {
+    on = g;
+    sets = [||];
+    whole = [||];
+    by_succ = [||];
+    reach = Bitset.create 0;
+    queue = Traversal.queue 0;
+  }
 
 (* A bound k or [*] edge (u, u'): cand(u) keeps the nodes with a
    nonempty path of at most k edges (any length for [*]) into cand(u'),
@@ -23,24 +36,43 @@ let keep_ancestors ?depth s cu cu' =
   Traversal.ancestors ?depth s.on s.queue cu' ~into:s.reach;
   Bitset.inter_into ~into:cu s.reach
 
-(* Drop from [cu] the candidates without a witness in [cu'] along one
-   pattern edge: a successor for bound 1, a node of the backward search
-   for a bound k or [*].  [true] iff something was dropped. *)
-let prune_edge s cu cu' = function
-  | Pattern.Bounded 1 -> Digraph.keep_with_succ_in s.on cu cu'
-  | Pattern.Bounded k -> keep_ancestors ~depth:k s cu cu'
-  | Pattern.Unbounded -> keep_ancestors s cu cu'
+(* A bound-1 edge (u, u').  With the filter, cand(u) first keeps the
+   nodes with a successor labelled fv(u'), one AND; while cand(u') holds
+   every node of that label the AND is the whole step, and otherwise
+   the successor scan runs on what it kept.  A label no node carries
+   leaves cand(u') empty, so cand(u) too. *)
+let keep_with_succ s p cand u u' =
+  let cu = cand.(u) and l = Pattern.label p u' in
+  if Array.length s.by_succ = 0 then Digraph.keep_with_succ_in s.on cu cand.(u')
+  else if l < 0 || l >= Array.length s.by_succ then begin
+    let dropped = not (Bitset.is_empty cu) in
+    Bitset.clear cu;
+    dropped
+  end
+  else
+    let dropped = Bitset.inter_into ~into:cu s.by_succ.(l) in
+    if s.whole.(u') then dropped
+    else Digraph.keep_with_succ_in s.on cu cand.(u') || dropped
 
-let rec prune_edges s cand cu edges dropped =
+(* Drop from cand(u) the candidates without a witness in cand(u') along
+   one pattern edge: a successor for bound 1, a node of the backward
+   search for a bound k or [*].  [true] iff something was dropped. *)
+let prune_edge s p cand u u' = function
+  | Pattern.Bounded 1 -> keep_with_succ s p cand u u'
+  | Pattern.Bounded k -> keep_ancestors ~depth:k s cand.(u) cand.(u')
+  | Pattern.Unbounded -> keep_ancestors s cand.(u) cand.(u')
+
+let rec prune_edges s p cand u edges dropped =
   match edges with
   | [] -> dropped
   | (u', b) :: rest ->
-      let d = prune_edge s cu cand.(u') b in
-      prune_edges s cand cu rest (d || dropped)
+      let d = prune_edge s p cand u u' b in
+      if d && u < Array.length s.whole then s.whole.(u) <- false;
+      prune_edges s p cand u rest (d || dropped)
 
 (* Drop from cand(u) every node lacking a witness for some out-edge of
    u; [true] iff something was dropped. *)
-let prune s p cand u = prune_edges s cand cand.(u) (Pattern.out_edges p u) false
+let prune s p cand u = prune_edges s p cand u (Pattern.out_edges p u) false
 
 let rec all_kept cand np u =
   u >= np || ((not (Bitset.is_empty cand.(u))) && all_kept cand np (u + 1))
@@ -102,12 +134,25 @@ let label_candidates p g =
 
 let eval p g = refine p g ~cand:(label_candidates p g)
 
+(* The sets a scratch keeps between queries: a wider pattern's extra
+   ones are dropped at the next query. *)
+let steady_sets = 64
+
 let match_into s p =
   let np = Pattern.node_count p and have = Array.length s.sets in
-  if have < np then
+  let keep = Mono.imax np steady_sets in
+  if have < np then begin
     s.sets <-
       Array.init np (fun u ->
           if u < have then s.sets.(u) else Bitset.create (Digraph.n s.on));
+    s.whole <- Array.make np true
+  end
+  else if have > keep then begin
+    s.sets <- Array.sub s.sets 0 keep;
+    s.whole <- Array.make keep true
+  end;
+  Array.fill s.whole 0 np true;
+  s.by_succ <- Digraph.succ_labelled s.on;
   fill_labels p s.on s.sets;
   fixpoint s p s.sets
 

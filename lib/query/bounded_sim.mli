@@ -24,7 +24,22 @@
 
     {!eval}, {!refine} and {!match_into} share one kernel: the fixpoint
     prunes the candidate bitsets in place, and only {!eval} and
-    {!refine} then copy the rows out into arrays. *)
+    {!refine} then copy the rows out into arrays.
+
+    {!match_into} alone adds the graph's successor-label filter
+    ({!Digraph.succ_labelled}): per label l, the nodes with a successor
+    labelled l, built once per graph on first use and shared by every
+    scratch over it.  A bound-1 edge [(u, u')] first intersects cand(u)
+    with the set of fv(u'), one AND per word.  While cand(u') still
+    holds every node labelled fv(u') — always for a pattern sink, and
+    for any node that none of its own edges has pruned yet in this
+    query — that AND is the whole step; otherwise the successor scan
+    runs on what it kept.  A label no node carries, negative included,
+    empties cand(u) as the empty cand(u') would.  The filter is not
+    built when its [label_count * ceil(n / 63)] words would exceed the
+    out-CSR's [n + m + 1]; bound-1 edges then take the scan alone.
+    {!eval} and {!refine} keep the scan, so that they stay an oracle
+    independent of the filter: {!Inc_match} and the tests run them. *)
 
 (** [eval p g] is the maximum match of [p] in [g] ([None] when some
     pattern node has no match). *)
@@ -64,8 +79,11 @@ val refine : Pattern.t -> Digraph.t -> cand:Bitset.t array -> Pattern.result
     Not safe to share between domains. *)
 type scratch
 
-(** [scratch g] is an empty scratch over [g]; it grows to the widest
-    pattern it meets. *)
+(** [scratch g] is an empty scratch over [g].  It grows to the widest
+    pattern it meets; a query on a pattern of [np] nodes first drops
+    the sets past [max np 64], so that one wide pattern does not pin its
+    memory.  Once it has met the widest of a stream of patterns of up
+    to 64 nodes, it allocates nothing more. *)
 val scratch : Digraph.t -> scratch
 
 (** [match_into s p] computes the maximum match of [p] in the

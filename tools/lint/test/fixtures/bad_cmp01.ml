@@ -18,3 +18,8 @@ let opened () =
   let open Hashtbl in
   create 64
 (* line 19: create is Hashtbl.create *)
+
+let local_alias () =
+  let module H = Hashtbl in
+  H.create 8
+(* line 24: a local module alias is Hashtbl too *)

@@ -3,8 +3,8 @@
    - line 23: via [last_le], whose [pairs] was left unannotated, so its
      [<=] is generalised to ['a] and calls caml_lessequal on every step
    - line 28: [compare] on strings inside a marked region
-   - line 33: [=] on an int list, via a local helper
-   The clean cases below must produce nothing. *)
+   - line 33: [=] on an int list, via a local helper; line 59: an
+     escaping [=] on strings.  The clean cases must produce nothing. *)
 
 (* A lower-bound search over (lo, hi) pairs, as first written without
    the [(pairs : int array)] annotation. *)
@@ -53,3 +53,7 @@ let[@lint.hot_loop] clean_scalars (x : float) (c : char) (b : bool) (k : colour)
 
 (* clean: unmarked code may compare polymorphically *)
 let unmarked_sort l = List.sort compare l
+
+(* 4. an escaping comparison in a marked region: in a hot-path module
+   both halves of the rule see it, and it is reported once *)
+let[@lint.hot_loop] has_key (keys : string list) k = List.exists (( = ) k) keys

@@ -33,10 +33,11 @@ let typed_lint ?only ?prefix name =
 (* bad_cmp01.ml and bad_poly01.ml keep the cases of the syntactic rules
    CMP01 and POLY01, which POLY02 took over in the hot-path modules.  The
    generic Hashtbl.create is flagged by resolved path, so through a module
-   alias (line 14) and an open (line 19) too. *)
+   alias (line 14), an open (line 19) and a local module alias (line 24)
+   too. *)
 let test_cmp01 () =
   check_diags "bad_cmp01"
-    [ (3, "POLY02"); (14, "POLY02"); (19, "POLY02") ]
+    [ (3, "POLY02"); (14, "POLY02"); (19, "POLY02"); (24, "POLY02") ]
     (typed_lint ~only:[ "POLY02" ] ~prefix:"lib/core/" "bad_cmp01.ml")
 
 let test_partial01 () =
@@ -272,12 +273,20 @@ let test_alloc02 () =
     (typed_lint ~only:[ "ALLOC02" ] "bad_alloc02.ml")
 
 (* The unannotated lower-bound search of a tree-cover probe, a string
-   [compare] and an int-list [=] through a local helper; none of the
-   int, float, char, bool or constant-variant comparisons. *)
+   [compare], an int-list [=] through a local helper and an escaping
+   string [=]; none of the int, float, char, bool or constant-variant
+   comparisons.  In a hot-path module the escaping [=] of line 59 is seen
+   by both halves of the rule and still reported once; the unmarked
+   [List.sort compare] of line 55 is added. *)
 let test_poly02 () =
   check_diags "bad_poly02"
-    [ (23, "POLY02"); (28, "POLY02"); (33, "POLY02") ]
-    (typed_lint ~only:[ "POLY02" ] "bad_poly02.ml")
+    [ (23, "POLY02"); (28, "POLY02"); (33, "POLY02"); (59, "POLY02") ]
+    (typed_lint ~only:[ "POLY02" ] "bad_poly02.ml");
+  check_diags "bad_poly02 under lib/core"
+    [
+      (23, "POLY02"); (28, "POLY02"); (33, "POLY02"); (55, "POLY02"); (59, "POLY02");
+    ]
+    (typed_lint ~only:[ "POLY02" ] ~prefix:"lib/core/" "bad_poly02.ml")
 
 let test_span01 () =
   check_diags "bad_span01"
