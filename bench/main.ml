@@ -8,6 +8,7 @@
      main.exe speedup              seq-vs-parallel kernel speedup rows only
      main.exe --scale 0.25 ...     shrink datasets (quick mode)
      main.exe --seed 7 ...         change the deterministic seed
+     main.exe --csv DIR ...        also write each paper table as DIR/<name>.csv
      main.exe --domains 4 ...      size the worker-domain pool *)
 
 let ppf = Format.std_formatter
@@ -15,130 +16,22 @@ let ppf = Format.std_formatter
 let section title =
   Format.fprintf ppf "@.=== %s ===@." title
 
-(* when --csv DIR is given, each experiment also writes DIR/<name>.csv *)
 let csv_dir : string option ref = ref None
 
-let write_csv name contents =
-  match !csv_dir with
-  | None -> ()
-  | Some dir ->
+(* ------------------------------------------------------------------ *)
+(* Macro experiments: one report per paper artifact (Experiments.all). *)
+
+let run_report name report opts () =
+  let r = report opts in
+  Format.fprintf ppf "@.%a" Report.print r;
+  Option.iter
+    (fun dir ->
       (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
       let path = Filename.concat dir (name ^ ".csv") in
-      let oc = open_out path in
-      output_string oc contents;
-      close_out oc;
-      Format.fprintf ppf "(csv written to %s)@." path
-
-(* ------------------------------------------------------------------ *)
-(* Macro experiments: one entry per paper artifact. *)
-
-let run_fig1 opts () =
-  section "Fig 1 (headline)";
-  let r = Experiments.Fig1.run ~opts () in
-  Experiments.Fig1.print ppf r;
-  write_csv "fig1" (Experiments.Fig1.csv r)
-
-let run_table1 opts () =
-  section "Table 1";
-  let rows = Experiments.Table1.run ~opts () in
-  Experiments.Table1.print ppf rows;
-  write_csv "table1" (Experiments.Table1.csv rows)
-
-let run_table2 opts () =
-  section "Table 2";
-  let rows = Experiments.Table2.run ~opts () in
-  Experiments.Table2.print ppf rows;
-  write_csv "table2" (Experiments.Table2.csv rows)
-
-let run_fig12a opts () =
-  section "Fig 12(a)";
-  let rows = Experiments.Fig12a.run ~opts () in
-  Experiments.Fig12a.print ppf rows;
-  write_csv "fig12a" (Experiments.Fig12a.csv rows)
-
-let run_fig12b opts () =
-  section "Fig 12(b)";
-  let rows = Experiments.Fig12b.run ~opts () in
-  Experiments.Fig12b.print ppf rows;
-  write_csv "fig12b" (Experiments.Fig12b.csv rows)
-
-let run_fig12c opts () =
-  section "Fig 12(c)";
-  let rows = Experiments.Fig12c.run ~opts () in
-  Experiments.Fig12c.print ppf rows;
-  write_csv "fig12c" (Experiments.Fig12c.csv rows)
-
-let run_fig12d opts () =
-  section "Fig 12(d)";
-  let rows = Experiments.Fig12d.run ~opts () in
-  Experiments.Fig12d.print ppf rows;
-  write_csv "fig12d" (Experiments.Fig12d.csv rows)
-
-let run_fig12e opts () =
-  section "Fig 12(e)";
-  let rows = Experiments.Fig12ef.run ~opts ~deletions:false () in
-  Experiments.Fig12ef.print ppf ~deletions:false rows;
-  write_csv "fig12e" (Experiments.Fig12ef.csv rows)
-
-let run_fig12f opts () =
-  section "Fig 12(f)";
-  let rows = Experiments.Fig12ef.run ~opts ~deletions:true () in
-  Experiments.Fig12ef.print ppf ~deletions:true rows;
-  write_csv "fig12f" (Experiments.Fig12ef.csv rows)
-
-let run_fig12g opts () =
-  section "Fig 12(g)";
-  let rows = Experiments.Fig12g.run ~opts () in
-  Experiments.Fig12g.print ppf rows;
-  write_csv "fig12g" (Experiments.Fig12g.csv rows)
-
-let run_fig12h opts () =
-  section "Fig 12(h)";
-  let rows = Experiments.Fig12h.run ~opts () in
-  Experiments.Fig12h.print ppf rows;
-  write_csv "fig12h" (Experiments.Fig12h.csv rows)
-
-let run_fig12i opts () =
-  section "Fig 12(i)";
-  let rows = Experiments.Fig12ik.run ~opts ~pattern:false () in
-  Experiments.Fig12ik.print ppf ~pattern:false rows;
-  write_csv "fig12i" (Experiments.Fig12ik.csv rows)
-
-let run_fig12j opts () =
-  section "Fig 12(j)";
-  let rows = Experiments.Fig12jl.run ~opts ~pattern:false () in
-  Experiments.Fig12jl.print ppf ~pattern:false rows;
-  write_csv "fig12j" (Experiments.Fig12jl.csv rows)
-
-let run_fig12k opts () =
-  section "Fig 12(k)";
-  let rows = Experiments.Fig12ik.run ~opts ~pattern:true () in
-  Experiments.Fig12ik.print ppf ~pattern:true rows;
-  write_csv "fig12k" (Experiments.Fig12ik.csv rows)
-
-let run_fig12l opts () =
-  section "Fig 12(l)";
-  let rows = Experiments.Fig12jl.run ~opts ~pattern:true () in
-  Experiments.Fig12jl.print ppf ~pattern:true rows;
-  write_csv "fig12l" (Experiments.Fig12jl.csv rows)
-
-let run_lifetime opts () =
-  section "Lifetime (deployment simulation)";
-  let rows = Experiments.Lifetime.run ~opts () in
-  Experiments.Lifetime.print ppf rows;
-  write_csv "lifetime" (Experiments.Lifetime.csv rows)
-
-let run_indexes opts () =
-  section "Index comparison (G vs Gr)";
-  let rows = Experiments.Indexes.run ~opts () in
-  Experiments.Indexes.print ppf rows;
-  write_csv "indexes" (Experiments.Indexes.csv rows)
-
-let run_ablation opts () =
-  section "Ablations";
-  let rows = Experiments.Ablation.run ~opts () in
-  Experiments.Ablation.print ppf rows;
-  write_csv "ablation" (Experiments.Ablation.csv rows)
+      Out_channel.with_open_text path (fun oc ->
+          output_string oc (Report.csv r));
+      Format.fprintf ppf "(csv written to %s)@." path)
+    !csv_dir
 
 (* ------------------------------------------------------------------ *)
 (* Phases breakdown for the BENCH JSONs: re-run a kernel once with tracing
@@ -1086,25 +979,9 @@ let run_serve opts () =
 (* ------------------------------------------------------------------ *)
 
 let experiments =
-  [
-    ("fig1", run_fig1);
-    ("table1", run_table1);
-    ("table2", run_table2);
-    ("fig12a", run_fig12a);
-    ("fig12b", run_fig12b);
-    ("fig12c", run_fig12c);
-    ("fig12d", run_fig12d);
-    ("fig12e", run_fig12e);
-    ("fig12f", run_fig12f);
-    ("fig12g", run_fig12g);
-    ("fig12h", run_fig12h);
-    ("fig12i", run_fig12i);
-    ("fig12j", run_fig12j);
-    ("fig12k", run_fig12k);
-    ("fig12l", run_fig12l);
-    ("lifetime", run_lifetime);
-    ("indexes", run_indexes);
-    ("ablation", run_ablation);
+  List.map (fun (name, report) -> (name, run_report name report))
+    Experiments.all
+  @ [
     ("micro", run_micro);
     ("speedup", run_speedup);
     ("csr", run_csr);

@@ -88,18 +88,21 @@ let build_pairs s =
   s.pairs <- pairs
 
 let answer_into s p =
+  let np = Pattern.node_count p and have = Array.length s.counts in
+  (* As in [Bounded_sim.match_into]: a wider pattern's cells are dropped
+     at the next query. *)
+  let keep = Mono.imax np Bounded_sim.steady_sets in
+  if have < np || have > keep then begin
+    s.counts <- Array.make keep 0;
+    s.labels <- Array.make keep 0
+  end;
   Bounded_sim.match_into s.sim p
   &&
-  let np = Pattern.node_count p in
-  if Array.length s.counts < np then begin
-    s.counts <- Array.make np 0;
-    s.labels <- Array.make np 0
-  end;
+  let off = s.c.Compressed.member_off in
   if Array.length s.block = 0 then build_pairs s;
   (* The labels are copied, not the pattern kept: a pointer from the
      scratch would promote each frame's freshly decoded pattern out of
      the minor heap. *)
-  let off = s.c.Compressed.member_off in
   for u = 0 to np - 1 do
     s.labels.(u) <- Pattern.label p u;
     s.counts.(u) <- Bitset.weight (Bounded_sim.matched s.sim u) ~off

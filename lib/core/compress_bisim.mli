@@ -61,7 +61,9 @@ val scratch : Compressed.t -> scratch
     exactly when {!answer} is [Some].  Rows [u < Pattern.node_count p]
     are then {!row_length} and {!write_row}, until the next call.
     Allocates nothing once [s] has met a pattern as wide and a bound-1
-    pattern. *)
+    pattern.  Like {!Bounded_sim.scratch}, [s] keeps room for at most
+    [max np Bounded_sim.steady_sets] pattern nodes after a query on
+    [np] of them. *)
 val answer_into : scratch -> Pattern.t -> bool
 
 (** [row_length s u] is the number of original nodes matching pattern

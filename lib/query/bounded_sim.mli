@@ -81,10 +81,13 @@ type scratch
 
 (** [scratch g] is an empty scratch over [g].  It grows to the widest
     pattern it meets; a query on a pattern of [np] nodes first drops
-    the sets past [max np 64], so that one wide pattern does not pin its
-    memory.  Once it has met the widest of a stream of patterns of up
-    to 64 nodes, it allocates nothing more. *)
+    the sets past [max np steady_sets], so that one wide pattern does
+    not pin its memory.  Once it has met the widest of a stream of
+    patterns of up to [steady_sets] nodes, it allocates nothing more. *)
 val scratch : Digraph.t -> scratch
+
+(** The pattern nodes a scratch keeps room for between queries: 64. *)
+val steady_sets : int
 
 (** [match_into s p] computes the maximum match of [p] in the
     scratch's graph, leaving each pattern node's row in {!matched}.

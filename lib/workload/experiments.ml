@@ -17,7 +17,31 @@ let scaled opts spec =
    and run inline. *)
 let pmap f xs = Pool.parallel_map_list (Pool.default ()) f xs
 
-let pct o = match o with Some f -> Printf.sprintf "%6.3f%%" (100. *. f) | None -> "   n/a"
+(* Like the paper, each compression ratio of Tables 1 and 2 is the average
+   of 5 runs: here 5 generator seeds, the computation itself being
+   deterministic.  [ratios g] gives one run's ratios; the result is the
+   first run's graph and each ratio's mean. *)
+let runs = 5
+
+let averaged opts spec ratios =
+  let first = scaled opts spec in
+  let sum = ratios first in
+  for i = 1 to runs - 1 do
+    let g = scaled { opts with seed = opts.seed + (1000 * i) } spec in
+    Array.iteri (fun k r -> sum.(k) <- sum.(k) +. r) (ratios g)
+  done;
+  (first, Array.map (fun total -> total /. float_of_int runs) sum)
+
+(* A report with one row, [row r], per element [r] of [rows]. *)
+let table title columns notes row rows =
+  { Report.title; columns; rows = List.map row rows; notes }
+
+(* A reference value from the paper, where it reports one. *)
+let paper = function Some f -> Report.Pct f | None -> Report.Text "n/a"
+
+let average f rows =
+  List.fold_left (fun acc r -> acc +. f r) 0.0 rows
+  /. float_of_int (max 1 (List.length rows))
 
 module Table1 = struct
   type row = {
@@ -32,84 +56,44 @@ module Table1 = struct
     paper_rc : float option;
   }
 
-  (* like the paper, each measurement is the average of 5 runs (here:
-     5 generator seeds — the computation itself is deterministic) *)
-  let runs = 5
-
   let run ?(opts = default_opts) () =
     pmap
       (fun spec ->
-        let samples =
-          List.init runs (fun i ->
-              let opts = { opts with seed = opts.seed + (1000 * i) } in
-              let g = scaled opts spec in
+        let g, mean =
+          averaged opts spec (fun g ->
               let c = Compress_reach.compress g in
-              let aho = Transitive.aho_reduction g in
-              let scc = Scc.compute g in
-              let gscc = Scc.condensation g scc in
-              ( Digraph.n g,
-                Digraph.m g,
-                float_of_int (Digraph.size aho) /. float_of_int (Digraph.size g),
-                float_of_int (Compressed.size c)
-                /. float_of_int (Digraph.size gscc),
-                Compressed.ratio c ~original:g ))
-        in
-        let avg f =
-          List.fold_left (fun acc x -> acc +. f x) 0.0 samples
-          /. float_of_int runs
-        in
-        let v, e, _, _, _ =
-          match samples with
-          | s :: _ -> s
-          | [] ->
-              failwith
-                (Printf.sprintf
-                   "Experiments.reach_compression: no samples for dataset %s \
-                    (runs = %d)"
-                   spec.Datasets.name runs)
+              let gscc = Scc.condensation g (Scc.compute g) in
+              let size h = float_of_int (Digraph.size h) in
+              [| size (Transitive.aho_reduction g) /. size g;
+                 float_of_int (Compressed.size c) /. size gscc;
+                 Compressed.ratio c ~original:g |])
         in
         {
           name = spec.Datasets.name;
-          v;
-          e;
-          rc_aho = avg (fun (_, _, a, _, _) -> a);
-          rc_scc = avg (fun (_, _, _, b, _) -> b);
-          rc_r = avg (fun (_, _, _, _, r) -> r);
+          v = Digraph.n g;
+          e = Digraph.m g;
+          rc_aho = mean.(0);
+          rc_scc = mean.(1);
+          rc_r = mean.(2);
           paper_rc_aho = spec.Datasets.paper_rc_aho;
           paper_rc_scc = spec.Datasets.paper_rc_scc;
           paper_rc = spec.Datasets.paper_rc;
         })
       Datasets.reach_datasets
 
-  let print ppf rows =
-    Format.fprintf ppf
-      "Table 1: reachability preserving compression ratios@.";
-    Format.fprintf ppf
-      "%-12s %8s %8s | %8s %8s %8s | %8s %8s %8s (paper)@." "dataset" "|V|"
-      "|E|" "RCaho" "RCscc" "RCr" "RCaho" "RCscc" "RCr";
-    List.iter
+  let report rows =
+    table "Table 1: reachability preserving compression ratios"
+      [ "dataset"; "v"; "e"; "rc_aho_pct"; "rc_scc_pct"; "rc_r_pct";
+        "paper_rc_aho_pct"; "paper_rc_scc_pct"; "paper_rc_pct" ]
+      [ Printf.sprintf
+          "average RCr = %.2f%% (paper: ~5%% across datasets, i.e. a 95%% \
+           reduction)"
+          (100. *. average (fun r -> r.rc_r) rows) ]
       (fun r ->
-        Format.fprintf ppf
-          "%-12s %8d %8d | %7.3f%% %7.3f%% %7.3f%% | %8s %8s %8s@." r.name r.v
-          r.e (100. *. r.rc_aho) (100. *. r.rc_scc) (100. *. r.rc_r)
-          (pct r.paper_rc_aho) (pct r.paper_rc_scc) (pct r.paper_rc))
-      rows;
-    let avg =
-      List.fold_left (fun acc r -> acc +. r.rc_r) 0.0 rows
-      /. float_of_int (max 1 (List.length rows))
-    in
-    Format.fprintf ppf
-      "average RCr = %.2f%%  (paper: ~5%% across datasets, i.e. a 95%% reduction)@."
-      (100. *. avg)
-  let csv rows =
-    Csv.render
-      ~header:[ "dataset"; "v"; "e"; "rc_aho_pct"; "rc_scc_pct"; "rc_r_pct" ]
-      (List.map
-         (fun r ->
-           [ r.name; string_of_int r.v; string_of_int r.e;
-             Csv.pct r.rc_aho; Csv.pct r.rc_scc; Csv.pct r.rc_r ])
-         rows)
-
+        Report.[ Text r.name; Int r.v; Int r.e; Pct r.rc_aho; Pct r.rc_scc;
+                 Pct r.rc_r; paper r.paper_rc_aho; paper r.paper_rc_scc;
+                 paper r.paper_rc ])
+      rows
 end
 
 module Table2 = struct
@@ -122,67 +106,32 @@ module Table2 = struct
     paper_pc : float option;
   }
 
-  let runs = 5
-
   let run ?(opts = default_opts) () =
     pmap
       (fun spec ->
-        let samples =
-          List.init runs (fun i ->
-              let opts = { opts with seed = opts.seed + (1000 * i) } in
-              let g = scaled opts spec in
-              let c = Compress_bisim.compress g in
-              ( Digraph.n g,
-                Digraph.m g,
-                Digraph.label_count g,
-                Compressed.ratio c ~original:g ))
-        in
-        let v, e, l, _ =
-          match samples with
-          | s :: _ -> s
-          | [] ->
-              failwith
-                (Printf.sprintf
-                   "Experiments.pattern_compression: no samples for dataset \
-                    %s (runs = %d)"
-                   spec.Datasets.name runs)
+        let g, mean =
+          averaged opts spec (fun g ->
+              [| Compressed.ratio (Compress_bisim.compress g) ~original:g |])
         in
         {
           name = spec.Datasets.name;
-          v;
-          e;
-          l;
-          pc_r =
-            List.fold_left (fun acc (_, _, _, r) -> acc +. r) 0.0 samples
-            /. float_of_int runs;
+          v = Digraph.n g;
+          e = Digraph.m g;
+          l = Digraph.label_count g;
+          pc_r = mean.(0);
           paper_pc = spec.Datasets.paper_pc;
         })
       Datasets.pattern_datasets
 
-  let print ppf rows =
-    Format.fprintf ppf "Table 2: pattern preserving compression ratios@.";
-    Format.fprintf ppf "%-12s %8s %8s %5s | %8s | %8s (paper)@." "dataset"
-      "|V|" "|E|" "|L|" "PCr" "PCr";
-    List.iter
+  let report rows =
+    table "Table 2: pattern preserving compression ratios"
+      [ "dataset"; "v"; "e"; "l"; "pc_r_pct"; "paper_pc_pct" ]
+      [ Printf.sprintf "average PCr = %.1f%% (paper: ~43%%, i.e. a 57%% reduction)"
+          (100. *. average (fun r -> r.pc_r) rows) ]
       (fun r ->
-        Format.fprintf ppf "%-12s %8d %8d %5d | %7.2f%% | %8s@." r.name r.v
-          r.e r.l (100. *. r.pc_r) (pct r.paper_pc))
-      rows;
-    let avg =
-      List.fold_left (fun acc r -> acc +. r.pc_r) 0.0 rows
-      /. float_of_int (max 1 (List.length rows))
-    in
-    Format.fprintf ppf
-      "average PCr = %.1f%%  (paper: ~43%%, i.e. a 57%% reduction)@."
-      (100. *. avg)
-  let csv rows =
-    Csv.render ~header:[ "dataset"; "v"; "e"; "l"; "pc_r_pct" ]
-      (List.map
-         (fun r ->
-           [ r.name; string_of_int r.v; string_of_int r.e; string_of_int r.l;
-             Csv.pct r.pc_r ])
-         rows)
-
+        Report.[ Text r.name; Int r.v; Int r.e; Int r.l; Pct r.pc_r;
+                 paper r.paper_pc ])
+      rows
 end
 
 module Fig1 = struct
@@ -246,30 +195,14 @@ module Fig1 = struct
       pattern_query_saving = 1.0 -. (p_gr /. p_g);
     }
 
-  let print ppf r =
-    Format.fprintf ppf "Fig 1: the headline, on the P2P stand-in@.";
-    Format.fprintf ppf
-      "  graph reduced %.0f%% for reachability queries (paper: 94%%)@."
-      (100. *. r.reach_reduction);
-    Format.fprintf ppf
-      "  graph reduced %.0f%% for pattern queries      (paper: 51%%)@."
-      (100. *. r.pattern_reduction);
-    Format.fprintf ppf
-      "  reachability query time cut by %.0f%%          (paper: 93%%)@."
-      (100. *. r.reach_query_saving);
-    Format.fprintf ppf
-      "  pattern query time cut by %.0f%%               (paper: 77%%)@."
-      (100. *. r.pattern_query_saving)
-
-  let csv r =
-    Csv.render
-      ~header:
-        [ "reach_reduction_pct"; "pattern_reduction_pct";
-          "reach_query_saving_pct"; "pattern_query_saving_pct" ]
-      [
-        [ Csv.pct r.reach_reduction; Csv.pct r.pattern_reduction;
-          Csv.pct r.reach_query_saving; Csv.pct r.pattern_query_saving ];
-      ]
+  let report r =
+    let row (metric, ours, paper) = Report.[ Text metric; Pct ours; Pct paper ] in
+    table "Fig 1: the headline, on the P2P stand-in"
+      [ "metric"; "ours_pct"; "paper_pct" ] [] row
+      [ ("graph reduction, reachability queries", r.reach_reduction, 0.94);
+        ("graph reduction, pattern queries", r.pattern_reduction, 0.51);
+        ("query time cut, reachability", r.reach_query_saving, 0.93);
+        ("query time cut, patterns", r.pattern_query_saving, 0.77) ]
 end
 
 module Fig12a = struct
@@ -310,31 +243,18 @@ module Fig12a = struct
         })
       datasets
 
-  let print ppf rows =
-    Format.fprintf ppf
-      "Fig 12(a): reachability query time, 100 random queries (%% of BFS on G)@.";
-    Format.fprintf ppf "%-12s | %10s %10s %10s %10s | %8s %8s@." "dataset"
-      "BFS G(ms)" "BiBFS G" "BFS Gr" "BiBFS Gr" "Gr/G BFS" "Gr/G BiB";
-    List.iter
+  let report =
+    let rel a b = if b <= 0. then 0. else a /. b in
+    table "Fig 12(a): reachability query time, 100 random queries"
+      [ "dataset"; "bfs_g_ms"; "bibfs_g_ms"; "bfs_gr_ms"; "bibfs_gr_ms";
+        "bfs_gr_of_g_pct"; "bibfs_gr_of_g_pct" ]
+      [ "(paper: evaluation on Gr is a few % of the cost on G, e.g. 2% for \
+         socEpinions)" ]
       (fun r ->
-        let rel a b = if b <= 0. then 0. else 100. *. a /. b in
-        Format.fprintf ppf
-          "%-12s | %10.2f %10.2f %10.2f %10.2f | %7.1f%% %7.1f%%@." r.name
-          r.bfs_g_ms r.bibfs_g_ms r.bfs_gr_ms r.bibfs_gr_ms
-          (rel r.bfs_gr_ms r.bfs_g_ms)
-          (rel r.bibfs_gr_ms r.bibfs_g_ms))
-      rows;
-    Format.fprintf ppf
-      "(paper: evaluation on Gr is a few %% of the cost on G, e.g. 2%% for socEpinions)@."
-  let csv rows =
-    Csv.render
-      ~header:[ "dataset"; "bfs_g_ms"; "bibfs_g_ms"; "bfs_gr_ms"; "bibfs_gr_ms" ]
-      (List.map
-         (fun r ->
-           [ r.name; Csv.float r.bfs_g_ms; Csv.float r.bibfs_g_ms;
-             Csv.float r.bfs_gr_ms; Csv.float r.bibfs_gr_ms ])
-         rows)
-
+        Report.[ Text r.name; Float r.bfs_g_ms; Float r.bibfs_g_ms;
+                 Float r.bfs_gr_ms; Float r.bibfs_gr_ms;
+                 Pct (rel r.bfs_gr_ms r.bfs_g_ms);
+                 Pct (rel r.bibfs_gr_ms r.bibfs_g_ms) ])
 end
 
 module Fig12b = struct
@@ -346,9 +266,8 @@ module Fig12b = struct
   let sweep = [ (3, 3, 3); (4, 4, 3); (5, 5, 3); (6, 6, 3); (7, 7, 3); (8, 8, 3) ]
   let patterns_per_point = 5
 
-  let match_time rng p_list eval =
+  let match_time p_list eval =
     let (), dt = time (fun () -> List.iter (fun p -> ignore (eval p)) p_list) in
-    ignore rng;
     dt /. float_of_int (List.length p_list)
 
   let run_on_datasets ?(opts = default_opts) named_graphs =
@@ -364,10 +283,8 @@ module Fig12b = struct
                 List.init patterns_per_point (fun _ ->
                     Pattern_gen.anchored rng g ~nodes:vp ~edges:ep ~max_bound:k)
               in
-              let tg = match_time rng ps (fun p -> Bounded_sim.eval p g) in
-              let tr =
-                match_time rng ps (fun p -> Compress_bisim.answer p c)
-              in
+              let tg = match_time ps (fun p -> Bounded_sim.eval p g) in
+              let tr = match_time ps (fun p -> Compress_bisim.answer p c) in
               [ ("Match on " ^ name, tg); ("Match on " ^ name ^ "r", tr) ])
             named_graphs
         in
@@ -384,42 +301,19 @@ module Fig12b = struct
     in
     run_on_datasets ~opts graphs
 
-  let print ppf rows =
-    Format.fprintf ppf
-      "Fig 12(b): Match time vs pattern size (seconds, avg of %d patterns)@."
-      patterns_per_point;
-    (match rows with
-    | [] -> ()
-    | first :: _ ->
-        Format.fprintf ppf "%-10s" "(Vp,Ep,k)";
-        List.iter
-          (fun (name, _) -> Format.fprintf ppf " %20s" name)
-          first.series;
-        Format.fprintf ppf "@.");
-    List.iter
+  let report rows =
+    table
+      (Printf.sprintf
+         "Fig 12(b): Match time vs pattern size (seconds, avg of %d patterns)"
+         patterns_per_point)
+      ("vp" :: "ep" :: "k"
+      :: (match rows with [] -> [] | first :: _ -> List.map fst first.series))
+      [ "(paper: Match on compressed graphs runs in ~30% of the original time)" ]
       (fun r ->
         let vp, ep, k = r.pattern_size in
-        Format.fprintf ppf "(%d,%d,%d)  " vp ep k;
-        List.iter (fun (_, t) -> Format.fprintf ppf " %20.4f" t) r.series;
-        Format.fprintf ppf "@.")
-      rows;
-    Format.fprintf ppf
-      "(paper: Match on compressed graphs runs in ~30%% of the original time)@."
-  let csv rows =
-    let header =
-      "vp" :: "ep" :: "k"
-      :: (match rows with
-         | [] -> []
-         | first :: _ -> List.map fst first.series)
-    in
-    Csv.render ~header
-      (List.map
-         (fun r ->
-           let vp, ep, k = r.pattern_size in
-           string_of_int vp :: string_of_int ep :: string_of_int k
-           :: List.map (fun (_, t) -> Csv.float t) r.series)
-         rows)
-
+        Report.(Int vp :: Int ep :: Int k
+                :: List.map (fun (_, t) -> Float t) r.series))
+      rows
 end
 
 module Fig12c = struct
@@ -435,10 +329,6 @@ module Fig12c = struct
         (fun l ->
           let base = Generators.erdos_renyi rng ~n ~m in
           let g = Generators.with_random_labels rng base ~label_count:l in
-          let spec =
-            { (Datasets.find "P2P-l") with Datasets.labels = l }
-          in
-          ignore spec;
           let g =
             (* duplicate ~half the nodes' out-lists to create twins *)
             let rng2 = Random.State.make [| opts.seed; l |] in
@@ -468,13 +358,15 @@ module Fig12c = struct
     in
     Fig12b.run_on_datasets ~opts graphs
 
-  let print ppf rows =
-    Format.fprintf ppf "Fig 12(c): synthetic |V|=5K variant of the sweep below@.";
-    Fig12b.print ppf rows
-
-  (* Same row shape as Fig 12(b), but a named entry so callers cannot write
-     the fig12c CSV through the wrong module again. *)
-  let csv rows = Fig12b.csv rows
+  let report rows =
+    {
+      (Fig12b.report rows) with
+      Report.title =
+        Printf.sprintf
+          "Fig 12(c): Match time vs pattern size on synthetic |V|=5K graphs \
+           (seconds, avg of %d patterns)"
+          Fig12b.patterns_per_point;
+    }
 end
 
 module Fig12d = struct
@@ -509,28 +401,15 @@ module Fig12d = struct
         })
       datasets
 
-  let print ppf rows =
-    Format.fprintf ppf "Fig 12(d): memory cost (MB)@.";
-    Format.fprintf ppf "%-12s | %10s %10s %12s %12s@." "dataset" "G" "Gr"
-      "2-hop on G" "2-hop on Gr";
-    List.iter
+  let report =
+    table "Fig 12(d): memory cost (MB)"
+      [ "dataset"; "g_mb"; "gr_mb"; "twohop_g_mb"; "twohop_gr_mb" ]
+      [ "(paper: Gr saves >=92% of G's memory; 2-hop indexes dwarf both, and";
+        " building 2-hop over the small Gr stays cheap where G may be \
+         infeasible)" ]
       (fun r ->
-        Format.fprintf ppf "%-12s | %10.3f %10.3f %12.3f %12.3f@." r.name
-          r.g_mb r.gr_mb r.twohop_g_mb r.twohop_gr_mb)
-      rows;
-    Format.fprintf ppf
-      "(paper: Gr saves >=92%% of G's memory; 2-hop indexes dwarf both, and@.";
-    Format.fprintf ppf
-      " building 2-hop over the small Gr stays cheap where G may be infeasible)@."
-  let csv rows =
-    Csv.render
-      ~header:[ "dataset"; "g_mb"; "gr_mb"; "twohop_g_mb"; "twohop_gr_mb" ]
-      (List.map
-         (fun r ->
-           [ r.name; Csv.float r.g_mb; Csv.float r.gr_mb;
-             Csv.float r.twohop_g_mb; Csv.float r.twohop_gr_mb ])
-         rows)
-
+        Report.[ Text r.name; Float r.g_mb; Float r.gr_mb; Float r.twohop_g_mb;
+                 Float r.twohop_gr_mb ])
 end
 
 module Fig12ef = struct
@@ -574,32 +453,20 @@ module Fig12ef = struct
     done;
     List.rev !rows
 
-  let print ppf ~deletions rows =
-    Format.fprintf ppf
-      "Fig 12(%s): incRCM vs compressR under %s on socEpinions@."
-      (if deletions then "f" else "e")
-      (if deletions then "edge deletions" else "edge insertions");
-    Format.fprintf ppf "%10s | %12s %16s %14s | %s@." "|dE|" "incRCM(s)"
-      "compressR-Fig5(s)" "compressR-opt(s)" "winner vs Fig5";
-    List.iter
+  let report ~deletions =
+    table
+      (Printf.sprintf "Fig 12(%s): incRCM vs compressR under %s on socEpinions"
+         (if deletions then "f" else "e")
+         (if deletions then "edge deletions" else "edge insertions"))
+      [ "delta_e"; "inc_s"; "batch_fig5_s"; "batch_opt_s"; "winner_vs_fig5" ]
+      [ "(paper: incRCM beats its quadratic compressR while updates stay under \
+         ~20%/22% of |E|;";
+        " our optimised batch compressR moves that crossover far earlier - \
+         both shown)" ]
       (fun r ->
-        Format.fprintf ppf "%10d | %12.4f %16.4f %14.4f | %s@." r.delta_e
-          r.inc_s r.batch_paper_s r.batch_opt_s
-          (if r.inc_s < r.batch_paper_s then "incRCM" else "compressR"))
-      rows;
-    Format.fprintf ppf
-      "(paper: incRCM beats its quadratic compressR while updates stay under ~20%%/22%% of |E|;@.";
-    Format.fprintf ppf
-      " our optimised batch compressR moves that crossover far earlier - both shown)@."
-  let csv rows =
-    Csv.render
-      ~header:[ "delta_e"; "inc_s"; "batch_fig5_s"; "batch_opt_s" ]
-      (List.map
-         (fun r ->
-           [ string_of_int r.delta_e; Csv.float r.inc_s;
-             Csv.float r.batch_paper_s; Csv.float r.batch_opt_s ])
-         rows)
-
+        Report.[ Int r.delta_e; Float r.inc_s; Float r.batch_paper_s;
+                 Float r.batch_opt_s;
+                 Text (if r.inc_s < r.batch_paper_s then "incRCM" else "compressR") ])
 end
 
 module Fig12g = struct
@@ -637,26 +504,14 @@ module Fig12g = struct
     done;
     List.rev !rows
 
-  let print ppf rows =
-    Format.fprintf ppf
-      "Fig 12(g): incPCM vs IncBsim vs compressB, mixed updates on Youtube@.";
-    Format.fprintf ppf "%10s | %12s %12s %12s@." "|dE|" "incPCM(s)"
-      "IncBsim(s)" "compressB(s)";
-    List.iter
+  let report =
+    table "Fig 12(g): incPCM vs IncBsim vs compressB, mixed updates on Youtube"
+      [ "delta_e"; "incpcm_s"; "incbsim_s"; "compressb_s" ]
+      [ "(paper: incPCM beats compressB for small batches and always beats \
+         IncBsim)" ]
       (fun r ->
-        Format.fprintf ppf "%10d | %12.4f %12.4f %12.4f@." r.delta_e
-          r.incpcm_s r.incbsim_s r.batch_s)
-      rows;
-    Format.fprintf ppf
-      "(paper: incPCM beats compressB for small batches and always beats IncBsim)@."
-  let csv rows =
-    Csv.render ~header:[ "delta_e"; "incpcm_s"; "incbsim_s"; "compressb_s" ]
-      (List.map
-         (fun r ->
-           [ string_of_int r.delta_e; Csv.float r.incpcm_s;
-             Csv.float r.incbsim_s; Csv.float r.batch_s ])
-         rows)
-
+        Report.[ Int r.delta_e; Float r.incpcm_s; Float r.incbsim_s;
+                 Float r.batch_s ])
 end
 
 module Fig12h = struct
@@ -692,26 +547,12 @@ module Fig12h = struct
     done;
     List.rev !rows
 
-  let print ppf rows =
-    Format.fprintf ppf
-      "Fig 12(h): cumulative incremental query time on Citation@.";
-    Format.fprintf ppf "%10s | %16s %22s@." "|dE|" "IncBMatch on G"
-      "incPCM+Match on Gr";
-    List.iter
+  let report =
+    table "Fig 12(h): cumulative incremental query time on Citation"
+      [ "delta_e"; "incbmatch_s"; "incpcm_match_s" ]
+      [ "(paper: beyond ~8K updates, maintaining and querying Gr is cheaper)" ]
       (fun r ->
-        Format.fprintf ppf "%10d | %16.4f %22.4f@." r.delta_e r.incbmatch_s
-          r.incpcm_match_s)
-      rows;
-    Format.fprintf ppf
-      "(paper: beyond ~8K updates, maintaining and querying Gr is cheaper)@."
-  let csv rows =
-    Csv.render ~header:[ "delta_e"; "incbmatch_s"; "incpcm_match_s" ]
-      (List.map
-         (fun r ->
-           [ string_of_int r.delta_e; Csv.float r.incbmatch_s;
-             Csv.float r.incpcm_match_s ])
-         rows)
-
+        Report.[ Int r.delta_e; Float r.incbmatch_s; Float r.incpcm_match_s ])
 end
 
 module Fig12ik = struct
@@ -739,31 +580,19 @@ module Fig12ik = struct
       (fun i (l, h) -> { step = i; ratio_low_alpha = l; ratio_high_alpha = h })
       (List.combine low high)
 
-  let print ppf ~pattern rows =
-    Format.fprintf ppf
-      "Fig 12(%s): %s across densification-law evolution (beta=1.2)@."
-      (if pattern then "k" else "i")
-      (if pattern then "PCr" else "RCr");
-    Format.fprintf ppf "%6s | %12s %12s@." "step" "alpha=1.05" "alpha=1.10";
-    List.iter
+  let report ~pattern =
+    table
+      (Printf.sprintf
+         "Fig 12(%s): %s across densification-law evolution (beta=1.2)"
+         (if pattern then "k" else "i")
+         (if pattern then "PCr" else "RCr"))
+      [ "step"; "ratio_alpha_1_05_pct"; "ratio_alpha_1_10_pct" ]
+      [ (if pattern then "(paper: PCr barely moves as graphs densify)"
+         else
+           "(paper: RCr falls as graphs densify - denser graphs compress \
+            better)") ]
       (fun r ->
-        Format.fprintf ppf "%6d | %11.3f%% %11.3f%%@." r.step
-          (100. *. r.ratio_low_alpha)
-          (100. *. r.ratio_high_alpha))
-      rows;
-    if pattern then
-      Format.fprintf ppf "(paper: PCr barely moves as graphs densify)@."
-    else
-      Format.fprintf ppf
-        "(paper: RCr falls as graphs densify - denser graphs compress better)@."
-  let csv rows =
-    Csv.render ~header:[ "step"; "ratio_alpha_1_05_pct"; "ratio_alpha_1_10_pct" ]
-      (List.map
-         (fun r ->
-           [ string_of_int r.step; Csv.pct r.ratio_low_alpha;
-             Csv.pct r.ratio_high_alpha ])
-         rows)
-
+        Report.[ Int r.step; Pct r.ratio_low_alpha; Pct r.ratio_high_alpha ])
 end
 
 module Ablation = struct
@@ -817,35 +646,17 @@ module Ablation = struct
         })
       datasets
 
-  let print ppf rows =
-    Format.fprintf ppf
-      "Ablations: compressR design choices (half-scale datasets)@.";
-    Format.fprintf ppf "%-12s | %10s %10s | %12s %14s | %10s@." "dataset"
-      "|Er| full" "|Er| red." "bitsets(s)" "Fig5 BFS(s)" "dropped dE";
-    List.iter
+  let report =
+    table "Ablations: compressR design choices (half-scale datasets)"
+      [ "dataset"; "quotient_edges"; "reduced_edges"; "optimised_s";
+        "per_node_bfs_s"; "dropped_updates_pct" ]
+      [ "(the redundant-edge rule shrinks Er; the condensation/bitset path is";
+        " orders of magnitude faster than the verbatim quadratic loop; most";
+        " random insertions on well-connected graphs are redundant)" ]
       (fun r ->
-        Format.fprintf ppf "%-12s | %10d %10d | %12.4f %14.4f | %9.1f%%@."
-          r.name r.quotient_edges r.reduced_edges r.optimised_s
-          r.per_node_bfs_s r.dropped_updates_pct)
-      rows;
-    Format.fprintf ppf
-      "(the redundant-edge rule shrinks Er; the condensation/bitset path is@.";
-    Format.fprintf ppf
-      " orders of magnitude faster than the verbatim quadratic loop; most@.";
-    Format.fprintf ppf
-      " random insertions on well-connected graphs are redundant)@."
-  let csv rows =
-    Csv.render
-      ~header:
-        [ "dataset"; "quotient_edges"; "reduced_edges"; "optimised_s";
-          "per_node_bfs_s"; "dropped_updates_pct" ]
-      (List.map
-         (fun r ->
-           [ r.name; string_of_int r.quotient_edges;
-             string_of_int r.reduced_edges; Csv.float r.optimised_s;
-             Csv.float r.per_node_bfs_s; Csv.float r.dropped_updates_pct ])
-         rows)
-
+        Report.[ Text r.name; Int r.quotient_edges; Int r.reduced_edges;
+                 Float r.optimised_s; Float r.per_node_bfs_s;
+                 Float r.dropped_updates_pct ])
 end
 
 module Lifetime = struct
@@ -900,31 +711,16 @@ module Lifetime = struct
           queries_ok;
         })
 
-  let print ppf rows =
-    Format.fprintf ppf
-      "Lifetime: 20 rounds of 1%%|E| mixed churn on socEpinions, queries interleaved@.";
-    Format.fprintf ppf "%6s %10s | %8s | %12s %16s | %s@." "round" "|dE|"
-      "RCr" "incRCM cum(s)" "recompress cum(s)" "queries";
-    List.iter
+  let report =
+    table
+      "Lifetime: 20 rounds of 1%|E| mixed churn on socEpinions, queries \
+       interleaved"
+      [ "round"; "delta_e_total"; "rc_r_pct"; "inc_s_cum"; "batch_opt_s_cum";
+        "queries_ok" ]
+      [ "(the maintained compression stays exact across the whole stream)" ]
       (fun r ->
-        Format.fprintf ppf "%6d %10d | %7.2f%% | %12.3f %16.3f | %s@." r.round
-          r.delta_e_total (100. *. r.rc_r) r.inc_s_cum r.batch_opt_s_cum
-          (if r.queries_ok then "all ok" else "WRONG"))
-      rows;
-    Format.fprintf ppf
-      "(the maintained compression stays exact across the whole stream)@."
-
-  let csv rows =
-    Csv.render
-      ~header:
-        [ "round"; "delta_e_total"; "rc_r_pct"; "inc_s_cum";
-          "batch_opt_s_cum"; "queries_ok" ]
-      (List.map
-         (fun r ->
-           [ string_of_int r.round; string_of_int r.delta_e_total;
-             Csv.pct r.rc_r; Csv.float r.inc_s_cum;
-             Csv.float r.batch_opt_s_cum; string_of_bool r.queries_ok ])
-         rows)
+        Report.[ Int r.round; Int r.delta_e_total; Pct r.rc_r; Float r.inc_s_cum;
+                 Float r.batch_opt_s_cum; Text (string_of_bool r.queries_ok) ])
 end
 
 module Indexes = struct
@@ -986,33 +782,18 @@ module Indexes = struct
         ])
       datasets
 
-  let print ppf rows =
-    Format.fprintf ppf
-      "Reachability indexes over G vs Gr (beyond the paper: 2-hop is its Fig 12(d) index)@.";
-    Format.fprintf ppf "%-12s %-10s | %10s %10s | %10s %10s | %10s %10s@."
-      "dataset" "index" "build G(s)" "build Gr" "mem G(KB)" "mem Gr" "q G(us)"
-      "q Gr(us)";
-    List.iter
+  let report =
+    table
+      "Reachability indexes over G vs Gr (beyond the paper: 2-hop is its Fig \
+       12(d) index)"
+      [ "dataset"; "index"; "build_g_s"; "build_gr_s"; "mem_g_kb"; "mem_gr_kb";
+        "query_g_us"; "query_gr_us" ]
+      [ "(compression composes with indexing: same index family, tiny \
+         fraction of the cost)" ]
       (fun r ->
-        Format.fprintf ppf
-          "%-12s %-10s | %10.4f %10.4f | %10.1f %10.1f | %10.2f %10.2f@."
-          r.name r.index r.build_g_s r.build_gr_s r.mem_g_kb r.mem_gr_kb
-          r.query_g_us r.query_gr_us)
-      rows;
-    Format.fprintf ppf
-      "(compression composes with indexing: same index family, tiny fraction of the cost)@."
-
-  let csv rows =
-    Csv.render
-      ~header:
-        [ "dataset"; "index"; "build_g_s"; "build_gr_s"; "mem_g_kb";
-          "mem_gr_kb"; "query_g_us"; "query_gr_us" ]
-      (List.map
-         (fun r ->
-           [ r.name; r.index; Csv.float r.build_g_s; Csv.float r.build_gr_s;
-             Csv.float r.mem_g_kb; Csv.float r.mem_gr_kb;
-             Csv.float r.query_g_us; Csv.float r.query_gr_us ])
-         rows)
+        Report.[ Text r.name; Text r.index; Float r.build_g_s;
+                 Float r.build_gr_s; Float r.mem_g_kb; Float r.mem_gr_kb;
+                 Float r.query_g_us; Float r.query_gr_us ])
 end
 
 module Fig12jl = struct
@@ -1065,43 +846,57 @@ module Fig12jl = struct
               per_dataset;
         })
 
-  let print ppf ~pattern rows =
-    Format.fprintf ppf
-      "Fig 12(%s): %s under power-law edge growth (5%% per step, 80%% hub bias)@."
-      (if pattern then "l" else "j")
-      (if pattern then "PCr" else "RCr");
-    (match rows with
-    | [] -> ()
-    | first :: _ ->
-        Format.fprintf ppf "%8s" "|dE|%";
-        List.iter (fun (name, _) -> Format.fprintf ppf " %12s" name) first.series;
-        Format.fprintf ppf "@.");
-    List.iter
-      (fun r ->
-        Format.fprintf ppf "%7d%%" r.delta_pct;
-        List.iter
-          (fun (_, ratio) -> Format.fprintf ppf " %11.3f%%" (100. *. ratio))
-          r.series;
-        Format.fprintf ppf "@.")
-      rows;
-    if pattern then
-      Format.fprintf ppf
-        "(paper: PCr increases with insertions; web graphs more sensitive than social)@."
-    else
-      Format.fprintf ppf
-        "(paper: RCr decreases - more edges means more reachability-equivalent nodes)@."
-  let csv rows =
-    let header =
-      "delta_pct"
+  let report ~pattern rows =
+    table
+      (Printf.sprintf
+         "Fig 12(%s): %s under power-law edge growth (5%% per step, 80%% hub \
+          bias)"
+         (if pattern then "l" else "j")
+         (if pattern then "PCr" else "RCr"))
+      ("delta_pct"
       :: (match rows with
          | [] -> []
-         | first :: _ -> List.map (fun (n, _) -> n ^ "_pct") first.series)
-    in
-    Csv.render ~header
-      (List.map
-         (fun r ->
-           string_of_int r.delta_pct
-           :: List.map (fun (_, v) -> Csv.pct v) r.series)
-         rows)
-
+         | first :: _ -> List.map (fun (n, _) -> n ^ "_pct") first.series))
+      [ (if pattern then
+           "(paper: PCr increases with insertions; web graphs more sensitive \
+            than social)"
+         else
+           "(paper: RCr decreases - more edges means more \
+            reachability-equivalent nodes)") ]
+      (fun r -> Report.(Int r.delta_pct :: List.map (fun (_, v) -> Pct v) r.series))
+      rows
 end
+
+let all =
+  [
+    ("fig1", fun opts -> Fig1.report (Fig1.run ~opts ()));
+    ("table1", fun opts -> Table1.report (Table1.run ~opts ()));
+    ("table2", fun opts -> Table2.report (Table2.run ~opts ()));
+    ("fig12a", fun opts -> Fig12a.report (Fig12a.run ~opts ()));
+    ("fig12b", fun opts -> Fig12b.report (Fig12b.run ~opts ()));
+    ("fig12c", fun opts -> Fig12c.report (Fig12c.run ~opts ()));
+    ("fig12d", fun opts -> Fig12d.report (Fig12d.run ~opts ()));
+    ( "fig12e",
+      fun opts ->
+        Fig12ef.report ~deletions:false (Fig12ef.run ~opts ~deletions:false ()) );
+    ( "fig12f",
+      fun opts ->
+        Fig12ef.report ~deletions:true (Fig12ef.run ~opts ~deletions:true ()) );
+    ("fig12g", fun opts -> Fig12g.report (Fig12g.run ~opts ()));
+    ("fig12h", fun opts -> Fig12h.report (Fig12h.run ~opts ()));
+    ( "fig12i",
+      fun opts ->
+        Fig12ik.report ~pattern:false (Fig12ik.run ~opts ~pattern:false ()) );
+    ( "fig12j",
+      fun opts ->
+        Fig12jl.report ~pattern:false (Fig12jl.run ~opts ~pattern:false ()) );
+    ( "fig12k",
+      fun opts -> Fig12ik.report ~pattern:true (Fig12ik.run ~opts ~pattern:true ())
+    );
+    ( "fig12l",
+      fun opts -> Fig12jl.report ~pattern:true (Fig12jl.run ~opts ~pattern:true ())
+    );
+    ("lifetime", fun opts -> Lifetime.report (Lifetime.run ~opts ()));
+    ("indexes", fun opts -> Indexes.report (Indexes.run ~opts ()));
+    ("ablation", fun opts -> Ablation.report (Ablation.run ~opts ()));
+  ]

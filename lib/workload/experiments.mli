@@ -1,9 +1,10 @@
 (** One runner per table and figure of the paper's evaluation (Sec 6).
 
-    Each submodule has a [run] that computes the rows and a [print] that
-    renders them in the paper's row format, annotated with the paper's own
-    numbers where the paper reports them.  [bench/main.exe] drives these;
-    EXPERIMENTS.md records a reference run.
+    Each submodule has a [run] that computes the rows and a [report] that
+    makes them one {!Report.t}, with the paper's own numbers where the
+    paper reports them.  {!all} names every report; [bench/main.exe]
+    prints them, and EXPERIMENTS.md holds a reference run, its Tables 1
+    and 2 checked against the code by [test/bench/paper.t].
 
     All runners are deterministic for a fixed [seed].  [scale] (default 1.0)
     multiplies dataset sizes, letting a quick CI run use [~scale:0.25].
@@ -32,10 +33,7 @@ module Table1 : sig
   }
 
   val run : ?opts:opts -> unit -> row list
-  val print : Format.formatter -> row list -> unit
-
-  (** machine-readable rendering of the same rows *)
-  val csv : row list -> string
+  val report : row list -> Report.t
 end
 
 (** Table 2 — pattern preserving compression ratios. *)
@@ -50,8 +48,7 @@ module Table2 : sig
   }
 
   val run : ?opts:opts -> unit -> row list
-  val print : Format.formatter -> row list -> unit
-  val csv : row list -> string
+  val report : row list -> Report.t
 end
 
 (** Fig 1 — the paper's headline numbers on the P2P stand-in: how much the
@@ -65,8 +62,7 @@ module Fig1 : sig
   }
 
   val run : ?opts:opts -> unit -> t
-  val print : Format.formatter -> t -> unit
-  val csv : t -> string
+  val report : t -> Report.t
 end
 
 (** Fig 12(a) — reachability query time on [G] vs [Gr], BFS and BiBFS,
@@ -81,8 +77,7 @@ module Fig12a : sig
   }
 
   val run : ?opts:opts -> unit -> row list
-  val print : Format.formatter -> row list -> unit
-  val csv : row list -> string
+  val report : row list -> Report.t
 end
 
 (** Fig 12(b) — [Match] time vs pattern size on the labeled real-life
@@ -94,16 +89,14 @@ module Fig12b : sig
   }
 
   val run : ?opts:opts -> unit -> row list
-  val print : Format.formatter -> row list -> unit
-  val csv : row list -> string
+  val report : row list -> Report.t
 end
 
 (** Fig 12(c) — [Match] time vs pattern size on synthetic graphs with
     |L| = 10 and |L| = 20. *)
 module Fig12c : sig
   val run : ?opts:opts -> unit -> Fig12b.row list
-  val print : Format.formatter -> Fig12b.row list -> unit
-  val csv : Fig12b.row list -> string
+  val report : Fig12b.row list -> Report.t
 end
 
 (** Fig 12(d) — memory: [G], [Gr], 2-hop on [G], 2-hop on [Gr]. *)
@@ -117,8 +110,7 @@ module Fig12d : sig
   }
 
   val run : ?opts:opts -> unit -> row list
-  val print : Format.formatter -> row list -> unit
-  val csv : row list -> string
+  val report : row list -> Report.t
 end
 
 (** Figs 12(e)/(f) — incRCM vs compressR under growing insertion (resp.
@@ -133,8 +125,7 @@ module Fig12ef : sig
   }
 
   val run : ?opts:opts -> deletions:bool -> unit -> row list
-  val print : Format.formatter -> deletions:bool -> row list -> unit
-  val csv : row list -> string
+  val report : deletions:bool -> row list -> Report.t
 end
 
 (** Fig 12(g) — incPCM vs IncBsim vs compressB under mixed batches on the
@@ -148,8 +139,7 @@ module Fig12g : sig
   }
 
   val run : ?opts:opts -> unit -> row list
-  val print : Format.formatter -> row list -> unit
-  val csv : row list -> string
+  val report : row list -> Report.t
 end
 
 (** Fig 12(h) — incremental pattern answering: IncBMatch on [G] vs
@@ -162,8 +152,7 @@ module Fig12h : sig
   }
 
   val run : ?opts:opts -> unit -> row list
-  val print : Format.formatter -> row list -> unit
-  val csv : row list -> string
+  val report : row list -> Report.t
 end
 
 (** Figs 12(i)/(k) — compression ratio across densification-law evolution,
@@ -174,9 +163,7 @@ module Fig12ik : sig
   (** [run ~pattern:false] is Fig 12(i) (RCr); [~pattern:true] Fig 12(k)
       (PCr, |L| = 10). *)
   val run : ?opts:opts -> pattern:bool -> unit -> row list
-
-  val print : Format.formatter -> pattern:bool -> row list -> unit
-  val csv : row list -> string
+  val report : pattern:bool -> row list -> Report.t
 end
 
 (** Ablations of the design choices DESIGN.md calls out (not a paper
@@ -195,8 +182,7 @@ module Ablation : sig
   }
 
   val run : ?opts:opts -> unit -> row list
-  val print : Format.formatter -> row list -> unit
-  val csv : row list -> string
+  val report : row list -> Report.t
 end
 
 (** Beyond the paper: a deployment simulation — one compression maintained
@@ -213,8 +199,7 @@ module Lifetime : sig
   }
 
   val run : ?opts:opts -> unit -> row list
-  val print : Format.formatter -> row list -> unit
-  val csv : row list -> string
+  val report : row list -> Report.t
 end
 
 (** Beyond the paper: every reachability index in the library (2-hop,
@@ -234,8 +219,7 @@ module Indexes : sig
   }
 
   val run : ?opts:opts -> unit -> row list
-  val print : Format.formatter -> row list -> unit
-  val csv : row list -> string
+  val report : row list -> Report.t
 end
 
 (** Figs 12(j)/(l) — compression ratio under power-law edge growth on
@@ -246,7 +230,9 @@ module Fig12jl : sig
   (** [run ~pattern:false] is Fig 12(j) (RCr on P2P, wikiVote, citHepTh);
       [~pattern:true] Fig 12(l) (PCr on California, Internet, Youtube). *)
   val run : ?opts:opts -> pattern:bool -> unit -> row list
-
-  val print : Format.formatter -> pattern:bool -> row list -> unit
-  val csv : row list -> string
+  val report : pattern:bool -> row list -> Report.t
 end
+
+(** Every paper artifact and ablation by its bench name ([table1],
+    [fig12e], [lifetime], ...), each a full run at the given options. *)
+val all : (string * (opts -> Report.t)) list

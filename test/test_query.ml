@@ -1038,16 +1038,17 @@ let filter_size_cap () =
         Pattern.make ~n:2 ~labels:[| 0; -1 |] ~edges:[ (0, 1, b1) ] );
     ]
 
-(* A 20,000-node pattern grows the scratch by a bitset and two slots a
-   node; the next, 4-node query drops all but 64 of them, and the
-   steady state after it allocates nothing. *)
-let bsim_scratch_shrinks () =
+(* A 20,000-node pattern grows a scratch by a bitset and two slots a
+   node; the next, 4-node query must drop all but 64 of them.  Runs
+   [query] on a scratch [make g] with the small pattern, the wide one and
+   the small one again, and returns the scratch and the small pattern. *)
+let after_wide_pattern make query =
   let n = 100 in
   let g =
     Digraph.make ~n ~labels:(Array.init n (fun v -> v mod 3))
       (List.init (n - 1) (fun v -> (v, v + 1)))
   in
-  let s = Bounded_sim.scratch g in
+  let s = make g in
   let b1 = Pattern.Bounded 1 in
   let small =
     Pattern.make ~n:4 ~labels:[| 0; 1; 2; 1 |]
@@ -1056,22 +1057,33 @@ let bsim_scratch_shrinks () =
   let wide_n = 20_000 in
   let wide = Pattern.make ~n:wide_n ~labels:(Array.make wide_n 0) ~edges:[] in
   let words () = Obj.reachable_words (Obj.repr s) in
-  let matches p = ignore (Bounded_sim.match_into s p : bool) in
-  matches small;
+  query s small;
   let first = words () in
-  matches wide;
+  query s wide;
   let per_node = (words () - first) / (wide_n - 4) in
-  matches small;
+  query s small;
   let back = words () in
   if back - first > 64 * per_node then
     Alcotest.failf "%d words after a wide pattern, %d before; %d a pattern node"
       back first per_node;
+  (s, small)
+
+(* The steady state after the wide pattern allocates nothing. *)
+let bsim_scratch_shrinks () =
+  let matches s p = ignore (Bounded_sim.match_into s p : bool) in
+  let s, small = after_wide_pattern Bounded_sim.scratch matches in
   let before = Gc.minor_words () in
-  matches small;
-  matches small;
+  matches s small;
+  matches s small;
   let allocated = Gc.minor_words () -. before in
   if allocated > 0. then
     Alcotest.failf "%.0f minor words for two warm queries" allocated
+
+let cbisim_scratch_shrinks () =
+  ignore
+    (after_wide_pattern
+       (fun g -> Compress_bisim.scratch (Compress_bisim.compress g))
+       (fun s p -> ignore (Compress_bisim.answer_into s p : bool)))
 
 (* ------------------------------------------------------------------ *)
 (* Incremental match *)
@@ -1193,6 +1205,8 @@ let () =
             filter_size_cap;
           Alcotest.test_case "scratch comes back after a wide pattern" `Quick
             bsim_scratch_shrinks;
+          Alcotest.test_case "compressB scratch comes back after a wide pattern"
+            `Quick cbisim_scratch_shrinks;
         ]
         @ sim_props @ one_pass_props @ bounds_props
         @ [ permuted_props; filter_props ] );

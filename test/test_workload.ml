@@ -256,10 +256,41 @@ let lifetime_smoke () =
     (List.for_all (fun r -> r.Experiments.Lifetime.queries_ok) rows)
 
 let csv_unit () =
-  let out = Csv.render ~header:[ "a"; "b" ] [ [ "1"; "x,y" ]; [ "2"; "he said \"hi\"" ] ] in
-  Alcotest.(check string) "quoting" "a,b\n1,\"x,y\"\n2,\"he said \"\"hi\"\"\"\n" out;
-  Alcotest.check_raises "ragged" (Invalid_argument "Csv.render: ragged row")
-    (fun () -> ignore (Csv.render ~header:[ "a" ] [ [ "1"; "2" ] ]))
+  let report rows =
+    { Report.title = "t"; columns = [ "a"; "b" ]; rows; notes = [ "note" ] }
+  in
+  let quoted =
+    report Report.[ [ Int 1; Text "x,y" ]; [ Int 2; Text "he said \"hi\"" ] ]
+  in
+  Alcotest.(check string) "quoting" "a,b\n1,\"x,y\"\n2,\"he said \"\"hi\"\"\"\n"
+    (Report.csv quoted);
+  let kinds =
+    report
+      Report.
+        [
+          [ Text "int"; Int 42 ];
+          [ Text "float"; Float 0.1234567 ];
+          [ Text "pct"; Pct 0.0271828 ];
+          [ Text "text"; Text "x|y" ];
+        ]
+  in
+  Alcotest.(check string) "csv cells" "a,b\nint,42\nfloat,0.123457\npct,2.718\ntext,x|y\n"
+    (Report.csv kinds);
+  Alcotest.(check string) "printed cells"
+    "t\n\n\
+     | a     | b        |\n\
+     | ----- | -------- |\n\
+     | int   |       42 |\n\
+     | float | 0.123457 |\n\
+     | pct   |   2.718% |\n\
+     | text  | x\\|y     |\n\
+     \nnote\n"
+    (Format.asprintf "%a" Report.print kinds);
+  let ragged = report Report.[ [ Int 1; Int 2; Int 3 ] ] in
+  Alcotest.check_raises "ragged csv" (Invalid_argument "Report: ragged row")
+    (fun () -> ignore (Report.csv ragged));
+  Alcotest.check_raises "ragged print" (Invalid_argument "Report: ragged row")
+    (fun () -> Report.print Format.str_formatter ragged)
 
 let () =
   Alcotest.run "workload"
